@@ -1,9 +1,9 @@
 """Perf-1: KeyNote compliance-checker throughput and scaling.
 
 The paper reports no performance numbers; these benches characterise the
-reproduction and back the DESIGN.md ablation: memoised vs naive
-delegation-graph search on a diamond-heavy credential set where the naive
-search revisits principals exponentially often.
+reproduction, including the memoised delegation-graph search on a
+diamond-heavy credential set where an unmemoised search would revisit
+principals exponentially often (the DESIGN.md ablation measured both).
 """
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro.crypto import Keystore
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
+from repro.oracle.keynote_oracle import oracle_compliance_value
 
 
 def build_chain(keystore: Keystore, depth: int) -> list[Credential]:
@@ -73,40 +74,38 @@ def test_perf_credential_count(benchmark, n_credentials):
     assert result == "true"
 
 
-@pytest.mark.parametrize("memoise", [True, False],
-                         ids=["memoised", "naive"])
-def test_perf_memoisation_ablation(benchmark, memoise):
-    """DESIGN.md ablation: the lattice makes the naive search revisit every
-    principal once per path; memoisation collapses that."""
+def test_perf_memoisation_ablation(benchmark):
+    """The lattice would make an unmemoised search revisit every principal
+    once per path; memoisation collapses that.  Each round starts cold so
+    the fixpoint runs, not the decision cache."""
     keystore = Keystore()
     assertions, leaf = build_diamond_lattice(keystore, layers=5, width=4)
-    checker = ComplianceChecker(assertions, keystore=keystore,
-                                memoise=memoise)
-    result = benchmark(checker.query, {}, [leaf])
-    assert result == "true"
+    checker = ComplianceChecker(assertions, keystore=keystore)
+
+    def cold_query():
+        checker.clear_decision_cache()
+        return checker.query({}, [leaf])
+
+    assert benchmark(cold_query) == "true"
 
 
 def test_memoisation_agrees_with_naive():
-    """Correctness side of the ablation (not timed)."""
+    """The memoised search equals the naive oracle (not timed)."""
     keystore = Keystore()
     assertions, leaf = build_diamond_lattice(keystore, layers=4, width=3)
-    memo = ComplianceChecker(assertions, keystore=keystore, memoise=True)
-    naive = ComplianceChecker(assertions, keystore=keystore, memoise=False)
+    memo = ComplianceChecker(assertions, keystore=keystore)
     for authorizer in ([leaf], ["Kl3w1"], ["Kl0w0"], ["Kl2w2", "Kl3w0"]):
-        assert memo.query({}, authorizer) == naive.query({}, authorizer)
+        assert memo.query({}, authorizer) == oracle_compliance_value(
+            assertions, {}, authorizer, keystore=keystore)
 
 
 def test_memoisation_ablation_is_measurable():
-    """The new profile counters quantify what the timing ablation shows:
-    under memoisation the lattice's shared principals are served from the
-    memo; naive search re-walks them once per path (not timed)."""
+    """The profile counters show the lattice's shared principals served
+    from the memo, so no assertion is visited more than once (not
+    timed)."""
     keystore = Keystore()
     assertions, leaf = build_diamond_lattice(keystore, layers=5, width=4)
-    memo = ComplianceChecker(assertions, keystore=keystore, memoise=True)
-    naive = ComplianceChecker(assertions, keystore=keystore, memoise=False)
-    assert memo.query({}, [leaf]) == naive.query({}, [leaf]) == "true"
+    memo = ComplianceChecker(assertions, keystore=keystore)
+    assert memo.query({}, [leaf]) == "true"
     assert memo.last_query_stats.memo_hits > 0
-    assert naive.last_query_stats.memo_hits == 0
-    assert naive.last_query_stats.memo_misses == 0
-    assert (naive.last_query_stats.assertions_visited
-            > memo.last_query_stats.assertions_visited)
+    assert memo.last_query_stats.assertions_visited <= len(assertions)

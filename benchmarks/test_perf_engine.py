@@ -1,36 +1,80 @@
 """Perf-8: the compiled bitset RBAC engine.
 
-Times the BENCH_8 surfaces at a pytest-benchmark-friendly scale (the CI
-gate runs the full 100k-user universe through ``repro bench-engine
---check``):
+Times the engine at a pytest-benchmark-friendly scale on a seeded
+synthetic universe (layered role hierarchy, Zipfian assignments and
+requests):
 
 - cold build + first batch (interning, closure construction, answering);
 - warm ``check_access_many`` batch throughput;
-- the set-based comparator on the same universe (sampled);
 - incremental delta maintenance (grant + assign churn on a built engine);
 - compiled KeyNote bytecode vs the tree-walking evaluator.
+
+Answers are checked against the naive oracle in ``tests/rbac`` and
+``tests/test_fuzz_engine.py``; these benches only time.
 """
 
-import pytest
+import random
 
 from repro.keynote.eval import ConditionEvaluator, compile_conditions
 from repro.keynote.parser import parse_conditions
 from repro.keynote.values import DEFAULT_VALUE_SET
-from repro.rbac.bench import build_requests, build_universe
+from repro.rbac.hierarchy import RoleHierarchy
+from repro.rbac.model import DomainRole
+from repro.rbac.policy import RBACPolicy
 
 _USERS = 5_000
 _ROLES = 500
 _BATCH = 2_000
+_DOMAINS = 8
+_OBJECT_TYPES = ("invoice", "ledger", "queue", "topic", "component",
+                 "interface", "method", "file")
+_PERMISSIONS = ("read", "write", "invoke", "configure")
 
 
-def _universe(compiled: bool):
-    policy = build_universe(_USERS, _ROLES, compiled=compiled, name="perf")
+def _zipf_choices(rng, population, k):
+    """``k`` draws from ``population`` under a Zipfian (1/rank) skew."""
+    weights = [1.0 / rank for rank in range(1, len(population) + 1)]
+    return rng.choices(population, weights=weights, k=k)
+
+
+def build_universe(users, roles, seed=8):
+    """A seeded policy: each role past the first few dominates 1-2 roles
+    of strictly earlier index (a deep acyclic hierarchy), two grants per
+    role, and Zipfian user assignments."""
+    rng = random.Random(seed)
+    hierarchy = RoleHierarchy()
+    role_list = [DomainRole(f"d{i % _DOMAINS}", f"r{i}") for i in range(roles)]
+    for index in range(8, roles):
+        for _ in range(rng.randint(1, 2)):
+            hierarchy.add_inheritance(role_list[index],
+                                      role_list[rng.randrange(0, index)])
+    policy = RBACPolicy("perf", hierarchy=hierarchy)
+    for role in role_list:
+        for _ in range(2):
+            policy.grant(role.domain, role.role,
+                         rng.choice(_OBJECT_TYPES), rng.choice(_PERMISSIONS))
+    for index, role in enumerate(_zipf_choices(rng, role_list, users)):
+        policy.assign(f"u{index}", role.domain, role.role)
+    return policy
+
+
+def build_requests(policy, count, seed=8):
+    """A Zipfian request mix over the policy's users and objects."""
+    rng = random.Random(seed + 1)
+    subjects = _zipf_choices(rng, sorted(policy.users()), count)
+    object_types = _zipf_choices(rng, _OBJECT_TYPES, count)
+    permissions = rng.choices(_PERMISSIONS, k=count)
+    return list(zip(subjects, object_types, permissions))
+
+
+def _universe():
+    policy = build_universe(_USERS, _ROLES)
     return policy, build_requests(policy, _BATCH)
 
 
 def test_perf_engine_cold_build_and_batch(benchmark):
     def cold():
-        policy, requests = _universe(compiled=True)
+        policy, requests = _universe()
         return policy.check_access_many(requests)
 
     answers = benchmark(cold)
@@ -38,24 +82,14 @@ def test_perf_engine_cold_build_and_batch(benchmark):
 
 
 def test_perf_engine_warm_batch(benchmark):
-    policy, requests = _universe(compiled=True)
+    policy, requests = _universe()
     policy.check_access_many(requests)  # build + prime
     answers = benchmark(policy.check_access_many, requests)
     assert len(answers) == _BATCH
 
 
-def test_perf_set_based_checks(benchmark):
-    policy, requests = _universe(compiled=False)
-    sample = requests[:20]
-
-    def set_based():
-        return [policy.check_access(u, ot, p) for u, ot, p in sample]
-
-    assert len(benchmark(set_based)) == len(sample)
-
-
 def test_perf_engine_delta_maintenance(benchmark):
-    policy, requests = _universe(compiled=True)
+    policy, requests = _universe()
     policy.check_access_many(requests)  # build
     toggle = [0]
 

@@ -446,56 +446,6 @@ def _cmd_overload_bench(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    """Compiled bitset-engine benchmark (the ``BENCH_8.json`` CI
-    artifact): cold/warm check latency and batch throughput, compiled vs
-    set-based, plus a three-way oracle equivalence sweep."""
-    from repro.rbac.bench import check_engine_bench, run_engine_bench
-    from repro.report import engine_bench_report
-
-    report = run_engine_bench(users=args.users, roles=args.roles,
-                              batch=args.batch,
-                              set_based_sample=args.set_based_sample,
-                              seed=args.seed)
-    if args.json:
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        _emit(args, engine_bench_report(report))
-    if not args.check:
-        return 0
-    failures = check_engine_bench(report, min_speedup=args.min_speedup)
-    for failure in failures:
-        print(f"bench-engine check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_bench_churn(args: argparse.Namespace) -> int:
-    """Incremental-invalidation churn benchmark (the ``BENCH_10.json`` CI
-    artifact): warm-hit ratio and per-update cost under a churn-heavy
-    Zipfian mix, dependency-indexed eviction vs generation-flush, plus
-    oracle cross-checks, RBAC edge-delta churn and mediation-cache
-    survival."""
-    from repro.keynote.bench import check_churn_bench, run_churn_bench
-    from repro.report import churn_bench_report
-
-    report = run_churn_bench(users=args.users, teams=args.teams,
-                             orgs=args.orgs, steps=args.steps,
-                             queries_per_step=args.queries_per_step,
-                             oracle_samples=args.oracle_samples,
-                             seed=args.seed)
-    if args.json:
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        _emit(args, churn_bench_report(report))
-    if not args.check:
-        return 0
-    failures = check_churn_bench(
-        report, min_hit_improvement=args.min_hit_improvement)
-    for failure in failures:
-        print(f"bench-churn check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
                                 faults=args.faults, seed=args.seed,
@@ -750,66 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "stdout")
     p_obench.set_defaults(func=_cmd_overload_bench)
 
-    p_ebench = sub.add_parser(
-        "bench-engine", help="compiled bitset RBAC engine benchmark "
-                             "(cold/warm vs set-based + oracle sweep)")
-    p_ebench.add_argument("--users", type=int, default=100_000,
-                          help="synthetic user universe size")
-    p_ebench.add_argument("--roles", type=int, default=10_000,
-                          help="synthetic role universe size")
-    p_ebench.add_argument("--batch", type=int, default=20_000,
-                          help="check_access_many batch size (Zipfian mix)")
-    p_ebench.add_argument("--set-based-sample", type=int, default=150,
-                          help="cold checks answered by the set-based "
-                               "comparator (extrapolated per-check)")
-    p_ebench.add_argument("--seed", type=int, default=8,
-                          help="universe/workload seed")
-    p_ebench.add_argument("--min-speedup", type=float, default=5.0,
-                          help="cold-path speedup floor enforced "
-                               "with --check")
-    p_ebench.add_argument("--check", action="store_true",
-                          help="exit non-zero unless every gate passes "
-                               "(speedup floor, answer agreement, zero "
-                               "oracle disagreements)")
-    p_ebench.add_argument("--json", action="store_true",
-                          help="emit the full JSON report")
-    p_ebench.add_argument("--out", default=None,
-                          help="write the output to a file instead of "
-                               "stdout")
-    p_ebench.set_defaults(func=_cmd_bench_engine)
-
-    p_cbench = sub.add_parser(
-        "bench-churn", help="incremental invalidation vs generation-flush "
-                            "under churn-heavy Zipfian traffic")
-    p_cbench.add_argument("--users", type=int, default=400,
-                          help="delegation-universe user count")
-    p_cbench.add_argument("--teams", type=int, default=20,
-                          help="delegation-universe team count")
-    p_cbench.add_argument("--orgs", type=int, default=4,
-                          help="delegation-universe org count")
-    p_cbench.add_argument("--steps", type=int, default=60,
-                          help="proxy-renewal churn steps")
-    p_cbench.add_argument("--queries-per-step", type=int, default=8,
-                          help="Zipfian queries interleaved per churn step")
-    p_cbench.add_argument("--oracle-samples", type=int, default=60,
-                          help="post-churn decisions replayed against the "
-                               "naive oracle and a cold checker")
-    p_cbench.add_argument("--seed", type=int, default=10,
-                          help="universe/workload seed")
-    p_cbench.add_argument("--min-hit-improvement", type=float, default=5.0,
-                          help="warm-hit ratio improvement floor enforced "
-                               "with --check")
-    p_cbench.add_argument("--check", action="store_true",
-                          help="exit non-zero unless every gate passes "
-                               "(hit-ratio floor, cost bound, zero "
-                               "disagreements, no rebuilds, cache "
-                               "survival)")
-    p_cbench.add_argument("--json", action="store_true",
-                          help="emit the full JSON report")
-    p_cbench.add_argument("--out", default=None,
-                          help="write the output to a file instead of "
-                               "stdout")
-    p_cbench.set_defaults(func=_cmd_bench_churn)
     return parser
 
 

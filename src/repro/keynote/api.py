@@ -149,9 +149,10 @@ class KeyNoteSession:
     def revoke_credential(self, credential: Credential) -> bool:
         """Remove a previously added credential.
 
-        Bumps the live checker's generation, flushing its decision cache —
-        the next query cannot be served a stale ALLOW that relied on the
-        revoked credential.
+        Bumps the live checker's generation and evicts every cached
+        decision that read the revoked credential — the next query cannot
+        be served a stale ALLOW that relied on it, while unrelated cached
+        decisions stay warm.
         """
         if credential not in self._credentials:
             return False
@@ -167,8 +168,9 @@ class KeyNoteSession:
 
         A credential with ``expires_at = T`` is removed once
         ``now >= T + expiry_grace``.  Enforcing expiry only at sweeps (each
-        revocation bumps the checker generation, flushing decision caches)
-        keeps the session deterministic under clock skew: a verdict changes
+        revocation bumps the checker generation and evicts the decisions
+        that read the credential) keeps the session deterministic under
+        clock skew: a verdict changes
         at a sweep boundary, never because one query's clock happened to
         read a few seconds ahead of another's.  Returns the credentials
         revoked, and audits each as ``keynote.expire``.
@@ -195,9 +197,9 @@ class KeyNoteSession:
         return dict(self._expires_at)
 
     def _absorb(self, credential: Credential) -> None:
-        """Feed a new assertion to the live checker incrementally (its
-        generation bump flushes cached decisions) instead of discarding it
-        for a full rebuild."""
+        """Feed a new assertion to the live checker incrementally (it evicts
+        only the cached decisions that visited the assertion's authorizer)
+        instead of discarding the checker for a full rebuild."""
         if self._checker is not None:
             self._checker.add_assertion(credential)
 
@@ -229,11 +231,10 @@ class KeyNoteSession:
         self._checker = None
 
     def state_fingerprint(self) -> tuple[int, int, int]:
-        """A value that changes whenever the assertion set may have changed.
-
-        Callers caching decisions derived from this session (e.g. the
-        authorisation stack's mediation cache) compare fingerprints instead
-        of subscribing to invalidation events.
+        """A value that changes whenever the assertion set may have changed
+        (reported by the serve plane's status and mutation replies).
+        Decision caches should key on :meth:`decision_fingerprint`
+        instead, which changes only when one decision does.
         """
         return (len(self._policies), len(self._credentials),
                 self._checker.generation if self._checker is not None else -1)
@@ -251,8 +252,8 @@ class KeyNoteSession:
         recovery, or after :meth:`clear_credentials` — reports a sentinel
         key and no value, so no externally cached decision can validate
         against it.  The authorisation stack scopes its per-entry cache
-        fingerprints to this instead of :meth:`state_fingerprint`, letting
-        warm mediation decisions survive unrelated assertion churn.
+        fingerprints to this, letting warm mediation decisions survive
+        unrelated assertion churn.
         """
         if self._checker is None:
             return ("cold",), None

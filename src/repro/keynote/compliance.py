@@ -17,9 +17,8 @@ join over all POLICY assertions of their values.  The computation is a
 monotone fixpoint over a finite lattice; we evaluate it by memoised
 depth-first search where principals on the current path evaluate to
 ``_MIN_TRUST`` (cycles cannot raise trust — delegation loops grant nothing).
-
-Both a memoised checker and a deliberately naive exponential-path variant are
-provided; the DESIGN.md ablation compares them.
+The reference semantics live in
+:func:`~repro.oracle.keynote_oracle.oracle_compliance_value`.
 
 Hot-path machinery (the authorisation fast path):
 
@@ -31,12 +30,11 @@ Hot-path machinery (the authorisation fast path):
   projection, canonical authorizer set, value set).  Values computed under a
   live cycle-break assumption are never cached (unless maximal, which
   monotonicity makes safe) — mirroring the in-query memo's taint rule;
-- *incremental invalidation* (the default; ``incremental=False`` restores
-  the PR 3 generation-flush behaviour for ablation): every cached decision
-  records the set of canonical principals whose delegation sub-graphs the
-  fixpoint actually descended and the set of assertions whose conditions it
-  evaluated.  :meth:`ComplianceChecker.add_assertion` evicts only the
-  decisions that visited the new assertion's authorizer;
+- *incremental invalidation*: every cached decision records the set of
+  canonical principals whose delegation sub-graphs the fixpoint actually
+  descended and the set of assertions whose conditions it evaluated.
+  :meth:`ComplianceChecker.add_assertion` evicts only the decisions that
+  visited the new assertion's authorizer;
   :meth:`ComplianceChecker.revoke_assertion` only the decisions that read
   the revoked assertion.  Soundness rests on monotonicity: an assertion
   authored by principal ``P`` can influence a decision only through
@@ -55,7 +53,6 @@ Hot-path machinery (the authorisation fast path):
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -70,28 +67,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
 
-def incremental_default() -> bool:
-    """Resolve the process-wide invalidation default.
-
-    ``REPRO_INCREMENTAL_INVALIDATION`` forces the choice (``0``/``false``/
-    ``no``/``off`` restore generation-flush, anything else enables
-    dependency-indexed selective eviction); unset means incremental on.
-    """
-    flag = os.environ.get("REPRO_INCREMENTAL_INVALIDATION")
-    if flag is None:
-        return True
-    return flag.strip().lower() not in ("0", "false", "no", "off")
-
-
 @dataclass
 class ComplianceStats:
     """Profiling counters for the delegation-graph search.
 
-    ``memo_hits`` / ``memo_misses`` count memo-table lookups (both stay zero
-    under ``memoise=False`` — the table is never consulted), so the
-    memoised-vs-naive ablation is directly measurable.  ``max_depth`` is the
-    deepest delegation chain the fixpoint descended; ``cycles_broken`` how
-    often a principal on the current path was cut to minimum trust.
+    ``memo_hits`` / ``memo_misses`` count memo-table lookups; ``max_depth``
+    is the deepest delegation chain the fixpoint descended;
+    ``cycles_broken`` how often a principal on the current path was cut to
+    minimum trust.
     """
 
     queries: int = 0
@@ -153,22 +136,17 @@ class ComplianceChecker:
     :param strict: if True, a bad signature raises
         :class:`~repro.errors.CredentialError`; if False (RFC behaviour) the
         assertion is silently discarded.
-    :param memoise: disable only for the ablation benchmark (this also
-        disables the decision cache — naive mode measures the raw search).
-    :param cache_decisions: memoise whole query outcomes until the assertion
-        set changes.  Safe by construction: the cache key covers every
-        attribute any assertion can read, the canonical authorizer set and
-        the value set; :meth:`add_assertion` / :meth:`revoke_assertion` bump
-        :attr:`generation` and evict the dependent entries.
-    :param incremental: when True (the default, overridable with
-        ``REPRO_INCREMENTAL_INVALIDATION``), mutations evict only the
-        decisions whose recorded dependency sets intersect the delta; when
-        False every mutation flushes the whole decision cache (the PR 3
-        generation-flush baseline, kept as the ablation reference).
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
         when set, the per-query profile (memo hits/misses, assertions
         visited, fixpoint depth) is mirrored into ``keynote.*`` metrics and
         decision-cache traffic into ``keynote.cache.hit`` / ``.miss``.
+
+    Whole query outcomes are memoised in a decision cache.  Safe by
+    construction: the cache key covers every attribute any assertion can
+    read, the canonical authorizer set and the value set;
+    :meth:`add_assertion` / :meth:`revoke_assertion` bump :attr:`generation`
+    and evict only the decisions whose recorded dependency sets intersect
+    the delta.
 
     Profiling: :attr:`stats` accumulates over the checker's lifetime and
     :attr:`last_query_stats` holds the profile of the most recent
@@ -180,9 +158,6 @@ class ComplianceChecker:
     keystore: Keystore | None = None
     verify_signatures: bool = True
     strict: bool = False
-    memoise: bool = True
-    cache_decisions: bool = True
-    incremental: bool = field(default_factory=incremental_default)
     metrics: "MetricsRegistry | None" = None
     stats: ComplianceStats = field(init=False, repr=False,
                                    default_factory=ComplianceStats)
@@ -212,7 +187,6 @@ class ComplianceChecker:
         self._principal_index: dict[str, set[tuple]] = {}
         self._assertion_index: dict[int, set[tuple]] = {}
         self.selective_evictions = 0
-        self.survived_churn = 0
         self.full_flushes = 0
         #: attributes any assertion may read; None once a ``$`` dereference
         #: makes the read set dynamic (falls back to full-attribute keys)
@@ -226,10 +200,9 @@ class ComplianceChecker:
 
     @property
     def generation(self) -> int:
-        """Bumped whenever the assertion set changes.  Under incremental
-        invalidation it is a pure mutation epoch (the in-flight store guard
-        and session fingerprints key on it); under ``incremental=False``
-        it additionally marks a full cache flush."""
+        """Bumped whenever the assertion set changes: a mutation epoch the
+        in-flight store guard and session fingerprints key on.  It does not
+        flush the decision cache — mutations evict only their dependents."""
         return self._generation
 
     @property
@@ -241,10 +214,10 @@ class ComplianceChecker:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
-        was rejected in non-strict mode).  Under incremental invalidation
-        only the cached decisions whose fixpoint visited the new assertion's
-        authorizer are evicted — decisions that never descended into that
-        principal's sub-graph cannot change (monotonicity) and survive.
+        was rejected in non-strict mode).  Only the cached decisions whose
+        fixpoint visited the new assertion's authorizer are evicted —
+        decisions that never descended into that principal's sub-graph
+        cannot change (monotonicity) and survive.
 
         :raises CredentialError: for a bad signature in strict mode.
         """
@@ -252,7 +225,7 @@ class ComplianceChecker:
             old_shape = self._referenced_key
             self.assertions.append(assertion)  # type: ignore[union-attr]
             admitted = self._admit(assertion)
-            if self.incremental and admitted:
+            if admitted:
                 if self._referenced_key != old_shape:
                     # The cache key function itself changed; selective
                     # eviction cannot address old-projection entries.
@@ -266,10 +239,10 @@ class ComplianceChecker:
     def revoke_assertion(self, assertion: Credential) -> bool:
         """Remove one assertion; bumps the generation on success.
 
-        Under incremental invalidation only the decisions whose fixpoint
-        evaluated the revoked assertion are evicted — revocation propagates
-        through the delegation graph exactly as far as the dependency index
-        recorded, and unrelated warm decisions survive.
+        Only the decisions whose fixpoint evaluated the revoked assertion
+        are evicted — revocation propagates through the delegation graph
+        exactly as far as the dependency index recorded, and unrelated warm
+        decisions survive.
 
         Eviction ordering (pinned by test): dependents are evicted and the
         generation bumped *before* the prepared entry leaves
@@ -285,8 +258,7 @@ class ComplianceChecker:
             for index, prepared in enumerate(entries):
                 if prepared.credential == assertion:
                     old_shape = self._referenced_key
-                    if self.incremental:
-                        self._evict_dependents(assertion_ids=(id(prepared),))
+                    self._evict_dependents(assertion_ids=(id(prepared),))
                     self._bump_generation()
                     del entries[index]
                     if not entries:
@@ -296,7 +268,7 @@ class ComplianceChecker:
                     except ValueError:
                         pass
                     self._rebuild_referenced()
-                    if self.incremental and self._referenced_key != old_shape:
+                    if self._referenced_key != old_shape:
                         self._full_flush_on_churn()
                     return True
             return False
@@ -340,10 +312,6 @@ class ComplianceChecker:
             self._generation += 1
             # Canonicalisation may change too (e.g. a key registered since).
             self._canon_cache.clear()
-            if not self.incremental:
-                # Generation-flush baseline: every mutation clears the
-                # whole decision cache.
-                self._flush_decisions()
 
     def _flush_decisions(self) -> None:
         self._decision_cache.clear()
@@ -372,14 +340,10 @@ class ComplianceChecker:
             victims |= self._assertion_index.get(assertion_id, set())
         for key in victims:
             self._drop_entry(key)
-        survived = len(self._decision_cache)
         self.selective_evictions += len(victims)
-        self.survived_churn += survived
         if self.metrics is not None:
             self.metrics.counter(
                 "keynote.cache.selective_evictions").inc(len(victims))
-            self.metrics.counter(
-                "keynote.cache.survived_churn").inc(survived)
         return len(victims)
 
     def _drop_entry(self, key: tuple) -> None:
@@ -407,15 +371,13 @@ class ComplianceChecker:
 
     def cache_info(self) -> dict[str, int]:
         """Decision-cache statistics: size, generation, hit/miss counts and
-        the churn-survival counters the bench artifact reports."""
+        the eviction counters."""
         with self._mutation_lock:
             return {"entries": len(self._decision_cache),
                     "generation": self._generation,
                     "hits": self.cache_hits,
                     "misses": self.cache_misses,
-                    "incremental": int(self.incremental),
                     "selective_evictions": self.selective_evictions,
-                    "survived_churn": self.survived_churn,
                     "full_flushes": self.full_flushes}
 
     def cached_decision(self, attributes: Mapping[str, str],
@@ -504,31 +466,25 @@ class ComplianceChecker:
         requesters = frozenset(self._canonical(a) for a in authorizers)
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
-        # Naive mode exists to measure the raw search; serving it from a
-        # decision cache would defeat the ablation.
-        use_cache = self.cache_decisions and self.memoise
-        cache_key = None
-        cached_generation = None
-        if use_cache:
-            with self._mutation_lock:
-                cache_key = (self._attr_key(attributes), requesters,
-                             values.values)
-                cached = self._decision_cache.get(cache_key)
-                cached_generation = self._generation
-            if cached is not None:
-                self.cache_hits += 1
-                profile = ComplianceStats(queries=1)
-                self.last_query_stats = profile
-                self.stats.merge(profile)
-                if self.metrics is not None:
-                    self.metrics.counter("keynote.queries").inc()
-                    self.metrics.counter("keynote.cache.hit").inc()
-                return cached
-            self.cache_misses += 1
+        with self._mutation_lock:
+            cache_key = (self._attr_key(attributes), requesters,
+                         values.values)
+            cached = self._decision_cache.get(cache_key)
+            cached_generation = self._generation
+        if cached is not None:
+            self.cache_hits += 1
+            profile = ComplianceStats(queries=1)
+            self.last_query_stats = profile
+            self.stats.merge(profile)
             if self.metrics is not None:
-                self.metrics.counter("keynote.cache.miss").inc()
+                self.metrics.counter("keynote.queries").inc()
+                self.metrics.counter("keynote.cache.hit").inc()
+            return cached
+        self.cache_misses += 1
+        if self.metrics is not None:
+            self.metrics.counter("keynote.cache.miss").inc()
         profile = ComplianceStats(queries=1)
-        deps = ((set(), set()) if use_cache and self.incremental else None)
+        deps: "tuple[set, set]" = (set(), set())
         try:
             result = self._evaluate(attributes, requesters, values, profile,
                                     cond_memo, deps)
@@ -537,8 +493,7 @@ class ComplianceChecker:
             self.stats.merge(profile)
             if self.metrics is not None:
                 self._record_metrics(profile)
-        if use_cache and (profile.cycles_broken == 0
-                          or result == values.maximum):
+        if profile.cycles_broken == 0 or result == values.maximum:
             # The taint rule of the in-query memo, applied to whole
             # decisions: a value computed under a cycle-break assumption may
             # be an under-approximation and is never cached — unless it is
@@ -552,8 +507,7 @@ class ComplianceChecker:
                     # dependency sets below refer to live prepared
                     # assertions.)
                     self._decision_cache[cache_key] = result
-                    if deps is not None:
-                        self._remember_deps(cache_key, deps)
+                    self._remember_deps(cache_key, deps)
         return result
 
     def _remember_deps(self, key: tuple,
@@ -570,17 +524,16 @@ class ComplianceChecker:
                   requesters: frozenset, values: ComplianceValueSet,
                   profile: ComplianceStats,
                   cond_memo: "dict[int, str] | None",
-                  deps: "tuple[set, set] | None" = None) -> str:
+                  deps: "tuple[set, set]") -> str:
         """One fixpoint run; ``cond_memo`` (shared across a batch) memoises
         per-assertion condition values for this attribute projection.
 
-        When ``deps`` is given, the search records into it every canonical
-        principal whose sub-graph it descended (``deps[0]``) and the id of
-        every prepared assertion whose value it read (``deps[1]``) — the
-        dependency sets selective eviction later consults.  Requester
-        short-circuits are deliberately *not* recorded: a requester's own
-        assertions are never read, so mutations of them cannot change this
-        decision."""
+        The search records into ``deps`` every canonical principal whose
+        sub-graph it descended (``deps[0]``) and the id of every prepared
+        assertion whose value it read (``deps[1]``) — the dependency sets
+        selective eviction later consults.  Requester short-circuits are
+        deliberately *not* recorded: a requester's own assertions are never
+        read, so mutations of them cannot change this decision."""
         if cond_memo is None:
             cond_memo = {}
         memo: dict[str, str] = {}
@@ -595,15 +548,13 @@ class ComplianceChecker:
         def principal_value(principal: str) -> str:
             if principal in requesters:
                 return values.maximum
-            if deps is not None:
-                # Recorded before the memo check: the first (miss) visit
-                # records the principal, so later memo hits are covered.
-                deps[0].add(principal)
-            if self.memoise:
-                if principal in memo:
-                    profile.memo_hits += 1
-                    return memo[principal]
-                profile.memo_misses += 1
+            # Recorded before the memo check: the first (miss) visit
+            # records the principal, so later memo hits are covered.
+            deps[0].add(principal)
+            if principal in memo:
+                profile.memo_hits += 1
+                return memo[principal]
+            profile.memo_misses += 1
             if principal in in_progress:
                 tainted_flag[0] = True
                 profile.cycles_broken += 1
@@ -623,15 +574,13 @@ class ComplianceChecker:
             finally:
                 in_progress.discard(principal)
             subtree_tainted = tainted_flag[0]
-            if self.memoise and (not subtree_tainted
-                                 or result == values.maximum):
+            if not subtree_tainted or result == values.maximum:
                 memo[principal] = result
             tainted_flag[0] = outer_taint or subtree_tainted
             return result
 
         def assertion_value(prepared: _Prepared) -> str:
-            if deps is not None:
-                deps[1].add(id(prepared))
+            deps[1].add(id(prepared))
             conditions_value = cond_memo.get(id(prepared))
             if conditions_value is None:
                 conditions_value = prepared.compiled.value(attributes, values)
@@ -680,13 +629,12 @@ def evaluate_query(assertions: Sequence[Credential],
                    keystore: Keystore | None = None,
                    values: ComplianceValueSet = DEFAULT_VALUE_SET,
                    verify_signatures: bool = True,
-                   strict: bool = False,
-                   memoise: bool = True) -> str:
+                   strict: bool = False) -> str:
     """One-shot query without building a checker explicitly.
 
-    ``strict`` and ``memoise`` behave exactly as on
-    :class:`ComplianceChecker`, so a one-shot query is indistinguishable
-    from an explicitly built checker with the same options.  Signature
+    ``strict`` behaves exactly as on :class:`ComplianceChecker`, so a
+    one-shot query is indistinguishable from an explicitly built checker
+    with the same options.  Signature
     verification rides the process-wide cache
     (:data:`~repro.crypto.keystore.SIGNATURE_CACHE`): repeated one-shot
     calls over the same credentials verify each signature once, not once
@@ -694,5 +642,5 @@ def evaluate_query(assertions: Sequence[Credential],
     """
     checker = ComplianceChecker(assertions=list(assertions), keystore=keystore,
                                 verify_signatures=verify_signatures,
-                                strict=strict, memoise=memoise)
+                                strict=strict)
     return checker.query(attributes, authorizers, values)

@@ -12,9 +12,9 @@ Four check families, one per generator in :mod:`repro.oracle.gen`:
 
 ``compliance``
     The cached :class:`~repro.keynote.compliance.ComplianceChecker`, a
-    freshly built naive checker (``memoise=False``: no memo, no decision
-    cache) and the Kleene-iteration oracle must give the same compliance
-    value for every query — cold, warm (decision-cache hits), and across
+    freshly built checker (the cold production path: empty decision cache)
+    and the Kleene-iteration oracle must give the same compliance value for
+    every query — cold, warm (decision-cache hits), and across
     add/revoke churn phases that bump the generation stamp.  The
     :class:`~repro.translate.imprecise.ImpreciseChecker` rides along:
     exact results must agree with the oracle; similarity-substituted
@@ -215,10 +215,9 @@ def eval_compliance(case: Mapping) -> dict:
             oracle_value = oracle_compliance_value(current, attributes,
                                                    authorizers)
             oracle_values.append(oracle_value)
-            naive = ComplianceChecker(list(current), verify_signatures=False,
-                                      memoise=False)
+            cold = ComplianceChecker(list(current), verify_signatures=False)
             comparisons += 2
-            for name, checker in (("cached", cached), ("naive", naive)):
+            for name, checker in (("cached", cached), ("cold", cold)):
                 value = checker.query(attributes, authorizers)
                 if value != oracle_value:
                     disagreements.append({

@@ -1,13 +1,12 @@
 """A compiled, columnar RBAC engine (bitset evaluation).
 
-The set-based query paths of :class:`~repro.rbac.policy.RBACPolicy` scan the
-raw ``HasPermission`` / ``UserAssignment`` relations per decision —
-``roles_of`` walks every assignment, ``check_access`` every grant.  That is
-the executable spec, but it caps cold-path throughput at large universes.
-This module is the engine swap ROADMAP item 3 calls for: the *service
-interface stays stable* (the policy's method signatures are unchanged; it
-routes here when ``compiled`` is on) while the representation underneath is
-columnar:
+Scanning the raw ``HasPermission`` / ``UserAssignment`` relations per
+decision — ``roles_of`` walking every assignment, ``check_access`` every
+grant — is the executable spec (:class:`~repro.oracle.rbac_oracle.
+RBACOracle` does exactly that), but it caps cold-path throughput at large
+universes.  Every :class:`~repro.rbac.policy.RBACPolicy` query routes here
+instead: the *service interface stays stable* while the representation
+underneath is columnar:
 
 - users, domain-roles and ``(object_type, permission)`` pairs are interned
   into dense integer ids (interning is append-only — ids never move);
@@ -31,9 +30,9 @@ Every decision is then bitwise: ``check_access`` is one AND+shift, batch
 batch, and ``authorised_users`` ORs the member masks of the qualifying
 roles instead of re-deriving ``roles_of`` per user.
 
-The engine is *decision-identical* to the set-based path by construction
+The engine is *decision-identical* to the relational spec by construction
 and by test: the PR 5 oracle differ and the hypothesis churn suite compare
-the three implementations (engine, sets, naive oracle) answer by answer.
+it with the naive oracle answer by answer.
 """
 
 from __future__ import annotations
@@ -517,7 +516,7 @@ class RBACEngine:
         """Grant rows held by (domain, role), optionally via juniors.
 
         Rows keep their *own* domain/role (a senior sees the junior's
-        grant as the junior's row), matching the set-based semantics.
+        grant as the junior's row), matching the relational semantics.
         """
         rid = self._role_ids.get(DomainRole(domain, role))
         if rid is None:

@@ -3,24 +3,17 @@
 An :class:`RBACPolicy` is the paper's canonical policy form — the common
 format every middleware policy is interpreted into and translated out of.
 
-Two query engines answer the same method signatures:
-
-- the **set-based path** — direct comprehensions over the relation sets,
-  kept as the readable reference and the differential baseline;
-- the **compiled path** (default) — a lazily built
-  :class:`~repro.rbac.engine.RBACEngine` that interns users/roles/
-  permissions into dense ids and answers every decision with bitmask
-  operations, maintained incrementally by the mutators below (O(delta)
-  per grant/assign/revoke, no rebuild).
-
-``compiled=False`` (or environment ``REPRO_COMPILED_ENGINE=0``) selects
-the set-based path; the conformance differ and the engine test suites run
-both and require identical answers.
+Every query is answered by a lazily built
+:class:`~repro.rbac.engine.RBACEngine` that interns users/roles/
+permissions into dense ids and answers each decision with bitmask
+operations, maintained incrementally by the mutators below (O(delta) per
+grant/assign/revoke, no rebuild).  The reference semantics live only in
+:class:`~repro.oracle.rbac_oracle.RBACOracle`; the conformance differ and
+the engine test suites require identical answers from both.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import UnknownRoleError
@@ -30,18 +23,6 @@ from repro.util.text import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rbac.engine import RBACEngine
-
-
-def compiled_default() -> bool:
-    """Resolve the process-wide engine default.
-
-    ``REPRO_COMPILED_ENGINE`` forces the choice (``0``/``false``/``no``/
-    ``off`` disable, anything else enables); unset means compiled on.
-    """
-    flag = os.environ.get("REPRO_COMPILED_ENGINE")
-    if flag is None:
-        return True
-    return flag.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 class RBACPolicy:
@@ -57,8 +38,7 @@ class RBACPolicy:
     """
 
     def __init__(self, name: str = "policy",
-                 hierarchy: RoleHierarchy | None = None,
-                 compiled: bool | None = None) -> None:
+                 hierarchy: RoleHierarchy | None = None) -> None:
         self.name = name
         self._grants: set[Grant] = set()
         self._assignments: set[Assignment] = set()
@@ -68,18 +48,13 @@ class RBACPolicy:
         #: written ahead to the store *before* it mutates the in-memory
         #: sets, so a crashed node replays exactly its acknowledged facts
         self.journal = None
-        #: route queries through the bitset engine (set-based fallback off)
-        self.compiled = compiled_default() if compiled is None else compiled
         self._engine: "RBACEngine | None" = None
 
     # -- engine plumbing ---------------------------------------------------
 
-    def engine(self) -> "RBACEngine | None":
-        """The live engine, built on first compiled query and kept in sync
-        with the (possibly externally mutated) hierarchy; None when the
-        set-based path is selected."""
-        if not self.compiled:
-            return None
+    def engine(self) -> "RBACEngine":
+        """The live engine, built on first query and kept in sync with the
+        (possibly externally mutated) hierarchy."""
         if self._engine is None:
             from repro.rbac.engine import RBACEngine
             self._engine = RBACEngine.from_relations(
@@ -90,7 +65,7 @@ class RBACPolicy:
 
     def engine_stats(self) -> "dict[str, int] | None":
         """Interning/maintenance counters of the live engine (None when
-        set-based or not yet built) — no build is forced."""
+        not yet built) — no build is forced."""
         if self._engine is None:
             return None
         return self._engine.stats()
@@ -221,110 +196,49 @@ class RBACPolicy:
     def permissions_of(self, domain: str, role: str,
                        *, use_hierarchy: bool = True) -> set[Grant]:
         """Grants held by (domain, role), optionally via the role hierarchy."""
-        engine = self.engine()
-        if engine is not None:
-            return engine.permissions_of(domain, role,
-                                         use_hierarchy=use_hierarchy)
-        pairs = {DomainRole(domain, role)}
-        if use_hierarchy:
-            pairs |= self.hierarchy.juniors(DomainRole(domain, role))
-        return {g for g in self._grants if g.domain_role in pairs}
+        return self.engine().permissions_of(domain, role,
+                                            use_hierarchy=use_hierarchy)
 
     def roles_of(self, user: str, *, use_hierarchy: bool = True) -> set[DomainRole]:
         """Domain-roles ``user`` is a member of (direct plus inherited)."""
-        engine = self.engine()
-        if engine is not None:
-            return engine.roles_of(user, use_hierarchy=use_hierarchy)
-        direct = {a.domain_role for a in self._assignments if a.user == user}
-        if not use_hierarchy:
-            return direct
-        closed: set[DomainRole] = set()
-        for dr in direct:
-            closed.add(dr)
-            closed |= self.hierarchy.juniors(dr)
-        return closed
+        return self.engine().roles_of(user, use_hierarchy=use_hierarchy)
 
     def members_of(self, domain: str, role: str,
                    *, use_hierarchy: bool = True) -> set[str]:
         """Users assigned to (domain, role), including via senior roles."""
-        engine = self.engine()
-        if engine is not None:
-            return engine.members_of(domain, role,
-                                     use_hierarchy=use_hierarchy)
-        target = DomainRole(domain, role)
-        pairs = {target}
-        if use_hierarchy:
-            pairs |= self.hierarchy.seniors(target)
-        return {a.user for a in self._assignments if a.domain_role in pairs}
+        return self.engine().members_of(domain, role,
+                                        use_hierarchy=use_hierarchy)
 
     # -- decisions ---------------------------------------------------------
 
     def role_has_permission(self, domain: str, role: str, object_type: str,
                             permission: str, *, use_hierarchy: bool = True) -> bool:
         """True if (domain, role) holds ``permission`` on ``object_type``."""
-        engine = self.engine()
-        if engine is not None:
-            return engine.role_has_permission(domain, role, object_type,
-                                              permission,
-                                              use_hierarchy=use_hierarchy)
-        return any(g.object_type == object_type and g.permission == permission
-                   for g in self._set_permissions_of(
-                       domain, role, use_hierarchy=use_hierarchy))
-
-    def _set_permissions_of(self, domain: str, role: str,
-                            *, use_hierarchy: bool = True) -> set[Grant]:
-        pairs = {DomainRole(domain, role)}
-        if use_hierarchy:
-            pairs |= self.hierarchy.juniors(DomainRole(domain, role))
-        return {g for g in self._grants if g.domain_role in pairs}
+        return self.engine().role_has_permission(
+            domain, role, object_type, permission,
+            use_hierarchy=use_hierarchy)
 
     def check_access(self, user: str, object_type: str, permission: str,
                      *, use_hierarchy: bool = True) -> bool:
         """The fundamental RBAC decision: may ``user`` exercise
         ``permission`` on objects of ``object_type``?"""
-        engine = self.engine()
-        if engine is not None:
-            return engine.check_access(user, object_type, permission,
-                                       use_hierarchy=use_hierarchy)
-        roles = self.roles_of(user, use_hierarchy=use_hierarchy)
-        return any(g.domain_role in roles and g.object_type == object_type
-                   and g.permission == permission for g in self._grants)
+        return self.engine().check_access(user, object_type, permission,
+                                          use_hierarchy=use_hierarchy)
 
     def check_access_many(self, requests: Sequence[tuple[str, str, str]],
                           *, use_hierarchy: bool = True) -> list[bool]:
         """Batch form of :meth:`check_access`: one decision per
         ``(user, object_type, permission)`` triple, in order.
 
-        The compiled engine shares its per-user effective-permission masks
-        across the whole batch; the set-based path simply loops (it is the
-        differential baseline, not a fast path).
+        The engine shares its per-user effective-permission masks across
+        the whole batch.
         """
-        engine = self.engine()
-        if engine is not None:
-            return engine.check_access_many(requests,
-                                            use_hierarchy=use_hierarchy)
-        return [self.check_access(user, object_type, permission,
-                                  use_hierarchy=use_hierarchy)
-                for user, object_type, permission in requests]
+        return self.engine().check_access_many(requests,
+                                               use_hierarchy=use_hierarchy)
 
     def authorised_users(self, object_type: str, permission: str) -> set[str]:
-        """All users who may exercise ``permission`` on ``object_type``.
-
-        One hierarchy closure per call: the qualifying role set (grant
-        holders plus their senior cones) is computed once and assignments
-        are filtered against it — not one ``roles_of`` walk per user.
-        """
-        engine = self.engine()
-        if engine is not None:
-            return engine.authorised_users(object_type, permission)
-        holders = {g.domain_role for g in self._grants
-                   if g.object_type == object_type
-                   and g.permission == permission}
-        qualifying = set(holders)
-        for dr in holders:
-            qualifying |= self.hierarchy.seniors(dr)
-        return {a.user for a in self._assignments
-                if a.domain_role in qualifying}
+        """All users who may exercise ``permission`` on ``object_type``."""
+        return self.engine().authorised_users(object_type, permission)
 
     def require_role(self, domain: str, role: str) -> DomainRole:
         """Return the (domain, role) pair, raising if unknown.
@@ -340,8 +254,7 @@ class RBACPolicy:
 
     def copy(self, name: str | None = None) -> "RBACPolicy":
         """Deep copy (hierarchy included)."""
-        other = RBACPolicy(name or self.name, hierarchy=self.hierarchy.copy(),
-                           compiled=self.compiled)
+        other = RBACPolicy(name or self.name, hierarchy=self.hierarchy.copy())
         other._grants = set(self._grants)
         other._assignments = set(self._assignments)
         return other
@@ -372,9 +285,9 @@ class RBACPolicy:
     def from_relations(cls, name: str,
                        grants: Iterable[tuple[str, str, str, str]],
                        assignments: Iterable[tuple[str, str, str]],
-                       compiled: bool | None = None) -> "RBACPolicy":
+                       ) -> "RBACPolicy":
         """Build a policy from plain tuples (as the paper's tables read)."""
-        policy = cls(name, compiled=compiled)
+        policy = cls(name)
         for domain, role, object_type, permission in grants:
             policy.grant(domain, role, object_type, permission)
         for user, domain, role in assignments:

@@ -232,91 +232,6 @@ def overload_bench_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def engine_bench_report(report: dict) -> str:
-    """Text rendering of a ``BENCH_8`` compiled-engine benchmark report."""
-    universe = report["universe"]
-    cold = report["cold"]
-    warm = report["warm"]
-    oracle = report["oracle"]
-    lines = [f"bench-engine: {universe['users']} users, "
-             f"{universe['roles']} roles, {universe['grants']} grants, "
-             f"{universe['hierarchy_edges']} hierarchy edges",
-             ""]
-    lines.append(format_table(
-        ["path", "checks", "per-check us", "note"],
-        [("compiled cold", report["batch"]["requests"],
-          f"{cold['compiled_per_check_us']:.2f}",
-          "includes engine build"),
-         ("set-based cold", cold["set_based_sampled_checks"],
-          f"{cold['set_based_per_check_us']:.2f}", "sampled"),
-         ("compiled warm", report["batch"]["requests"],
-          f"{warm['per_check_us']:.3f}",
-          f"{warm['checks_per_s']:.0f} checks/s")]))
-    lines.append("")
-    lines.append(f"  cold speedup: {cold['speedup']:.1f}x "
-                 f"(answers agree: {cold['sampled_answers_agree']})")
-    lines.append(f"  oracle sweep: {oracle['check_cases']} checks + "
-                 f"{oracle['roles_of_cases']} roles_of + "
-                 f"{oracle['authorised_users_cases']} authorised_users, "
-                 f"disagreements: {oracle['disagreements']}")
-    engine = report.get("engine") or {}
-    if engine:
-        lines.append(f"  engine: builds={engine.get('builds')} "
-                     f"hierarchy_rebuilds={engine.get('hierarchy_rebuilds')} "
-                     f"deltas={engine.get('deltas')} "
-                     f"cached_user_masks={engine.get('cached_user_masks')}")
-    return "\n".join(lines)
-
-
-def churn_bench_report(report: dict) -> str:
-    """Text rendering of a ``BENCH_10`` churn benchmark report."""
-    universe = report["universe"]
-    incremental = report["incremental"]
-    baseline = report["baseline"]
-    lines = [f"bench-churn: {universe['assertions']} assertions "
-             f"({universe['orgs']} orgs / {universe['teams']} teams / "
-             f"{universe['users']} users), {universe['churn_steps']} "
-             f"proxy renewals x {universe['queries_per_step']} Zipfian "
-             f"queries",
-             ""]
-    lines.append(format_table(
-        ["invalidation", "hits", "misses", "hit ratio", "phase s",
-         "evicted", "flushes"],
-        [("incremental", incremental["hits"], incremental["misses"],
-          f"{incremental['hit_ratio']:.3f}",
-          f"{incremental['phase_s']:.3f}",
-          incremental["cache"]["selective_evictions"],
-          incremental["cache"]["full_flushes"]),
-         ("generation-flush", baseline["hits"], baseline["misses"],
-          f"{baseline['hit_ratio']:.3f}", f"{baseline['phase_s']:.3f}",
-          "-", "-")]))
-    lines.append("")
-    improvement = report["hit_ratio_improvement"]
-    lines.append(f"  warm-hit ratio under churn: "
-                 f"{improvement:.2f}x over generation-flush"
-                 if improvement is not None else
-                 "  warm-hit ratio under churn: baseline had no hits")
-    lines.append(f"  lock-step agreement: {report['lockstep']['queries']} "
-                 f"queries, {report['lockstep']['disagreements']} "
-                 f"disagreements; oracle sample: "
-                 f"{report['oracle']['samples']} decisions, "
-                 f"{report['oracle']['disagreements']} disagreements")
-    edges = report["rbac_edge_churn"]
-    lines.append(f"  rbac edge churn: {edges['edge_deltas']} edge deltas, "
-                 f"{edges['hierarchy_rebuilds']} rebuilds, "
-                 f"{edges['mask_evictions']} mask evictions, "
-                 f"{edges['set_based_disagreements']} set-based + "
-                 f"{edges['oracle']['disagreements']} oracle disagreements")
-    survival = report["stack_survival"]
-    lines.append(f"  mediation cache: {survival['survived_churn']}/"
-                 f"{survival['warm_entries']} warm entries survived "
-                 f"{survival['unrelated_revocations']} unrelated "
-                 f"revocations, {survival['invalidated']} invalidated by "
-                 f"the dependent one, {survival['stale_serves']} stale "
-                 f"serves")
-    return "\n".join(lines)
-
-
 def delegation_graph_dot(credentials: list[Credential]) -> str:
     """Graphviz DOT text for the delegation graph."""
     graph = delegation_graph(credentials)

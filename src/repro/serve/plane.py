@@ -138,7 +138,6 @@ class ServePolicyPlane:
         """
         if self._rbac_view is None:
             self._rbac_view = self.middleware.extract_rbac()
-            self._rbac_view.compiled = True
         return self._rbac_view
 
     def _invalidate_rbac_view(self) -> None:

@@ -201,11 +201,11 @@ class AuthorisationStack:
     decision_fingerprint`), and a hit revalidates only that one decision
     against the checker's dependency-indexed cache — so a revocation
     invalidates exactly the mediation entries whose TM decision it
-    evicted, and unrelated warm entries survive churn (counted as
-    ``stack.cache.survived_churn``).  An entry that could not capture its
-    TM decision at store time — e.g. a revocation landed mid-mediation and
-    the checker's epoch guard refused the decision — is never cached, so a
-    stale-fresh decision cannot be resurrected.  Traffic shows up as
+    evicted, and unrelated warm entries survive churn.  An entry that
+    could not capture its TM decision at store time — e.g. a revocation
+    landed mid-mediation and the checker's epoch guard refused the
+    decision — is never cached, so a stale-fresh decision cannot be
+    resurrected.  Traffic shows up as
     ``stack.cache.hit`` / ``stack.cache.miss`` metrics and a ``cached``
     span attribute; churn-driven drops as ``stack.cache.invalidated``.
 
@@ -244,10 +244,9 @@ class AuthorisationStack:
         #: mediation cache: None disables; otherwise decisions are served
         #: for identical requests for ``cache_ttl`` simulated seconds
         self.cache_ttl = cache_ttl
-        #: request -> (expires, decision-scoped fingerprint, TM state
-        #: snapshot at store time, decision)
+        #: request -> (expires, decision-scoped fingerprint, decision)
         self._cache: dict[MediationRequest,
-                          tuple[float, object, object, StackDecision]] = {}
+                          tuple[float, object, StackDecision]] = {}
         #: serialises mediation-cache / last-known-good mutation against
         #: concurrent serve handlers (and threaded harnesses); without it a
         #: mediation racing a revocation could re-cache a stale decision
@@ -257,9 +256,6 @@ class AuthorisationStack:
         self.cache_misses = 0
         #: entries dropped because their TM decision changed underneath them
         self.cache_invalidated = 0
-        #: fresh hits served although the TM state changed since the entry
-        #: was stored — each one is a hit generation-flush would have missed
-        self.cache_survived_churn = 0
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.layer_faults = layer_faults
@@ -366,16 +362,7 @@ class AuthorisationStack:
         with self._cache_lock:
             return {"entries": len(self._cache), "hits": self.cache_hits,
                     "misses": self.cache_misses,
-                    "invalidated": self.cache_invalidated,
-                    "survived_churn": self.cache_survived_churn}
-
-    def _config_fingerprint(self) -> object:
-        """Changes when a plugged layer's decision inputs may have changed
-        (currently: the TM session's assertion set).  No longer used to
-        invalidate entries — only to *detect* that churn happened between
-        store and hit, for the ``survived_churn`` accounting."""
-        return (self._tm.state_fingerprint()
-                if self._tm is not None else None)
+                    "invalidated": self.cache_invalidated}
 
     def _entry_fingerprint(self, request: MediationRequest,
                            decision: StackDecision) -> object:
@@ -406,32 +393,30 @@ class AuthorisationStack:
             return None
         return ("tm-decision", key, value)
 
+    def _revalidate(self, request: MediationRequest,
+                    entry: tuple[float, object, StackDecision]) -> bool:
+        """True while the one TM decision an entry depends on is unchanged;
+        otherwise drop the entry (caller holds the cache lock)."""
+        _expires, fingerprint, decision = entry
+        if fingerprint == self._entry_fingerprint(request, decision):
+            return True
+        # The decision changed (or was evicted and not recomputed).
+        self._cache.pop(request, None)
+        self.cache_invalidated += 1
+        if self.obs is not None:
+            self.obs.metrics.counter("stack.cache.invalidated").inc()
+        return False
+
     def _cache_lookup(self, request: MediationRequest) -> StackDecision | None:
         with self._cache_lock:
             entry = self._cache.get(request)
             if entry is None:
                 return None
-            expires, fingerprint, state, decision = entry
+            expires, _fingerprint, decision = entry
             if self._now() > expires:
                 self._cache.pop(request, None)
                 return None
-            if fingerprint != self._entry_fingerprint(request, decision):
-                # The one decision this entry depends on changed (or was
-                # evicted and not recomputed): drop just this entry.
-                self._cache.pop(request, None)
-                self.cache_invalidated += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter("stack.cache.invalidated").inc()
-                return None
-            if state != self._config_fingerprint():
-                # The assertion set churned since this entry was stored,
-                # but its own decision is untouched: a hit the old
-                # generation-flush scheme would have missed.
-                self.cache_survived_churn += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "stack.cache.survived_churn").inc()
-            return decision
+            return decision if self._revalidate(request, entry) else None
 
     def _cache_store(self, request: MediationRequest,
                      decision: StackDecision) -> None:
@@ -450,8 +435,7 @@ class AuthorisationStack:
             if fingerprint is None:
                 return
             self._cache[request] = (self._now() + self.cache_ttl,
-                                    fingerprint,
-                                    self._config_fingerprint(), decision)
+                                    fingerprint, decision)
 
     def serve_stale(self, request: MediationRequest,
                     stale_ttl: float) -> StackDecision | None:
@@ -461,10 +445,14 @@ class AuthorisationStack:
         This is the fail-static discipline applied to *overload* instead of
         backend outage: the decision was once fully mediated, the plane is
         too pressed to re-derive it, and the ``stale`` mark keeps the
-        disclosure in every response and audit record.  A still-fresh entry
-        is returned as-is (a normal hit); an entry expired or
-        fingerprint-invalidated longer than ``stale_ttl`` ago is dropped
-        and None means the caller must mediate for real.  The stale copy is
+        disclosure in every response and audit record.  Only *age* is
+        forgiven, never a changed decision: every entry is revalidated
+        against its TM decision fingerprint first, and a mismatched entry
+        (e.g. its credential was revoked) is dropped, counted in
+        ``cache_invalidated``, and None tells the caller to mediate for
+        real.  A still-fresh valid entry is returned as-is (a normal hit);
+        a valid entry past its TTL by at most ``stale_ttl`` is served
+        stale; one expired longer ago is dropped (None).  The stale copy is
         never re-cached as fresh (:meth:`_cache_store` refuses degraded
         decisions).
         """
@@ -475,21 +463,16 @@ class AuthorisationStack:
             entry = self._cache.get(request)
             if entry is None:
                 return None
-            expires, fingerprint, state, decision = entry
+            expires, _fingerprint, decision = entry
             if now > expires + stale_ttl:
                 self._cache.pop(request, None)
                 return None
-            if (now <= expires
-                    and fingerprint == self._entry_fingerprint(request,
-                                                               decision)):
+            if not self._revalidate(request, entry):
+                return None
+            if now <= expires:
                 self.cache_hits += 1
                 if self.obs is not None:
                     self.obs.metrics.counter("stack.cache.hit").inc()
-                if state != self._config_fingerprint():
-                    self.cache_survived_churn += 1
-                    if self.obs is not None:
-                        self.obs.metrics.counter(
-                            "stack.cache.survived_churn").inc()
                 return decision
         self.stale_served += 1
         if self.obs is not None:

@@ -4,7 +4,8 @@ The fixpoint memoises principal values, but a value computed while a
 cycle-break assumption was live may be an under-approximation and must not
 be cached — unless it is already the maximum, which monotonicity makes safe.
 These tests pin both sides of that rule down through the new memo hit/miss
-counters, and check that the counters are inert when memoisation is off.
+counters, and check that the counters are inert when a decision-cache hit
+skips the fixpoint (and with it the memo table).
 """
 
 import pytest
@@ -65,22 +66,24 @@ class TestMemoCounters:
         assert profile.max_depth == 4  # POLICY -> Ka -> Kb -> Kd
 
     def test_counters_inert_without_memoisation(self, keystore):
-        checker = ComplianceChecker(diamond(keystore), keystore=keystore,
-                                    memoise=False)
+        # A decision-cache hit never consults the fixpoint's memo table.
+        checker = ComplianceChecker(diamond(keystore), keystore=keystore)
+        checker.query({}, ["Ke"])
         assert checker.query({}, ["Ke"]) == "true"
+        assert checker.cache_hits == 1
         profile = checker.last_query_stats
+        assert profile.queries == 1
         assert profile.memo_hits == 0
         assert profile.memo_misses == 0
-        # The search itself still happens — Kd's subtree is walked twice.
-        assert profile.assertions_visited > 0
+        assert profile.assertions_visited == 0
 
     def test_stats_accumulate_across_queries(self, keystore):
         # The decision cache would serve the repeat query without running
-        # the fixpoint; disable it — this test measures the search itself.
-        checker = ComplianceChecker(diamond(keystore), keystore=keystore,
-                                    cache_decisions=False)
+        # the fixpoint; clear it — this test measures the search itself.
+        checker = ComplianceChecker(diamond(keystore), keystore=keystore)
         checker.query({}, ["Ke"])
         first = checker.last_query_stats
+        checker.clear_decision_cache()
         checker.query({}, ["Ke"])
         assert checker.stats.queries == 2
         assert checker.stats.memo_hits == 2 * first.memo_hits
@@ -151,12 +154,6 @@ class TestTaintRule:
 
 class TestEvaluateQueryParity:
     """The one-shot helper must honour the same knobs as the checker."""
-
-    def test_memoise_flag_is_plumbed_through(self, keystore):
-        for memoise in (True, False):
-            value = evaluate_query(diamond(keystore), {}, ["Ke"],
-                                   keystore=keystore, memoise=memoise)
-            assert value == "true"
 
     def test_strict_flag_is_plumbed_through(self, keystore):
         unsigned = Credential.build("Ka", '"Kb"', "true")

@@ -13,23 +13,62 @@ import random
 
 import pytest
 
-from repro.keynote.bench import _OPS, _attrs, build_delegation_universe
-from repro.keynote.compliance import ComplianceChecker, incremental_default
+from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
 from repro.oracle.keynote_oracle import oracle_compliance_value
 
+#: the two operations the proxy workload requests (a stable referenced
+#: attribute vocabulary — churn must not change the cache key shape)
+_OPS = ("submit", "status")
+
+
+def build_delegation_universe(*, orgs, teams, users):
+    """A Grid-style delegation graph.
+
+    POLICY licenses each org key for its own org attribute; each org
+    licenses its teams (condition-pruned by team); each team licenses its
+    member user keys; and each user key licenses a short-lived *proxy*
+    key — the Grid single-sign-on credential, and the tier that churns.
+    Requests are made by proxy keys, so the delegation cone a decision
+    walks (and therefore its recorded dependency set) is confined to the
+    requester's own org/team, and one proxy renewal touches only the
+    issuing user key's neighbourhood.
+    """
+    return {
+        "orgs": orgs, "teams": teams, "users": users,
+        "policy_creds": [
+            Credential.build("POLICY", f'"Korg{o}"',
+                             f'app=="grid" && org=="o{o}"')
+            for o in range(orgs)],
+        "org_creds": [
+            Credential.build(f"Korg{t % orgs}", f'"Kteam{t}"',
+                             f'team=="t{t}"')
+            for t in range(teams)],
+        "team_creds": [
+            Credential.build(f"Kteam{u % teams}", f'"Kuser{u}"',
+                             'op=="submit" || op=="status"')
+            for u in range(users)],
+        "proxy_creds": [
+            Credential.build(f"Kuser{u}", f'"Kproxy{u}"', 'app=="grid"')
+            for u in range(users)],
+        "proxy_keys": [f"Kproxy{u}" for u in range(users)],
+    }
+
+
+def _attrs(universe, user, op):
+    team = user % universe["teams"]
+    return {"app": "grid", "op": op,
+            "org": f"o{team % universe['orgs']}", "team": f"t{team}"}
+
 
 def small_universe():
-    return build_delegation_universe(orgs=2, teams=4, users=24, seed=3)
+    return build_delegation_universe(orgs=2, teams=4, users=24)
 
 
-def fresh_checker(universe, incremental=True, extra=()):
+def fresh_checker(universe):
     assertions = (universe["policy_creds"] + universe["org_creds"]
-                  + universe["team_creds"] + universe["proxy_creds"]
-                  + list(extra))
-    return ComplianceChecker(assertions=list(assertions),
-                             verify_signatures=False,
-                             incremental=incremental)
+                  + universe["team_creds"] + universe["proxy_creds"])
+    return ComplianceChecker(assertions=assertions, verify_signatures=False)
 
 
 def probe(checker, universe, user, op="submit"):
@@ -42,7 +81,7 @@ class TestMetamorphicEquivalence:
 
     def assert_agrees_with_cold(self, checker, universe):
         cold = ComplianceChecker(assertions=list(checker.assertions),
-                                 verify_signatures=False, incremental=True)
+                                 verify_signatures=False)
         for user in range(universe["users"]):
             for op in _OPS:
                 assert probe(checker, universe, user, op) == \
@@ -148,20 +187,6 @@ class TestSelectiveEviction:
         assert checker.full_flushes == 1
         assert checker.cache_info()["entries"] == 0
 
-    def test_generation_flush_baseline_still_drops_everything(self):
-        universe = small_universe()
-        checker = fresh_checker(universe, incremental=False)
-        probe(checker, universe, 0)
-        probe(checker, universe, 1)
-        checker.revoke_assertion(universe["proxy_creds"][23])  # unrelated
-        assert checker.cache_info()["entries"] == 0
-        assert checker.selective_evictions == 0
-
-    def test_env_flag_selects_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "0")
-        assert incremental_default() is False
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "1")
-        assert incremental_default() is True
 
 
 class TestRevokeEvictionOrdering:

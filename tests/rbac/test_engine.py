@@ -1,9 +1,10 @@
 """Tests for the compiled bitset RBAC engine (PR 8).
 
-Every query is cross-checked three ways: compiled engine, the retained
-set-based :class:`RBACPolicy` path, and the naive PR 5
-:class:`RBACOracle` — under deterministic churn sequences including
-hierarchy edge removal, which forces a closure rebuild.
+Every query is cross-checked three ways: the engine behind
+:class:`RBACPolicy`, the naive :class:`RBACOracle` over the same
+relations, and a second oracle built without hierarchy edges (the
+reference for every ``use_hierarchy=False`` answer) — under deterministic
+churn sequences including hierarchy edge removal.
 """
 
 import random
@@ -15,7 +16,8 @@ from repro.oracle.rbac_oracle import RBACOracle
 from repro.rbac.engine import RBACEngine
 from repro.rbac.hierarchy import RoleHierarchy
 from repro.rbac.model import Assignment, DomainRole, Grant
-from repro.rbac.policy import RBACPolicy, compiled_default
+from repro.rbac.policy import RBACPolicy
+from tests.rbac.oracle_agreement import assert_agrees_with_oracle
 
 USERS = [f"u{i}" for i in range(12)]
 ROLES = [DomainRole("d", f"r{i}") for i in range(8)]
@@ -23,36 +25,11 @@ OBJECTS = ["invoice", "ledger", "queue"]
 PERMS = ["read", "write"]
 
 
-def _assert_policy_agrees(policy: RBACPolicy) -> None:
-    """Compiled, set-based, and oracle answers must coincide everywhere."""
-    oracle = RBACOracle.from_policy(policy)
-    plain = policy.copy()
-    plain.compiled = False
-    for user in USERS:
-        compiled_roles = {(dr.domain, dr.role) for dr in policy.roles_of(user)}
-        assert compiled_roles == oracle.roles_of(user)
-        assert policy.roles_of(user) == plain.roles_of(user)
-        for obj in OBJECTS:
-            for perm in PERMS:
-                got = policy.check_access(user, obj, perm)
-                assert got == oracle.check_access(user, obj, perm)
-                assert got == plain.check_access(user, obj, perm)
-    for role in ROLES:
-        assert (policy.permissions_of(role.domain, role.role)
-                == plain.permissions_of(role.domain, role.role))
-        assert (policy.members_of(role.domain, role.role)
-                == oracle.members_of(role.domain, role.role))
-    for obj in OBJECTS:
-        for perm in PERMS:
-            assert (policy.authorised_users(obj, perm)
-                    == oracle.authorised_users(obj, perm))
-
-
 def _churn_policy(seed: int, steps: int = 60) -> RBACPolicy:
-    """Drive a compiled policy through seeded mutations, checking the
-    three-way agreement after every step."""
+    """Drive a policy through seeded mutations, checking the three-way
+    agreement after every step."""
     rng = random.Random(seed)
-    policy = RBACPolicy("churn", compiled=True)
+    policy = RBACPolicy("churn")
     # Touch the engine early so every later mutation exercises the
     # incremental delta paths rather than a fresh build.
     policy.check_access(USERS[0], OBJECTS[0], PERMS[0])
@@ -80,7 +57,7 @@ def _churn_policy(seed: int, steps: int = 60) -> RBACPolicy:
         else:
             senior, junior = rng.sample(ROLES, 2)
             policy.hierarchy.remove_inheritance(senior, junior)
-        _assert_policy_agrees(policy)
+        assert_agrees_with_oracle(policy, USERS, ROLES, OBJECTS, PERMS)
     return policy
 
 
@@ -94,7 +71,7 @@ class TestChurnEquivalence:
         assert stats["deltas"] > 0
 
     def test_hierarchy_removal_is_an_edge_delta_not_a_rebuild(self):
-        policy = RBACPolicy("h", compiled=True)
+        policy = RBACPolicy("h")
         senior, junior = ROLES[0], ROLES[1]
         policy.hierarchy.add_inheritance(senior, junior)
         policy.grant(junior.domain, junior.role, "invoice", "read")
@@ -119,12 +96,12 @@ class TestBatchAPI:
         batch = policy.check_access_many(requests)
         assert batch == [policy.check_access(u, o, p)
                          for u, o, p in requests]
-        plain = policy.copy()
-        plain.compiled = False
-        assert batch == plain.check_access_many(requests)
+        oracle = RBACOracle.from_policy(policy)
+        assert batch == [oracle.check_access(u, o, p)
+                         for u, o, p in requests]
 
     def test_check_access_many_without_hierarchy(self):
-        policy = RBACPolicy("flat", compiled=True)
+        policy = RBACPolicy("flat")
         policy.hierarchy.add_inheritance(ROLES[0], ROLES[1])
         policy.grant("d", "r1", "invoice", "read")
         policy.assign("alice", "d", "r0")
@@ -177,20 +154,14 @@ class TestEngineDirect:
 
 
 class TestCompiledFlag:
-    def test_env_var_disables_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_ENGINE", "0")
-        assert compiled_default() is False
-        assert RBACPolicy("p").engine() is None
-        monkeypatch.setenv("REPRO_COMPILED_ENGINE", "1")
-        assert compiled_default() is True
-
     def test_copy_preserves_flag_and_rebuilds_lazily(self):
-        policy = RBACPolicy("p", compiled=True)
+        """A copy answers through its own engine, built on first query."""
+        policy = RBACPolicy("p")
         policy.grant("d", "r0", "invoice", "read")
         policy.assign("alice", "d", "r0")
         assert policy.check_access("alice", "invoice", "read")
         clone = policy.copy()
-        assert clone.compiled
         assert clone.engine_stats() is None  # engine not yet built
         assert clone.check_access("alice", "invoice", "read")
         assert clone.engine_stats() is not None
+        assert clone.engine() is not policy.engine()

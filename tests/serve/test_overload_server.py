@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.keynote.credential import Credential
 from repro.serve.admission import AdmissionController, BrownoutController
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.plane import ServePolicyPlane
@@ -257,6 +258,47 @@ class TestBrownoutOnTheServer:
         assert stale["allowed"] and stale["stale"]  # disclosed, never silent
         assert probe["agree"] and not probe["stale"]
         assert status["plane"]["stale_mediations"] == 1
+
+    def test_tier2_never_serves_a_revoked_allow(self):
+        """Brownout forgives a decision's age, never a revocation: once the
+        credential an ALLOW rested on is revoked, tier 2 drops the entry
+        and mediates for real instead of serving the ALLOW as stale."""
+        async def scenario():
+            clock = SimulatedClock()
+            plane = ServePolicyPlane(clock=clock, cache_ttl=1.0)
+            plane.keystore.create("Kalice")
+            plane.keystore.create("Kproxy")
+            plane.session.add_policy(
+                'Authorizer: POLICY\nLicensees: "Kalice"\n'
+                'Conditions: app_domain=="WebCom";')
+            delegation = Credential.build(
+                "Kalice", '"Kproxy"', 'app_domain=="WebCom" && op=="run"',
+            ).sign(plane.keystore.pair("Kalice").private)
+            plane.session.add_credential(delegation)
+            admission = AdmissionController(
+                clock=clock, max_inflight=64,
+                brownout=BrownoutController(clock=clock, window=1.0,
+                                            sustain=0.5, cool=1.0,
+                                            stale_ttl=60.0))
+            server, client = await _boot(plane, admission=admission)
+            request = {**MEDIATE, "user_key": "Kproxy"}
+            before = await client.call("mediate", request)
+            revoked = await client.call("revoke",
+                                        {"text": delegation.to_text()})
+            _escalate(server, 2)
+            after = await client.call("mediate", request)
+            status = await client.call("status")
+            await client.close()
+            await server.shutdown()
+            return before, revoked, after, status
+
+        before, revoked, after, status = asyncio.run(scenario())
+        assert before["allowed"] and not before["stale"]
+        assert revoked["revoked"]
+        assert not after["allowed"] and not after["stale"]
+        assert after["denied_by"] == "TRUST_MANAGEMENT"
+        assert status["plane"]["stale_mediations"] == 0
+        assert status["plane"]["cache"]["invalidated"] == 1
 
     def test_tier3_sheds_bulk_but_not_data(self):
         async def scenario():

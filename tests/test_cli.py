@@ -221,39 +221,3 @@ class TestDurability:
                      "--out", str(target)]) == 0
         assert f"wrote {target}" in capsys.readouterr().out
         assert json.loads(target.read_text())["report"] == "DURABILITY_6"
-
-
-class TestBenchEngine:
-    _SMALL = ["bench-engine", "--users", "2000", "--roles", "200",
-              "--batch", "500", "--set-based-sample", "20"]
-
-    def test_text_report(self, capsys):
-        assert main(self._SMALL) == 0
-        out = capsys.readouterr().out
-        assert "bench-engine: 2000 users" in out
-        assert "cold speedup" in out
-
-    def test_check_passes_at_small_scale(self, capsys):
-        assert main(self._SMALL + ["--check"]) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_check_fails_on_disagreement(self, monkeypatch, capsys):
-        import repro.rbac.bench as bench
-        real_run = bench.run_engine_bench
-
-        def disagreeing(**kwargs):
-            report = real_run(**kwargs)
-            report["oracle"]["disagreements"] = 2
-            return report
-
-        monkeypatch.setattr(bench, "run_engine_bench", disagreeing)
-        assert main(self._SMALL + ["--json", "--check"]) == 1
-        assert "oracle disagreement" in capsys.readouterr().err
-
-    def test_out_writes_json_artifact(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_8.json"
-        assert main(self._SMALL + ["--json", "--out", str(target)]) == 0
-        assert f"wrote {target}" in capsys.readouterr().out
-        report = json.loads(target.read_text())
-        assert report["bench"] == "BENCH_8"
-        assert report["oracle"]["disagreements"] == 0

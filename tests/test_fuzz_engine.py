@@ -1,12 +1,12 @@
 """Property-based churn fuzzing of the compiled RBAC engine (PR 8).
 
 Hypothesis drives arbitrary interleavings of grant/assign/revoke and
-hierarchy edge addition/removal against a compiled policy, then asserts
-the bitset engine, the retained set-based path, and the naive PR 5
-:class:`RBACOracle` all agree on every decision surface — both at the
-end of the interleaving and (PR 10) after EVERY single operation, while
-the engine absorbs hierarchy edge changes as O(delta) cone updates
-rather than closure rebuilds.
+hierarchy edge addition/removal against a policy, then asserts the
+bitset engine agrees with the naive :class:`RBACOracle` on every
+decision surface — with the hierarchy, and without it against an oracle
+built with no edges — both at the end of the interleaving and after
+EVERY single operation, while the engine absorbs hierarchy edge
+changes as O(delta) cone updates rather than closure rebuilds.
 """
 
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from repro.errors import HierarchyError
 from repro.oracle.rbac_oracle import RBACOracle
 from repro.rbac.model import DomainRole
 from repro.rbac.policy import RBACPolicy
+from tests.rbac.oracle_agreement import assert_agrees_with_oracle
 
 _USERS = [f"u{i}" for i in range(6)]
 _ROLES = [DomainRole("d", f"r{i}") for i in range(5)]
@@ -64,28 +65,12 @@ class TestEngineChurnProperties:
     @given(ops=st.lists(_OPS, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_three_way_agreement(self, ops):
-        policy = RBACPolicy("fuzz", compiled=True)
+        """Engine vs oracle (with hierarchy) vs edge-free oracle (without)."""
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])  # build early
         for op in ops:
             _apply(policy, op)
-        oracle = RBACOracle.from_policy(policy)
-        plain = policy.copy()
-        plain.compiled = False
-        requests = [(u, o, p)
-                    for u in _USERS for o in _OBJECTS for p in _PERMS]
-        batch = policy.check_access_many(requests)
-        assert batch == plain.check_access_many(requests)
-        assert batch == [oracle.check_access(u, o, p)
-                         for u, o, p in requests]
-        for user in _USERS:
-            compiled_roles = {(dr.domain, dr.role)
-                              for dr in policy.roles_of(user)}
-            assert compiled_roles == oracle.roles_of(user)
-        for obj in _OBJECTS:
-            for perm in _PERMS:
-                assert (policy.authorised_users(obj, perm)
-                        == oracle.authorised_users(obj, perm)
-                        == plain.authorised_users(obj, perm))
+        assert_agrees_with_oracle(policy, _USERS, _ROLES, _OBJECTS, _PERMS)
         stats = policy.engine_stats()
         assert stats is not None and stats["builds"] == 1
 
@@ -94,12 +79,11 @@ class TestEngineChurnProperties:
     def test_incremental_equals_rebuilt(self, ops):
         """A policy maintained by deltas answers like one rebuilt from
         scratch over the same final relations."""
-        policy = RBACPolicy("fuzz", compiled=True)
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])
         for op in ops:
             _apply(policy, op)
-        rebuilt = RBACPolicy("rebuilt", hierarchy=policy.hierarchy.copy(),
-                             compiled=True)
+        rebuilt = RBACPolicy("rebuilt", hierarchy=policy.hierarchy.copy())
         for grant in policy.grants:
             rebuilt.add_grant(grant)
         for assignment in policy.assignments:
@@ -120,7 +104,7 @@ class TestEngineChurnProperties:
         with the naive oracle, and the whole interleaving is absorbed
         without a single closure rebuild (``hierarchy_rebuilds`` stays at
         its initial value; edge changes surface as ``edge_deltas``)."""
-        policy = RBACPolicy("fuzz", compiled=True)
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])  # build
         stats = policy.engine_stats()
         assert stats is not None
@@ -131,8 +115,7 @@ class TestEngineChurnProperties:
             _apply(policy, op)
             batch = policy.check_access_many(requests)
             rebuilt = RBACPolicy("rebuilt",
-                                 hierarchy=policy.hierarchy.copy(),
-                                 compiled=True)
+                                 hierarchy=policy.hierarchy.copy())
             for grant in policy.grants:
                 rebuilt.add_grant(grant)
             for assignment in policy.assignments:

@@ -49,7 +49,7 @@ class TestMediationCache:
         assert first.allowed and second.allowed
         assert predicate.calls == 1
         assert stack.cache_info() == {"entries": 1, "hits": 1, "misses": 1,
-                                      "invalidated": 0, "survived_churn": 0}
+                                      "invalidated": 0}
 
     def test_denials_are_cached_too(self, clock):
         stack, predicate = app_stack(clock, allow=False)
@@ -83,7 +83,7 @@ class TestMediationCache:
         stack.mediate(REQUEST)
         assert predicate.calls == 2
         assert stack.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
-                                      "invalidated": 0, "survived_churn": 0}
+                                      "invalidated": 0}
 
     def test_replugging_invalidates(self, clock):
         stack, predicate = app_stack(clock)
