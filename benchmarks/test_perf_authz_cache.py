@@ -1,6 +1,6 @@
 """Perf-3: the authorisation fast path.
 
-Times the three layers of the hot-path machinery added for BENCH_3:
+Times the three layers of the authorisation hot-path machinery:
 
 - KeyNote decision cache: cold (cache flushed every query) vs warm
   (identical query served from the cache) on the Figure-3 trust state;
@@ -8,8 +8,10 @@ Times the three layers of the hot-path machinery added for BENCH_3:
 - batched scheduling: a wide wavefront through one ``execute_batch``
   flight per client vs one round trip per node.
 
-``repro bench --check`` asserts the speedups in CI; these benches record
-the raw numbers alongside the other ``test_perf_*`` suites.
+The untimed tests below hold the correctness gates (a warm query skips
+the fixpoint and returns the cold value; batching cuts flights); these
+benches record the raw numbers alongside the other ``test_perf_*`` suites.
+End-to-end speed of the daemon is measured by ``python3 bench/run.py``.
 """
 
 import pytest
@@ -53,9 +55,9 @@ def test_decision_cache_speedup_is_material():
     """The acceptance bar behind the timing pair above (not timed): a warm
     query must skip the fixpoint entirely."""
     checker, attributes, authorizers = figure3_checker()
-    checker.query(attributes, authorizers)
+    cold = checker.query(attributes, authorizers)
     warm = checker.query(attributes, authorizers)
-    assert warm == "true"
+    assert warm == cold == "true"
     assert checker.cache_hits >= 1
     assert checker.last_query_stats.assertions_visited == 0
     assert checker.last_query_stats.memo_misses == 0

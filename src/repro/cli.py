@@ -12,15 +12,19 @@ Subcommands mirror the paper's Section-4 services over policy files:
 - ``trace``       — run an observed Secure WebCom scenario and dump the
   correlated trace tree (or the full JSON bundle);
 - ``metrics``     — the same scenario, reporting the metrics registry;
-- ``bench``       — machine-readable fast-path numbers (cold vs warm
-  decision cache, batched vs single scheduling flights), the CI perf
-  artifact (``BENCH_3.json``);
 - ``health``      — seed-swept policy-plane resilience report (circuit
   breakers, degraded modes, partition/reconcile convergence), the CI
   chaos artifact (``HEALTH_4.json``);
 - ``conformance`` — differential testing of backends, caches, translators
   and stack mediation against the naive oracle
-  (:mod:`repro.oracle`), the CI artifact (``CONFORMANCE_5.json``).
+  (:mod:`repro.oracle`), the CI artifact (``CONFORMANCE_5.json``);
+- ``durability``  — seeded kill-at-every-write-site crash-recovery sweep,
+  the CI artifact (``DURABILITY_6.json``);
+- ``serve``       — run the always-on authorisation daemon
+  (:mod:`repro.serve`).
+
+Performance is measured outside the package, end to end against the
+``serve`` daemon, by ``python3 bench/run.py``.
 
 Usage examples::
 
@@ -140,138 +144,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         print(f"wrote {args.out}")
     else:
         print(text)
-
-
-def _bench_decision_cache(iterations: int) -> dict:
-    """Cold vs warm KeyNote decision cache on the Figure-3 trust state.
-
-    The credential set is the master-side policy of the observed scenario
-    (POLICY trusting client keys for the scenario operations); "cold"
-    flushes the decision cache before every query so each one pays the full
-    fixpoint, "warm" lets identical queries hit the cache.
-    """
-    from time import perf_counter
-
-    from repro.translate.common import ATTR_APP_DOMAIN, WEBCOM_APP_DOMAIN
-    from repro.webcom.secure import ATTR_OPERATION, SecureWebComEnvironment
-
-    env = SecureWebComEnvironment()
-    env.create_key("Kmaster")
-    keys = [env.create_key(f"Kc{i}") for i in range(4)]
-    env.trust_clients_for_operations(keys, ["stage", "combine"])
-    checker = env.master_session.checker
-    attributes = {ATTR_APP_DOMAIN: WEBCOM_APP_DOMAIN,
-                  ATTR_OPERATION: "stage"}
-    authorizers = [keys[0]]
-
-    start = perf_counter()
-    for _ in range(iterations):
-        checker.clear_decision_cache()
-        cold_value = checker.query(attributes, authorizers)
-    cold = perf_counter() - start
-
-    checker.query(attributes, authorizers)  # prime
-    start = perf_counter()
-    for _ in range(iterations):
-        warm_value = checker.query(attributes, authorizers)
-    warm = perf_counter() - start
-
-    return {
-        "iterations": iterations,
-        "cold_s": cold,
-        "warm_s": warm,
-        "speedup": cold / warm if warm > 0 else float("inf"),
-        "cold_value": cold_value,
-        "warm_value": warm_value,
-        "values_agree": cold_value == warm_value,
-        "cache": checker.cache_info(),
-    }
-
-
-def _bench_batched_scheduling(fan: int, clients: int) -> dict:
-    """Batched vs single scheduling flights on a width-``fan`` wavefront."""
-    SCHEDULING_KINDS = ("execute", "execute_batch", "result", "result_batch")
-    out: dict = {"fan": fan, "clients": clients}
-    for batch in (False, True):
-        run = run_observed_scenario(fan=fan, n_clients=clients, batch=batch)
-        network = run.master.network
-        flights = sum(1 for message in network.delivered
-                      if message.kind in SCHEDULING_KINDS)
-        key = "batched" if batch else "single"
-        out[f"flights_{key}"] = flights
-        out[f"result_{key}"] = run.result
-    out["results_agree"] = out["result_single"] == out["result_batched"]
-    return out
-
-
-def _bench_signature_cache(rebuilds: int) -> dict:
-    """Repeated one-shot queries over a signed delegation chain: the
-    process-wide signature cache verifies each credential's bytes once,
-    not once per checker build."""
-    from repro.crypto.keystore import SIGNATURE_CACHE
-    from repro.keynote.compliance import evaluate_query
-    from repro.keynote.credential import Credential
-
-    keystore = Keystore()
-    names = [f"Kb{i}" for i in range(6)]
-    for name in names:
-        keystore.create(name)
-    assertions = [Credential.build("POLICY", f'"{names[0]}"', "true")]
-    for issuer, licensee in zip(names, names[1:]):
-        assertions.append(
-            Credential.build(issuer, f'"{licensee}"', "true").sign(
-                keystore.pair(issuer).private))
-    SIGNATURE_CACHE.clear()
-    for _ in range(rebuilds):
-        value = evaluate_query(assertions, {}, [names[-1]],
-                               keystore=keystore)
-    stats = SIGNATURE_CACHE.stats()
-    return {
-        "rebuilds": rebuilds,
-        "signed_credentials": len(assertions) - 1,
-        "value": value,
-        "verifications_run": stats["misses"],
-        "verifications_served_cached": stats["hits"],
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = {
-        "bench": "BENCH_3",
-        "description": "authorisation fast path: decision cache + "
-                       "batched scheduling",
-        "decision_cache": _bench_decision_cache(args.iterations),
-        "batched_scheduling": _bench_batched_scheduling(args.fan,
-                                                        args.clients),
-        "sigverify_cache": _bench_signature_cache(rebuilds=20),
-    }
-    _emit(args, json.dumps(report, indent=2))
-    if not args.check:
-        return 0
-    failures = []
-    cache = report["decision_cache"]
-    batched = report["batched_scheduling"]
-    if not cache["values_agree"]:
-        failures.append("cold and warm compliance values differ")
-    if cache["speedup"] < args.min_speedup:
-        failures.append(
-            f"warm-cache speedup {cache['speedup']:.1f}x is below the "
-            f"required {args.min_speedup:.1f}x")
-    if not batched["results_agree"]:
-        failures.append("batched and single scheduling results differ")
-    if batched["flights_batched"] >= batched["flights_single"]:
-        failures.append(
-            f"batching did not reduce flights "
-            f"({batched['flights_batched']} >= {batched['flights_single']})")
-    sigverify = report["sigverify_cache"]
-    if sigverify["verifications_run"] > sigverify["signed_credentials"]:
-        failures.append(
-            f"signature cache ran {sigverify['verifications_run']} "
-            f"verifications for {sigverify['signed_credentials']} "
-            f"credentials")
-    for failure in failures:
-        print(f"bench check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
@@ -399,53 +271,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Wall-clock concurrency benchmark of the serve daemon (the
-    ``BENCH_7.json`` CI artifact)."""
-    from repro.report import serve_bench_report
-    from repro.serve.bench import check_bench, run_serve_bench
-
-    report = run_serve_bench(clients=args.clients, requests=args.requests,
-                             probe_every=args.probe_every, root=args.root)
-    if args.json:
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        _emit(args, serve_bench_report(report))
-    if not args.check:
-        return 0
-    failures = check_bench(report, min_clients=args.min_clients)
-    for failure in failures:
-        print(f"serve-bench check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_overload_bench(args: argparse.Namespace) -> int:
-    """Hostile-traffic overload benchmark (the ``OVERLOAD_9.json`` CI
-    artifact): flash crowd, cache busting and a revocation storm against
-    a daemon under tight admission limits."""
-    from repro.report import overload_bench_report
-    from repro.serve.overload import check_overload, run_overload_bench
-
-    report = run_overload_bench(clients=args.clients,
-                                requests=args.requests,
-                                probe_every=args.probe_every,
-                                max_inflight=args.max_inflight,
-                                peer_rate=args.peer_rate,
-                                peer_burst=args.peer_burst, seed=args.seed,
-                                root=args.root)
-    if args.json:
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        _emit(args, overload_bench_report(report))
-    if not args.check:
-        return 0
-    failures = check_overload(report, goodput_floor=args.goodput_floor,
-                              p99_ceiling_ms=args.p99_ceiling_ms)
-    for failure in failures:
-        print(f"overload-bench check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
                                 faults=args.faults, seed=args.seed,
@@ -545,24 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="prepend a one-line trace summary")
     p_metrics.set_defaults(func=_cmd_metrics)
 
-    p_bench = sub.add_parser(
-        "bench", help="machine-readable authorisation fast-path benchmark")
-    p_bench.add_argument("--iterations", type=int, default=200,
-                         help="queries per timing loop")
-    p_bench.add_argument("--fan", type=int, default=8,
-                         help="wavefront width of the batching comparison")
-    p_bench.add_argument("--clients", type=int, default=2,
-                         help="clients in the batching comparison")
-    p_bench.add_argument("--check", action="store_true",
-                         help="exit non-zero unless the warm cache beats "
-                              "cold by --min-speedup and batching reduces "
-                              "flights")
-    p_bench.add_argument("--min-speedup", type=float, default=5.0,
-                         help="required cold/warm speedup with --check")
-    p_bench.add_argument("--out", default=None,
-                         help="write the JSON report to a file")
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_health = sub.add_parser(
         "health", help="policy-plane resilience report (breakers, degraded "
                        "modes, partition/reconcile)")
@@ -634,71 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--peer-burst", type=float, default=None,
                          help="per-peer burst allowance (default 2x rate)")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_sbench = sub.add_parser(
-        "serve-bench", help="wall-clock concurrency benchmark of the serve "
-                            "daemon")
-    p_sbench.add_argument("--clients", type=int, default=32,
-                          help="concurrent client connections")
-    p_sbench.add_argument("--requests", type=int, default=12,
-                          help="requests per client per pass")
-    p_sbench.add_argument("--probe-every", type=int, default=4,
-                          help="every Nth request is an oracle probe "
-                               "(0 disables probing)")
-    p_sbench.add_argument("--min-clients", type=int, default=32,
-                          help="concurrency floor enforced with --check")
-    p_sbench.add_argument("--root", default=None,
-                          help="durability root (default: a fresh temp dir)")
-    p_sbench.add_argument("--check", action="store_true",
-                          help="exit non-zero unless every correctness gate "
-                               "passes (concurrency floor, zero oracle "
-                               "disagreements, clean drain)")
-    p_sbench.add_argument("--json", action="store_true",
-                          help="emit the full JSON report")
-    p_sbench.add_argument("--out", default=None,
-                          help="write the output to a file instead of stdout")
-    p_sbench.set_defaults(func=_cmd_serve_bench)
-
-    p_obench = sub.add_parser(
-        "overload-bench", help="hostile-traffic overload benchmark of the "
-                               "serve daemon (flash crowd, cache busting, "
-                               "revocation storm)")
-    p_obench.add_argument("--clients", type=int, default=16,
-                          help="flood clients (4x the baseline population)")
-    p_obench.add_argument("--requests", type=int, default=40,
-                          help="requests per flood client per scenario")
-    p_obench.add_argument("--probe-every", type=int, default=5,
-                          help="every Nth request is an oracle probe "
-                               "(0 disables probing)")
-    p_obench.add_argument("--max-inflight", type=int, default=4,
-                          help="deliberately tight in-flight budget")
-    p_obench.add_argument("--peer-rate", type=float, default=10.0,
-                          help="deliberately tight per-peer rate limit")
-    p_obench.add_argument("--peer-burst", type=float, default=5.0,
-                          help="deliberately small per-peer burst (the "
-                               "flood must outlast it)")
-    p_obench.add_argument("--seed", type=int, default=9,
-                          help="traffic/jitter seed")
-    p_obench.add_argument("--goodput-floor", type=float, default=0.5,
-                          help="worst-scenario/baseline goodput ratio "
-                               "floor enforced with --check")
-    p_obench.add_argument("--p99-ceiling-ms", type=float, default=2500.0,
-                          help="accepted-request p99 ceiling (ms) enforced "
-                               "with --check")
-    p_obench.add_argument("--root", default=None,
-                          help="durability root (default: a fresh temp dir)")
-    p_obench.add_argument("--check", action="store_true",
-                          help="exit non-zero unless every robustness gate "
-                               "passes (goodput floor, bounded p99, zero "
-                               "lost requests, accounting identity, "
-                               "control plane never shed, zero oracle "
-                               "disagreements)")
-    p_obench.add_argument("--json", action="store_true",
-                          help="emit the full JSON report")
-    p_obench.add_argument("--out", default=None,
-                          help="write the output to a file instead of "
-                               "stdout")
-    p_obench.set_defaults(func=_cmd_overload_bench)
 
     return parser
 

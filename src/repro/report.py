@@ -151,87 +151,6 @@ def durability_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def serve_bench_report(report: dict) -> str:
-    """Text rendering of a ``BENCH_7`` wall-clock serve benchmark report."""
-    lines = [f"serve-bench: {report['clients']} concurrent clients, "
-             f"{report['requests_per_client']} requests each "
-             f"({report['timescale']} clock)"]
-    rows = [(label, report[label]["requests"],
-             f"{report[label]['requests_per_sec']:.0f}",
-             f"{report[label]['p50_ms']:.2f}",
-             f"{report[label]['p99_ms']:.2f}",
-             report[label]["denials"])
-            for label in ("cold", "warm")]
-    lines.append("")
-    lines.append(format_table(
-        ["pass", "requests", "req/s", "p50 ms", "p99 ms", "denials"], rows))
-    oracle = report["oracle"]
-    drain = report["drain"]
-    lines.append("")
-    lines.append(f"  oracle probes: {oracle['probes']}, disagreements: "
-                 f"{oracle['disagreements']}")
-    lines.append(f"  mediation cache: {report['cache']['hits']} hits / "
-                 f"{report['cache']['misses']} misses")
-    lines.append(f"  drain: {drain['completed']} completed + "
-                 f"{drain['refused']} refused of {drain['wave']} in-flight "
-                 f"({drain['lost']} lost), WAL flushed: "
-                 f"{drain['wal_flushed']}")
-    return "\n".join(lines)
-
-
-def overload_bench_report(report: dict) -> str:
-    """Text rendering of an ``OVERLOAD_9`` hostile-traffic bench report."""
-    limits = report["limits"]
-    lines = [f"overload-bench: {report['clients']} flood clients "
-             f"({report['overload_factor']}x the baseline of "
-             f"{report['baseline_clients']}), limits: "
-             f"max_inflight={limits['max_inflight']}, "
-             f"peer_rate={limits['peer_rate']:g}/s"]
-    rows = []
-    for name in ("baseline",) + tuple(report["scenarios"]):
-        entry = (report["baseline"] if name == "baseline"
-                 else report["scenarios"][name])
-        traffic = entry["traffic"]
-        shed = entry["server"]["admission"]["shed"]
-        rows.append((name, traffic["issued"], traffic["accepted"],
-                     shed["total"], traffic["lost"],
-                     f"{traffic['goodput_per_sec']:.0f}",
-                     f"{traffic['p99_ms']:.1f}",
-                     entry["server"]["brownout"]["max_level"]))
-    lines.append("")
-    lines.append(format_table(
-        ["scenario", "issued", "accepted", "sheds", "lost", "good/s",
-         "p99 ms", "brownout"], rows))
-    goodput = report["goodput"]
-    lines.append("")
-    lines.append(f"  goodput: worst scenario holds "
-                 f"{goodput['ratio']:.2f} of baseline "
-                 f"({goodput['worst_scenario_per_sec']:.0f} vs "
-                 f"{goodput['baseline_per_sec']:.0f} accepted/s)")
-    for name, scenario in report["scenarios"].items():
-        accounting = scenario["accounting"]
-        control = scenario["control"]
-        lines.append(
-            f"  {name}: refusals observed {accounting['refusals_observed']}"
-            f" == sheds {accounting['sheds_total']}: "
-            f"{accounting['refusals_match_sheds']}; control plane "
-            f"{control['calls']} calls, {control['refused']} shed; "
-            f"probes {scenario['traffic']['probes']}, disagreements "
-            f"{scenario['traffic']['disagreements']}; "
-            f"stale served {scenario['server']['stale_mediations']}")
-    storm = report["scenarios"]["revocation_storm"]["storm"] or {}
-    lines.append(f"  revocation storm: {storm.get('cycles', 0)} "
-                 f"add/revoke cycles landed mid-flood")
-    deadlines = report["deadlines"]
-    lines.append(f"  deadlines: {deadlines['expired_refused']}/"
-                 f"{deadlines['sent_expired']} pre-expired refused before "
-                 f"dispatch (server counted "
-                 f"{deadlines['server_expired_pre_dispatch']}), "
-                 f"{deadlines['generous_answered']}/"
-                 f"{deadlines['sent_generous']} generous answered")
-    return "\n".join(lines)
-
-
 def delegation_graph_dot(credentials: list[Credential]) -> str:
     """Graphviz DOT text for the delegation graph."""
     graph = delegation_graph(credentials)

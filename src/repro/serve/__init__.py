@@ -5,14 +5,13 @@ process; this package is where the framework meets real deployments: an
 :mod:`asyncio` daemon (:mod:`repro.serve.server`) fronts the full policy
 plane (:mod:`repro.serve.plane`) over a newline-delimited-JSON TCP protocol
 (:mod:`repro.serve.protocol`), with an asyncio client
-(:mod:`repro.serve.client`), a PID-file singleton guard
-(:mod:`repro.serve.pidfile`) and the repo's first wall-clock benchmark
-(:mod:`repro.serve.bench`).  The simulated path is untouched: both share
+(:mod:`repro.serve.client`), admission control and brownout
+(:mod:`repro.serve.admission`) and a PID-file singleton guard
+(:mod:`repro.serve.pidfile`).  The simulated path is untouched: both share
 the :class:`~repro.util.clock.Clock` abstraction, so the same stack,
 session, KeyCom service and durable store run under either timescale.
 """
 
-from repro.serve.bench import check_bench, run_serve_bench
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.pidfile import PidFile
 from repro.serve.plane import ServePolicyPlane, decision_to_dict
@@ -38,7 +37,6 @@ __all__ = [
     "ServeCallError",
     "ServeClient",
     "ServePolicyPlane",
-    "check_bench",
     "classify",
     "decision_to_dict",
     "decode_frame",
@@ -47,5 +45,4 @@ __all__ = [
     "make_event",
     "make_request",
     "ok_response",
-    "run_serve_bench",
 ]

@@ -12,8 +12,9 @@ acknowledged trust state (with every cache cold).
 Every handler's work is also cross-checkable: :meth:`probe` mediates a
 request through the production stack *and* re-derives the expected verdict
 from the PR-5 conformance oracles (naive KeyNote fixpoint + relational RBAC
-evaluation), reporting whether they agree.  ``repro serve-bench`` runs
-probes continuously and requires zero disagreements.
+evaluation), reporting whether they agree.  The hostile-traffic and
+concurrency suites under ``tests/serve`` mix probes into their floods and
+require zero disagreements.
 """
 
 from __future__ import annotations
@@ -196,14 +197,10 @@ class ServePolicyPlane:
         """
         request = self._request(params)
         correlation_id = self.obs.tracer.new_correlation_id()
-        decision = None
-        if stale_ok is not None:
-            decision = self.stack.serve_stale(request, stale_ok)
-            if decision is not None and decision.stale:
-                self.stale_mediations += 1
-        if decision is None:
-            decision = self.stack.mediate(request,
-                                          correlation_id=correlation_id)
+        decision = self.stack.mediate(request, correlation_id=correlation_id,
+                                      stale_ok=stale_ok)
+        if decision.stale:
+            self.stale_mediations += 1
         self.mediations += 1
         result = decision_to_dict(decision)
         result["correlation_id"] = correlation_id

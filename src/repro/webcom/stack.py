@@ -407,16 +407,33 @@ class AuthorisationStack:
             self.obs.metrics.counter("stack.cache.invalidated").inc()
         return False
 
-    def _cache_lookup(self, request: MediationRequest) -> StackDecision | None:
+    def _cache_lookup(self, request: MediationRequest,
+                      stale_ok: float | None = None) -> StackDecision | None:
+        """A revalidated cache entry, or None to mediate for real.
+
+        With ``stale_ok`` (the brownout path) an entry up to that many
+        seconds past its freshness bound is still served, marked
+        ``stale=True``: only *age* is forgiven, never a changed decision,
+        because every entry is revalidated against its TM decision
+        fingerprint first.
+        """
+        now = self._now()
         with self._cache_lock:
             entry = self._cache.get(request)
             if entry is None:
                 return None
             expires, _fingerprint, decision = entry
-            if self._now() > expires:
+            if now > expires + (stale_ok or 0.0):
                 self._cache.pop(request, None)
                 return None
-            return decision if self._revalidate(request, entry) else None
+            if not self._revalidate(request, entry):
+                return None
+        if now <= expires:
+            return decision
+        self.stale_served += 1
+        if self.obs is not None:
+            self.obs.metrics.counter("stack.cache.stale_served").inc()
+        return replace(decision, stale=True)
 
     def _cache_store(self, request: MediationRequest,
                      decision: StackDecision) -> None:
@@ -436,53 +453,6 @@ class AuthorisationStack:
                 return
             self._cache[request] = (self._now() + self.cache_ttl,
                                     fingerprint, decision)
-
-    def serve_stale(self, request: MediationRequest,
-                    stale_ttl: float) -> StackDecision | None:
-        """Brownout lookup: a cached decision within ``stale_ttl`` past its
-        freshness bound is served marked ``stale=True``.
-
-        This is the fail-static discipline applied to *overload* instead of
-        backend outage: the decision was once fully mediated, the plane is
-        too pressed to re-derive it, and the ``stale`` mark keeps the
-        disclosure in every response and audit record.  Only *age* is
-        forgiven, never a changed decision: every entry is revalidated
-        against its TM decision fingerprint first, and a mismatched entry
-        (e.g. its credential was revoked) is dropped, counted in
-        ``cache_invalidated``, and None tells the caller to mediate for
-        real.  A still-fresh valid entry is returned as-is (a normal hit);
-        a valid entry past its TTL by at most ``stale_ttl`` is served
-        stale; one expired longer ago is dropped (None).  The stale copy is
-        never re-cached as fresh (:meth:`_cache_store` refuses degraded
-        decisions).
-        """
-        if self.cache_ttl is None:
-            return None
-        now = self._now()
-        with self._cache_lock:
-            entry = self._cache.get(request)
-            if entry is None:
-                return None
-            expires, _fingerprint, decision = entry
-            if now > expires + stale_ttl:
-                self._cache.pop(request, None)
-                return None
-            if not self._revalidate(request, entry):
-                return None
-            if now <= expires:
-                self.cache_hits += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter("stack.cache.hit").inc()
-                return decision
-        self.stale_served += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("stack.cache.stale_served").inc()
-        if self.audit is not None:
-            self.audit.record(now, "stack.stale_served",
-                              subject=request.user,
-                              outcome="allow" if decision.allowed
-                              else "deny", operation=request.operation)
-        return replace(decision, stale=True)
 
     def configured_layers(self) -> tuple[Layer, ...]:
         """Which layers are present, lowest first."""
@@ -538,7 +508,8 @@ class AuthorisationStack:
             yield Layer.OS, check_os
 
     def mediate(self, request: MediationRequest,
-                correlation_id: str | None = None) -> StackDecision:
+                correlation_id: str | None = None,
+                stale_ok: float | None = None) -> StackDecision:
         """Run the request down the stack.
 
         When observability is configured, the whole mediation is one
@@ -546,6 +517,13 @@ class AuthorisationStack:
         per consulted layer; ``correlation_id`` ties the trace to the
         remote scheduling decision that triggered this check (it defaults
         to whatever trace context is already open).
+
+        ``stale_ok`` is the brownout path: a cached decision up to that
+        many clock seconds past its freshness bound is served marked
+        ``stale=True`` instead of re-mediating — the fail-static
+        discipline applied to overload instead of backend outage.  A stale
+        hit is audited, traced and counted like any other hit, and is
+        never re-cached or stored as last-known-good.
 
         :raises AuthorisationError: if no layer is configured and
             ``require_some_layer`` is set (an empty stack silently allowing
@@ -555,7 +533,7 @@ class AuthorisationStack:
             raise AuthorisationError("no mediation layer is configured")
         cached = None
         if self.cache_ttl is not None:
-            cached = self._cache_lookup(request)
+            cached = self._cache_lookup(request, stale_ok)
             if self.obs is not None:
                 hit_or_miss = "hit" if cached is not None else "miss"
                 self.obs.metrics.counter(f"stack.cache.{hit_or_miss}").inc()

@@ -259,6 +259,39 @@ class TestBrownoutOnTheServer:
         assert probe["agree"] and not probe["stale"]
         assert status["plane"]["stale_mediations"] == 1
 
+    def test_tier2_fresh_hit_is_audited_traced_and_counted(self):
+        """Tier 2 changes only which entries may be served, not how: a
+        still-fresh hit writes its ``stack.mediate`` audit record, opens
+        its span and bumps the verdict counter like any other hit."""
+        async def scenario():
+            clock = SimulatedClock()
+            plane = _plane(clock=clock, cache_ttl=60.0)
+            admission = AdmissionController(
+                clock=clock, max_inflight=64,
+                brownout=BrownoutController(clock=clock, window=1.0,
+                                            sustain=0.5, cool=1.0,
+                                            stale_ttl=60.0))
+            server, client = await _boot(plane, admission=admission)
+            await client.call("mediate", MEDIATE)
+            _escalate(server, 2)
+            hit = await client.call("mediate", MEDIATE)
+            spans = await client.call(
+                "spans", {"correlation_id": hit["correlation_id"]})
+            await client.close()
+            await server.shutdown()
+            return hit, spans["spans"], plane
+
+        hit, spans, plane = asyncio.run(scenario())
+        assert hit["allowed"] and not hit["stale"]
+        records = plane.audit.find(category="stack.mediate")
+        assert len(records) == 2
+        assert records[-1].detail["cached"] is True
+        assert records[-1].detail["stale"] is False
+        assert spans and spans[0]["name"] == "stack.mediate"
+        assert spans[0]["attributes"]["cached"] is True
+        assert plane.obs.metrics.counter("stack.mediate.allow").value == 2
+        assert plane.stack.cache_info()["hits"] == 1
+
     def test_tier2_never_serves_a_revoked_allow(self):
         """Brownout forgives a decision's age, never a revocation: once the
         credential an ALLOW rested on is revoked, tier 2 drops the entry

@@ -304,6 +304,37 @@ class TestDurabilityAndDrain:
         assert refused is not None and "draining" in refused
         assert status["draining"] is True
 
+    def test_shutdown_mid_wave_loses_no_call(self, tmp_path):
+        """A contended drain: every call already in flight when
+        ``shutdown`` lands completes or gets a "draining" refusal — none is
+        lost to a torn-down connection or a timeout."""
+        async def scenario():
+            plane = _plane(root=tmp_path)
+            _grant(plane)
+            server, control = await _boot(plane)
+            await control.hello(role="control")
+            wave = [await ServeClient(f"wave-{n}").connect(server.host,
+                                                           server.port)
+                    for n in range(32)]
+            calls = [asyncio.create_task(client.call("mediate", MEDIATE))
+                     for client in wave]
+            ack = await control.call("shutdown", {"reason": "mid-wave"})
+            outcomes = await asyncio.gather(*calls, return_exceptions=True)
+            report = await server.serve_until_shutdown()
+            for client in wave + [control]:
+                await client.close()
+            return ack, outcomes, report
+
+        ack, outcomes, report = asyncio.run(scenario())
+        completed = [o for o in outcomes if isinstance(o, dict)]
+        refused = [o for o in outcomes if isinstance(o, ServeCallError)
+                   and "draining" in str(o)]
+        assert len(completed) + len(refused) == len(outcomes) == 32
+        assert all(result["allowed"] for result in completed)
+        assert ack["draining"] is True
+        assert report["wal_flushed"] is True
+        assert report["inflight_after_drain"] == 0
+
     def test_pidfile_blocks_a_second_daemon(self, tmp_path):
         pidfile = tmp_path / "serve.pid"
         pidfile.write_text("1\n")  # PID 1: alive, not us
