@@ -17,9 +17,13 @@ End-to-end speed of the daemon is measured by ``python3 bench/run.py``.
 import pytest
 
 from repro.crypto import Keystore
+from repro.keynote.api import KeyNoteSession
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
+from repro.middleware.corba import CorbaOrb
 from repro.translate.common import ATTR_APP_DOMAIN, WEBCOM_APP_DOMAIN
+from repro.translate.to_keynote import membership_conditions
+from repro.webcom.keycom import KeyComService, PolicyUpdateRequest
 from repro.webcom.scenario import run_observed_scenario
 from repro.webcom.secure import ATTR_OPERATION, SecureWebComEnvironment
 
@@ -97,6 +101,49 @@ def test_perf_batched_scheduling(benchmark, batch):
     round trip per node, batching one per destination client."""
     run = benchmark(run_observed_scenario, fan=8, n_clients=2, batch=batch)
     assert run.result == 8
+
+
+def test_keycom_install_works_on_the_presented_credentials_only(monkeypatch):
+    """Request-scoped credentials ride the live checker (not timed): one
+    KeyCom install against a session whose live checker already holds
+    2000 signed credentials verifies the one presented credential and
+    builds no compliance checker.  Counted with spies, not a clock."""
+    keystore = Keystore()
+    for name in ("KWebCom", "Kissuer", "Kuser"):
+        keystore.create(name)
+    session = KeyNoteSession(keystore=keystore)
+    session.add_policy('Authorizer: POLICY\nLicensees: "KWebCom"\n'
+                       'Conditions: app_domain=="WebCom";')
+    issuer = keystore.pair("Kissuer").private
+    for i in range(2000):
+        session.add_credential(Credential.build(
+            "Kissuer", f'"u{i}"', f'subject=="u{i}"').sign(issuer))
+    assert len(session.checker.assertions) == 2001  # built once, up front
+    orb = CorbaOrb("serve", "orb")
+    service = KeyComService(orb, session)
+    membership = Credential.build(
+        "KWebCom", '"Kuser"', membership_conditions(orb.domain, "Clerk"),
+    ).sign(keystore.pair("KWebCom").private)
+
+    verified, built = [], []
+    real_verify = Credential.verify
+    real_init = ComplianceChecker.__init__
+
+    def spy_verify(self, *args, **kwargs):
+        verified.append(self)
+        return real_verify(self, *args, **kwargs)
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Credential, "verify", spy_verify)
+    monkeypatch.setattr(ComplianceChecker, "__init__", spy_init)
+    assert service.submit(PolicyUpdateRequest(
+        user="alice", user_key="Kuser", domain=orb.domain, role="Clerk",
+        credentials=(membership,)))
+    assert verified == [membership]
+    assert built == []
 
 
 def test_batched_scheduling_reduces_flights():

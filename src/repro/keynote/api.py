@@ -301,19 +301,17 @@ class KeyNoteSession:
         :param attributes: action attribute set.
         :param authorizers: key(s) making the request.
         :param extra_credentials: per-request credentials presented alongside
-            the request (not retained in the session).
+            the request.  They ride the live checker as a per-call overlay
+            (:meth:`ComplianceChecker.query
+            <repro.keynote.compliance.ComplianceChecker.query>` with
+            ``extra``): only they are verified and compiled, the answer is
+            never cached, and nothing of them is retained in the session or
+            the checker.
         :param threshold: minimum compliance value counted as authorised
             (defaults to the value set's maximum).
         """
         extras = list(extra_credentials)
-        if extras:
-            checker = ComplianceChecker(
-                assertions=self._policies + self._credentials + extras,
-                keystore=self.keystore,
-                verify_signatures=self.verify_signatures,
-                metrics=self.obs.metrics if self.obs is not None else None)
-        else:
-            checker = self._checker_instance()
+        checker = self._checker_instance()
         authorizer_tuple = tuple(authorizers)
         # The current simulated time is always available to conditions as
         # `_cur_time`, so credentials can carry expiry tests like
@@ -326,10 +324,11 @@ class KeyNoteSession:
                                       authorizers=",".join(authorizer_tuple)
                                       ) as span:
                 value = checker.query(attributes, authorizer_tuple,
-                                      self.values)
+                                      self.values, extras)
                 span.set(compliance_value=value)
         else:
-            value = checker.query(attributes, authorizer_tuple, self.values)
+            value = checker.query(attributes, authorizer_tuple, self.values,
+                                  extras)
         target = threshold if threshold is not None else self.values.maximum
         result = QueryResult(
             compliance_value=value,

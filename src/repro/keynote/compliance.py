@@ -48,14 +48,19 @@ Hot-path machinery (the authorisation fast path):
   conservative full flush (counted as ``full_flushes``);
 - :meth:`ComplianceChecker.query_many` batches queries, sharing per-assertion
   condition evaluation across every query with the same attribute
-  projection.
+  projection;
+- *request-scoped credentials*: ``query(..., extra=...)`` verifies and
+  compiles only the presented assertions and overlays them on the admitted
+  ones for a single fixpoint.  Such a query bypasses the decision cache in
+  both directions (a cached DENY must not hide a grant a presented
+  credential proves) and leaves no trace in the checker.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ComplianceError, CredentialError
@@ -273,15 +278,25 @@ class ComplianceChecker:
                     return True
             return False
 
-    def _admit(self, assertion: Credential) -> bool:
+    def _prepare(self, assertion: Credential) -> "_Prepared | None":
+        """Verify (through the signature cache) and compile one assertion;
+        None when its signature is rejected in non-strict mode.
+
+        :raises CredentialError: for a bad signature in strict mode.
+        """
         if self.verify_signatures and not assertion.verify(self.keystore):
             if self.strict:
                 raise CredentialError(
                     f"invalid signature on credential by "
                     f"{assertion.authorizer!r}")
+            return None
+        return _Prepared(assertion, compile_conditions(assertion.conditions))
+
+    def _admit(self, assertion: Credential) -> bool:
+        prepared = self._prepare(assertion)
+        if prepared is None:
             self._discarded.append(assertion)
             return False
-        prepared = _Prepared(assertion, compile_conditions(assertion.conditions))
         key = self._canonical(assertion.authorizer)
         self._by_authorizer.setdefault(key, []).append(prepared)
         self._extend_referenced(prepared)
@@ -402,26 +417,41 @@ class ComplianceChecker:
         with self._mutation_lock:
             cached = self._canon_cache.get(principal)
             if cached is None:
-                if principal.upper() == "POLICY":
-                    cached = "POLICY"
-                elif self.keystore is not None and principal in self.keystore:
-                    cached = self.keystore.public(principal).encode()
-                else:
-                    cached = principal
+                cached = self._resolve(principal)
                 self._canon_cache[principal] = cached
             return cached
+
+    def _resolve(self, principal: str) -> str:
+        """The canonicalisation rule itself, without the memo."""
+        if principal.upper() == "POLICY":
+            return "POLICY"
+        if self.keystore is not None and principal in self.keystore:
+            return self.keystore.public(principal).encode()
+        return principal
 
     # -- queries ---------------------------------------------------------------
 
     def query(self, attributes: Mapping[str, str],
               authorizers: Iterable[str],
-              values: ComplianceValueSet = DEFAULT_VALUE_SET) -> str:
+              values: ComplianceValueSet = DEFAULT_VALUE_SET,
+              extra: Sequence[Credential] = ()) -> str:
         """Return the compliance value of a request.
 
         :param attributes: the action attribute set.
         :param authorizers: the key(s) that made the request.
         :param values: the ordered compliance-value set to evaluate against.
+        :param extra: request-scoped assertions presented with this request
+            alone.  They are verified and compiled under the admission rules
+            (a bad signature raises in strict mode and is dropped otherwise)
+            and overlaid on the admitted assertions for this one fixpoint,
+            so the cost scales with ``extra``, not with the assertion set.
+            Such a query leaves no trace: it neither reads nor writes the
+            decision cache, records no dependencies, does not bump
+            :attr:`generation` and adds nothing to :attr:`assertions`,
+            :attr:`discarded` or the canonicalisation memo.
         """
+        if extra:
+            return self._query_overlay(attributes, authorizers, values, extra)
         return self._query(attributes, authorizers, values, None)
 
     def query_many(self, requests: Sequence[tuple[Mapping[str, str],
@@ -487,12 +517,9 @@ class ComplianceChecker:
         deps: "tuple[set, set]" = (set(), set())
         try:
             result = self._evaluate(attributes, requesters, values, profile,
-                                    cond_memo, deps)
+                                    cond_memo, deps, self._canonical, None)
         finally:
-            self.last_query_stats = profile
-            self.stats.merge(profile)
-            if self.metrics is not None:
-                self._record_metrics(profile)
+            self._record_profile(profile)
         if profile.cycles_broken == 0 or result == values.maximum:
             # The taint rule of the in-query memo, applied to whole
             # decisions: a value computed under a cycle-break assumption may
@@ -510,6 +537,51 @@ class ComplianceChecker:
                     self._remember_deps(cache_key, deps)
         return result
 
+    def _query_overlay(self, attributes: Mapping[str, str],
+                       authorizers: Iterable[str],
+                       values: ComplianceValueSet,
+                       extra: Sequence[Credential]) -> str:
+        """One uncached fixpoint over the admitted assertions plus
+        ``extra`` (see :meth:`query`).
+
+        Like a decision-cache miss, the fixpoint runs without the mutation
+        lock; since nothing is cached, a racing add or revoke can only yield
+        the answer from one side of the mutation.  Principals the memo does
+        not know are canonicalised into a per-call table: presented keys
+        come from remote callers, and the checker's own memo is only
+        flushed on mutations."""
+        local: dict[str, str] = {}
+
+        def canonical(principal: str) -> str:
+            resolved = local.get(principal)
+            if resolved is None:
+                resolved = (self._canon_cache.get(principal)
+                            or self._resolve(principal))
+                local[principal] = resolved
+            return resolved
+
+        requesters = frozenset(canonical(a) for a in authorizers)
+        if not requesters:
+            raise ComplianceError("a query needs at least one action authorizer")
+        overlay: dict[str, list[_Prepared]] = {}
+        for assertion in extra:
+            prepared = self._prepare(assertion)
+            if prepared is not None:
+                overlay.setdefault(canonical(assertion.authorizer),
+                                   []).append(prepared)
+        profile = ComplianceStats(queries=1)
+        try:
+            return self._evaluate(attributes, requesters, values, profile,
+                                  None, (set(), set()), canonical, overlay)
+        finally:
+            self._record_profile(profile)
+
+    def _record_profile(self, profile: ComplianceStats) -> None:
+        self.last_query_stats = profile
+        self.stats.merge(profile)
+        if self.metrics is not None:
+            self._record_metrics(profile)
+
     def _remember_deps(self, key: tuple,
                        deps: "tuple[set, set]") -> None:
         principals, assertion_ids = deps
@@ -524,9 +596,13 @@ class ComplianceChecker:
                   requesters: frozenset, values: ComplianceValueSet,
                   profile: ComplianceStats,
                   cond_memo: "dict[int, str] | None",
-                  deps: "tuple[set, set]") -> str:
+                  deps: "tuple[set, set]",
+                  canonical: "Callable[[str], str]",
+                  overlay: "dict[str, list[_Prepared]] | None") -> str:
         """One fixpoint run; ``cond_memo`` (shared across a batch) memoises
-        per-assertion condition values for this attribute projection.
+        per-assertion condition values for this attribute projection, and
+        ``overlay`` holds request-scoped assertions read after each
+        principal's admitted ones.
 
         The search records into ``deps`` every canonical principal whose
         sub-graph it descended (``deps[0]``) and the id of every prepared
@@ -565,7 +641,12 @@ class ComplianceChecker:
             profile.max_depth = max(profile.max_depth, len(in_progress))
             try:
                 result = values.minimum
-                for prepared in self._by_authorizer.get(principal, ()):
+                entries = self._by_authorizer.get(principal, ())
+                if overlay:
+                    presented = overlay.get(principal)
+                    if presented:
+                        entries = [*entries, *presented]
+                for prepared in entries:
                     profile.assertions_visited += 1
                     result = values.join([result,
                                           assertion_value(prepared)])
@@ -592,12 +673,12 @@ class ComplianceChecker:
             return values.meet([conditions_value, licensee_value])
 
         def licensee_principal_value(principal: str) -> str:
-            canonical = self._canonical(principal)
-            if canonical in requesters:
+            key = canonical(principal)
+            if key in requesters:
                 return values.maximum
             # Delegation: the licensee's own assertions must carry trust
             # onward to the requesters.
-            return principal_value(canonical)
+            return principal_value(key)
 
         return principal_value("POLICY")
 

@@ -63,9 +63,12 @@ class PolicyUpdateRequest:
         """Structural validation, before any credential is evaluated.
 
         :raises KeyComError: for empty/blank principal, domain or role
-            fields, a non-tuple credential payload, or a negative version —
-            a malformed request must be rejected before it can touch any
-            state.
+            fields, a non-tuple credential payload, a presented
+            ``Authorizer: POLICY`` assertion, or a negative version — a
+            malformed request must be rejected before it can touch any
+            state.  POLICY assertions are the local root of trust and are
+            valid without a signature, so one presented by a remote caller
+            could license any key for any role.
         """
         for name in ("user", "user_key", "domain", "role"):
             value = getattr(self, name)
@@ -78,6 +81,10 @@ class PolicyUpdateRequest:
             raise KeyComError(
                 "malformed update request: credentials must be a tuple of "
                 "Credential instances")
+        if any(c.is_policy for c in self.credentials):
+            raise KeyComError(
+                "malformed update request: presented credentials must not "
+                "be POLICY assertions")
         if not isinstance(self.request_id, str):
             raise KeyComError(
                 f"malformed update request: request_id must be a string, "

@@ -253,6 +253,43 @@ class TestRequestIdDedup:
         assert plane.keycom.duplicates == 1
 
 
+class TestKeyComPolicySmuggling:
+    def test_presented_policy_assertion_is_refused(self, tmp_path):
+        """A remote ``update`` presenting an unsigned POLICY assertion that
+        licenses the caller's own key is a malformed request: it must not
+        reach the ORB, the WAL or the applied-id set."""
+
+        async def scenario():
+            plane = _plane(root=tmp_path)
+            plane.session.add_policy(TRUST_ROOT)
+            mallory = plane.keystore.create("Kmallory").public.encode()
+            before = plane.middleware.extract_rbac()
+            server, client = await _boot(plane)
+            smuggled = (f'Authorizer: POLICY\nLicensees: "{mallory}"\n'
+                        'Conditions: app_domain=="WebCom";\n')
+            try:
+                await client.call("update", {
+                    "user": "mallory", "user_key": mallory,
+                    "domain": plane.middleware.domain, "role": "admin",
+                    "credentials": [smuggled], "request_id": "r1"})
+                error_type = None
+            except ServeCallError as exc:
+                error_type = exc.error_type
+            status = await client.call("status")
+            # Read the log before shutdown compacts it into a snapshot.
+            kinds = [record["kind"]
+                     for _lsn, record in plane.node.store.wal.records()]
+            await client.close()
+            await server.shutdown()
+            return error_type, status, kinds, before, plane
+
+        error_type, status, kinds, before, plane = asyncio.run(scenario())
+        assert error_type == "KeyComError"
+        assert plane.middleware.extract_rbac() == before
+        assert "keycom.apply" not in kinds
+        assert status["plane"]["keycom"]["applied_ids"] == 0
+
+
 class TestDurabilityAndDrain:
     def test_shutdown_drains_and_flushes_the_wal(self, tmp_path):
         async def scenario():

@@ -210,6 +210,25 @@ class TestMalformedRequests:
         with pytest.raises(KeyComError, match="malformed"):
             service.submit(request)
 
+    def test_presented_policy_assertion_rejected(self, setup):
+        # POLICY assertions need no signature: one smuggled in with the
+        # request would otherwise prove any membership for any key.
+        keystore, catalogue, service, audit = setup
+        before = catalogue.extract_rbac()
+        smuggled = Credential.from_text(
+            'Authorizer: POLICY\nLicensees: "Kmallory"\n'
+            'Conditions: app_domain=="WebCom";\n')
+        request = PolicyUpdateRequest(
+            user="mallory", user_key="Kmallory", domain="DomainA",
+            role="Clerk", credentials=(smuggled,))
+        with pytest.raises(KeyComError, match="malformed.*POLICY"):
+            service.submit(request)
+        assert catalogue.extract_rbac() == before
+        assert not catalogue.invoke("DomainA\\mallory", "SalariesDB",
+                                    "Access")
+        assert service.processed == []  # rejected before evaluation
+        assert audit.find(category="keycom.update") == []
+
     def test_negative_version_rejected(self, setup):
         keystore, _catalogue, service, _audit = setup
         request = PolicyUpdateRequest(
