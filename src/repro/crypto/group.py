@@ -6,12 +6,19 @@ verified by the test suite.  512/160-bit parameters are far below modern
 security margins but this is a *simulation substrate*: the framework only
 needs sign/verify semantics (including rejection of forgeries), not
 resistance to a funded adversary.
+
+Powers of the generator go through a fixed-base comb
+(:meth:`SchnorrGroup.exp`): one lazily built table of ``g^(d * 256^i)``
+turns ``g^e`` into at most one multiplication per exponent byte.  Neither
+the comb nor the ``pow`` it replaces runs in constant time, so no
+side-channel claim is made or lost.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.prime import is_probable_prime
 
@@ -46,9 +53,36 @@ class SchnorrGroup:
         """True if ``element`` is in the order-q subgroup."""
         return 0 < element < self.p and pow(element, self.q, self.p) == 1
 
+    @cached_property
+    def _comb(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``i`` holds ``g^(d * 256^i)`` for every byte value ``d``.
+
+        Built once per group on first use: one row per byte of ``q``
+        (20 x 256 entries, about 5k multiplications for the default group).
+        """
+        rows = []
+        base = self.g
+        for _ in range((self.q.bit_length() + 7) // 8):
+            row = [1] * 256
+            for digit in range(1, 256):
+                row[digit] = row[digit - 1] * base % self.p
+            rows.append(tuple(row))
+            base = row[255] * base % self.p
+        return tuple(rows)
+
     def exp(self, exponent: int) -> int:
-        """Return g^exponent mod p."""
-        return pow(self.g, exponent, self.p)
+        """Return g^exponent mod p.
+
+        The exponent is reduced mod q first, which is exact because g has
+        order q; a negative exponent therefore needs no special case.
+        """
+        comb = self._comb
+        digits = (exponent % self.q).to_bytes(len(comb), "little")
+        result, p = 1, self.p
+        for row, digit in zip(comb, digits):
+            if digit:
+                result = result * row[digit] % p
+        return result
 
     def hash_to_exponent(self, *parts: bytes) -> int:
         """Hash byte strings to an exponent in [0, q)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.group import DEFAULT_GROUP, SchnorrGroup
 from repro.errors import InvalidSignatureError, KeyFormatError
@@ -64,20 +65,13 @@ class PublicKey:
     def decode(cls, text: str, group: SchnorrGroup = DEFAULT_GROUP) -> "PublicKey":
         """Parse the textual form.
 
+        Goes through :func:`_decode_public`, so the subgroup-membership
+        check runs once per distinct key, not once per credential.
+
         :raises KeyFormatError: if the text is malformed or the point is not
             in the group.
         """
-        prefix, _, body = text.partition(":")
-        if prefix != KEY_PREFIX or not body:
-            raise KeyFormatError(f"malformed public key: {text[:40]!r}")
-        try:
-            y = int(body, 16)
-        except ValueError as exc:
-            raise KeyFormatError(f"non-hex key body: {text!r}") from exc
-        key = cls(y=y, group=group)
-        if not group.contains(y):
-            raise KeyFormatError("public key is not a group element")
-        return key
+        return _decode_public(text, group)
 
     @staticmethod
     def looks_like_key(text: str) -> bool:
@@ -90,11 +84,11 @@ class PublicKey:
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify a Schnorr signature over ``message``."""
-        g, p, q = self.group.g, self.group.p, self.group.q
+        p, q = self.group.p, self.group.q
         if not (0 <= signature.e < q and 0 <= signature.s < q):
             return False
         # r' = g^s * y^e ; valid iff H(r' || m) == e
-        r = (pow(g, signature.s, p) * pow(self.y, signature.e, p)) % p
+        r = (self.group.exp(signature.s) * pow(self.y, signature.e, p)) % p
         e = self.group.hash_to_exponent(_int_bytes(r, p), message)
         return e == signature.e
 
@@ -121,9 +115,9 @@ class PrivateKey:
 
     def sign(self, message: bytes) -> Signature:
         """Produce a deterministic Schnorr signature over ``message``."""
-        g, p, q = self.group.g, self.group.p, self.group.q
+        p, q = self.group.p, self.group.q
         k = _deterministic_nonce(self.x, message, q)
-        r = pow(g, k, p)
+        r = self.group.exp(k)
         e = self.group.hash_to_exponent(_int_bytes(r, p), message)
         s = (k - self.x * e) % q
         return Signature(e=e, s=s)
@@ -152,6 +146,26 @@ class KeyPair:
     def sign(self, message: bytes) -> Signature:
         """Sign with the private half."""
         return self.private.sign(message)
+
+
+@lru_cache(maxsize=4096)
+def _decode_public(text: str, group: SchnorrGroup) -> PublicKey:
+    """Parse and validate an encoded public key, memoised per (text, group).
+
+    A raised :class:`KeyFormatError` is not cached, so malformed or
+    non-member keys are rejected afresh on every call; only keys that pass
+    the membership test are remembered, and at most ``maxsize`` of them.
+    """
+    prefix, _, body = text.partition(":")
+    if prefix != KEY_PREFIX or not body:
+        raise KeyFormatError(f"malformed public key: {text[:40]!r}")
+    try:
+        y = int(body, 16)
+    except ValueError as exc:
+        raise KeyFormatError(f"non-hex key body: {text!r}") from exc
+    if not group.contains(y):
+        raise KeyFormatError("public key is not a group element")
+    return PublicKey(y=y, group=group)
 
 
 def _int_bytes(value: int, modulus: int) -> bytes:

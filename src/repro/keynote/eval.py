@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Mapping, Union
 
-from repro.errors import KeyNoteEvalError
+from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
 from repro.keynote.ast import (
     Attribute,
     Binary,
@@ -62,6 +62,20 @@ def _as_number(value: Value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise _SoftFailure(f"non-numeric operand {value!r}") from None
+
+
+def _number_literal(literal: str) -> float:
+    """The value of a NUMBER literal.
+
+    The tokenizer only admits ASCII digits, so this fails only for a
+    hand-built AST; it then fails as a syntax error, never as a raw
+    ``ValueError`` out of a compliance check.
+    """
+    try:
+        return float(literal)
+    except ValueError:
+        raise KeyNoteSyntaxError(
+            f"malformed number literal {literal!r}") from None
 
 
 def _as_string(value: Value) -> str:
@@ -186,7 +200,7 @@ class ConditionEvaluator:
         if isinstance(expr, StringLit):
             return expr.value
         if isinstance(expr, NumberLit):
-            return float(expr.literal)
+            return _number_literal(expr.literal)
         if isinstance(expr, Attribute):
             return self._attributes.get(expr.name, "")
         if isinstance(expr, Deref):
@@ -521,7 +535,7 @@ def _emit_value(expr: Expr, code: list) -> None:
         code.append([OP_CONST, expr.value])
         return
     if isinstance(expr, NumberLit):
-        code.append([OP_CONST, float(expr.literal)])
+        code.append([OP_CONST, _number_literal(expr.literal)])
         return
     if isinstance(expr, Attribute):
         code.append([OP_ATTR, expr.name])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -23,8 +24,26 @@ _OPERATORS = (
     "!", ";", ",", ".", "$",
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+#: One alternative per token class, tried in order at each position.
+#: Numbers are ASCII ``[0-9]`` as in the RFC 2704 grammar (``str.isdigit``
+#: would also admit ``²`` or ``٣``, which ``float`` cannot read).  A dot is
+#: part of a number only when a digit follows it; otherwise it is the
+#: concatenation operator.  A ``"`` that does not open a complete string is
+#: an unterminated literal.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)",
+    r'"(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"',
+    r'(?P<unterminated>")',
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+)), re.DOTALL)
+
+#: a backslash escapes the next character, whatever it is
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+_KINDS = {"number": TokenType.NUMBER, "ident": TokenType.IDENT,
+          "op": TokenType.OP}
 
 
 @dataclass(frozen=True)
@@ -44,85 +63,37 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Tokenize a condition or licensee expression.
 
+    Lines and columns count from 1; every character, tabs included, is one
+    column, and only ``\\n`` starts a new line.
+
     :raises KeyNoteSyntaxError: on unterminated strings or unknown characters.
     """
     tokens: list[Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance(1)
-            chars: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    advance(1)
-                    chars.append(text[i])
-                    advance(1)
-                else:
-                    chars.append(text[i])
-                    advance(1)
-            if i >= n:
-                raise KeyNoteSyntaxError("unterminated string literal",
-                                         start_line, start_col)
-            advance(1)  # closing quote
-            tokens.append(Token(TokenType.STRING, "".join(chars),
-                                start_line, start_col))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start_line, start_col = line, col
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # Don't swallow a dot that isn't followed by a digit
-                    # (it's the string-concatenation operator).
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            literal = text[i:j]
-            advance(j - i)
-            tokens.append(Token(TokenType.NUMBER, literal,
-                                start_line, start_col))
-            continue
-        if ch in _IDENT_START:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            tokens.append(Token(TokenType.IDENT, word, start_line, start_col))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenType.OP, op, line, col))
-                advance(len(op))
-                matched = True
-                break
-        if not matched:
-            raise KeyNoteSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token(TokenType.EOF, "", line, col))
+    match = _TOKEN_RE.match
+    pos, end = 0, len(text)
+    line, line_start = 1, 0
+    while pos < end:
+        found = match(text, pos)
+        column = pos - line_start + 1
+        if found is None:
+            raise KeyNoteSyntaxError(f"unexpected character {text[pos]!r}",
+                                     line, column)
+        kind = found.lastgroup
+        if kind == "unterminated":
+            raise KeyNoteSyntaxError("unterminated string literal",
+                                     line, column)
+        stop = found.end()
+        if kind == "string":
+            value = found.group("string")
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+            tokens.append(Token(TokenType.STRING, value, line, column))
+        elif kind != "skip":
+            tokens.append(Token(_KINDS[kind], found.group(), line, column))
+        newlines = text.count("\n", pos, stop)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, stop) + 1
+        pos = stop
+    tokens.append(Token(TokenType.EOF, "", line, pos - line_start + 1))
     return tokens

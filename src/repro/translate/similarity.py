@@ -15,7 +15,9 @@ Three metrics, composed by :func:`name_similarity`:
 
 :func:`match_vocabulary` computes an optimal assignment between two name sets
 using :func:`scipy.optimize.linear_sum_assignment` when available, falling
-back to greedy matching.
+back to greedy matching.  scipy is imported on first use, not with this
+module, so importing the translation package (and the ``repro`` CLI) does
+not pay for it.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-try:  # scipy is available in this environment; the fallback keeps the
-    from scipy.optimize import linear_sum_assignment  # module importable
-    _HAVE_SCIPY = True                                 # without it.
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -145,12 +141,9 @@ def match_vocabulary(sources: Sequence[str], targets: Sequence[str],
     matrix = np.array([[name_similarity(s, t) for t in targets_sorted]
                        for s in sources])
     mapping: dict[str, str] = {}
-    if _HAVE_SCIPY:
-        rows, cols = linear_sum_assignment(-matrix)
-        for r, c in zip(rows, cols):
-            if matrix[r, c] >= threshold:
-                mapping[sources[r]] = targets_sorted[c]
-    else:  # pragma: no cover - greedy fallback
+    try:
+        from scipy.optimize import linear_sum_assignment
+    except ImportError:  # pragma: no cover - greedy fallback
         taken: set[int] = set()
         order = np.dstack(np.unravel_index(
             np.argsort(-matrix, axis=None), matrix.shape))[0]
@@ -160,4 +153,9 @@ def match_vocabulary(sources: Sequence[str], targets: Sequence[str],
             if matrix[r, c] >= threshold:
                 mapping[sources[r]] = targets_sorted[c]
                 taken.add(c)
+    else:
+        rows, cols = linear_sum_assignment(-matrix)
+        for r, c in zip(rows, cols):
+            if matrix[r, c] >= threshold:
+                mapping[sources[r]] = targets_sorted[c]
     return mapping

@@ -223,7 +223,10 @@ class PressureWindow:
       first shed, which is what lets a brownout engage early.
 
     Samples older than ``window`` clock seconds fall out, so a burst's
-    pressure decays by itself once traffic subsides.
+    pressure decays by itself once traffic subsides.  A running shed count
+    and a max-deque of utilisation (each entry larger than every later
+    one) keep :meth:`record` and :meth:`pressure` O(1) amortised however
+    many samples the window holds.
 
     >>> from repro.util.clock import SimulatedClock
     >>> clock = SimulatedClock()
@@ -244,29 +247,40 @@ class PressureWindow:
                 f"window must be a positive finite number, got {window!r}")
         self.clock: Clock = clock or SimulatedClock()
         self.window = float(window)
-        #: (recorded_at, shed, utilization) trailing samples
-        self._samples: deque[tuple[float, bool, float]] = deque()
+        #: (recorded_at, shed) trailing samples
+        self._samples: deque[tuple[float, bool]] = deque()
+        self._sheds = 0
+        #: (recorded_at, utilization), utilization strictly decreasing: the
+        #: head is the window's peak
+        self._peaks: deque[tuple[float, float]] = deque()
 
     def _prune(self) -> None:
         horizon = self.clock.now() - self.window
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
+        samples, peaks = self._samples, self._peaks
+        while samples and samples[0][0] < horizon:
+            self._sheds -= samples.popleft()[1]
+        while peaks and peaks[0][0] < horizon:
+            peaks.popleft()
 
     def record(self, shed: bool, utilization: float) -> None:
         """One admission outcome at the current clock instant."""
         self._prune()
-        self._samples.append((self.clock.now(), bool(shed),
-                              float(utilization)))
+        now, shed = self.clock.now(), bool(shed)
+        utilization = float(utilization)
+        self._samples.append((now, shed))
+        self._sheds += shed
+        peaks = self._peaks
+        while peaks and peaks[-1][1] <= utilization:
+            peaks.pop()
+        peaks.append((now, utilization))
 
     def pressure(self) -> float:
         """max(windowed shed ratio, windowed peak utilisation), in [0, 1]."""
         self._prune()
         if not self._samples:
             return 0.0
-        sheds = sum(1 for _at, shed, _util in self._samples if shed)
-        ratio = sheds / len(self._samples)
-        peak = max(util for _at, _shed, util in self._samples)
-        return min(1.0, max(ratio, peak))
+        ratio = self._sheds / len(self._samples)
+        return min(1.0, max(ratio, self._peaks[0][1]))
 
     def snapshot(self) -> dict[str, object]:
         self._prune()

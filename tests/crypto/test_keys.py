@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.group import DEFAULT_GROUP
-from repro.crypto.keys import KeyPair, PublicKey, Signature
+from repro.crypto.keys import KeyPair, PublicKey, Signature, _decode_public
 from repro.errors import InvalidSignatureError, KeyFormatError
 
 
@@ -118,3 +118,88 @@ class TestEncoding:
         kp = KeyPair.generate("alice")
         assert kp.public.fingerprint() == kp.public.fingerprint()
         assert len(kp.public.fingerprint(8)) == 8
+
+
+class TestFixedBaseComb:
+    """``group.exp`` reads the generator's comb table; it must agree with
+    plain modular exponentiation for every exponent, reduced mod q."""
+
+    G = DEFAULT_GROUP
+
+    @pytest.mark.parametrize("exponent", [
+        0, 1, DEFAULT_GROUP.q - 1, DEFAULT_GROUP.q, 2 * DEFAULT_GROUP.q + 3,
+        -5, -DEFAULT_GROUP.q, 2 ** 600 + 17])
+    def test_edge_exponents(self, exponent):
+        G = self.G
+        assert G.exp(exponent) == pow(G.g, exponent % G.q, G.p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-(2 ** 200), max_value=2 ** 200))
+    def test_random_exponents(self, exponent):
+        G = self.G
+        assert G.exp(exponent) == pow(G.g, exponent % G.q, G.p)
+
+    def test_table_is_one_row_per_exponent_byte(self):
+        comb = self.G._comb
+        assert len(comb) == 20 and {len(row) for row in comb} == {256}
+        assert comb[0][1] == self.G.g and comb[1][1] == pow(self.G.g, 256,
+                                                            self.G.p)
+
+
+class TestPinnedEncodings:
+    """Deterministic nonces make keys and signatures bit-identical across
+    versions: credential bytes written by older code stay valid."""
+
+    @pytest.mark.parametrize("seed,message,key,signature", [
+        ("alice", b"message",
+         "3e0590d6694ef9e26966e3683f47286b189defcbe71e147dca98374ae0d8bf82"
+         "b62053d7788fe35b71f5947bf116ee0b666f270a09e98b5067958f32cf2beeb1",
+         "8a81850e804d73e975dda9a4fecca780a00ae8dc"
+         "a34007959dd125dca2402a828b6096c7f15e3883"),
+        ("bob", b"",
+         "41221430917829ec16b1de5d73a0ac9fab2eaa8639482df82626dc96b4398b38"
+         "8945da7977c30966f4bda2b1efee82afd61a5cf88a4b4e05e7bd3d5b5cdb6f56",
+         "140fe341c7dc5fa466b8283e8bc1682014a9c526"
+         "38e74b436d54804c5598cd06dc181f1b6d30ebc8"),
+        ("bench-team-3", b"Authorizer: x",
+         "7b9a0010b689e79dafa19b982afaf43e6167a26608dcdb5c95764bee80531ccd"
+         "0f339ff6fb6ac8534a6f2a5aeadfffe2f262c6d18b887eb97d74c3554095fa91",
+         "95be93bafdb48906075d25485a122ff3b2282428"
+         "7f910979c5b4e15e9f16c528c98503a261169c84"),
+    ])
+    def test_key_and_signature_bytes(self, seed, message, key, signature):
+        pair = KeyPair.generate(seed)
+        assert pair.public.encode() == f"kn-schnorr-hex:{key}"
+        assert pair.sign(message).encode() == (
+            f"sig-schnorr-sha256-hex:{signature}")
+        assert pair.public.verify(message, pair.sign(message))
+
+
+class TestDecodeMemo:
+    """``PublicKey.decode`` remembers keys that passed the subgroup check,
+    never a rejection, and at most ``maxsize`` of them."""
+
+    def test_is_bounded(self):
+        assert _decode_public.cache_info().maxsize == 4096
+
+    def test_repeat_decode_hits_the_memo(self):
+        text = KeyPair.generate("memo-hit").public.encode()
+        first = PublicKey.decode(text)
+        before = _decode_public.cache_info()
+        assert PublicKey.decode(text) is first
+        after = _decode_public.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("text", [
+        "not-a-key", "kn-schnorr-hex:", "kn-schnorr-hex:zzzz",
+        "kn-schnorr-hex:2",
+        f"kn-schnorr-hex:{DEFAULT_GROUP.p:x}"])
+    def test_rejections_are_not_remembered(self, text):
+        assert not DEFAULT_GROUP.contains(2)
+        for _ in range(3):
+            before = _decode_public.cache_info()
+            with pytest.raises(KeyFormatError):
+                PublicKey.decode(text)
+            after = _decode_public.cache_info()
+            assert after.misses == before.misses + 1
+            assert after.currsize == before.currsize

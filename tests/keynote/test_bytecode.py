@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyNoteEvalError
+from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
 from repro.keynote.ast import (Attribute, Binary, Clause, ConditionsProgram,
                                Deref, NumberLit, StringLit, Unary)
 from repro.keynote.eval import (ConditionEvaluator, compile_conditions,
@@ -170,3 +170,17 @@ class TestConstantFolding:
         compiled = compile_conditions(parse_conditions('a == "1" && b < 2'))
         listing = "\n".join(compiled.disassemble())
         assert "ATTR" in listing and "JFALSE" in listing and "CMP" in listing
+
+
+class TestMalformedNumberLiteral:
+    """A NUMBER that ``float`` cannot read (only a hand-built AST can hold
+    one) fails compilation as a syntax error, not a raw ``ValueError``."""
+
+    @pytest.mark.parametrize("test", [
+        Binary("<", Attribute("n"), NumberLit("\u00b2")),
+        Binary("<", Binary("+", NumberLit("1"), NumberLit("\u00b2")),
+               Attribute("n")),
+    ])
+    def test_compile_raises_syntax_error(self, test):
+        with pytest.raises(KeyNoteSyntaxError):
+            compile_conditions(ConditionsProgram((Clause(test),)))

@@ -7,6 +7,7 @@ Figure 5/6/7 delegation chains.
 import pytest
 
 from repro.crypto import Keystore
+from repro.crypto.keys import KeyPair, _decode_public
 from repro.errors import ComplianceError, CredentialError
 from repro.keynote.compliance import ComplianceChecker, evaluate_query
 from repro.keynote.credential import Credential
@@ -233,3 +234,35 @@ class TestEvaluateQueryHelper:
         value = evaluate_query([policy('"Ka"', "true")], {}, ["Ka"],
                                keystore=keystore)
         assert value == "true"
+
+
+class TestColdBuild:
+    """Building a checker decodes each distinct authorizer key once: the
+    subgroup check runs per key, not per credential it signed."""
+
+    def test_one_subgroup_check_per_distinct_authorizer(self):
+        orgs = [KeyPair.generate(f"cold-org-{i}") for i in range(4)]
+        teams = [KeyPair.generate(f"cold-team-{i}") for i in range(4)]
+        users = [KeyPair.generate(f"cold-user-{i}") for i in range(100)]
+        proxy = KeyPair.generate("cold-proxy").public.encode()
+        assertions = [policy(" || ".join(f'"{o.public.encode()}"'
+                                         for o in orgs), "true")]
+        for t, team in enumerate(teams):
+            assertions.append(Credential.build(
+                orgs[t].public.encode(), f'"{team.public.encode()}"',
+                f'group=="t{t}"').sign(orgs[t].private))
+        for u, user in enumerate(users):
+            team = teams[u % len(teams)]
+            assertions.append(Credential.build(
+                team.public.encode(), f'"{user.public.encode()}"',
+                f'subject=="u{u}"').sign(team.private))
+            assertions.append(Credential.build(
+                user.public.encode(), f'"{proxy}"',
+                'op=="run"').sign(user.private))
+        _decode_public.cache_clear()
+        checker = ComplianceChecker(assertions, strict=True)
+        info = _decode_public.cache_info()
+        assert info.misses == len(orgs) + len(teams) + len(users)  # 108
+        assert info.hits == 2 * len(users) + len(teams) - info.misses
+        assert checker.query({"group": "t1", "subject": "u5", "op": "run"},
+                             [proxy]) == "true"

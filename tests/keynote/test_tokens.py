@@ -1,9 +1,15 @@
 """Tests for the expression tokenizer."""
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KeyNoteSyntaxError
 from repro.keynote.tokens import TokenType, tokenize
+
+from tests.keynote.scanner_reference import reference_tokenize
 
 
 def kinds(text):
@@ -80,3 +86,63 @@ class TestTokenize:
         assert tok.is_op("&&")
         assert tok.is_op("||", "&&")
         assert not tok.is_op("||")
+
+
+def outcome(scan, text):
+    """Tokens, or the syntax error's (message, line, column)."""
+    try:
+        return scan(text)
+    except KeyNoteSyntaxError as err:
+        return (err.args, err.line, err.column)
+
+
+#: every character class the scanner distinguishes, plus ASCII it rejects
+KEYNOTE_ASCII = (string.ascii_letters[:6] + "XYZ_" + string.digits[:4]
+                 + '.-<>=!~&|(){}+*/%^;,$"\\#' + " \t\r\n" + "@`?\f")
+
+#: whole lexemes, so strings, comments and numbers appear intact often
+LEXEMES = ["app_domain", "x2", "_", "42", "3.14", ".5", "1.2.3", "1.",
+           '"a b"', '"esc\\"q\\\\"', '"line\nbreak"', '"nl\\\nesc"', '"',
+           "# note\n",
+           "->", "==", "!=", "<=", ">=", "~=", "&&", "||", "-", "=", "&",
+           "\\", "\r\n", "\t", " ", "\n", "@"]
+
+
+class TestAgainstTheReferenceScanner:
+    """The regex scanner agrees with the original loop on ASCII input:
+    token types, values, lines, columns and error messages."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=KEYNOTE_ASCII, max_size=40))
+    def test_random_ascii_text(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(LEXEMES), max_size=16).map("".join))
+    def test_lexeme_soup(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        '"ends in backslash\\', 'a\n  "open', '"x" "y', "a\n\tb\r\nc",
+        '"escaped\\\nnewline" x',
+        "1.2.3 .4.5", "x . 1.", "# only a comment", "\n\n  @"])
+    def test_edge_cases(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+class TestNonAsciiDigits:
+    """Numbers are ASCII ``[0-9]``: digits ``float`` cannot read are not
+    NUMBER tokens, so a credential using them fails to parse."""
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # ², ٣
+    def test_rejected_as_unexpected_character(self, digit):
+        with pytest.raises(KeyNoteSyntaxError) as err:
+            tokenize(f"n < {digit}")
+        assert err.value.args == (f"unexpected character {digit!r}",)
+        assert (err.value.line, err.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_after_a_dot_or_ascii_digit(self, digit):
+        for text in (f"1{digit}", f".{digit}"):
+            with pytest.raises(KeyNoteSyntaxError):
+                tokenize(text)

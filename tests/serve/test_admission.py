@@ -2,6 +2,8 @@
 simulated clock, testable to the exact second."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.admission import (
     ADMIN,
@@ -217,6 +219,33 @@ class TestPressureWindow:
         clock.advance(1.5)
         assert window.pressure() == 0.0
         assert window.snapshot()["samples"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("record"), st.booleans(),
+                  st.floats(min_value=0.0, max_value=1.5)),
+        st.tuples(st.just("advance"),
+                  st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 1.5]))),
+        max_size=60))
+    def test_matches_a_naive_rescan(self, steps):
+        """The running count and max-deque give exactly what rescanning
+        every sample in the window gives, after every step."""
+        clock = SimulatedClock()
+        window = PressureWindow(clock=clock, window=1.0)
+        samples = []
+        for step in steps:
+            if step[0] == "record":
+                _, shed, utilization = step
+                window.record(shed=shed, utilization=utilization)
+                samples.append((clock.now(), shed, utilization))
+            else:
+                clock.advance(step[1])
+            live = [s for s in samples if s[0] >= clock.now() - 1.0]
+            expected = (0.0 if not live else min(1.0, max(
+                sum(shed for _, shed, _ in live) / len(live),
+                max(utilization for _, _, utilization in live))))
+            assert window.pressure() == expected
+            assert window.snapshot()["samples"] == len(live)
 
 
 class TestRetryBudget:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WebComError
+from repro.errors import KeyNoteSyntaxError, WebComError
 from repro.keynote.credential import Credential
 from repro.middleware.ejb import EJBServer
 from repro.rbac.diff import PolicyDelta, delta_from_dict, delta_to_dict
@@ -164,6 +164,30 @@ class TestRecoveryFlushesCaches:
         again = _recover_node(tmp_path / "node")
         assert again.session.state_fingerprint() != warm
         assert again.session.state_fingerprint()[2] == -1
+        again.close()
+
+
+class TestPoisonPillCredential:
+    def test_unreadable_number_is_refused_before_the_journal(self, tmp_path):
+        """``²`` passes ``str.isdigit`` but not ``float``.  It must fail at
+        parse time: had it been journalled, the lazily built checker would
+        raise on every query, after every restart."""
+        node = _recover_node(tmp_path / "node")
+        node.session.add_policy(POLICY)
+        node.session.add_credential(_credential("Ku1"))
+        records = node.store.wal.records()
+        credentials = node.session.credentials
+        poison = ('Authorizer: "Kroot"\nLicensees: "Ku2"\n'
+                  'Conditions: app_domain=="db" && n < \u00b2;\n')
+        with pytest.raises(KeyNoteSyntaxError):
+            node.session.add_credential(poison)
+        assert node.store.wal.records() == records
+        assert node.session.credentials == credentials
+        assert bool(node.session.query({"app_domain": "db"}, ["Ku1"]))
+        node.close()
+        again = _recover_node(tmp_path / "node")
+        assert bool(again.session.query({"app_domain": "db"}, ["Ku1"]))
+        assert not bool(again.session.query({"app_domain": "db"}, ["Ku2"]))
         again.close()
 
 

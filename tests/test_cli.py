@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.scenarios import salaries_policy
 from repro.crypto import Keystore
@@ -221,3 +226,18 @@ class TestDurability:
                      "--out", str(target)]) == 0
         assert f"wrote {target}" in capsys.readouterr().out
         assert json.loads(target.read_text())["report"] == "DURABILITY_6"
+
+
+def test_cli_import_does_not_load_scipy():
+    """The serve path never solves an assignment problem, so importing the
+    CLI must not pay for ``scipy``: ``translate.similarity`` imports it on
+    first use.  Run in a fresh interpreter, since this one may have loaded
+    it already."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, repro.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            check=True)
+    assert result.stdout.strip() == "[]"
