@@ -23,9 +23,19 @@ The reference semantics live in
 Hot-path machinery (the authorisation fast path):
 
 - construction precompiles every assertion's Conditions program
-  (:func:`~repro.keynote.eval.compile_conditions`), canonicalises its
-  authorizer once, and verifies its signature through the process-wide
-  signature cache — per-query work is only the fixpoint itself;
+  (:func:`~repro.keynote.eval.compile_conditions`) and canonicalises its
+  authorizer once — per-query work is only the fixpoint itself;
+- *deferred signature checks*: in non-strict mode construction resolves
+  each signed credential's key but does not verify it.  The fixpoint checks
+  an assertion (through the process-wide signature cache) the first time
+  its conditions rise above the minimum, before reading its licensees; an
+  assertion whose conditions give the minimum contributes the minimum
+  whatever its signature, so skipping the check there changes no value.  A
+  bad assertion leaves the index and joins :attr:`ComplianceChecker.discarded`,
+  exactly as if construction had dropped it, and
+  :meth:`ComplianceChecker.verify_pending` settles the rest in the
+  background.  Strict mode, :meth:`ComplianceChecker.add_assertion` and
+  request-scoped assertions check eagerly;
 - a *decision cache* memoises full query outcomes by (relevant attribute
   projection, canonical authorizer set, value set).  Values computed under a
   live cycle-break assumption are never cached (unless maximal, which
@@ -60,7 +70,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ComplianceError, CredentialError
@@ -69,6 +86,7 @@ from repro.keynote.eval import CompiledConditions, compile_conditions
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.crypto.keys import PublicKey
     from repro.obs.metrics import MetricsRegistry
 
 
@@ -119,14 +137,23 @@ class ComplianceStats:
 
 
 class _Prepared:
-    """One admitted assertion with its per-checker precomputed state."""
+    """One admitted assertion with its per-checker precomputed state.
 
-    __slots__ = ("credential", "compiled")
+    ``verified`` is its signature verdict: True (good, or nothing to
+    check), False (bad) or None (pending).  A pending entry carries the
+    ``signer`` its credential resolved to at admission
+    (:meth:`Credential.signer <repro.keynote.credential.Credential.signer>`).
+    """
+
+    __slots__ = ("credential", "compiled", "signer", "verified")
 
     def __init__(self, credential: Credential,
-                 compiled: CompiledConditions) -> None:
+                 compiled: CompiledConditions,
+                 signer: "PublicKey | str | None" = None) -> None:
         self.credential = credential
         self.compiled = compiled
+        self.signer = signer
+        self.verified: "bool | None" = None if signer is not None else True
 
 
 @dataclass
@@ -139,8 +166,9 @@ class ComplianceChecker:
     :param verify_signatures: if True (default), signed credentials with
         missing/invalid signatures are rejected.
     :param strict: if True, a bad signature raises
-        :class:`~repro.errors.CredentialError`; if False (RFC behaviour) the
-        assertion is silently discarded.
+        :class:`~repro.errors.CredentialError` at construction; if False
+        (RFC behaviour) the assertion is silently discarded — when the
+        fixpoint first needs it, or when :meth:`verify_pending` reaches it.
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
         when set, the per-query profile (memo hits/misses, assertions
         visited, fixpoint depth) is mirrored into ``keynote.*`` metrics and
@@ -197,9 +225,15 @@ class ComplianceChecker:
         #: makes the read set dynamic (falls back to full-attribute keys)
         self._referenced: "set[str] | None" = set()
         self._referenced_key: "tuple[str, ...] | None" = ()
+        #: id -> (index key, entry) of admitted entries whose signature
+        #: check is still deferred, oldest first
+        self._pending: dict[int, tuple[str, _Prepared]] = {}
+        #: the order :meth:`verify_pending` settles them in, built on its
+        #: first call
+        self._backfill_order: "Iterator[_Prepared] | None" = None
         self.assertions = list(self.assertions)
         for assertion in self.assertions:
-            self._admit(assertion)
+            self._admit(assertion, lazy=not self.strict)
 
     # -- assertion-set management ---------------------------------------------
 
@@ -212,8 +246,64 @@ class ComplianceChecker:
 
     @property
     def discarded(self) -> list[Credential]:
-        """Assertions dropped for bad signatures (non-strict mode)."""
+        """The assertions found bad so far (non-strict mode): dropped at
+        admission, or when their deferred signature check failed.  Once
+        :meth:`verify_pending` returns 0 this is every bad assertion."""
         return list(self._discarded)
+
+    def verify_pending(self, limit: int | None = None) -> int:
+        """Run up to ``limit`` (default: all) of the deferred signature
+        checks; returns how many remain.
+
+        Each check is exactly the one the fixpoint would run on first read,
+        so calling this never changes a decision — it only moves the cost
+        off the request path (the daemon calls it while idle).  Checks run
+        in delegation order (:meth:`_delegation_order`).
+        """
+        done = 0
+        while limit is None or done < limit:
+            prepared = self._next_pending()
+            if prepared is None:
+                break
+            self._settle(prepared)
+            done += 1
+        return len(self._pending)
+
+    def _next_pending(self) -> "_Prepared | None":
+        with self._mutation_lock:
+            if not self._pending:
+                return None
+            if self._backfill_order is None:
+                self._backfill_order = iter(self._delegation_order())
+            for prepared in self._backfill_order:
+                if id(prepared) in self._pending:
+                    return prepared
+            # Entries no chain from POLICY reaches: oldest first.
+            return next(iter(self._pending.values()))[1]
+
+    def _delegation_order(self) -> list[_Prepared]:
+        """Pending entries depth first from POLICY along licensee edges —
+        the order the fixpoint reads them.  A request stops paying for
+        inline checks only once its whole chain is checked, so finishing
+        chains one at a time frees requests sooner than admission order,
+        which may check every first hop before any second one."""
+        order: list[_Prepared] = []
+        visited = {"POLICY"}
+        stack = [iter(self._by_authorizer.get("POLICY", ()))]
+        while stack:
+            prepared = next(stack[-1], None)
+            if prepared is None:
+                stack.pop()
+                continue
+            if prepared.verified is None:
+                order.append(prepared)
+            for principal in sorted(prepared.credential.principals(),
+                                    reverse=True):
+                key = self._canonical(principal)
+                if key not in visited:
+                    visited.add(key)
+                    stack.append(iter(self._by_authorizer.get(key, ())))
+        return order
 
     def add_assertion(self, assertion: Credential) -> bool:
         """Admit one more assertion; bumps the generation.
@@ -268,6 +358,7 @@ class ComplianceChecker:
                     del entries[index]
                     if not entries:
                         self._by_authorizer.pop(key, None)
+                    self._pending.pop(id(prepared), None)
                     try:
                         self.assertions.remove(assertion)  # type: ignore[union-attr]
                     except ValueError:
@@ -278,29 +369,79 @@ class ComplianceChecker:
                     return True
             return False
 
-    def _prepare(self, assertion: Credential) -> "_Prepared | None":
+    def _prepare(self, assertion: Credential,
+                 lazy: bool = False) -> "_Prepared | None":
         """Verify (through the signature cache) and compile one assertion;
         None when its signature is rejected in non-strict mode.
 
+        With ``lazy`` only the signer is resolved here, so the verdict
+        cannot depend on when the check runs (a key registered later does
+        not rescue a credential); the key decode and the exponentiations
+        wait in a pending entry.
+
         :raises CredentialError: for a bad signature in strict mode.
         """
-        if self.verify_signatures and not assertion.verify(self.keystore):
-            if self.strict:
-                raise CredentialError(
-                    f"invalid signature on credential by "
-                    f"{assertion.authorizer!r}")
-            return None
-        return _Prepared(assertion, compile_conditions(assertion.conditions))
+        signer = None
+        if self.verify_signatures and not assertion.is_policy:
+            if lazy:
+                signer = assertion.signer(self.keystore)
+                valid = signer is not None
+            else:
+                valid = assertion.verify(self.keystore)
+            if not valid:
+                if self.strict:
+                    raise CredentialError(
+                        f"invalid signature on credential by "
+                        f"{assertion.authorizer!r}")
+                return None
+        return _Prepared(assertion, compile_conditions(assertion.conditions),
+                         signer)
 
-    def _admit(self, assertion: Credential) -> bool:
-        prepared = self._prepare(assertion)
+    def _admit(self, assertion: Credential, lazy: bool = False) -> bool:
+        prepared = self._prepare(assertion, lazy)
         if prepared is None:
             self._discarded.append(assertion)
             return False
         key = self._canonical(assertion.authorizer)
         self._by_authorizer.setdefault(key, []).append(prepared)
+        if prepared.verified is None:
+            self._pending[id(prepared)] = (key, prepared)
         self._extend_referenced(prepared)
         return True
+
+    def _settle(self, prepared: _Prepared) -> bool:
+        """The signature verdict of an admitted entry, running its deferred
+        check on first use.  A bad entry joins :attr:`discarded` and leaves
+        the index once.  No decision needs eviction: the check is
+        deterministic, so every decision that read the entry saw this
+        verdict, and every other one never depended on it."""
+        if prepared.verified is not None:
+            return prepared.verified
+        verdict = self._peek(prepared)
+        with self._mutation_lock:
+            pending = self._pending.pop(id(prepared), None)
+            prepared.verified = verdict
+            if pending is not None and not verdict:
+                self._discarded.append(prepared.credential)
+                key = pending[0]
+                # Copy on write: a fixpoint may be iterating the old list.
+                kept = [entry for entry in self._by_authorizer.get(key, ())
+                        if entry is not prepared]
+                if kept:
+                    self._by_authorizer[key] = kept
+                else:
+                    self._by_authorizer.pop(key, None)
+        return verdict
+
+    @staticmethod
+    def _peek(prepared: _Prepared) -> bool:
+        """The signature verdict without recording it: what overlay
+        queries use, since they must leave no trace in the checker."""
+        verdict = prepared.verified
+        if verdict is None:
+            assert prepared.signer is not None
+            verdict = prepared.credential.verify_as(prepared.signer)
+        return verdict
 
     def _extend_referenced(self, prepared: _Prepared) -> None:
         if self._referenced is None:
@@ -386,14 +527,18 @@ class ComplianceChecker:
 
     def cache_info(self) -> dict[str, int]:
         """Decision-cache statistics: size, generation, hit/miss counts and
-        the eviction counters."""
+        the eviction counters, plus signature-check progress: ``unverified``
+        admitted assertions whose check is still deferred, and the number
+        ``discarded`` as bad so far."""
         with self._mutation_lock:
             return {"entries": len(self._decision_cache),
                     "generation": self._generation,
                     "hits": self.cache_hits,
                     "misses": self.cache_misses,
                     "selective_evictions": self.selective_evictions,
-                    "full_flushes": self.full_flushes}
+                    "full_flushes": self.full_flushes,
+                    "unverified": len(self._pending),
+                    "discarded": len(self._discarded)}
 
     def cached_decision(self, attributes: Mapping[str, str],
                         authorizers: Iterable[str],
@@ -517,7 +662,8 @@ class ComplianceChecker:
         deps: "tuple[set, set]" = (set(), set())
         try:
             result = self._evaluate(attributes, requesters, values, profile,
-                                    cond_memo, deps, self._canonical, None)
+                                    cond_memo, deps, self._canonical, None,
+                                    self._settle)
         finally:
             self._record_profile(profile)
         if profile.cycles_broken == 0 or result == values.maximum:
@@ -572,7 +718,8 @@ class ComplianceChecker:
         profile = ComplianceStats(queries=1)
         try:
             return self._evaluate(attributes, requesters, values, profile,
-                                  None, (set(), set()), canonical, overlay)
+                                  None, (set(), set()), canonical, overlay,
+                                  self._peek)
         finally:
             self._record_profile(profile)
 
@@ -598,11 +745,19 @@ class ComplianceChecker:
                   cond_memo: "dict[int, str] | None",
                   deps: "tuple[set, set]",
                   canonical: "Callable[[str], str]",
-                  overlay: "dict[str, list[_Prepared]] | None") -> str:
+                  overlay: "dict[str, list[_Prepared]] | None",
+                  verdict: "Callable[[_Prepared], bool]") -> str:
         """One fixpoint run; ``cond_memo`` (shared across a batch) memoises
-        per-assertion condition values for this attribute projection, and
+        per-assertion condition values for this attribute projection,
         ``overlay`` holds request-scoped assertions read after each
-        principal's admitted ones.
+        principal's admitted ones, and ``verdict`` settles a pending
+        signature check.
+
+        The check runs after the conditions and before the licensees: an
+        assertion whose conditions give the minimum adds the minimum to the
+        join whatever its signature, and a team's ~100 user credentials
+        are mostly pruned that way, so checking at first read would pay for
+        signatures no decision needs.
 
         The search records into ``deps`` every canonical principal whose
         sub-graph it descended (``deps[0]``) and the id of every prepared
@@ -667,6 +822,8 @@ class ComplianceChecker:
                 conditions_value = prepared.compiled.value(attributes, values)
                 cond_memo[id(prepared)] = conditions_value
             if conditions_value == values.minimum:
+                return values.minimum
+            if prepared.verified is not True and not verdict(prepared):
                 return values.minimum
             licensee_value = prepared.credential.licensees.value(
                 lambda key: licensee_principal_value(key), values)

@@ -183,10 +183,36 @@ class Credential:
         """
         if self.is_policy:
             return True
-        if not self.signature:
-            return False
+        signer = self.signer(keystore)
+        return signer is not None and self.verify_as(signer, cache)
+
+    def signer(self, keystore: Keystore | None = None,
+               ) -> "PublicKey | str | None":
+        """The key this credential's signature must verify under, resolved
+        against ``keystore`` *now*: the keystore's public key for a
+        symbolic authorizer, the encoded text (decoded by
+        :meth:`verify_as`) for an encoded one.  None when no key can make
+        the credential valid: a policy assertion, no signature, or a
+        symbolic authorizer the keystore does not know.
+
+        Splitting the lookup from :meth:`verify_as` lets a caller fix the
+        verdict's inputs at one instant and pay for the decode and the
+        modular exponentiations later.
+        """
+        if self.is_policy or not self.signature:
+            return None
+        if PublicKey.looks_like_key(self.authorizer):
+            return self.authorizer
+        if keystore is None or self.authorizer not in keystore:
+            return None
+        return keystore.public(self.authorizer)
+
+    def verify_as(self, signer: "PublicKey | str", cache=None) -> bool:
+        """Verify the signature under ``signer`` (as returned by
+        :meth:`signer`), through the signature cache."""
         try:
-            public = _resolve_public(self.authorizer, keystore)
+            public = (signer if isinstance(signer, PublicKey)
+                      else PublicKey.decode(signer))
             signature = Signature.decode(self.signature)
         except Exception:
             return False
@@ -217,12 +243,3 @@ def keystore_name(principal: str, keystore: Keystore) -> str:
         return keystore.name_of(principal)
     return principal
 
-
-def _resolve_public(principal: str, keystore: Keystore | None) -> PublicKey:
-    """Resolve a principal string to a public key."""
-    if PublicKey.looks_like_key(principal):
-        return PublicKey.decode(principal)
-    if keystore is None:
-        raise CredentialError(
-            f"cannot resolve symbolic principal {principal!r} without a keystore")
-    return keystore.public(principal)

@@ -9,15 +9,14 @@ render that understanding:
   through which role);
 - :func:`delegation_graph` / :func:`delegation_graph_dot` — the KeyNote
   delegation graph as a :mod:`networkx` digraph and as Graphviz DOT text
-  for documentation.
+  for documentation (networkx is imported on first use, not with this
+  module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from repro.keynote.credential import Credential
 from repro.keynote.licensees import licensees_to_text
@@ -26,6 +25,8 @@ from repro.rbac.policy import RBACPolicy
 from repro.util.text import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.obs import Observability
     from repro.obs.metrics import MetricsRegistry
 
@@ -70,6 +71,8 @@ def delegation_graph(credentials: list[Credential]) -> "nx.DiGraph":
 
     Edges carry the credential's conditions text; POLICY is the root node.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for credential in credentials:
         source = "POLICY" if credential.is_policy else credential.authorizer
@@ -84,6 +87,8 @@ def delegation_graph(credentials: list[Credential]) -> "nx.DiGraph":
 def delegation_paths(credentials: list[Credential], target: str,
                      ) -> list[list[str]]:
     """All simple delegation paths from POLICY to ``target``."""
+    import networkx as nx
+
     graph = delegation_graph(credentials)
     if "POLICY" not in graph or target not in graph:
         return []

@@ -226,8 +226,8 @@ class ServePolicyPlane:
         attributes = dict(request.attributes)
         attributes.setdefault("op", request.operation)
         value = oracle_compliance_value(
-            self.session.policies + self.session.credentials, attributes,
-            [request.user_key], self.session.values, self.keystore)
+            self.admitted_assertions(), attributes, [request.user_key],
+            self.session.values, self.keystore)
         expected = self.session.values.at_least(value,
                                                 self.session.values.maximum)
         if Layer.MIDDLEWARE in self.stack.configured_layers():
@@ -246,6 +246,17 @@ class ServePolicyPlane:
         })
         self.prune_spans()
         return result
+
+    def admitted_assertions(self) -> list[Credential]:
+        """The session's assertions that pass signature screening — the
+        set the oracle must evaluate (it does no screening of its own), so
+        a forged credential the checker discards cannot make a probe
+        disagree.  Checks go through the process-wide signature cache."""
+        assertions = self.session.policies + self.session.credentials
+        if not self.session.verify_signatures:
+            return assertions
+        return [assertion for assertion in assertions
+                if assertion.verify(self.keystore)]
 
     def translate(self, params: Mapping[str, Any]) -> dict[str, Any]:
         """Comprehend KeyNote credentials into one RBAC policy (§4.2)."""

@@ -7,7 +7,7 @@ call the plane's APIs — ``mediate``, ``probe``, ``translate``, ``update``
 (KeyCom), credential management — while subscribers receive ``decision``
 events carrying each mediation's verdict and span tree.
 
-Three properties an always-on plane needs beyond the request/response core:
+Four properties an always-on plane needs beyond the request/response core:
 
 - **Duplicate suppression.**  Each connection keeps a reply cache keyed on
   request id (the same discipline as the simulated network's
@@ -24,6 +24,11 @@ Three properties an always-on plane needs beyond the request/response core:
   WAL (snapshot + close), broadcasts a ``server`` shutdown event, and only
   then drops connections and the PID file.  The drain report records that
   nothing in flight was lost and the WAL went down clean.
+- **Idle backfill.**  The compliance checker defers each credential's
+  signature check until a decision first needs it, so a restarted daemon
+  answers after parsing its trust store, not after verifying all of it.  A
+  background task builds the checker at start-up and then runs the
+  remaining checks a slice at a time, only while no request is in flight.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ DEFAULT_MAX_MISSED = 3
 #: per-connection reply-cache entries kept for idempotent retry replay; a
 #: long-lived connection's cache is an LRU, not an unbounded transcript
 DEFAULT_REPLY_CACHE_LIMIT = 256
+
+#: deferred signature checks the backfill runs per idle slice (~0.4 ms
+#: each with its key decode): the longest a new request waits behind it
+BACKFILL_SLICE = 1
+BACKFILL_YIELD_S = 1e-6
 
 
 @dataclass
@@ -140,6 +150,7 @@ class ReproServer:
         self._pidfile = PidFile(pidfile) if pidfile else None
         self._server: asyncio.base_events.Server | None = None
         self._reaper: asyncio.Task | None = None
+        self._backfill: asyncio.Task | None = None
         self.registry: dict[str, PeerInfo] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         #: per-connection request-id reply caches (node.py dedup semantics),
@@ -188,7 +199,7 @@ class ReproServer:
 
     async def start(self) -> "ReproServer":
         """Bind the socket (claiming the pidfile first) and start the
-        heartbeat reaper.
+        heartbeat reaper and the signature-check backfill.
 
         :raises AlreadyRunningError: when another daemon holds the pidfile.
         """
@@ -199,6 +210,7 @@ class ReproServer:
             limit=MAX_LINE_BYTES)
         self.started_at = self.clock.now()
         self._reaper = asyncio.create_task(self._reap_loop())
+        self._backfill = asyncio.create_task(self._backfill_loop())
         return self
 
     @property
@@ -218,8 +230,9 @@ class ReproServer:
         """Gracefully drain and stop the daemon.
 
         Order matters: stop accepting → drain the in-flight wavefront →
-        flush the WAL → notify subscribers → drop connections → release
-        the pidfile.  Idempotent (subsequent calls return the report).
+        stop the backfill → flush the WAL → notify subscribers → drop
+        connections → release the pidfile.  Idempotent (subsequent calls
+        return the report).
         """
         if self.drain_report is not None:
             return self.drain_report
@@ -235,6 +248,9 @@ class ReproServer:
         for _ in range(3):
             await asyncio.sleep(0)
             await self._idle.wait()
+        if self._backfill is not None:
+            self._backfill.cancel()
+            await asyncio.wait([self._backfill])
         flush = self.plane.close()
         await self.broadcast("server", {"state": "stopping",
                                         "reason": reason,
@@ -560,6 +576,29 @@ class ReproServer:
                 peer.alive = False
                 reaped.append(peer.peer_id)
         return reaped
+
+    async def _backfill_loop(self) -> None:
+        """Build the compliance checker, then run its deferred signature
+        checks a slice at a time whenever no request is in flight.
+
+        It runs on the event loop, not in a thread: the checks are
+        ``pow`` calls that hold the GIL, so a thread would stall handlers
+        just the same, at moments the loop could not choose.  It waits on
+        the drain's idle event while requests are in flight and yields
+        between slices, so a new request waits behind one slice at most.
+        """
+        checker = self.plane.session.checker  # parse, compile and index
+        while True:
+            if self._inflight:
+                await self._idle.wait()
+            elif checker.verify_pending(BACKFILL_SLICE):
+                # A timer, not sleep(0): the loop queues I/O callbacks
+                # ahead of due timers, so a request that arrived during
+                # the slice is read (and ``_inflight`` raised) before this
+                # task resumes, instead of after one more slice.
+                await asyncio.sleep(BACKFILL_YIELD_S)
+            else:
+                return
 
     async def _reap_loop(self) -> None:
         try:

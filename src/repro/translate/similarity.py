@@ -15,17 +15,15 @@ Three metrics, composed by :func:`name_similarity`:
 
 :func:`match_vocabulary` computes an optimal assignment between two name sets
 using :func:`scipy.optimize.linear_sum_assignment` when available, falling
-back to greedy matching.  scipy is imported on first use, not with this
-module, so importing the translation package (and the ``repro`` CLI) does
-not pay for it.
+back to greedy matching.  numpy and scipy are imported on first use, not
+with this module, so importing the translation package (and the ``repro``
+CLI) does not pay for them.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -36,6 +34,8 @@ def levenshtein(a: str, b: str) -> int:
         return len(b)
     if not b:
         return len(a)
+    import numpy as np
+
     previous = np.arange(len(b) + 1)
     b_array = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
     for i, ch in enumerate(a, start=1):
@@ -136,6 +136,8 @@ def match_vocabulary(sources: Sequence[str], targets: Sequence[str],
     """
     if not sources or not targets:
         return {}
+    import numpy as np
+
     sources = sorted(set(sources))
     targets_sorted = sorted(set(targets))
     matrix = np.array([[name_similarity(s, t) for t in targets_sorted]

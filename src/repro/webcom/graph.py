@@ -18,11 +18,12 @@ exit) and control-driven (explicit sequencing) computation; the engine in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Union
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 Operator = Union[str, "CondensedGraph"]
 
@@ -159,6 +160,8 @@ class CondensedGraph:
 
     def to_networkx(self) -> "nx.DiGraph":
         """The node-level dependency digraph (for analysis and display)."""
+        import networkx as nx
+
         digraph = nx.DiGraph()
         digraph.add_nodes_from(self._nodes)
         for node in self._nodes.values():
@@ -189,6 +192,8 @@ class CondensedGraph:
             if missing:
                 raise GraphError(
                     f"node {node.node_id!r} has unfillable ports {sorted(missing)}")
+        import networkx as nx
+
         digraph = self.to_networkx()
         if not nx.is_directed_acyclic_graph(digraph):
             cycle = nx.find_cycle(digraph)
@@ -208,6 +213,8 @@ class CondensedGraph:
 
     def needed_for_exit(self) -> set[str]:
         """Node ids the exit transitively depends on (coercion-driven set)."""
+        import networkx as nx
+
         digraph = self.to_networkx().reverse()
         exit_id = self.exit_node
         return {exit_id} | nx.descendants(digraph, exit_id)

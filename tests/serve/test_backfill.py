@@ -1,0 +1,179 @@
+"""The daemon's idle signature-check backfill, and probes over forged
+credentials.
+
+A restarted daemon's compliance checker defers every signature check until
+a decision first needs it; a background task runs the rest while no request
+is in flight.  These tests drive a real server over loopback: an idle
+daemon finishes the backfill, requests sent while it runs get the right
+answers (checked against the conformance oracle through ``probe``), and a
+shutdown in the middle of it drains cleanly.
+"""
+
+import asyncio
+import logging
+
+from repro.crypto.keys import KeyPair
+from repro.keynote.credential import Credential
+from repro.serve.client import ServeClient
+from repro.serve.plane import ServePolicyPlane
+from repro.serve.server import ReproServer
+
+USERS = 150
+#: bounded wait for the backfill of one test universe
+BACKFILL_TIMEOUT_S = 60.0
+
+
+class Universe:
+    """POLICY -> team (2) -> user -> proxy over encoded keys, plus one
+    forged team credential for a ``mallory`` key.  ``tag`` keeps each
+    test's keys, and so its signature-cache entries, apart."""
+
+    def __init__(self, tag: str, users: int = USERS) -> None:
+        teams = [KeyPair.generate(f"backfill-{tag}-team-{t}")
+                 for t in range(2)]
+        users_ = [KeyPair.generate(f"backfill-{tag}-user-{u}")
+                  for u in range(users)]
+        self.proxies = [KeyPair.generate(f"backfill-{tag}-proxy-{u}")
+                        .public.encode() for u in range(users)]
+        self.mallory = KeyPair.generate(f"backfill-{tag}-mallory")
+        self.policy = Credential.build(
+            "POLICY", " || ".join(f'"{t.public.encode()}"' for t in teams),
+            'app_domain=="grid"')
+        self.credentials = []
+        for u, user in enumerate(users_):
+            team = teams[u % 2]
+            self.credentials.append(Credential.build(
+                team.public.encode(), f'"{user.public.encode()}"',
+                f'subject=="u{u}"').sign(team.private))
+            self.credentials.append(Credential.build(
+                user.public.encode(), f'"{self.proxies[u]}"',
+                'op=="run"').sign(user.private))
+        # Claims to come from team 0, signed by mallory's own key.
+        self.forged = Credential.build(
+            teams[0].public.encode(), f'"{self.mallory.public.encode()}"',
+            'subject=="mallory"').sign(self.mallory.private)
+
+    def install(self, plane: ServePolicyPlane) -> None:
+        plane.session.add_policy(self.policy)
+        for credential in [*self.credentials, self.forged]:
+            plane.session.add_credential(credential)
+
+    def request(self, user: int, operation: str = "run") -> dict:
+        return {"user": f"u{user}", "user_key": self.proxies[user],
+                "object_type": "job", "operation": operation,
+                "attributes": {"app_domain": "grid",
+                               "subject": f"u{user}"}}
+
+    def forged_request(self) -> dict:
+        return {"user": "mallory", "user_key": self.mallory.public.encode(),
+                "object_type": "job", "operation": "run",
+                "attributes": {"app_domain": "grid",
+                               "subject": "mallory"}}
+
+
+async def backfilled(plane: ServePolicyPlane) -> dict:
+    """Wait (bounded) until the live checker has no deferred checks."""
+    deadline = asyncio.get_running_loop().time() + BACKFILL_TIMEOUT_S
+    while True:
+        info = plane.session.checker_cache_info()
+        if info is not None and info["unverified"] == 0:
+            return info
+        assert asyncio.get_running_loop().time() < deadline, info
+        await asyncio.sleep(0.01)
+
+
+class TestBackfill:
+    def test_idle_durable_daemon_verifies_everything(self, tmp_path):
+        universe = Universe("idle")
+        installer = ServePolicyPlane(root=tmp_path)
+        universe.install(installer)
+        installer.close()
+
+        async def scenario():
+            plane = ServePolicyPlane(root=tmp_path)
+            assert plane.session.checker_cache_info() is None  # cold
+            server = await ReproServer(plane).start()
+            info = await backfilled(plane)
+            await server.shutdown()
+            return info
+
+        info = asyncio.run(scenario())
+        assert info["discarded"] == 1
+        assert info["entries"] == 0  # no request was served
+
+    def test_requests_during_the_backfill_are_answered_correctly(self):
+        universe = Universe("busy")
+
+        async def scenario():
+            plane = ServePolicyPlane()
+            universe.install(plane)
+            server = await ReproServer(plane).start()
+            client = await ServeClient("t").connect(server.host, server.port)
+            status = await client.call("status")
+            calls = [("probe", universe.request(u, op), op == "run")
+                     for u in range(0, USERS, 7) for op in ("run", "admin")]
+            calls.append(("probe", universe.forged_request(), False))
+            calls += [("mediate", universe.request(u), True)
+                      for u in range(3, USERS, 11)]
+            replies = await asyncio.gather(*(
+                client.call(method, params) for method, params, _ in calls))
+            info = await backfilled(plane)
+            final = await client.call("status")
+            await client.close()
+            await server.shutdown()
+            return status, calls, replies, info, final
+
+        status, calls, replies, info, final = asyncio.run(scenario())
+        assert status["plane"]["tm_cache"]["unverified"] > 0
+        for (method, _params, expected), reply in zip(calls, replies):
+            assert reply["allowed"] is expected
+            if method == "probe":
+                assert reply["agree"] and reply["oracle_allowed"] is expected
+        assert info["discarded"] == 1
+        assert final["plane"]["oracle_disagreements"] == 0
+
+    def test_shutdown_mid_backfill_drains_cleanly(self, tmp_path, caplog):
+        universe = Universe("drain")
+
+        async def scenario():
+            plane = ServePolicyPlane(root=tmp_path)
+            universe.install(plane)
+            server = await ReproServer(plane).start()
+            client = await ServeClient("t").connect(server.host, server.port)
+            status = await client.call("status")
+            ack = await client.call("shutdown", {"reason": "test"})
+            report = await server.serve_until_shutdown()
+            await client.close()
+            return (status, ack, report, server._backfill.done(),
+                    plane.session.checker_cache_info())
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            status, ack, report, done, info = asyncio.run(scenario())
+        assert status["plane"]["tm_cache"]["unverified"] > 0
+        assert ack["draining"] and done
+        assert info["unverified"] > 0  # stopped mid-way
+        assert report["inflight_after_drain"] == 0
+        assert report["wal_flushed"] is True
+        assert not [r for r in caplog.records if "pending" in r.getMessage()]
+
+
+class TestProbeOverForgedCredentials:
+    def test_probe_agrees_on_a_forged_delegation(self):
+        """A credential for ``Ka -> Kb`` signed by another key is accepted
+        into the session but discarded by the checker; the oracle must
+        screen it too, or every probe through it reports a disagreement."""
+        plane = ServePolicyPlane()
+        for name in ("Ka", "Kb", "Kc"):
+            plane.keystore.create(name)
+        plane.add_policy({"text": 'Authorizer: POLICY\nLicensees: "Ka"\n'
+                                  'Conditions: app_domain=="x";'})
+        forged = Credential.build("Ka", '"Kb"', 'app_domain=="x"').sign(
+            plane.keystore.pair("Kc").private)
+        assert plane.add_credential({"text": forged.to_text()})["added"]
+        result = plane.probe({"user": "bob", "user_key": "Kb",
+                              "object_type": "o", "operation": "op",
+                              "attributes": {"app_domain": "x"}})
+        assert result["allowed"] is False
+        assert result["oracle_allowed"] is False
+        assert result["agree"] is True
+        assert plane.oracle_disagreements == 0

@@ -229,14 +229,17 @@ class TestDurability:
 
 
 def test_cli_import_does_not_load_scipy():
-    """The serve path never solves an assignment problem, so importing the
-    CLI must not pay for ``scipy``: ``translate.similarity`` imports it on
-    first use.  Run in a fresh interpreter, since this one may have loaded
-    it already."""
+    """The serve path never solves an assignment problem, draws a
+    delegation graph or validates a condensed graph, so importing the CLI
+    and the serve plane must not pay for ``scipy``, ``numpy`` or
+    ``networkx``: ``translate.similarity``, ``report`` and
+    ``webcom.graph`` import them on first use.  Run in a fresh
+    interpreter, since this one may have loaded them already."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, repro.cli; print(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, repro.cli, repro.serve.plane; print(sorted({"
+             "m.split('.')[0] for m in sys.modules} & "
+             "{'scipy', 'numpy', 'networkx'}))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120,
                             check=True)
