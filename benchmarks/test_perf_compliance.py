@@ -74,6 +74,33 @@ def test_perf_credential_count(benchmark, n_credentials):
     assert result == "true"
 
 
+@pytest.mark.parametrize("siblings", [10, 100, 1000])
+def test_perf_same_signer_fan_out(benchmark, siblings):
+    """One team key signs a ``subject``-guarded credential per member: a
+    cold decision reads only the sibling whose guard matches the request,
+    so the reads stay flat as the team grows.  The request is the newest
+    member's, which an admission-order scan of the team would reach last.
+    Each round starts cold so the fixpoint runs, not the decision cache."""
+    keystore = Keystore()
+    team = keystore.create("Kteam")
+    assertions = [Credential.build("POLICY", '"Kteam"', 'app=="grid"')]
+    for i in range(siblings):
+        assertions.append(Credential.build(
+            "Kteam", f'"Kuser{i}"', f'subject=="u{i}"').sign(team.private))
+    checker = ComplianceChecker(assertions, keystore=keystore)
+
+    newest = siblings - 1
+
+    def cold_query():
+        checker.clear_decision_cache()
+        return checker.query({"app": "grid", "subject": f"u{newest}"},
+                             [f"Kuser{newest}"])
+
+    assert benchmark(cold_query) == "true"
+    # POLICY's assertion and the one matching team credential.
+    assert checker.last_query_stats.assertions_visited == 2
+
+
 def test_perf_memoisation_ablation(benchmark):
     """The lattice would make an unmemoised search revisit every principal
     once per path; memoisation collapses that.  Each round starts cold so

@@ -87,7 +87,9 @@ class KeyNoteSession:
         #: trust state (:mod:`repro.store.durable` replays the records)
         self.store = store
         self._policies: list[Credential] = []
-        self._credentials: list[Credential] = []
+        #: signed credentials by value -> how many times each was added and
+        #: not revoked (a credential added twice needs two revokes)
+        self._credentials: dict[Credential, int] = {}
         self._checker: ComplianceChecker | None = None
         #: credential -> structured expiry instant (simulated seconds)
         self._expires_at: dict[Credential, float] = {}
@@ -142,22 +144,28 @@ class KeyNoteSession:
                                   if expires_at is not None else None))
         if expires_at is not None:
             self._expires_at[credential] = float(expires_at)
-        self._credentials.append(credential)
+        self._credentials[credential] = self._credentials.get(credential,
+                                                              0) + 1
         self._absorb(credential)
         return credential
 
     def revoke_credential(self, credential: Credential) -> bool:
-        """Remove a previously added credential.
+        """Remove one copy of a previously added credential.
 
         Bumps the live checker's generation and evicts every cached
         decision that read the revoked credential — the next query cannot
         be served a stale ALLOW that relied on it, while unrelated cached
-        decisions stay warm.
+        decisions stay warm.  Credentials are held by value, so the cost
+        does not grow with the number held.
         """
-        if credential not in self._credentials:
+        count = self._credentials.get(credential)
+        if count is None:
             return False
         self._journal("keynote.revoke", text=credential.to_text())
-        self._credentials.remove(credential)
+        if count > 1:
+            self._credentials[credential] = count - 1
+        else:
+            del self._credentials[credential]
         self._expires_at.pop(credential, None)
         if self._checker is not None:
             self._checker.revoke_assertion(credential)
@@ -221,8 +229,10 @@ class KeyNoteSession:
 
     @property
     def credentials(self) -> list[Credential]:
-        """The signed credentials added so far."""
-        return list(self._credentials)
+        """The signed credentials added so far, each as many times as it
+        was added and not revoked."""
+        return [credential for credential, count in self._credentials.items()
+                for _ in range(count)]
 
     def clear_credentials(self) -> None:
         """Drop signed credentials (policies stay)."""
@@ -236,7 +246,7 @@ class KeyNoteSession:
         Decision caches should key on :meth:`decision_fingerprint`
         instead, which changes only when one decision does.
         """
-        return (len(self._policies), len(self._credentials),
+        return (len(self._policies), sum(self._credentials.values()),
                 self._checker.generation if self._checker is not None else -1)
 
     def decision_fingerprint(self, attributes: Mapping[str, str],
@@ -286,7 +296,7 @@ class KeyNoteSession:
     def _checker_instance(self) -> ComplianceChecker:
         if self._checker is None:
             self._checker = ComplianceChecker(
-                assertions=self._policies + self._credentials,
+                assertions=self._policies + self.credentials,
                 keystore=self.keystore,
                 verify_signatures=self.verify_signatures,
                 metrics=self.obs.metrics if self.obs is not None else None)

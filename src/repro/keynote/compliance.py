@@ -56,6 +56,16 @@ Hot-path machinery (the authorisation fast path):
   set.  When a mutation changes the shape of the referenced-attribute
   projection (the cache key function itself), the checker falls back to a
   conservative full flush (counted as ``full_flushes``);
+- *guard-indexed delegation*: each principal's admitted assertions sit in
+  one bucket indexed by their program's equality guard
+  (:attr:`CompiledConditions.guard <repro.keynote.eval.CompiledConditions.guard>`),
+  an ``attribute == "literal"`` conjunct every top-level clause shares.
+  The fixpoint reads a principal's unguarded assertions plus, for each
+  guarded attribute, only those whose literal equals the request's value:
+  every other one is worth the minimum, so skipping it changes no join and
+  needs no dependency record (a decision that never read it cannot depend
+  on it).  A team key signing one ``subject=="uN"`` credential per member
+  costs one read per decision, not one per member;
 - :meth:`ComplianceChecker.query_many` batches queries, sharing per-assertion
   condition evaluation across every query with the same attribute
   projection;
@@ -69,7 +79,9 @@ Hot-path machinery (the authorisation fast path):
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, count
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -137,26 +149,116 @@ class ComplianceStats:
 
 
 class _Prepared:
-    """One admitted assertion with its per-checker precomputed state.
+    """One presented assertion with its per-checker precomputed state.
 
     ``verified`` is its signature verdict: True (good, or nothing to
-    check), False (bad) or None (pending).  A pending entry carries the
-    ``signer`` its credential resolved to at admission
+    check), False (bad: the entry is in no bucket) or None (pending).  A
+    pending entry carries the ``signer`` its credential resolved to at
+    admission
     (:meth:`Credential.signer <repro.keynote.credential.Credential.signer>`).
+    ``key`` is the canonical authorizer whose bucket holds the entry,
+    ``seq`` its admission order and ``count`` how many times the
+    credential was added and not revoked: one entry stands for every copy
+    of an equal credential.
     """
 
-    __slots__ = ("credential", "compiled", "signer", "verified")
+    __slots__ = ("credential", "compiled", "signer", "verified", "key",
+                 "seq", "count")
 
     def __init__(self, credential: Credential,
-                 compiled: CompiledConditions,
+                 compiled: "CompiledConditions | None",
                  signer: "PublicKey | str | None" = None) -> None:
         self.credential = credential
         self.compiled = compiled
         self.signer = signer
         self.verified: "bool | None" = None if signer is not None else True
+        self.key = ""
+        self.seq = 0
+        self.count = 1
 
 
-@dataclass
+_admission_order = attrgetter("seq")
+
+
+class _Bucket:
+    """One principal's admitted assertions, indexed by equality guard:
+    ``unguarded`` entries, plus ``guarded[attribute][literal]`` for the
+    entries whose program is the minimum unless ``attribute`` reads
+    ``literal``.
+
+    Fixpoints read buckets without the mutation lock, so a list grows
+    only by an in-place append (an iterator then sees the new entry or
+    stops before it, never skips one) and is replaced, not edited, when
+    an entry leaves; ``guarded`` itself is replaced whenever an attribute
+    key comes or goes, since fixpoints iterate it.
+    """
+
+    __slots__ = ("unguarded", "guarded")
+
+    def __init__(self) -> None:
+        self.unguarded: list[_Prepared] = []
+        self.guarded: dict[str, dict[str, list[_Prepared]]] = {}
+
+    def __iter__(self) -> Iterator[_Prepared]:
+        yield from self.unguarded
+        for by_literal in self.guarded.values():
+            for entries in by_literal.values():
+                yield from entries
+
+    def __bool__(self) -> bool:
+        return bool(self.unguarded or self.guarded)
+
+    def candidates(self, attributes: Mapping[str, str],
+                   ) -> "list[list[_Prepared]]":
+        """The entries a request with ``attributes`` must read, in
+        admission order: every other entry's program is the minimum for
+        it.  A value that is not a string never equals a non-numeric
+        literal in a KeyNote test, so it selects no guarded entry.
+
+        The reads are exactly the unindexed scan with the skipped entries
+        left out, so the running join, the max-value break and any
+        evaluation error fall where they would without the index."""
+        lists = [self.unguarded] if self.unguarded else []
+        for name, by_literal in self.guarded.items():
+            value = attributes.get(name, "")
+            hits = by_literal.get(value) if isinstance(value, str) else None
+            if hits:
+                lists.append(hits)
+        if len(lists) > 1:
+            return [sorted(chain.from_iterable(lists), key=_admission_order)]
+        return lists
+
+    def add(self, prepared: _Prepared) -> None:
+        guard = prepared.compiled.guard  # type: ignore[union-attr]
+        if guard is None:
+            self.unguarded.append(prepared)
+            return
+        name, literal = guard
+        by_literal = self.guarded.get(name)
+        if by_literal is None:
+            self.guarded = {**self.guarded, name: {literal: [prepared]}}
+        else:
+            by_literal.setdefault(literal, []).append(prepared)
+
+    def remove(self, prepared: _Prepared) -> None:
+        guard = prepared.compiled.guard  # type: ignore[union-attr]
+        if guard is None:
+            self.unguarded = [entry for entry in self.unguarded
+                              if entry is not prepared]
+            return
+        name, literal = guard
+        by_literal = self.guarded[name]
+        kept = [entry for entry in by_literal[literal]
+                if entry is not prepared]
+        if kept:
+            by_literal[literal] = kept
+        elif len(by_literal) > 1:
+            del by_literal[literal]
+        else:
+            self.guarded = {other: entries for other, entries
+                            in self.guarded.items() if other != name}
+
+
 class ComplianceChecker:
     """Evaluates queries against a (mutable) set of assertions.
 
@@ -181,27 +283,34 @@ class ComplianceChecker:
     and evict only the decisions whose recorded dependency sets intersect
     the delta.
 
+    The assertion set is a multiset keyed by credential value: adding an
+    equal credential again only counts a copy, and it takes as many
+    revokes as adds to remove it.  Every mutation costs time in the one
+    assertion it touches, not in the size of the set.
+
     Profiling: :attr:`stats` accumulates over the checker's lifetime and
     :attr:`last_query_stats` holds the profile of the most recent
     :meth:`query` alone; :attr:`cache_hits` / :attr:`cache_misses` count
     decision-cache traffic.
     """
 
-    assertions: Sequence[Credential]
-    keystore: Keystore | None = None
-    verify_signatures: bool = True
-    strict: bool = False
-    metrics: "MetricsRegistry | None" = None
-    stats: ComplianceStats = field(init=False, repr=False,
-                                   default_factory=ComplianceStats)
-    last_query_stats: "ComplianceStats | None" = field(init=False, repr=False,
-                                                       default=None)
-    _by_authorizer: dict[str, list[_Prepared]] = field(init=False, repr=False)
-    _discarded: list[Credential] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_authorizer = {}
-        self._discarded = []
+    def __init__(self, assertions: Iterable[Credential],
+                 keystore: Keystore | None = None,
+                 verify_signatures: bool = True,
+                 strict: bool = False,
+                 metrics: "MetricsRegistry | None" = None) -> None:
+        self.keystore = keystore
+        self.verify_signatures = verify_signatures
+        self.strict = strict
+        self.metrics = metrics
+        self.stats = ComplianceStats()
+        self.last_query_stats: "ComplianceStats | None" = None
+        #: every presented assertion by value (admitted, pending or
+        #: discarded); admitted ones also sit in their authorizer's bucket
+        self._assertions: dict[Credential, _Prepared] = {}
+        #: canonical principal -> its admitted assertions
+        self._buckets: dict[str, _Bucket] = {}
+        self._discarded: list[Credential] = []
         self._canon_cache: dict[str, str] = {}
         self._decision_cache: dict[tuple, str] = {}
         #: serialises assertion-set mutation against decision-cache traffic;
@@ -221,19 +330,23 @@ class ComplianceChecker:
         self._assertion_index: dict[int, set[tuple]] = {}
         self.selective_evictions = 0
         self.full_flushes = 0
-        #: attributes any assertion may read; None once a ``$`` dereference
-        #: makes the read set dynamic (falls back to full-attribute keys)
-        self._referenced: "set[str] | None" = set()
+        #: the referenced-attribute projection as a multiset: attribute ->
+        #: number of admitted programs reading it, plus the number of
+        #: programs whose ``$`` dereference makes the read set dynamic
+        self._attribute_refs: dict[str, int] = {}
+        self._dynamic_programs = 0
+        #: the decision-cache key shape: the referenced attributes, or None
+        #: while some program is dynamic (full-attribute keys)
         self._referenced_key: "tuple[str, ...] | None" = ()
-        #: id -> (index key, entry) of admitted entries whose signature
-        #: check is still deferred, oldest first
-        self._pending: dict[int, tuple[str, _Prepared]] = {}
+        #: id -> admitted entry whose signature check is still deferred,
+        #: oldest first
+        self._pending: dict[int, _Prepared] = {}
         #: the order :meth:`verify_pending` settles them in, built on its
         #: first call
         self._backfill_order: "Iterator[_Prepared] | None" = None
-        self.assertions = list(self.assertions)
-        for assertion in self.assertions:
-            self._admit(assertion, lazy=not self.strict)
+        self._admissions = count()
+        for assertion in assertions:
+            self._admit(assertion, lazy=not strict)
 
     # -- assertion-set management ---------------------------------------------
 
@@ -243,6 +356,14 @@ class ComplianceChecker:
         in-flight store guard and session fingerprints key on.  It does not
         flush the decision cache — mutations evict only their dependents."""
         return self._generation
+
+    @property
+    def assertions(self) -> list[Credential]:
+        """Every assertion presented and not revoked — admitted, pending or
+        discarded — each as many times as it was added (a read-only copy)."""
+        with self._mutation_lock:
+            return [held.credential for held in self._assertions.values()
+                    for _ in range(held.count)]
 
     @property
     def discarded(self) -> list[Credential]:
@@ -279,7 +400,7 @@ class ComplianceChecker:
                 if id(prepared) in self._pending:
                     return prepared
             # Entries no chain from POLICY reaches: oldest first.
-            return next(iter(self._pending.values()))[1]
+            return next(iter(self._pending.values()))
 
     def _delegation_order(self) -> list[_Prepared]:
         """Pending entries depth first from POLICY along licensee edges —
@@ -289,7 +410,7 @@ class ComplianceChecker:
         which may check every first hop before any second one."""
         order: list[_Prepared] = []
         visited = {"POLICY"}
-        stack = [iter(self._by_authorizer.get("POLICY", ()))]
+        stack = [iter(self._buckets.get("POLICY", ()))]
         while stack:
             prepared = next(stack[-1], None)
             if prepared is None:
@@ -302,7 +423,7 @@ class ComplianceChecker:
                 key = self._canonical(principal)
                 if key not in visited:
                     visited.add(key)
-                    stack.append(iter(self._by_authorizer.get(key, ())))
+                    stack.append(iter(self._buckets.get(key, ())))
         return order
 
     def add_assertion(self, assertion: Credential) -> bool:
@@ -312,62 +433,67 @@ class ComplianceChecker:
         was rejected in non-strict mode).  Only the cached decisions whose
         fixpoint visited the new assertion's authorizer are evicted —
         decisions that never descended into that principal's sub-graph
-        cannot change (monotonicity) and survive.
+        cannot change (monotonicity) and survive.  Adding a copy of an
+        assertion already present evicts nothing: the set of values the
+        fixpoint joins is unchanged.
 
         :raises CredentialError: for a bad signature in strict mode.
         """
         with self._mutation_lock:
             old_shape = self._referenced_key
-            self.assertions.append(assertion)  # type: ignore[union-attr]
-            admitted = self._admit(assertion)
-            if admitted:
+            held = self._admit(assertion)
+            if held.verified is None:
+                # A copy of an entry whose deferred check has not run yet:
+                # this path checks eagerly.
+                self._settle(held)
+            admitted = held.verified is not False
+            if admitted and held.count == 1:
                 if self._referenced_key != old_shape:
                     # The cache key function itself changed; selective
                     # eviction cannot address old-projection entries.
                     self._full_flush_on_churn()
                 else:
-                    self._evict_dependents(
-                        principals=(self._canonical(assertion.authorizer),))
+                    self._evict_dependents(principals=(held.key,))
             self._bump_generation()
             return admitted
 
     def revoke_assertion(self, assertion: Credential) -> bool:
-        """Remove one assertion; bumps the generation on success.
+        """Remove one copy of an admitted assertion; bumps the generation
+        on success.
 
         Only the decisions whose fixpoint evaluated the revoked assertion
         are evicted — revocation propagates through the delegation graph
         exactly as far as the dependency index recorded, and unrelated warm
-        decisions survive.
+        decisions survive.  The entry is found by value and leaves only
+        its own guard list, so the cost does not grow with the assertion
+        set.  While other copies remain nothing is evicted.
 
         Eviction ordering (pinned by test): dependents are evicted and the
-        generation bumped *before* the prepared entry leaves
-        ``_by_authorizer`` and before the memoised ``_canonical`` /
-        referenced-attribute state is rebuilt, all inside the mutation
-        lock — a concurrent :meth:`query` either sees the fully-old state
-        (and its epoch-guarded store refuses to cache) or the fully-new
-        one; it can never hit a stale entry for a half-applied delta.
+        generation bumped *before* the prepared entry leaves its bucket
+        and before the memoised ``_canonical`` / referenced-attribute state
+        is updated, all inside the mutation lock — a concurrent
+        :meth:`query` either sees the fully-old state (and its
+        epoch-guarded store refuses to cache) or the fully-new one; it can
+        never hit a stale entry for a half-applied delta.  The bucket list
+        is replaced, not edited, so a fixpoint iterating it reads the old
+        set to the end.
         """
         with self._mutation_lock:
-            key = self._canonical(assertion.authorizer)
-            entries = self._by_authorizer.get(key, [])
-            for index, prepared in enumerate(entries):
-                if prepared.credential == assertion:
-                    old_shape = self._referenced_key
-                    self._evict_dependents(assertion_ids=(id(prepared),))
-                    self._bump_generation()
-                    del entries[index]
-                    if not entries:
-                        self._by_authorizer.pop(key, None)
-                    self._pending.pop(id(prepared), None)
-                    try:
-                        self.assertions.remove(assertion)  # type: ignore[union-attr]
-                    except ValueError:
-                        pass
-                    self._rebuild_referenced()
-                    if self._referenced_key != old_shape:
-                        self._full_flush_on_churn()
-                    return True
-            return False
+            held = self._assertions.get(assertion)
+            if held is None or held.verified is False:
+                return False
+            held.count -= 1
+            if held.count:
+                self._bump_generation()
+                return True
+            old_shape = self._referenced_key
+            self._evict_dependents(assertion_ids=(id(held),))
+            self._bump_generation()
+            del self._assertions[assertion]
+            self._unindex(held)
+            if self._referenced_key != old_shape:
+                self._full_flush_on_churn()
+            return True
 
     def _prepare(self, assertion: Credential,
                  lazy: bool = False) -> "_Prepared | None":
@@ -397,24 +523,54 @@ class ComplianceChecker:
         return _Prepared(assertion, compile_conditions(assertion.conditions),
                          signer)
 
-    def _admit(self, assertion: Credential, lazy: bool = False) -> bool:
+    def _admit(self, assertion: Credential, lazy: bool = False) -> _Prepared:
+        """Count one more copy of ``assertion``, indexing it on first sight;
+        returns its entry (``verified`` False when it was rejected).  A
+        credential value gets one verdict per checker: a copy shares its
+        entry's."""
+        held = self._assertions.get(assertion)
+        if held is not None:
+            held.count += 1
+            if held.verified is False:
+                self._discarded.append(assertion)
+            return held
         prepared = self._prepare(assertion, lazy)
         if prepared is None:
+            held = _Prepared(assertion, None)
+            held.verified = False
+            self._assertions[assertion] = held
             self._discarded.append(assertion)
-            return False
-        key = self._canonical(assertion.authorizer)
-        self._by_authorizer.setdefault(key, []).append(prepared)
+            return held
+        self._assertions[assertion] = prepared
+        prepared.key = self._canonical(assertion.authorizer)
+        prepared.seq = next(self._admissions)
+        bucket = self._buckets.get(prepared.key)
+        if bucket is None:
+            bucket = self._buckets[prepared.key] = _Bucket()
+        bucket.add(prepared)
         if prepared.verified is None:
-            self._pending[id(prepared)] = (key, prepared)
-        self._extend_referenced(prepared)
-        return True
+            self._pending[id(prepared)] = prepared
+        self._count_attributes(prepared, 1)
+        return prepared
+
+    def _unindex(self, prepared: _Prepared) -> None:
+        """Take an admitted entry out of its bucket, the pending set and
+        the referenced-attribute projection."""
+        bucket = self._buckets[prepared.key]
+        bucket.remove(prepared)
+        if not bucket:
+            del self._buckets[prepared.key]
+        self._pending.pop(id(prepared), None)
+        self._count_attributes(prepared, -1)
 
     def _settle(self, prepared: _Prepared) -> bool:
         """The signature verdict of an admitted entry, running its deferred
-        check on first use.  A bad entry joins :attr:`discarded` and leaves
-        the index once.  No decision needs eviction: the check is
-        deterministic, so every decision that read the entry saw this
-        verdict, and every other one never depended on it."""
+        check on first use.  A bad entry joins :attr:`discarded` (once per
+        copy) and leaves its bucket, retracting its attributes as a revoke
+        does.  No decision needs eviction: the check is deterministic, so
+        every decision that read the entry saw this verdict, and every
+        other one never depended on it — unless the key shape changed,
+        which flushes as a revoke would."""
         if prepared.verified is not None:
             return prepared.verified
         verdict = self._peek(prepared)
@@ -422,15 +578,11 @@ class ComplianceChecker:
             pending = self._pending.pop(id(prepared), None)
             prepared.verified = verdict
             if pending is not None and not verdict:
-                self._discarded.append(prepared.credential)
-                key = pending[0]
-                # Copy on write: a fixpoint may be iterating the old list.
-                kept = [entry for entry in self._by_authorizer.get(key, ())
-                        if entry is not prepared]
-                if kept:
-                    self._by_authorizer[key] = kept
-                else:
-                    self._by_authorizer.pop(key, None)
+                self._discarded.extend([prepared.credential] * prepared.count)
+                old_shape = self._referenced_key
+                self._unindex(prepared)
+                if self._referenced_key != old_shape:
+                    self._full_flush_on_churn()
         return verdict
 
     @staticmethod
@@ -443,25 +595,28 @@ class ComplianceChecker:
             verdict = prepared.credential.verify_as(prepared.signer)
         return verdict
 
-    def _extend_referenced(self, prepared: _Prepared) -> None:
-        if self._referenced is None:
-            return
-        names = prepared.compiled.referenced_attributes()
+    def _count_attributes(self, prepared: _Prepared, delta: int) -> None:
+        """Add (``delta`` 1) or retract (-1) one program's reads in the
+        referenced-attribute multiset, rebuilding the key shape only when
+        a count crosses zero."""
+        crossed = 1 if delta > 0 else 0  # a count left here crossed zero
+        names = prepared.compiled.referenced_attributes()  # type: ignore[union-attr]
         if names is None:
-            self._referenced = None
-            self._referenced_key = None
+            self._dynamic_programs += delta
+            changed = self._dynamic_programs == crossed
         else:
-            self._referenced |= names
-            self._referenced_key = tuple(sorted(self._referenced))
-
-    def _rebuild_referenced(self) -> None:
-        self._referenced = set()
-        self._referenced_key = ()
-        for entries in self._by_authorizer.values():
-            for prepared in entries:
-                self._extend_referenced(prepared)
-                if self._referenced is None:
-                    return
+            changed = False
+            refs = self._attribute_refs
+            for name in names:
+                readers = refs.get(name, 0) + delta
+                if readers:
+                    refs[name] = readers
+                else:
+                    del refs[name]
+                changed |= readers == crossed
+        if changed:
+            self._referenced_key = (None if self._dynamic_programs
+                                    else tuple(sorted(self._attribute_refs)))
 
     def _bump_generation(self) -> None:
         with self._mutation_lock:
@@ -762,7 +917,10 @@ class ComplianceChecker:
         The search records into ``deps`` every canonical principal whose
         sub-graph it descended (``deps[0]``) and the id of every prepared
         assertion whose value it read (``deps[1]``) — the dependency sets
-        selective eviction later consults.  Requester short-circuits are
+        selective eviction later consults.  A guard-skipped assertion is
+        not read and not recorded: it adds the minimum whatever it holds,
+        so revoking it cannot change this decision, and adding a sibling
+        evicts through ``deps[0]``.  Requester short-circuits are
         deliberately *not* recorded: a requester's own assertions are never
         read, so mutations of them cannot change this decision."""
         if cond_memo is None:
@@ -796,15 +954,20 @@ class ComplianceChecker:
             profile.max_depth = max(profile.max_depth, len(in_progress))
             try:
                 result = values.minimum
-                entries = self._by_authorizer.get(principal, ())
+                bucket = self._buckets.get(principal)
+                candidates = ([] if bucket is None
+                              else bucket.candidates(attributes))
                 if overlay:
                     presented = overlay.get(principal)
                     if presented:
-                        entries = [*entries, *presented]
-                for prepared in entries:
-                    profile.assertions_visited += 1
-                    result = values.join([result,
-                                          assertion_value(prepared)])
+                        candidates.append(presented)
+                for entries in candidates:
+                    for prepared in entries:
+                        profile.assertions_visited += 1
+                        result = values.join([result,
+                                              assertion_value(prepared)])
+                        if result == values.maximum:
+                            break
                     if result == values.maximum:
                         break
             finally:

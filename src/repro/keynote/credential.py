@@ -104,6 +104,13 @@ class Credential:
             credential = replace(credential, signature=signature)
         return credential
 
+    def __hash__(self) -> int:
+        # Equal credentials have equal texts, so hashing the strings (which
+        # cache their own hashes) agrees with the generated field-wise
+        # ``__eq__`` and skips re-hashing both parsed trees per lookup.
+        return hash((self.authorizer, self.licensees_text,
+                     self.conditions_text, self.comment, self.signature))
+
     # -- properties ----------------------------------------------------------
 
     @property

@@ -651,9 +651,11 @@ class CompiledConditions:
     attributes can influence the program's value (``None`` when a ``$``
     dereference makes the set dynamic), which is what lets the decision
     cache ignore irrelevant attributes such as an unused ``_cur_time``.
+    :attr:`guard` is the equality conjunct the compliance checker indexes
+    the program's assertion by.
     """
 
-    __slots__ = ("program", "_clauses", "_referenced")
+    __slots__ = ("program", "_clauses", "_referenced", "guard")
 
     def __init__(self, program: ConditionsProgram) -> None:
         self.program = program
@@ -661,9 +663,21 @@ class CompiledConditions:
             c for c in map(_compile_clause, program.clauses)
             if c is not None)
         names: set[str] = set()
-        dynamic = _collect_program_attributes(program, names)
+        flags = 0
+        shared: "list[tuple[str, str]] | None" = None
+        for clause in program.clauses:
+            flags |= _collect_clause_attributes(clause, names)
+            guards = _equality_guards(clause.test)
+            shared = guards if shared is None else [
+                guard for guard in shared if guard in guards]
         self._referenced: "frozenset[str] | None" = (
-            None if dynamic else frozenset(names))
+            None if flags & _DEREF else frozenset(names))
+        #: ``(attribute, literal)`` when every top-level clause tests
+        #: ``attribute == "literal"`` as a conjunct, so the program's value
+        #: is the minimum whenever the attribute reads anything else; None
+        #: when no such conjunct exists or skipping could hide a hard error
+        self.guard: "tuple[str, str] | None" = (
+            shared[0] if shared and not flags & _HARD_ERROR else None)
 
     def value(self, attributes: Mapping[str, str],
               values: ComplianceValueSet) -> str:
@@ -718,28 +732,74 @@ def compile_conditions(program: ConditionsProgram) -> CompiledConditions:
     return CompiledConditions(program)
 
 
+#: flags of the attribute walk: a ``$`` makes the read set dynamic, and a
+#: ``~=`` whose pattern is not a valid literal may raise at query time
+_DEREF = 1
+_HARD_ERROR = 2
+
+
 def _collect_program_attributes(program: ConditionsProgram,
-                                names: set) -> bool:
-    """Accumulate attribute names read by ``program``; True if dynamic."""
-    dynamic = False
+                                names: set) -> int:
+    """Accumulate attribute names read by ``program``; returns the walk's
+    flags."""
+    flags = 0
     for clause in program.clauses:
-        dynamic |= _collect_expr_attributes(clause.test, names)
-        if isinstance(clause.value, ConditionsProgram):
-            dynamic |= _collect_program_attributes(clause.value, names)
-    return dynamic
+        flags |= _collect_clause_attributes(clause, names)
+    return flags
 
 
-def _collect_expr_attributes(expr: Expr, names: set) -> bool:
+def _collect_clause_attributes(clause: Clause, names: set) -> int:
+    flags = _collect_expr_attributes(clause.test, names)
+    if isinstance(clause.value, ConditionsProgram):
+        flags |= _collect_program_attributes(clause.value, names)
+    return flags
+
+
+def _collect_expr_attributes(expr: Expr, names: set) -> int:
     if isinstance(expr, Attribute):
         names.add(expr.name)
-        return False
+        return 0
     if isinstance(expr, Deref):
-        _collect_expr_attributes(expr.inner, names)
-        return True
+        return _collect_expr_attributes(expr.inner, names) | _DEREF
     if isinstance(expr, Unary):
         return _collect_expr_attributes(expr.operand, names)
     if isinstance(expr, Binary):
-        left = _collect_expr_attributes(expr.left, names)
-        right = _collect_expr_attributes(expr.right, names)
-        return left or right
-    return False
+        flags = (_collect_expr_attributes(expr.left, names)
+                 | _collect_expr_attributes(expr.right, names))
+        if expr.op == "~=" and not _is_literal_pattern(expr.right):
+            flags |= _HARD_ERROR
+        return flags
+    return 0
+
+
+def _is_literal_pattern(expr: Expr) -> bool:
+    """True for a string literal that compiles as a regex — the only
+    ``~=`` operand the VM matches without a query-time error path."""
+    if not isinstance(expr, StringLit):
+        return False
+    try:
+        re.compile(expr.value)
+    except re.error:
+        return False
+    return True
+
+
+def _equality_guards(test: Expr) -> "list[tuple[str, str]]":
+    """The ``attribute == "literal"`` conjuncts of ``test`` (literal on
+    either side), in evaluation order: when the attribute reads anything
+    but the literal, the whole test is not true.
+
+    Only non-numeric literals qualify.  For them ``==`` is plain string
+    equality; a numeric-looking literal also equals other spellings of
+    its number (``"01" == "1"``)."""
+    if isinstance(test, Binary):
+        if test.op == "&&":
+            return _equality_guards(test.left) + _equality_guards(test.right)
+        if test.op == "==":
+            for attribute, literal in ((test.left, test.right),
+                                       (test.right, test.left)):
+                if (isinstance(attribute, Attribute)
+                        and isinstance(literal, StringLit)
+                        and _num_or_none(literal.value) is None):
+                    return [(attribute.name, literal.value)]
+    return []

@@ -150,7 +150,9 @@ class ServePolicyPlane:
                  pin_time: bool = False) -> MediationRequest:
         """Build a :class:`MediationRequest` from wire params.
 
-        :raises ServeError: when required fields are missing.
+        :raises ServeError: when required fields are missing, or
+            ``attributes`` is not an object of string names to string
+            values (KeyNote action attributes are strings).
         """
         missing = [name for name in ("user", "user_key", "object_type",
                                      "operation")
@@ -159,7 +161,15 @@ class ServePolicyPlane:
         if missing:
             raise ServeError(
                 f"mediate params missing fields: {', '.join(missing)}")
-        attributes = dict(params.get("attributes") or {})
+        raw = params.get("attributes")
+        if raw is None:
+            raw = {}
+        if not isinstance(raw, Mapping) or not all(
+                isinstance(name, str) and isinstance(value, str)
+                for name, value in raw.items()):
+            raise ServeError("mediate attributes must map strings to "
+                             "strings")
+        attributes = dict(raw)
         if pin_time and "_cur_time" not in attributes:
             # Pin the evaluation instant so the production mediation and
             # the oracle re-derivation below read the same clock even on

@@ -7,6 +7,11 @@ admission and defers the check until the fixpoint first needs it.
 with ``Credential.verify`` as it was (and without the signature cache), so
 the differential test in ``test_lazy_signatures.py`` can require the
 deferred checks to reach the same verdicts and the same decisions.
+
+It also indexes nothing by equality guard: every entry it admits is
+unguarded, so its fixpoint reads every assertion a principal signed, in
+admission order — the unindexed scan ``test_guard_index.py`` holds the
+guard index to.
 """
 
 from __future__ import annotations
@@ -52,4 +57,6 @@ class EagerReferenceChecker(ComplianceChecker):
                     f"invalid signature on credential by "
                     f"{assertion.authorizer!r}")
             return None
-        return _Prepared(assertion, compile_conditions(assertion.conditions))
+        compiled = compile_conditions(assertion.conditions)
+        compiled.guard = None
+        return _Prepared(assertion, compiled)

@@ -70,7 +70,7 @@ class TestDecisionCache:
         # referenced set is unknowable and the full attribute set is keyed.
         assertions = [Credential.build("POLICY", '"Ka"', '$ptr=="1"')]
         checker = ComplianceChecker(assertions, keystore=keystore)
-        assert checker._referenced is None
+        assert checker._referenced_key is None
         assert checker.query({"ptr": "y", "y": "1"}, ["Ka"]) == "true"
         assert checker.query({"ptr": "y", "y": "1", "z": "9"},
                              ["Ka"]) == "true"

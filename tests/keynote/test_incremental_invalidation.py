@@ -192,9 +192,9 @@ class TestSelectiveEviction:
 class TestRevokeEvictionOrdering:
     """Pins the revoke_assertion contract: dependents are evicted and the
     generation bumped BEFORE the prepared entry is structurally removed
-    and the referenced-attribute state rebuilt.  A concurrent query that
-    raced the old order could recompute against half-applied state and be
-    cached under a stale dependency record."""
+    and its attributes retracted from the referenced-attribute multiset.
+    A concurrent query that raced the old order could recompute against
+    half-applied state and be cached under a stale dependency record."""
 
     def test_evict_then_bump_then_remove(self, monkeypatch):
         universe = small_universe()
@@ -204,7 +204,7 @@ class TestRevokeEvictionOrdering:
 
         real_evict = checker._evict_dependents
         real_bump = checker._bump_generation
-        real_rebuild = checker._rebuild_referenced
+        real_count = checker._count_attributes
 
         def spy_evict(*args, **kwargs):
             events.append("evict")
@@ -214,19 +214,19 @@ class TestRevokeEvictionOrdering:
             events.append("bump")
             return real_bump(*args, **kwargs)
 
-        def spy_rebuild(*args, **kwargs):
-            # Structural removal happens immediately before the rebuild;
+        def spy_count(prepared, delta):
+            # Structural removal happens immediately before the retraction;
             # record what the structures say at this point.
             key = checker._canonical("Kuser4")
-            events.append(("rebuild", key in checker._by_authorizer))
-            return real_rebuild(*args, **kwargs)
+            events.append(("retract", delta, key in checker._buckets))
+            return real_count(prepared, delta)
 
         monkeypatch.setattr(checker, "_evict_dependents", spy_evict)
         monkeypatch.setattr(checker, "_bump_generation", spy_bump)
-        monkeypatch.setattr(checker, "_rebuild_referenced", spy_rebuild)
+        monkeypatch.setattr(checker, "_count_attributes", spy_count)
 
         assert checker.revoke_assertion(universe["proxy_creds"][4])
-        assert events == ["evict", "bump", ("rebuild", False)]
+        assert events == ["evict", "bump", ("retract", -1, False)]
 
     def test_failed_revoke_neither_evicts_nor_bumps(self):
         universe = small_universe()

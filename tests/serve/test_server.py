@@ -120,6 +120,37 @@ class TestServerCore:
         assert outcomes["missing"] == "ServeError"
         assert outcomes["alive"] is True
 
+    @pytest.mark.parametrize("attributes", [
+        {"app_domain": ["WebCom"]},
+        {"app_domain": {"nested": "WebCom"}},
+        {"app_domain": 7},
+        {"app_domain": None},
+        {"app_domain": True},
+        ["app_domain", "WebCom"],
+        "app_domain=WebCom",
+    ])
+    def test_non_string_attributes_are_refused(self, attributes):
+        async def scenario():
+            plane = _plane()
+            _grant(plane)
+            server, client = await _boot(plane)
+            errors = []
+            for method in ("mediate", "probe"):
+                try:
+                    await client.call(method, {**MEDIATE,
+                                               "attributes": attributes})
+                except ServeCallError as exc:
+                    errors.append(exc.error_type)
+            # The refusal leaves the plane serving well-formed requests.
+            allowed = (await client.call("mediate", MEDIATE))["allowed"]
+            await client.close()
+            await server.shutdown()
+            return errors, allowed
+
+        errors, allowed = asyncio.run(scenario())
+        assert errors == ["ServeError", "ServeError"]
+        assert allowed
+
     def test_decision_events_carry_span_trees(self):
         async def scenario():
             plane = _plane()
