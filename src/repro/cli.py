@@ -243,7 +243,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ReproServer
 
     async def _serve() -> int:
-        plane = ServePolicyPlane(root=args.root, cache_ttl=args.cache_ttl)
+        plane = ServePolicyPlane(root=args.root)
         admission = AdmissionController(
             clock=plane.clock, max_inflight=args.max_inflight,
             peer_rate=args.peer_rate, peer_burst=args.peer_burst,
@@ -273,8 +273,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
-                                faults=args.faults, seed=args.seed,
-                                stack_ttl=args.stack_ttl)
+                                faults=args.faults, seed=args.seed)
     if args.json:
         _emit(args, export_json(run.obs))
     else:
@@ -284,8 +283,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
-                                faults=args.faults, seed=args.seed,
-                                stack_ttl=args.stack_ttl)
+                                faults=args.faults, seed=args.seed)
     if args.json:
         _emit(args, json.dumps(metrics_to_dict(run.obs.metrics), indent=2))
     elif args.summary:
@@ -304,9 +302,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="inject seeded message drops (forces retries)")
     parser.add_argument("--seed", type=int, default=7,
                         help="fault-plan seed (with --faults)")
-    parser.add_argument("--stack-ttl", type=float, default=None,
-                        help="enable the clients' stack mediation cache "
-                             "with this TTL in simulated seconds")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of the text rendering")
     parser.add_argument("--out", default=None,
@@ -430,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "omit for an in-memory plane")
     p_serve.add_argument("--pidfile", default=None,
                          help="PID file enforcing one daemon per root")
-    p_serve.add_argument("--cache-ttl", type=float, default=30.0,
-                         help="mediation-cache TTL in wall seconds")
     p_serve.add_argument("--max-inflight", type=int, default=256,
                          help="global in-flight budget for non-control "
                               "requests (admission control)")

@@ -261,9 +261,8 @@ class KeyNoteSession:
         references it).  A session whose checker is not built — cold after
         recovery, or after :meth:`clear_credentials` — reports a sentinel
         key and no value, so no externally cached decision can validate
-        against it.  The authorisation stack scopes its per-entry cache
-        fingerprints to this, letting warm mediation decisions survive
-        unrelated assertion churn.
+        against it.  The authorisation stack reads its L2 verdict through
+        this first and runs :meth:`query` only when no value is cached.
         """
         if self._checker is None:
             return ("cold",), None

@@ -701,9 +701,8 @@ class ComplianceChecker:
                         ) -> "tuple[tuple, str | None]":
         """The decision key for a request and its currently cached value
         (None when absent).  Does not run the fixpoint and does not count
-        as cache traffic — the stack-mediation cache uses this to scope
-        its entry fingerprints to one decision instead of the whole
-        assertion set."""
+        as cache traffic — the authorisation stack serves its L2 verdict
+        from this value when present and counts the hit itself."""
         with self._mutation_lock:
             requesters = frozenset(self._canonical(a) for a in authorizers)
             key = (self._attr_key(attributes), requesters, values.values)

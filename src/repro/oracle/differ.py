@@ -391,10 +391,10 @@ def eval_stack(case: Mapping) -> dict:
                             request.object_type, request.operation],
                 "expected": expected, "actual": actual, "lossy": False})
 
-    # Healthy: cold cache, warm cache, then TM churn.
+    # Healthy: cold TM cache, warm TM cache, then TM churn.
     clock = SimulatedClock()
     session = _make_session(credentials, clock)
-    stack = _make_stack(case, clock, session, middleware, cache_ttl=300.0)
+    stack = _make_stack(case, clock, session, middleware)
     current = list(credentials)
     for request in requests:
         diff("cold", request, stack.mediate(request).allowed,
@@ -426,15 +426,14 @@ def eval_stack(case: Mapping) -> dict:
         diff("fail-closed", request, decision.allowed, False)
 
     # Degraded, fail-static: healthy mediations seed the last-known-good
-    # store; once the fault window opens (and the TTL cache has lapsed) the
-    # stack must serve exactly those verdicts, marked stale — and must not
-    # re-cache them as fresh.
+    # store; once the fault window opens the stack must serve exactly those
+    # verdicts, marked stale — and never again as fresh.
     clock3 = SimulatedClock()
     session3 = _make_session(credentials, clock3)
     injector3 = LayerFaultInjector(LayerFaultPlan(seed=0, rules=(
         LayerFaultRule(layer="TRUST_MANAGEMENT", fail=1.0, start=100.0),)))
     stack3 = _make_stack(case, clock3, session3, middleware,
-                         cache_ttl=30.0, layer_faults=injector3)
+                         layer_faults=injector3)
     stack3.set_degraded_mode(Layer.TRUST_MANAGEMENT, DegradedMode.FAIL_STATIC)
     healthy: dict[MediationRequest, bool] = {}
     for request in requests:

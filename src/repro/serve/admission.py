@@ -19,10 +19,10 @@ one deliberate property per class:
 
 - :class:`BrownoutController` — self-regulating degradation under
   *sustained* pressure (the adaptable-middleware discipline): the plane
-  steps through declared tiers — shed span/event broadcasting, then serve
-  TTL'd-stale cached decisions with ``stale=True`` disclosure (the PR 4
-  fail-static machinery), then shed the lowest-priority work — and steps
-  back down when pressure stays low.  Every transition is emitted as an
+  steps through declared tiers — shed span/event broadcasting, then shed
+  the lowest-priority work — and steps back down when pressure stays low.
+  No tier serves an old decision: an authorisation answer is always
+  mediated against the current policy.  Every transition is emitted as an
   ``obs`` metric/span and surfaced to the server for a ``server`` pub/sub
   event, so brownout is always attributable.
 
@@ -33,8 +33,8 @@ one deliberate property per class:
   are honoured as a lower bound.
 
 Everything runs on the shared :class:`~repro.util.clock.Clock` protocol,
-so every behaviour here — refill arithmetic, sustain/cool hysteresis,
-stale windows — is testable to the exact second on the simulated clock and
+so every behaviour here — refill arithmetic, sustain/cool hysteresis —
+is testable to the exact second on the simulated clock and
 identical in kind on the wall clock.
 """
 
@@ -181,8 +181,7 @@ class BrownoutTier:
 #: the declared ladder: cheap disclosure first, shed work last
 DEFAULT_TIERS: tuple[BrownoutTier, ...] = (
     BrownoutTier(1, "shed_broadcast", enter=0.60, exit=0.30),
-    BrownoutTier(2, "serve_stale", enter=0.75, exit=0.45),
-    BrownoutTier(3, "shed_bulk", enter=0.90, exit=0.60),
+    BrownoutTier(2, "shed_bulk", enter=0.90, exit=0.60),
 )
 
 
@@ -197,10 +196,8 @@ class BrownoutController:
     hysteresis so the plane does not flap at a boundary.
 
     Tier effects are *queries* (:meth:`shed_broadcast`,
-    :meth:`serve_stale`, :meth:`shed_bulk`); the server and the admission
-    controller consult them per request.  ``stale_ttl`` bounds how far past
-    its TTL a cached decision may be served at tier 2 (disclosure via the
-    PR 4 ``stale=True`` machinery).
+    :meth:`shed_bulk`); the server and the admission controller consult
+    them per request.
 
     Every transition is recorded, counted (``serve.brownout.*``), traced,
     and handed to ``on_transition`` so the server can broadcast it.
@@ -209,7 +206,7 @@ class BrownoutController:
     def __init__(self, clock: Clock | None = None,
                  tiers: tuple[BrownoutTier, ...] = DEFAULT_TIERS,
                  window: float = 1.0, sustain: float = 0.5,
-                 cool: float = 1.0, stale_ttl: float = 30.0,
+                 cool: float = 1.0,
                  obs: "Observability | None" = None,
                  on_transition: Callable[[int, int, float], None] | None
                  = None) -> None:
@@ -220,7 +217,6 @@ class BrownoutController:
         self.tiers = tuple(tiers)
         self.sustain = float(sustain)
         self.cool = float(cool)
-        self.stale_ttl = float(stale_ttl)
         self.obs = obs
         self.on_transition = on_transition
         self.window = PressureWindow(clock=self.clock, window=window)
@@ -237,13 +233,9 @@ class BrownoutController:
         """Tier >= 1: drop event broadcasting / span-tree assembly."""
         return self.level >= 1
 
-    def serve_stale(self) -> bool:
-        """Tier >= 2: serve TTL'd-stale cached decisions (disclosed)."""
-        return self.level >= 2
-
     def shed_bulk(self) -> bool:
-        """Tier >= 3: refuse the lowest-priority work outright."""
-        return self.level >= 3
+        """Tier >= 2: refuse the lowest-priority work outright."""
+        return self.level >= 2
 
     # -- pressure feed -----------------------------------------------------
 
@@ -309,7 +301,6 @@ class BrownoutController:
         """Serialisable state for ``status()`` and the overload report."""
         return {"level": self.level, "max_level": self.max_level,
                 "pressure": round(self.window.pressure(), 4),
-                "stale_ttl": self.stale_ttl,
                 "tiers": [{"level": t.level, "name": t.name,
                            "enter": t.enter, "exit": t.exit}
                           for t in self.tiers],
@@ -330,7 +321,7 @@ class AdmissionController:
         disables rate limiting).
     :param peer_burst: per-peer burst allowance (defaults to ``2 x rate``).
     :param brownout: optional :class:`BrownoutController` fed by every
-        admission outcome; at tier 3 the lowest-priority class is refused
+        admission outcome; at tier 2 the lowest-priority class is refused
         and the data-plane budget is halved (graceful, declared shedding).
     """
 

@@ -73,7 +73,6 @@ class ServePolicyPlane:
         time), but a :class:`~repro.util.clock.SimulatedClock` plane is
         fully supported — the simulated-time test path and the wall-clock
         serve path share every component underneath.
-    :param cache_ttl: mediation-cache TTL in clock seconds (None disables).
     :param machine: host name of the administered CORBA ORB.
     :param orb_name: ORB instance name (KeyCom domain is
         ``machine/orb_name``).
@@ -85,7 +84,6 @@ class ServePolicyPlane:
     def __init__(self, root: "Path | str | None" = None,
                  clock: Clock | None = None,
                  keystore: Keystore | None = None,
-                 cache_ttl: float | None = 30.0,
                  machine: str = "serve", orb_name: str = "orb",
                  plug_middleware: bool = False,
                  verify_signatures: bool = True) -> None:
@@ -113,8 +111,7 @@ class ServePolicyPlane:
             self.keycom = KeyComService(self.middleware, self.session,
                                         audit=self.audit)
         self.stack = AuthorisationStack(
-            audit=self.audit, clock=self.clock, obs=self.obs,
-            cache_ttl=cache_ttl)
+            audit=self.audit, clock=self.clock, obs=self.obs)
         self.stack.plug_trust_management(self.session)
         if plug_middleware:
             self.stack.plug_middleware(self.middleware)
@@ -195,20 +192,11 @@ class ServePolicyPlane:
 
     # -- serve APIs --------------------------------------------------------
 
-    def mediate(self, params: Mapping[str, Any],
-                stale_ok: float | None = None) -> dict[str, Any]:
-        """Run one request down the authorisation stack.
-
-        ``stale_ok`` is the brownout path (tier 2): when set, a cached
-        decision within that many clock seconds past its freshness bound
-        is served marked ``stale=True`` instead of re-mediating — the
-        overloaded plane trades bounded, *disclosed* staleness for not
-        collapsing.  Cache misses still mediate for real.
-        """
+    def mediate(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """Run one request down the authorisation stack."""
         request = self._request(params)
         correlation_id = self.obs.tracer.new_correlation_id()
-        decision = self.stack.mediate(request, correlation_id=correlation_id,
-                                      stale_ok=stale_ok)
+        decision = self.stack.mediate(request, correlation_id=correlation_id)
         if decision.stale:
             self.stale_mediations += 1
         self.mediations += 1

@@ -183,8 +183,7 @@ class ReproServer:
             "subscribe": self._on_subscribe,
             "unsubscribe": self._on_unsubscribe,
             "status": self._on_status,
-            "mediate": lambda peer, p: self.plane.mediate(
-                p, stale_ok=self._stale_ok()),
+            "mediate": lambda peer, p: self.plane.mediate(p),
             "probe": lambda peer, p: self.plane.probe(p),
             "translate": lambda peer, p: self.plane.translate(p),
             "update": lambda peer, p: self.plane.keycom_update(p),
@@ -403,14 +402,6 @@ class ReproServer:
                 f"deadline {deadline:g} expired before response write",
                 phase="response_write")
         return response
-
-    def _stale_ok(self) -> float | None:
-        """TTL'd-stale cache window for mediate, when brownout tier 2 is
-        active (``None`` otherwise — full mediation)."""
-        brownout = self.admission.brownout
-        if brownout is not None and brownout.serve_stale():
-            return brownout.stale_ttl
-        return None
 
     def _on_brownout_transition(self, old: int, new: int,
                                 pressure: float) -> None:

@@ -12,7 +12,7 @@ Components journal their mutations through :meth:`DurableStore.append`
 *before* touching in-memory state (write-ahead discipline); recovery loads
 the newest valid snapshot, replays the WAL tail past it, and the
 ``restore_*`` functions in this module turn those records back into live
-components.  Caches (compiled checkers, decision caches, mediation caches)
+components.  Caches (compiled checkers, decision caches)
 are deliberately **not** persisted: a recovered node starts cold and must
 re-derive every verdict from the recovered assertions and relations — the
 durability sweep (:mod:`repro.store.harness`) asserts those verdicts are

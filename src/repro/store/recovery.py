@@ -18,7 +18,7 @@ The contract, in order:
    (:mod:`repro.store.durable`).
 
 Everything a recovered node serves is derived from this triple; in-memory
-caches (decision caches, mediation caches, compiled checkers) are rebuilt
+caches (decision caches, compiled checkers) are rebuilt
 cold so no pre-crash cache entry can be served as fresh.
 """
 

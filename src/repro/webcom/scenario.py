@@ -87,8 +87,7 @@ def fan_graph(width: int) -> CondensedGraph:
 def run_observed_scenario(depth: int = 4, n_clients: int = 2,
                           faults: bool = False, seed: int = 7,
                           drop: float = 0.3, fan: int | None = None,
-                          batch: bool = False,
-                          stack_ttl: float | None = None) -> ObservedRun:
+                          batch: bool = False) -> ObservedRun:
     """Run the observed secure pipeline and return its artefacts.
 
     :param depth: pipeline length (one master.schedule span per stage).
@@ -101,9 +100,6 @@ def run_observed_scenario(depth: int = 4, n_clients: int = 2,
     :param fan: run a width-``fan`` :func:`fan_graph` instead of the linear
         pipeline (``depth`` is ignored).
     :param batch: schedule wavefronts through the master's batched path.
-    :param stack_ttl: enable each client stack's mediation cache with this
-        TTL in simulated seconds (repeat requests surface as
-        ``stack.cache.hit`` in the metrics); None leaves stacks uncached.
     """
     obs = Observability()
     SIGNATURE_CACHE.bind_metrics(obs.metrics)
@@ -122,8 +118,7 @@ def run_observed_scenario(depth: int = 4, n_clients: int = 2,
         client = WebComClient(
             client_id, network, SCENARIO_OPS, key_name=key,
             user=f"user{i}",
-            authoriser=env.stack_authoriser(client_id, user=f"user{i}",
-                                            cache_ttl=stack_ttl),
+            authoriser=env.stack_authoriser(client_id, user=f"user{i}"),
             audit=env.audit, obs=obs)
         env.client_trusts_master(client_id, "Kmaster")
         client.register_with("master")

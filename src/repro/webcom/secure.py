@@ -163,7 +163,6 @@ class SecureWebComEnvironment:
         return authorise
 
     def client_stack(self, client_id: str,
-                     cache_ttl: "float | None" = None,
                      breaker_threshold: int = 3,
                      breaker_cooldown: float = 30.0,
                      layer_faults=None) -> AuthorisationStack:
@@ -174,8 +173,6 @@ class SecureWebComEnvironment:
         predicates) onto the returned stack before wiring it into
         :meth:`stack_authoriser`.
 
-        :param cache_ttl: enable the stack's mediation cache with this TTL
-            (simulated seconds); None leaves every mediation uncached.
         :param breaker_threshold: consecutive failures that trip a layer's
             circuit breaker.
         :param breaker_cooldown: simulated seconds a breaker stays open.
@@ -184,7 +181,7 @@ class SecureWebComEnvironment:
             schedules can time out the client's mediation layers.
         """
         stack = AuthorisationStack(audit=self.audit, clock=self.clock,
-                                   obs=self.obs, cache_ttl=cache_ttl,
+                                   obs=self.obs,
                                    breaker_threshold=breaker_threshold,
                                    breaker_cooldown=breaker_cooldown,
                                    layer_faults=layer_faults)
@@ -193,8 +190,7 @@ class SecureWebComEnvironment:
 
     def stack_authoriser(self, client_id: str,
                          stack: AuthorisationStack | None = None,
-                         user: str | None = None,
-                         cache_ttl: "float | None" = None):
+                         user: str | None = None):
         """A client authoriser that mediates through a full L0-L3 stack.
 
         This is the Figure-10 composition of the Figure-3 handshake: the
@@ -205,7 +201,7 @@ class SecureWebComEnvironment:
         """
 
         mediation_stack = stack if stack is not None else self.client_stack(
-            client_id, cache_ttl=cache_ttl)
+            client_id)
 
         def authorise(master_key: str, op: str, _context: Mapping):
             if not master_key:

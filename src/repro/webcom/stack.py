@@ -20,7 +20,6 @@ object access, middleware invocation, TM query, application predicate).
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
@@ -189,25 +188,18 @@ class AuthorisationStack:
     stack diagram: higher layers can veto before lower layers are consulted,
     and the decision trace records the order.
 
-    With ``cache_ttl`` set, identical requests (``MediationRequest`` is
-    deeply immutable and hashable) are served from a mediation cache for
-    that many simulated seconds.  Entries are dropped when the TTL lapses,
-    when a layer is (re)plugged, when the *decision they depend on*
-    changes, or explicitly via :meth:`invalidate_cache`; layers with
-    non-idempotent checks opt out via :meth:`mark_uncacheable`.  Entry
-    invalidation is scoped per decision, not per assertion set: each entry
-    whose trace consulted trust management carries the TM decision key and
-    value it observed (:meth:`~repro.keynote.api.KeyNoteSession.
-    decision_fingerprint`), and a hit revalidates only that one decision
-    against the checker's dependency-indexed cache — so a revocation
-    invalidates exactly the mediation entries whose TM decision it
-    evicted, and unrelated warm entries survive churn.  An entry that
-    could not capture its TM decision at store time — e.g. a revocation
-    landed mid-mediation and the checker's epoch guard refused the
-    decision — is never cached, so a stale-fresh decision cannot be
-    resurrected.  Traffic shows up as
-    ``stack.cache.hit`` / ``stack.cache.miss`` metrics and a ``cached``
-    span attribute; churn-driven drops as ``stack.cache.invalidated``.
+    The stack stores no decisions: every configured layer is asked about
+    every request.  The one decision cache is the trust-management
+    checker's exact, dependency-indexed one, and L2 reads it directly —
+    when :meth:`~repro.keynote.api.KeyNoteSession.decision_fingerprint`
+    holds a value for the request, that value is the L2 verdict and the
+    fixpoint (with its ``keynote.query`` audit record and span) is skipped.
+    A revocation evicts exactly the decisions that depended on it, so a
+    hit can never replay a revoked ALLOW, and a change in any other layer
+    is seen on the next request.  Traffic shows up as ``stack.cache.hit``
+    (L2 answered from the checker cache) / ``stack.cache.miss`` (a
+    fixpoint ran) metrics, :meth:`cache_info` and a ``cached`` span and
+    audit attribute.
 
     Health (degraded-mode mediation): a layer whose check raises or times
     out never aborts mediation with a raw traceback — it is recorded as an
@@ -219,8 +211,9 @@ class AuthorisationStack:
     called at all, and after ``breaker_cooldown`` simulated seconds one
     half-open probe decides recovery.  Fail-static layers serve the
     last-known-good decision for the identical request, marked
-    ``stale=True`` — and no degraded decision is ever stored in the fresh
-    mediation cache.  ``layer_faults`` accepts a
+    ``stale=True``; that store is written only while some layer is
+    fail-static, so a stack without one keeps no per-request state.
+    ``layer_faults`` accepts a
     :class:`~repro.webcom.faults.LayerFaultInjector` so chaos schedules can
     time out layers deterministically.
     """
@@ -229,7 +222,6 @@ class AuthorisationStack:
                  require_some_layer: bool = True,
                  clock: SimulatedClock | None = None,
                  obs: "Observability | None" = None,
-                 cache_ttl: float | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  layer_faults: "LayerFaultInjector | None" = None) -> None:
@@ -241,28 +233,18 @@ class AuthorisationStack:
         self._middleware: Middleware | None = None
         self._tm: KeyNoteSession | None = None
         self._app: AppPredicate | None = None
-        #: mediation cache: None disables; otherwise decisions are served
-        #: for identical requests for ``cache_ttl`` simulated seconds
-        self.cache_ttl = cache_ttl
-        #: request -> (expires, decision-scoped fingerprint, decision)
-        self._cache: dict[MediationRequest,
-                          tuple[float, object, StackDecision]] = {}
-        #: serialises mediation-cache / last-known-good mutation against
-        #: concurrent serve handlers (and threaded harnesses); without it a
-        #: mediation racing a revocation could re-cache a stale decision
-        self._cache_lock = threading.RLock()
-        self._uncacheable: set[Layer] = set()
+        #: L2 verdicts served from the checker's decision cache
         self.cache_hits = 0
+        #: L2 verdicts that ran the fixpoint
         self.cache_misses = 0
-        #: entries dropped because their TM decision changed underneath them
-        self.cache_invalidated = 0
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.layer_faults = layer_faults
         self._breakers: dict[Layer, CircuitBreaker] = {}
         self._degraded_modes: dict[Layer, DegradedMode] = {}
-        #: request -> the last fully mediated (non-degraded) decision;
-        #: the store fail-static layers serve from during an outage
+        #: request -> the last fully mediated (non-degraded) decision; the
+        #: store fail-static layers serve from during an outage, written
+        #: only while some layer's degraded mode is fail-static
         self._last_good: dict[MediationRequest, StackDecision] = {}
         self.stale_served = 0
 
@@ -275,26 +257,22 @@ class AuthorisationStack:
     def plug_os(self, os_security: OperatingSystemSecurity) -> "AuthorisationStack":
         """Configure L0."""
         self._os = os_security
-        self.invalidate_cache()
         return self
 
     def plug_middleware(self, middleware: Middleware) -> "AuthorisationStack":
         """Configure L1."""
         self._middleware = middleware
-        self.invalidate_cache()
         return self
 
     def plug_trust_management(self, session: KeyNoteSession,
                               ) -> "AuthorisationStack":
         """Configure L2."""
         self._tm = session
-        self.invalidate_cache()
         return self
 
     def plug_application(self, predicate: AppPredicate) -> "AuthorisationStack":
         """Configure L3."""
         self._app = predicate
-        self.invalidate_cache()
         return self
 
     # -- health ---------------------------------------------------------------
@@ -337,122 +315,13 @@ class AuthorisationStack:
             "last_good_entries": len(self._last_good),
         }
 
-    # -- mediation cache ------------------------------------------------------
-
-    def mark_uncacheable(self, layer: Layer) -> "AuthorisationStack":
-        """Opt a layer out of mediation caching.
-
-        Decisions whose trace consulted this layer are never cached — use
-        for layers whose checks are not idempotent (rate limiters, one-time
-        tokens, predicates with side effects).  A denial short-circuited
-        *above* the layer never consulted it, so it may still be cached:
-        replaying it reproduces the same short-circuit.
-        """
-        self._uncacheable.add(layer)
-        self.invalidate_cache()
-        return self
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached mediation decision."""
-        with self._cache_lock:
-            self._cache.clear()
-
     def cache_info(self) -> dict[str, int]:
-        """Mediation-cache statistics."""
-        with self._cache_lock:
-            return {"entries": len(self._cache), "hits": self.cache_hits,
-                    "misses": self.cache_misses,
-                    "invalidated": self.cache_invalidated}
-
-    def _entry_fingerprint(self, request: MediationRequest,
-                           decision: StackDecision) -> object:
-        """The decision-scoped fingerprint of one cache entry.
-
-        A decision whose trace consulted trust management is pinned to the
-        (TM decision key, value) it observed; one that never consulted TM
-        (denied above L2, or no TM plugged) gets a static sentinel — no
-        assertion churn can change what it never read.  Returns None when
-        the checker holds no cached value for the key: the decision cannot
-        be fingerprinted right now, so the caller must not cache (store)
-        or must drop (lookup).  That absence is exactly the mid-mediation
-        revocation signature — the checker's epoch guard refused the
-        in-flight decision — so a stale-fresh entry can never be stored.
-        """
-        tm_decision = decision.layer(Layer.TRUST_MANAGEMENT)
-        if self._tm is None or tm_decision is None:
-            return ("tm-not-consulted",)
-        attributes = dict(request.attributes)
-        attributes.setdefault("op", request.operation)
-        key, value = self._tm.decision_fingerprint(attributes,
-                                                   [request.user_key])
-        if value is None or tm_decision.detail != f"compliance={value}":
-            # No cached checker value for this key, or the checker's
-            # current value differs from what this decision's trace
-            # actually observed (a concurrent mutation recomputed it
-            # mid-flight) — either way the decision cannot be vouched for.
-            return None
-        return ("tm-decision", key, value)
-
-    def _revalidate(self, request: MediationRequest,
-                    entry: tuple[float, object, StackDecision]) -> bool:
-        """True while the one TM decision an entry depends on is unchanged;
-        otherwise drop the entry (caller holds the cache lock)."""
-        _expires, fingerprint, decision = entry
-        if fingerprint == self._entry_fingerprint(request, decision):
-            return True
-        # The decision changed (or was evicted and not recomputed).
-        self._cache.pop(request, None)
-        self.cache_invalidated += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("stack.cache.invalidated").inc()
-        return False
-
-    def _cache_lookup(self, request: MediationRequest,
-                      stale_ok: float | None = None) -> StackDecision | None:
-        """A revalidated cache entry, or None to mediate for real.
-
-        With ``stale_ok`` (the brownout path) an entry up to that many
-        seconds past its freshness bound is still served, marked
-        ``stale=True``: only *age* is forgiven, never a changed decision,
-        because every entry is revalidated against its TM decision
-        fingerprint first.
-        """
-        now = self._now()
-        with self._cache_lock:
-            entry = self._cache.get(request)
-            if entry is None:
-                return None
-            expires, _fingerprint, decision = entry
-            if now > expires + (stale_ok or 0.0):
-                self._cache.pop(request, None)
-                return None
-            if not self._revalidate(request, entry):
-                return None
-        if now <= expires:
-            return decision
-        self.stale_served += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("stack.cache.stale_served").inc()
-        return replace(decision, stale=True)
-
-    def _cache_store(self, request: MediationRequest,
-                     decision: StackDecision) -> None:
-        """Store a fresh decision under its decision-scoped fingerprint,
-        captured *after* mediation ran — when the TM decision it depends
-        on is absent from the checker cache (a concurrent mutation's epoch
-        guard refused it), the decision is not cached at all."""
-        if decision.is_degraded():
-            # A degraded decision is never cached as fresh: the next
-            # request must re-probe the layers (or be re-marked stale).
-            return
-        if any(d.layer in self._uncacheable for d in decision.decisions):
-            return
-        with self._cache_lock:
-            fingerprint = self._entry_fingerprint(request, decision)
-            if fingerprint is None:
-                return
-            self._cache[request] = (self._now() + self.cache_ttl,
-                                    fingerprint, decision)
+        """L2 decision-cache traffic in the shape ``status()`` reports:
+        ``hits`` counts trust-management verdicts served from the checker's
+        cache and ``misses`` fixpoint runs.  The stack stores no decisions
+        of its own, so ``entries`` and ``invalidated`` are always 0."""
+        return {"entries": 0, "hits": self.cache_hits,
+                "misses": self.cache_misses, "invalidated": 0}
 
     def configured_layers(self) -> tuple[Layer, ...]:
         """Which layers are present, lowest first."""
@@ -469,9 +338,11 @@ class AuthorisationStack:
 
     # -- mediation -----------------------------------------------------------------
 
-    def _layer_checks(self, request: MediationRequest):
+    def _layer_checks(self, request: MediationRequest, hit: list[bool]):
         """Yield ``(layer, thunk)`` pairs top-down (L3 → L0) for the
-        configured layers; each thunk returns ``(allowed, detail)``."""
+        configured layers; each thunk returns ``(allowed, detail)``.  The
+        L2 thunk appends to ``hit`` when it answers from the checker's
+        decision cache."""
         if self._app is not None:
             app = self._app
             yield Layer.APPLICATION, lambda: (bool(app(request)),
@@ -482,8 +353,19 @@ class AuthorisationStack:
             def check_tm() -> tuple[bool, str]:
                 attributes = dict(request.attributes)
                 attributes.setdefault("op", request.operation)
-                result = tm.query(attributes, [request.user_key])
-                return bool(result), f"compliance={result.compliance_value}"
+                authorizers = (request.user_key,)
+                _key, value = tm.decision_fingerprint(attributes, authorizers)
+                if value is None:
+                    self.cache_misses += 1
+                    value = tm.query(attributes, authorizers).compliance_value
+                else:
+                    self.cache_hits += 1
+                    hit.append(True)
+                if self.obs is not None:
+                    self.obs.metrics.counter(
+                        "stack.cache.hit" if hit else "stack.cache.miss").inc()
+                return (tm.values.at_least(value, tm.values.maximum),
+                        f"compliance={value}")
 
             yield Layer.TRUST_MANAGEMENT, check_tm
         if self._middleware is not None:
@@ -508,8 +390,7 @@ class AuthorisationStack:
             yield Layer.OS, check_os
 
     def mediate(self, request: MediationRequest,
-                correlation_id: str | None = None,
-                stale_ok: float | None = None) -> StackDecision:
+                correlation_id: str | None = None) -> StackDecision:
         """Run the request down the stack.
 
         When observability is configured, the whole mediation is one
@@ -518,37 +399,21 @@ class AuthorisationStack:
         remote scheduling decision that triggered this check (it defaults
         to whatever trace context is already open).
 
-        ``stale_ok`` is the brownout path: a cached decision up to that
-        many clock seconds past its freshness bound is served marked
-        ``stale=True`` instead of re-mediating — the fail-static
-        discipline applied to overload instead of backend outage.  A stale
-        hit is audited, traced and counted like any other hit, and is
-        never re-cached or stored as last-known-good.
-
         :raises AuthorisationError: if no layer is configured and
             ``require_some_layer`` is set (an empty stack silently allowing
             everything is almost certainly a misconfiguration).
         """
         if self.require_some_layer and not self.configured_layers():
             raise AuthorisationError("no mediation layer is configured")
-        cached = None
-        if self.cache_ttl is not None:
-            cached = self._cache_lookup(request, stale_ok)
-            if self.obs is not None:
-                hit_or_miss = "hit" if cached is not None else "miss"
-                self.obs.metrics.counter(f"stack.cache.{hit_or_miss}").inc()
-            if cached is not None:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
+        hit: list[bool] = []
         tracer = self.obs.tracer if self.obs is not None else None
         if tracer is not None:
             with tracer.span("stack.mediate", correlation_id=correlation_id,
-                             user=request.user, op=request.operation,
-                             cached=cached is not None) as span:
-                decision = cached if cached is not None \
-                    else self._run_layers(request, tracer)
+                             user=request.user,
+                             op=request.operation) as span:
+                decision = self._run_layers(request, tracer, hit)
                 span.status = "allow" if decision.allowed else "deny"
+                span.set(cached=bool(hit))
                 denied_by = decision.deciding_layer()
                 if denied_by is not None:
                     span.set(denied_by=denied_by.name)
@@ -557,21 +422,13 @@ class AuthorisationStack:
                 if decision.degraded:
                     span.set(degraded=",".join(layer.name for layer
                                                in decision.degraded))
-        elif cached is not None:
-            decision = cached
         else:
-            decision = self._run_layers(request, None)
-        if cached is None and not decision.is_degraded():
+            decision = self._run_layers(request, None, hit)
+        if (not decision.is_degraded() and DegradedMode.FAIL_STATIC
+                in self._degraded_modes.values()):
             # Only a fully, freshly mediated decision may seed the
-            # last-known-good store fail-static layers serve from.
-            with self._cache_lock:
-                self._last_good[request] = decision
-        if cached is None and self.cache_ttl is not None:
-            # The decision-scoped fingerprint is captured *after* mediation:
-            # if a revocation landed mid-mediation, the checker's epoch
-            # guard refused the in-flight TM decision, the fingerprint
-            # comes back None, and this decision is simply never cached.
-            self._cache_store(request, decision)
+            # last-known-good store, and only a fail-static layer reads it.
+            self._last_good[request] = decision
         if self.obs is not None:
             outcome = "allow" if decision.allowed else "deny"
             self.obs.metrics.counter(f"stack.mediate.{outcome}").inc()
@@ -583,15 +440,16 @@ class AuthorisationStack:
                 operation=request.operation,
                 layers=[d.layer.name for d in decision.decisions],
                 denied_by=denied.name if denied is not None else None,
-                cached=cached is not None, stale=decision.stale,
+                cached=bool(hit), stale=decision.stale,
                 degraded=[layer.name for layer in decision.degraded])
         return decision
 
-    def _run_layers(self, request: MediationRequest, tracer) -> StackDecision:
+    def _run_layers(self, request: MediationRequest, tracer,
+                    hit: list[bool]) -> StackDecision:
         decisions: list[LayerDecision] = []
         degraded: list[Layer] = []
         allowed = True
-        for layer, check in self._layer_checks(request):
+        for layer, check in self._layer_checks(request, hit):
             if not allowed:
                 break
             breaker = self.breaker(layer)
@@ -658,8 +516,7 @@ class AuthorisationStack:
             self.obs.metrics.counter(
                 f"health.degraded.{layer.name}.{mode.value}").inc()
         if mode is DegradedMode.FAIL_STATIC:
-            with self._cache_lock:
-                last_good = self._last_good.get(request)
+            last_good = self._last_good.get(request)
             if last_good is not None:
                 self.stale_served += 1
                 if self.obs is not None:

@@ -89,25 +89,26 @@ class TestRevocationRacesDecisionCaches:
         session = KeyNoteSession(keystore=keystore, clock=clock)
         session.add_policy(POLICY_TEXT)
         cred = session.add_credential(_delegation(keystore))
-        stack = AuthorisationStack(clock=clock, cache_ttl=1000.0)
+        stack = AuthorisationStack(clock=clock)
         stack.plug_trust_management(session)
         request = MediationRequest(user="alice", user_key="Kalice",
                                    object_type="DB", operation="read",
                                    attributes={"app_domain": "DB"})
         assert stack.mediate(request).allowed
-        assert stack.mediate(request).allowed      # served from cache
+        assert stack.mediate(request).allowed      # L2 from the TM cache
         assert stack.cache_hits == 1
         session.revoke_credential(cred)
-        # The cached ALLOW relied on the revoked credential: the session
-        # fingerprint changed, so the hit is rejected and re-mediated.
+        # The cached ALLOW relied on the revoked credential: the revocation
+        # evicted it, so L2 runs the fixpoint again and denies.
         assert not stack.mediate(request).allowed
+        assert stack.cache_hits == 1
 
     def test_expiry_sweep_invalidates_stack_mediation_cache(self, keystore):
         clock = SimulatedClock()
         session = KeyNoteSession(keystore=keystore, clock=clock)
         session.add_policy(POLICY_TEXT)
         session.add_credential(_delegation(keystore), expires_at=50.0)
-        stack = AuthorisationStack(clock=clock, cache_ttl=1000.0)
+        stack = AuthorisationStack(clock=clock)
         stack.plug_trust_management(session)
         request = MediationRequest(user="alice", user_key="Kalice",
                                    object_type="DB", operation="read",

@@ -154,24 +154,26 @@ class TestBrownoutController:
         _push_pressure(brownout, clock, shed_ratio=0.7, seconds=0.6)
         assert brownout.level == 1
         assert brownout.shed_broadcast()
-        assert not brownout.serve_stale()
+        assert not brownout.shed_bulk()
 
     def test_steps_through_all_tiers_and_back_down(self):
         clock = SimulatedClock()
         brownout = _hot_brownout(clock)
         _push_pressure(brownout, clock, shed_ratio=1.0, seconds=2.0)
-        assert brownout.level == 3
-        assert brownout.shed_bulk() and brownout.serve_stale()
-        assert brownout.max_level == 3
+        assert brownout.level == 2
+        assert brownout.shed_bulk() and brownout.shed_broadcast()
+        assert brownout.max_level == 2
+        assert [t.name for t in DEFAULT_TIERS] == ["shed_broadcast",
+                                                   "shed_bulk"]
         # Pressure collapses: the window drains, tiers step down one per
         # cool period (never a cliff).
-        for expected in (2, 1, 0):
+        for expected in (1, 0):
             clock.advance(1.2)
             brownout.poll()
             clock.advance(1.2)
             brownout.poll()
             assert brownout.level == expected
-        assert brownout.max_level == 3
+        assert brownout.max_level == 2
 
     def test_hysteresis_holds_between_exit_and_enter(self):
         clock = SimulatedClock()

@@ -29,7 +29,7 @@ TRUST_ROOT = ('Authorizer: POLICY\nLicensees: "KWebCom"\n'
 
 
 def _build_plane():
-    plane = ServePolicyPlane(cache_ttl=30.0)
+    plane = ServePolicyPlane()
     plane.keystore.create("KWebCom")
     for index in range(CLIENTS):
         plane.keystore.create(f"Kuser{index:02d}")

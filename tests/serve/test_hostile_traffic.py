@@ -83,7 +83,7 @@ async def _storm(client, grant, stop, tally):
 
 
 async def _run(scenario, root):
-    plane = ServePolicyPlane(root=root, cache_ttl=300.0)  # on a WallClock
+    plane = ServePolicyPlane(root=root)  # on a WallClock
     for name in ["KWebCom", "Kstorm", *KEYS]:
         plane.keystore.create(name)
     plane.session.add_policy(TRUST_ROOT)
@@ -91,7 +91,7 @@ async def _run(scenario, root):
         clock=plane.clock, max_inflight=4, peer_rate=10.0, peer_burst=5.0,
         obs=plane.obs,
         brownout=BrownoutController(clock=plane.clock, window=0.5,
-                                    sustain=0.1, cool=0.5, stale_ttl=60.0,
+                                    sustain=0.1, cool=0.5,
                                     obs=plane.obs))
     server = await ReproServer(plane, admission=admission).start()
     rng = random.Random(scenario)

@@ -1,0 +1,65 @@
+"""The serve policy plane in process: one decision store under the stack.
+
+The plane answers every request from the live layers; the only decision
+cache is the trust-management checker's exact, dependency-indexed one.
+These tests pin what that buys: no layer's change can hide behind a
+cached stack verdict, the daemon's stack keeps no per-request state, and
+``status()`` still reports the L2 cache traffic in its four-key shape.
+"""
+
+from repro.rbac.model import Assignment, Grant
+from repro.serve.plane import ServePolicyPlane
+from repro.util.clock import SimulatedClock
+
+JOB_SUBMIT = {"user": "alice", "user_key": "Kalice", "object_type": "Job",
+              "operation": "submit"}
+
+
+def _licensed_plane(**kwargs):
+    plane = ServePolicyPlane(clock=SimulatedClock(), **kwargs)
+    plane.keystore.create("Kalice")
+    plane.session.add_policy(
+        'Authorizer: POLICY\nLicensees: "Kalice"\nConditions: true;')
+    return plane
+
+
+class TestEveryLayerIsAskedEveryTime:
+    def test_removed_rbac_role_denies_the_next_mediation(self):
+        plane = _licensed_plane(plug_middleware=True)
+        orb = plane.middleware
+        orb.apply_grant(Grant(orb.domain, "r", "Job", "submit"))
+        orb.apply_assignment(Assignment("alice", orb.domain, "r"))
+        assert plane.mediate(JOB_SUBMIT)["allowed"]
+        assert orb.remove_assignment(Assignment("alice", orb.domain, "r"))
+        # L1 changed underneath a warm L2 decision: the next mediation
+        # must ask the ORB again, not replay the earlier ALLOW.
+        after = plane.mediate(JOB_SUBMIT)
+        assert not after["allowed"]
+        assert not after["stale"]
+        assert after["denied_by"] == "MIDDLEWARE"
+        # L2 itself was served from the trust-management cache.
+        assert plane.status()["cache"]["hits"] == 1
+
+
+class TestNoPerRequestState:
+    def test_distinct_mediations_leave_no_last_good_entries(self):
+        plane = _licensed_plane()
+        for n in range(50):
+            plane.mediate({**JOB_SUBMIT, "attributes": {"n": str(n)}})
+        assert len(plane.stack._last_good) == 0
+        assert plane.stack.health_snapshot()["last_good_entries"] == 0
+        tm_cache = plane.status()["tm_cache"]
+        assert tm_cache is not None and tm_cache["entries"] >= 1
+
+
+class TestStatusCacheShape:
+    def test_cache_keeps_its_four_keys(self):
+        plane = _licensed_plane()
+        assert set(plane.status()["cache"]) == {"entries", "hits", "misses",
+                                                "invalidated"}
+        plane.mediate(JOB_SUBMIT)
+        plane.mediate(JOB_SUBMIT)
+        # hits: L2 answers served from the trust-management cache;
+        # misses: fixpoint runs.  The stack itself stores no entries.
+        assert plane.status()["cache"] == {"entries": 0, "hits": 1,
+                                           "misses": 1, "invalidated": 0}

@@ -131,7 +131,7 @@ class TestStackStaleFreshConfusion:
         grant = session.add_credential(Credential.build(
             "Kroot", '"Kuser"', 'app_domain=="WebCom"',
         ).sign(keystore.pair("Kroot").private))
-        stack = AuthorisationStack(cache_ttl=60.0)
+        stack = AuthorisationStack()
         stack.plug_trust_management(session)
         return session, grant, stack
 
@@ -145,8 +145,8 @@ class TestStackStaleFreshConfusion:
         # OS layer revokes it mid-flight.  The ALLOW it produced reflects
         # pre-revocation state.
         assert stack.mediate(request).allowed
-        # The stale ALLOW must not satisfy the next mediation from cache:
-        # its stored fingerprint predates the revocation.
+        # The stale ALLOW must not satisfy the next mediation from the TM
+        # cache: the revocation evicted the decision it rested on.
         second = stack.mediate(request)
         assert not second.allowed
         assert stack.cache_hits == 0
@@ -172,7 +172,7 @@ class TestStackStaleFreshConfusion:
         grant = session.add_credential(Credential.build(
             "Kroot", '"Kuser"', 'app_domain=="WebCom"',
         ).sign(keystore.pair("Kroot").private))
-        stack = AuthorisationStack(cache_ttl=60.0)
+        stack = AuthorisationStack()
         stack.plug_trust_management(session)
         alice = MediationRequest(
             user="alice", user_key="Kuser", object_type="graph",
@@ -194,11 +194,11 @@ class TestStackStaleFreshConfusion:
         stack.plug_os(_AliceTriggeredOS())
         assert stack.mediate(bob).allowed      # warm the independent entry
         assert stack.mediate(alice).allowed    # revoked mid-flight
-        # The stale ALLOW was never stored: the checker's dependency index
-        # evicted Alice's decision, so the store-time fingerprint refused it.
+        # The stale ALLOW is gone: the checker's dependency index evicted
+        # Alice's decision, so L2 runs the fixpoint again.
         assert not stack.mediate(alice).allowed
-        # Bob's entry was NOT collateral damage of Alice's revocation — it
-        # serves a hit.
+        # Bob's decision was NOT collateral damage of Alice's revocation —
+        # it serves a hit.
         hits = stack.cache_hits
         assert stack.mediate(bob).allowed
         assert stack.cache_hits == hits + 1

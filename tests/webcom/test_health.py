@@ -237,15 +237,14 @@ class TestDegradedMediation:
                 raise LayerTimeoutError("down")
             return True
 
-        stack, _clock = _stack(flaky, cache_ttl=100.0, breaker_threshold=10)
+        stack, _clock = _stack(flaky, breaker_threshold=10)
         stack.set_degraded_mode(Layer.APPLICATION, DegradedMode.FAIL_STATIC)
-        stack.mediate(_request())                 # fresh -> cached
-        stack.invalidate_cache()
+        stack.mediate(_request())                 # fresh -> last-known-good
         stale = stack.mediate(_request())         # degraded, stale
         assert stale.stale
         assert stack.cache_info()["entries"] == 0
         follow_up = stack.mediate(_request())     # layer healthy again
-        assert not follow_up.stale                # re-probed, not cached-stale
+        assert not follow_up.stale                # re-probed, not replayed
 
     def test_stale_serve_emits_health_metrics(self):
         obs = Observability()
