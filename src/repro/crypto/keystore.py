@@ -9,7 +9,8 @@ It plays the role of the "System PKI" box in Figure 3.
 :class:`SignatureVerificationCache` memoises the (deterministic) outcome of
 Schnorr signature verification by ``(key, message digest, signature)``: a
 credential's bytes are verified once per process, not once per
-compliance-checker build.  The shared :data:`SIGNATURE_CACHE` instance is
+compliance-checker build, and at most :data:`SIGNATURE_CACHE_SIZE` outcomes
+are kept.  The shared :data:`SIGNATURE_CACHE` instance is
 what :meth:`Credential.verify <repro.keynote.credential.Credential.verify>`
 consults; bind a metrics registry to surface ``crypto.sigverify.hit`` /
 ``crypto.sigverify.miss`` counters.
@@ -27,6 +28,12 @@ from repro.errors import UnknownKeyError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
+#: outcomes a cache keeps before evicting the oldest — every proxy renewal
+#: and KeyCom install presents a new signature, so a long-lived daemon
+#: would otherwise keep one entry per credential it ever saw (the same
+#: bound as the public-key decode memo)
+SIGNATURE_CACHE_SIZE = 4096
+
 
 class SignatureVerificationCache:
     """Memoises signature-verification outcomes.
@@ -34,7 +41,9 @@ class SignatureVerificationCache:
     Verification is a pure function of (public key, message, signature), so
     its result can be cached process-wide.  The message is keyed by SHA-256
     digest to bound memory; both valid and invalid outcomes are cached (an
-    invalid signature stays invalid).
+    invalid signature stays invalid).  Past :data:`SIGNATURE_CACHE_SIZE`
+    entries the oldest is evicted (first in, first out); an evicted
+    signature simply verifies again, as a miss.
 
     The shared process-wide instance is consulted by every concurrent serve
     handler (and by test harnesses running checkers from worker threads), so
@@ -81,6 +90,8 @@ class SignatureVerificationCache:
         result = public.verify(message, signature)
         with self._lock:
             self._cache[key] = result
+            if len(self._cache) > SIGNATURE_CACHE_SIZE:
+                del self._cache[next(iter(self._cache))]
         return result
 
     def clear(self) -> None:

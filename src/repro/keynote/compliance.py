@@ -39,7 +39,11 @@ Hot-path machinery (the authorisation fast path):
 - a *decision cache* memoises full query outcomes by (relevant attribute
   projection, canonical authorizer set, value set).  Values computed under a
   live cycle-break assumption are never cached (unless maximal, which
-  monotonicity makes safe) — mirroring the in-query memo's taint rule;
+  monotonicity makes safe) — mirroring the in-query memo's taint rule.  An
+  entry is kept small, since a daemon holds one per distinct request: the
+  projection is only the attribute values, in the order of the referenced
+  names (which a full flush guards, see below), and the value carries the
+  entry's own dependency sets as tuples;
 - *incremental invalidation*: every cached decision records the set of
   canonical principals whose delegation sub-graphs the fixpoint actually
   descended and the set of assertions whose conditions it evaluated.
@@ -312,7 +316,10 @@ class ComplianceChecker:
         self._buckets: dict[str, _Bucket] = {}
         self._discarded: list[Credential] = []
         self._canon_cache: dict[str, str] = {}
-        self._decision_cache: dict[tuple, str] = {}
+        #: decision key -> (compliance value, canonical principals whose
+        #: sub-graphs the fixpoint descended, ids of prepared assertions
+        #: whose conditions it evaluated)
+        self._decision_cache: dict[tuple, tuple[str, tuple, tuple]] = {}
         #: serialises assertion-set mutation against decision-cache traffic;
         #: concurrent serve handlers (or threaded harnesses) may interleave
         #: query with add/revoke, and a torn generation bump could otherwise
@@ -321,11 +328,8 @@ class ComplianceChecker:
         self._generation = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: dependency index: decision key -> (canonical principals whose
-        #: sub-graphs the fixpoint descended, ids of prepared assertions
-        #: whose conditions it evaluated), plus the two inverted indexes
-        #: mutations consult to find their dependents
-        self._decision_deps: dict[tuple, tuple[frozenset, frozenset]] = {}
+        #: the inverted dependency indexes mutations consult to find the
+        #: decisions that depend on them
         self._principal_index: dict[str, set[tuple]] = {}
         self._assertion_index: dict[int, set[tuple]] = {}
         self.selective_evictions = 0
@@ -335,8 +339,10 @@ class ComplianceChecker:
         #: programs whose ``$`` dereference makes the read set dynamic
         self._attribute_refs: dict[str, int] = {}
         self._dynamic_programs = 0
-        #: the decision-cache key shape: the referenced attributes, or None
-        #: while some program is dynamic (full-attribute keys)
+        #: the decision-cache key shape: the referenced attributes, whose
+        #: values (in this order) key a decision, or None while some program
+        #: is dynamic (keys hold every (name, value) pair).  Any change to
+        #: it flushes the cache, so keys built for two shapes never meet.
         self._referenced_key: "tuple[str, ...] | None" = ()
         #: id -> admitted entry whose signature check is still deferred,
         #: oldest first
@@ -388,7 +394,12 @@ class ComplianceChecker:
                 break
             self._settle(prepared)
             done += 1
-        return len(self._pending)
+        with self._mutation_lock:
+            if not self._pending:
+                # Let go of the order: its list holds every entry it
+                # listed, revoked ones included, until it is exhausted.
+                self._backfill_order = None
+            return len(self._pending)
 
     def _next_pending(self) -> "_Prepared | None":
         with self._mutation_lock:
@@ -626,7 +637,6 @@ class ComplianceChecker:
 
     def _flush_decisions(self) -> None:
         self._decision_cache.clear()
-        self._decision_deps.clear()
         self._principal_index.clear()
         self._assertion_index.clear()
 
@@ -658,9 +668,8 @@ class ComplianceChecker:
         return len(victims)
 
     def _drop_entry(self, key: tuple) -> None:
-        self._decision_cache.pop(key, None)
-        principals, assertion_ids = self._decision_deps.pop(
-            key, ((), ()))
+        _value, principals, assertion_ids = self._decision_cache.pop(
+            key, (None, (), ()))
         for principal in principals:
             bucket = self._principal_index.get(principal)
             if bucket is not None:
@@ -704,9 +713,11 @@ class ComplianceChecker:
         as cache traffic — the authorisation stack serves its L2 verdict
         from this value when present and counts the hit itself."""
         with self._mutation_lock:
-            requesters = frozenset(self._canonical(a) for a in authorizers)
-            key = (self._attr_key(attributes), requesters, values.values)
-            return key, self._decision_cache.get(key)
+            key = (self._attr_key(attributes),
+                   self._requesters(authorizers, self._canonical),
+                   values.values)
+            entry = self._decision_cache.get(key)
+            return key, entry[0] if entry is not None else None
 
     def _canonical(self, principal: str) -> str:
         """Canonical principal id, memoised per checker: symbolic names
@@ -768,7 +779,8 @@ class ComplianceChecker:
         results: list[str] = []
         cond_memos: dict[tuple, dict[int, str]] = {}
         for attributes, authorizers in requests:
-            memo_key = (self._attr_key(attributes), values.values)
+            memo_key = (self._referenced_key, self._attr_key(attributes),
+                        values.values)
             cond_memo = cond_memos.setdefault(memo_key, {})
             results.append(self._query(attributes, authorizers, values,
                                        cond_memo))
@@ -780,27 +792,38 @@ class ComplianceChecker:
         Only attributes some assertion reads are part of the cache key;
         unreferenced attributes (a ``_cur_time`` no credential tests, say)
         cannot change the outcome, so they must not fragment the cache.
-        With a ``$`` dereference anywhere the read set is dynamic and the
-        full attribute set is keyed.
+        The key holds their values alone, in :attr:`_referenced_key` order:
+        the names are the same for every key until the shape changes, and
+        a shape change flushes the cache.  With a ``$`` dereference
+        anywhere the read set is dynamic and the full attribute set is
+        keyed as (name, value) pairs.
         """
-        if self._referenced_key is None:
+        referenced = self._referenced_key
+        if referenced is None:
             return tuple(sorted(attributes.items()))
-        return tuple((name, attributes.get(name, ""))
-                     for name in self._referenced_key)
+        return tuple([attributes.get(name, "") for name in referenced])
+
+    @staticmethod
+    def _requesters(authorizers: Iterable[str],
+                    canonical: "Callable[[str], str]") -> tuple[str, ...]:
+        """The canonical authorizer set as a sorted tuple: the decision-key
+        form, smaller than a frozenset and just as order-free."""
+        return tuple(sorted({canonical(a) for a in authorizers}))
 
     def _query(self, attributes: Mapping[str, str],
                authorizers: Iterable[str],
                values: ComplianceValueSet,
                cond_memo: "dict[int, str] | None") -> str:
-        requesters = frozenset(self._canonical(a) for a in authorizers)
+        requesters = self._requesters(authorizers, self._canonical)
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
         with self._mutation_lock:
             cache_key = (self._attr_key(attributes), requesters,
                          values.values)
-            cached = self._decision_cache.get(cache_key)
+            entry = self._decision_cache.get(cache_key)
             cached_generation = self._generation
-        if cached is not None:
+        if entry is not None:
+            cached = entry[0]
             self.cache_hits += 1
             profile = ComplianceStats(queries=1)
             self.last_query_stats = profile
@@ -833,8 +856,7 @@ class ComplianceChecker:
                     # seed the *fresh* cache.  (This also guarantees the
                     # dependency sets below refer to live prepared
                     # assertions.)
-                    self._decision_cache[cache_key] = result
-                    self._remember_deps(cache_key, deps)
+                    self._remember(cache_key, result, deps)
         return result
 
     def _query_overlay(self, attributes: Mapping[str, str],
@@ -860,7 +882,7 @@ class ComplianceChecker:
                 local[principal] = resolved
             return resolved
 
-        requesters = frozenset(canonical(a) for a in authorizers)
+        requesters = self._requesters(authorizers, canonical)
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
         overlay: dict[str, list[_Prepared]] = {}
@@ -883,18 +905,18 @@ class ComplianceChecker:
         if self.metrics is not None:
             self._record_metrics(profile)
 
-    def _remember_deps(self, key: tuple,
-                       deps: "tuple[set, set]") -> None:
+    def _remember(self, key: tuple, result: str,
+                  deps: "tuple[set, set]") -> None:
         principals, assertion_ids = deps
-        self._decision_deps[key] = (frozenset(principals),
-                                    frozenset(assertion_ids))
+        self._decision_cache[key] = (result, tuple(principals),
+                                     tuple(assertion_ids))
         for principal in principals:
             self._principal_index.setdefault(principal, set()).add(key)
         for assertion_id in assertion_ids:
             self._assertion_index.setdefault(assertion_id, set()).add(key)
 
     def _evaluate(self, attributes: Mapping[str, str],
-                  requesters: frozenset, values: ComplianceValueSet,
+                  requesters: tuple[str, ...], values: ComplianceValueSet,
                   profile: ComplianceStats,
                   cond_memo: "dict[int, str] | None",
                   deps: "tuple[set, set]",

@@ -48,6 +48,11 @@ from repro.webcom.stack import (
 #: would otherwise grow its trace buffer without bound
 SPAN_BUFFER_LIMIT = 5000
 
+#: audit records kept in memory — every mediation writes one, no wire call
+#: reads them back, and listeners (the metrics mirror) see each record as
+#: it is written, so a long-lived daemon keeps only the newest window
+AUDIT_WINDOW = 1024
+
 
 def decision_to_dict(decision: StackDecision) -> dict[str, Any]:
     """Serialise a stack decision for the wire."""
@@ -90,7 +95,7 @@ class ServePolicyPlane:
         self.clock: Clock = clock or WallClock()
         self.keystore = keystore or Keystore()
         self.obs = Observability(clock=self.clock)
-        self.audit = AuditLog()
+        self.audit = AuditLog(capacity=AUDIT_WINDOW)
         self.middleware = CorbaOrb(machine, orb_name)
         self.node: DurablePolicyNode | None = None
         if root is not None:
@@ -343,6 +348,8 @@ class ServePolicyPlane:
             "oracle_disagreements": self.oracle_disagreements,
             "cache": self.stack.cache_info(),
             "tm_cache": self.session.checker_cache_info(),
+            "audit": {"retained": len(self.audit),
+                      "recorded": self.audit.recorded},
             "health": self.stack.health_snapshot(),
             "keycom": {"applied_ids": len(self.keycom.applied_ids),
                        "duplicates": self.keycom.duplicates},

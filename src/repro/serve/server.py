@@ -34,6 +34,7 @@ Four properties an always-on plane needs beyond the request/response core:
 from __future__ import annotations
 
 import asyncio
+import gc
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -577,8 +578,17 @@ class ReproServer:
         just the same, at moments the loop could not choose.  It waits on
         the drain's idle event while requests are in flight and yields
         between slices, so a new request waits behind one slice at most.
+
+        Once the checker is built the heap is frozen: the recovered trust
+        store and the compiled checker live as long as the daemon, and a
+        full collection would otherwise re-walk all of them.  Frozen
+        objects are still freed by reference counting (a revoked entry
+        leaves with its last reference); only cyclic garbage among them
+        would stay.  There is deliberately no collection first: it would
+        delay the first decision.
         """
         checker = self.plane.session.checker  # parse, compile and index
+        gc.freeze()
         while True:
             if self._inflight:
                 await self._idle.wait()

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.crypto import KeyPair, Keystore
+from repro.crypto.keys import PublicKey, Signature
+from repro.crypto.keystore import (
+    SIGNATURE_CACHE_SIZE,
+    SignatureVerificationCache,
+)
 from repro.errors import UnknownKeyError
 
 
@@ -73,3 +78,35 @@ class TestKeystore:
         ks = Keystore()
         pair = ks.create("Kname", seed="other-seed")
         assert pair == KeyPair.generate("other-seed")
+
+
+class TestSignatureCacheBound:
+    def test_fifo_bound_and_an_evicted_signature_reverifies(self,
+                                                           monkeypatch):
+        cache = SignatureVerificationCache()
+        pair = KeyPair.generate("Kbounded")
+        first = b"the first message"
+        signature = pair.private.sign(first)
+        assert cache.verify(pair.public, first, signature)
+        extra = 25
+        # The bound is bookkeeping: stand in a cheap verifier for the
+        # 4096 + N distinct fillers, each a miss.
+        with monkeypatch.context() as patch:
+            patch.setattr(PublicKey, "verify",
+                          lambda self, message, sig: False)
+            for n in range(SIGNATURE_CACHE_SIZE + extra):
+                assert not cache.verify(pair.public, f"filler {n}".encode(),
+                                        Signature(n + 1, n + 1))
+        assert len(cache) == SIGNATURE_CACHE_SIZE
+        assert cache.misses == 1 + SIGNATURE_CACHE_SIZE + extra
+        # The first entry went first; checking it again runs the real
+        # verification and counts a miss, not a hit.
+        hits, misses = cache.hits, cache.misses
+        assert cache.verify(pair.public, first, signature)
+        assert (cache.hits, cache.misses) == (hits, misses + 1)
+        assert len(cache) == SIGNATURE_CACHE_SIZE
+        # The newest fillers survived the eviction and still hit.
+        last = SIGNATURE_CACHE_SIZE + extra - 1
+        assert not cache.verify(pair.public, f"filler {last}".encode(),
+                                Signature(last + 1, last + 1))
+        assert cache.hits == hits + 1

@@ -170,6 +170,15 @@ class TestQueryMany:
         assert results == ["true"] * 5
         assert checker.cache_misses == 1 and checker.cache_hits == 4
 
+    def test_authorizer_order_and_repeats_share_one_entry(self, keystore):
+        checker = ComplianceChecker(chain(keystore), keystore=keystore)
+        results = checker.query_many([({"x": "1"}, ["Kb", "Kc"]),
+                                      ({"x": "1"}, ["Kc", "Kb"]),
+                                      ({"x": "1"}, ["Kc", "Kb", "Kc"])])
+        assert results == ["true"] * 3
+        assert checker.cache_misses == 1 and checker.cache_hits == 2
+        assert checker.cache_info()["entries"] == 1
+
 
 class TestSignatureCache:
     def signed_chain(self, keystore, depth=3):

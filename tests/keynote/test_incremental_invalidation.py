@@ -9,6 +9,7 @@ sets do not intersect a delta must *survive* it (entries retained, served
 as hits), while dependent decisions are evicted.
 """
 
+import itertools
 import random
 
 import pytest
@@ -187,6 +188,67 @@ class TestSelectiveEviction:
         assert checker.full_flushes == 1
         assert checker.cache_info()["entries"] == 0
 
+
+
+def _grant(authorizer, licensee, conditions):
+    return Credential.build(authorizer, f'"{licensee}"', conditions)
+
+
+#: the policy grants Kalice on c=="1"; Kq and Kz are reachable from no
+#: policy, so their assertions only move the referenced-attribute shape
+_ALICE_ON_C = _grant("POLICY", "Kalice", 'c=="1"')
+_ALICE_ON_B = _grant("POLICY", "Kalice", 'b=="1"')
+_ALICE_ON_A = _grant("POLICY", "Kalice", 'a=="1"')
+_UNREACHED_B = _grant("Kq", "Kbob", 'b=="1"')
+_UNREACHED_D = _grant("Kz", "Kw", 'd=="1"')
+
+#: (initial assertions, mutations): each mutation is ("add" | "revoke",
+#: assertion), and every one changes the key shape
+_SHAPE_CHURN = {
+    # a sorts before b: b's value moves from position 0 to 1
+    "add-a-reader-before-b": ([_ALICE_ON_B], [("add", _ALICE_ON_A)]),
+    # the only reader of a leaves: b's value moves from position 1 to 0
+    "revoke-the-only-a-reader": ([_ALICE_ON_B, _ALICE_ON_A],
+                                 [("revoke", _ALICE_ON_A)]),
+    # (b, c) -> (b, c, d) -> (c, d): the first and last shapes have the
+    # same length, and no warm decision read the churned assertions, so
+    # only the full flush keeps a (b, c) key from answering a (c, d) one
+    "same-length-shift": ([_ALICE_ON_C, _UNREACHED_B],
+                          [("add", _UNREACHED_D),
+                           ("revoke", _UNREACHED_B)]),
+}
+
+
+class TestValuesOnlyKeys:
+    """A decision key holds attribute values without their names, in the
+    order of the referenced-attribute shape.  Every shape change flushes
+    the cache, so no key built for one shape answers a request under
+    another: after each mutation the warm checker equals a cold one."""
+
+    PROBES = [dict(zip("abcd", bits))
+              for bits in itertools.product("01", repeat=4)]
+
+    @pytest.mark.parametrize("case", sorted(_SHAPE_CHURN))
+    def test_shape_churn_never_aliases_a_key(self, case):
+        initial, mutations = _SHAPE_CHURN[case]
+        checker = ComplianceChecker(assertions=list(initial),
+                                    verify_signatures=False)
+        for attributes in self.PROBES:  # warm every decision
+            checker.query(attributes, ["Kalice"])
+        for action, assertion in mutations:
+            shape = checker._referenced_key
+            flushes = checker.full_flushes
+            if action == "add":
+                assert checker.add_assertion(assertion)
+            else:
+                assert checker.revoke_assertion(assertion)
+            assert checker._referenced_key != shape
+            assert checker.full_flushes == flushes + 1
+            cold = ComplianceChecker(assertions=list(checker.assertions),
+                                     verify_signatures=False)
+            for attributes in self.PROBES:
+                assert checker.query(attributes, ["Kalice"]) == \
+                    cold.query(attributes, ["Kalice"]), (case, attributes)
 
 
 class TestRevokeEvictionOrdering:

@@ -10,7 +10,9 @@ shutdown in the middle of it drains cleanly.
 """
 
 import asyncio
+import gc
 import logging
+import weakref
 
 from repro.crypto.keys import KeyPair
 from repro.keynote.credential import Credential
@@ -177,3 +179,39 @@ class TestProbeOverForgedCredentials:
         assert result["oracle_allowed"] is False
         assert result["agree"] is True
         assert plane.oracle_disagreements == 0
+
+
+class TestFrozenHeap:
+    """The daemon freezes the heap once its checker is built; revoked
+    entries must still be freed by reference counting.  (The suite's
+    conftest thaws the heap after every test.)"""
+
+    def test_a_revoked_entry_is_freed_while_the_heap_is_frozen(self):
+        universe = Universe("frozen", users=4)
+        # Keep only the text: the installed object must have no holder
+        # but the checker and the session.
+        text = universe.credentials.pop(1).to_text()  # user 0 -> proxy 0
+
+        async def scenario():
+            plane = ServePolicyPlane()
+            universe.install(plane)
+            plane.add_credential({"text": text})
+            server = await ReproServer(plane).start()
+            try:
+                await backfilled(plane)
+                assert gc.get_freeze_count() > 0
+                request = universe.request(0)
+                assert plane.mediate(request)["allowed"]
+                installed = Credential.from_text(text)
+                entry = weakref.ref(
+                    plane.session.checker._assertions[installed].credential)
+                assert entry() is not installed
+                plane.revoke_credential({"text": text})
+                del installed
+                gc.collect()  # frozen objects are not scanned
+                assert entry() is None
+                assert not plane.mediate(request)["allowed"]
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())

@@ -8,7 +8,7 @@ cached stack verdict, the daemon's stack keeps no per-request state, and
 """
 
 from repro.rbac.model import Assignment, Grant
-from repro.serve.plane import ServePolicyPlane
+from repro.serve.plane import AUDIT_WINDOW, ServePolicyPlane
 from repro.util.clock import SimulatedClock
 
 JOB_SUBMIT = {"user": "alice", "user_key": "Kalice", "object_type": "Job",
@@ -63,3 +63,27 @@ class TestStatusCacheShape:
         # misses: fixpoint runs.  The stack itself stores no entries.
         assert plane.status()["cache"] == {"entries": 0, "hits": 1,
                                            "misses": 1, "invalidated": 0}
+
+
+class TestAuditWindow:
+    def test_the_daemon_keeps_a_bounded_audit_window(self):
+        plane = _licensed_plane()
+        seen = []
+        plane.audit.subscribe(seen.append)
+        base = plane.audit.recorded
+        batch = AUDIT_WINDOW + 100
+        for n in range(batch):
+            plane.mediate({**JOB_SUBMIT, "user": f"alice{n}"})
+        audit = plane.status()["audit"]
+        assert audit["retained"] == AUDIT_WINDOW
+        # Every record was written and counted, not only the window.
+        assert audit["recorded"] == base + len(seen)
+        assert sum(r.category == "stack.mediate" for r in seen) == batch
+        newest = plane.audit.last()
+        assert newest.category == "stack.mediate"
+        assert newest.subject == f"alice{batch - 1}"
+        for n in range(batch):
+            plane.mediate({**JOB_SUBMIT, "user": f"bob{n}"})
+        assert len(plane.audit) == AUDIT_WINDOW
+        assert plane.status()["audit"]["recorded"] == base + len(seen)
+        assert sum(r.category == "stack.mediate" for r in seen) == 2 * batch

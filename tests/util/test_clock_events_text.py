@@ -1,5 +1,8 @@
 """Tests for the simulated clock, audit log and text helpers."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.util.clock import SimulatedClock
@@ -81,6 +84,78 @@ class TestAuditLog:
         log = AuditLog()
         rec = log.record(0.0, "a", "x", "allow", layer="L2", op="read")
         assert rec.detail["layer"] == "L2"
+
+    def test_records_are_immutable(self):
+        rec = AuditLog().record(0.0, "a", "x", "allow", layer="L2")
+        with pytest.raises(AttributeError):
+            rec.outcome = "deny"
+        assert rec.detail == {"layer": "L2"}
+
+    def test_unbounded_by_default(self):
+        log = AuditLog()
+        for n in range(3000):
+            log.record(float(n), "a", "x", "allow")
+        assert len(log) == log.recorded == 3000
+
+    def test_capacity_keeps_the_newest_window(self):
+        log = AuditLog(capacity=4)
+        seen = []
+        log.subscribe(seen.append)
+        for n in range(10):
+            log.record(float(n), "a", f"s{n}", "allow")
+        # Every record is written and seen; only the window is bounded.
+        assert len(seen) == log.recorded == 10
+        assert len(log) == 4
+        assert [r.subject for r in log] == ["s6", "s7", "s8", "s9"]
+        assert log.last().subject == "s9"
+        assert [r.subject for r in log.find(category="a")] == \
+            ["s6", "s7", "s8", "s9"]
+        assert [d["subject"] for d in log.to_dicts()] == \
+            ["s6", "s7", "s8", "s9"]
+
+    def test_clear_keeps_the_recorded_total(self):
+        log = AuditLog(capacity=2)
+        for n in range(3):
+            log.record(float(n), "a", "x", "allow")
+        log.clear()
+        assert len(log) == 0
+        assert log.recorded == 3
+
+    def test_concurrent_writers_and_readers(self):
+        log = AuditLog(capacity=64)
+        writes = 3000
+        errors = []
+
+        def writer():
+            for n in range(writes):
+                log.record(float(n), "a", "x", "allow")
+
+        def reader():
+            try:
+                for _ in range(300):
+                    list(log)
+                    log.find(category="a")
+                    log.last(category="b")
+                    log.to_dicts()
+            except RuntimeError as exc:  # deque mutated during iteration
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        # No lost update: every write counted, and the window is full.
+        assert log.recorded == 4 * writes
+        assert len(log) == 64
 
 
 class TestQuoting:
