@@ -27,40 +27,31 @@ Quickstart::
         "Kbob", "Finance", "Manager", "SalariesDB", "read")
 """
 
-from repro.core.framework import HeterogeneousSecurityFramework
-from repro.core.scenarios import build_figure9_network, salaries_policy
-from repro.crypto import KeyPair, Keystore
-from repro.keynote import Credential, KeyNoteSession
-from repro.rbac import RBACPolicy
-from repro.webcom import (
-    AuthorisationStack,
-    CondensedGraph,
-    GraphEngine,
-    SecureWebComEnvironment,
-    SimulatedNetwork,
-    WebComClient,
-    WebComIDE,
-    WebComMaster,
-)
+from repro._lazy import lazy_facade
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AuthorisationStack",
-    "CondensedGraph",
-    "Credential",
-    "GraphEngine",
-    "HeterogeneousSecurityFramework",
-    "KeyNoteSession",
-    "KeyPair",
-    "Keystore",
-    "RBACPolicy",
-    "SecureWebComEnvironment",
-    "SimulatedNetwork",
-    "WebComClient",
-    "WebComIDE",
-    "WebComMaster",
-    "build_figure9_network",
-    "salaries_policy",
-    "__version__",
-]
+#: public name -> the submodule defining it; each loads on first read, so
+#: ``import repro.serve`` does not pay for the framework facade
+_EXPORTS = {
+    "AuthorisationStack": "webcom.stack",
+    "CondensedGraph": "webcom.graph",
+    "Credential": "keynote.credential",
+    "GraphEngine": "webcom.engine",
+    "HeterogeneousSecurityFramework": "core.framework",
+    "KeyNoteSession": "keynote.api",
+    "KeyPair": "crypto.keys",
+    "Keystore": "crypto.keystore",
+    "RBACPolicy": "rbac.policy",
+    "SecureWebComEnvironment": "webcom.secure",
+    "SimulatedNetwork": "webcom.network",
+    "WebComClient": "webcom.node",
+    "WebComIDE": "webcom.ide",
+    "WebComMaster": "webcom.node",
+    "build_figure9_network": "core.scenarios",
+    "salaries_policy": "core.scenarios",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

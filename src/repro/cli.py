@@ -26,6 +26,10 @@ Subcommands mirror the paper's Section-4 services over policy files:
 Performance is measured outside the package, end to end against the
 ``serve`` daemon, by ``python3 bench/run.py``.
 
+Each subcommand imports what it runs: ``serve`` starts a daemon whose
+restart time is availability, so it must not load the scenarios,
+translators and reports the other subcommands use.
+
 Usage examples::
 
     python -m repro.cli tables --policy salaries.json
@@ -42,19 +46,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.scenarios import salaries_policy
-from repro.crypto.keystore import Keystore
-from repro.keynote.api import KeyNoteSession
-from repro.keynote.parser import parse_credentials
-from repro.obs.export import export_json, metrics_to_dict, render_trace
-from repro.rbac.serialize import policy_from_json, policy_to_json
-from repro.report import metrics_report, observability_report
-from repro.translate.from_keynote import comprehend_credentials
-from repro.translate.to_keynote import encode_full
-from repro.webcom.scenario import run_observed_scenario
-
 
 def _load_policy(path: str):
+    from repro.rbac.serialize import policy_from_json
+
     if path == "-":
         return policy_from_json(sys.stdin.read())
     return policy_from_json(Path(path).read_text())
@@ -70,6 +65,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from repro.crypto.keystore import Keystore
+    from repro.translate.to_keynote import encode_full
+
     policy = _load_policy(args.policy)
     keystore = Keystore()
     policy_cred, memberships = encode_full(policy, args.admin, keystore)
@@ -80,6 +78,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_comprehend(args: argparse.Namespace) -> int:
+    from repro.keynote.parser import parse_credentials
+    from repro.rbac.serialize import policy_to_json
+    from repro.translate.from_keynote import comprehend_credentials
+
     text = (sys.stdin.read() if args.credentials == "-"
             else Path(args.credentials).read_text())
     credentials = parse_credentials(text)
@@ -91,6 +93,9 @@ def _cmd_comprehend(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.keynote.api import KeyNoteSession
+    from repro.keynote.parser import parse_credentials
+
     text = (sys.stdin.read() if args.credentials == "-"
             else Path(args.credentials).read_text())
     session = KeyNoteSession(keystore=None, verify_signatures=False)
@@ -121,6 +126,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core.scenarios import salaries_policy
+    from repro.crypto.keystore import Keystore
+    from repro.rbac.serialize import policy_to_json
+    from repro.translate.from_keynote import comprehend_credentials
+    from repro.translate.to_keynote import encode_full
+
     policy = salaries_policy()
     if args.emit_policy:
         print(policy_to_json(policy))
@@ -272,6 +283,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.export import export_json, render_trace
+    from repro.webcom.scenario import run_observed_scenario
+
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
                                 faults=args.faults, seed=args.seed)
     if args.json:
@@ -282,6 +296,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.obs.export import metrics_to_dict
+    from repro.report import metrics_report, observability_report
+    from repro.webcom.scenario import run_observed_scenario
+
     run = run_observed_scenario(depth=args.depth, n_clients=args.clients,
                                 faults=args.faults, seed=args.seed)
     if args.json:

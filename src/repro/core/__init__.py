@@ -19,22 +19,19 @@ services of Section 4:
 Figure-1 Salaries Database and the Figure-9 four-system network).
 """
 
-from repro.core.decentralisation import DelegationService
-from repro.core.framework import HeterogeneousSecurityFramework
-from repro.core.naming import GlobalNameService
-from repro.core.scenarios import (
-    Figure9Network,
-    build_figure9_network,
-    salaries_policy,
-)
-from repro.core.spki_backend import SPKIDelegationService
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "DelegationService",
-    "Figure9Network",
-    "GlobalNameService",
-    "HeterogeneousSecurityFramework",
-    "SPKIDelegationService",
-    "build_figure9_network",
-    "salaries_policy",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "DelegationService": "decentralisation",
+    "Figure9Network": "scenarios",
+    "GlobalNameService": "naming",
+    "HeterogeneousSecurityFramework": "framework",
+    "SPKIDelegationService": "spki_backend",
+    "build_figure9_network": "scenarios",
+    "salaries_policy": "scenarios",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

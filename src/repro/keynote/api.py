@@ -90,13 +90,18 @@ class KeyNoteSession:
         #: signed credentials by value -> how many times each was added and
         #: not revoked (a credential added twice needs two revokes)
         self._credentials: dict[Credential, int] = {}
+        #: the sum of those counts, kept at every change so
+        #: :meth:`state_fingerprint` does not recount
+        self._credential_count = 0
         self._checker: ComplianceChecker | None = None
         #: credential -> structured expiry instant (simulated seconds)
         self._expires_at: dict[Credential, float] = {}
 
-    def _journal(self, kind: str, **payload) -> None:
+    def _journal(self, kind: str, credential: Credential, **payload) -> None:
+        # The text is rendered only when there is a store to write it to:
+        # recovery replays every assertion with the store detached.
         if self.store is not None:
-            self.store.append(kind, **payload)
+            self.store.append(kind, text=credential.to_text(), **payload)
 
     # -- assertion management ------------------------------------------------
 
@@ -109,7 +114,7 @@ class KeyNoteSession:
         if not credential.is_policy:
             raise CredentialError(
                 "add_policy requires an 'Authorizer: POLICY' assertion")
-        self._journal("keynote.policy", text=credential.to_text())
+        self._journal("keynote.policy", credential)
         self._policies.append(credential)
         self._absorb(credential)
         return credential
@@ -139,13 +144,14 @@ class KeyNoteSession:
                     and math.isfinite(expires_at)):
                 raise CredentialError(
                     f"expires_at must be a finite number, got {expires_at!r}")
-        self._journal("keynote.credential", text=credential.to_text(),
+        self._journal("keynote.credential", credential,
                       expires_at=(float(expires_at)
                                   if expires_at is not None else None))
         if expires_at is not None:
             self._expires_at[credential] = float(expires_at)
         self._credentials[credential] = self._credentials.get(credential,
                                                               0) + 1
+        self._credential_count += 1
         self._absorb(credential)
         return credential
 
@@ -161,11 +167,12 @@ class KeyNoteSession:
         count = self._credentials.get(credential)
         if count is None:
             return False
-        self._journal("keynote.revoke", text=credential.to_text())
+        self._journal("keynote.revoke", credential)
         if count > 1:
             self._credentials[credential] = count - 1
         else:
             del self._credentials[credential]
+        self._credential_count -= 1
         self._expires_at.pop(credential, None)
         if self._checker is not None:
             self._checker.revoke_assertion(credential)
@@ -237,6 +244,7 @@ class KeyNoteSession:
     def clear_credentials(self) -> None:
         """Drop signed credentials (policies stay)."""
         self._credentials.clear()
+        self._credential_count = 0
         self._expires_at.clear()
         self._checker = None
 
@@ -246,7 +254,7 @@ class KeyNoteSession:
         Decision caches should key on :meth:`decision_fingerprint`
         instead, which changes only when one decision does.
         """
-        return (len(self._policies), sum(self._credentials.values()),
+        return (len(self._policies), self._credential_count,
                 self._checker.generation if self._checker is not None else -1)
 
     def decision_fingerprint(self, attributes: Mapping[str, str],

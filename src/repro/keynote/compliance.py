@@ -24,7 +24,11 @@ Hot-path machinery (the authorisation fast path):
 
 - construction precompiles every assertion's Conditions program
   (:func:`~repro.keynote.eval.compile_conditions`) and canonicalises its
-  authorizer once — per-query work is only the fixpoint itself;
+  authorizer once — per-query work is only the fixpoint itself.  Admitted
+  assertions without Local-Constants share one program per distinct
+  Conditions text, held in a table counted by its holders: a trust store
+  of proxy credentials cut from one template compiles it once, and an
+  entry leaves with its last holder;
 - *deferred signature checks*: in non-strict mode construction resolves
   each signed credential's key but does not verify it.  The fixpoint checks
   an assertion (through the process-wide signature cache) the first time
@@ -184,6 +188,16 @@ class _Prepared:
 _admission_order = attrgetter("seq")
 
 
+class _SharedProgram:
+    """One compiled program and how many admitted entries hold it."""
+
+    __slots__ = ("compiled", "holders")
+
+    def __init__(self, compiled: CompiledConditions) -> None:
+        self.compiled = compiled
+        self.holders = 1
+
+
 class _Bucket:
     """One principal's admitted assertions, indexed by equality guard:
     ``unguarded`` entries, plus ``guarded[attribute][literal]`` for the
@@ -316,6 +330,9 @@ class ComplianceChecker:
         self._buckets: dict[str, _Bucket] = {}
         self._discarded: list[Credential] = []
         self._canon_cache: dict[str, str] = {}
+        #: Conditions text -> the program its admitted holders share
+        #: (assertions without Local-Constants only)
+        self._programs: dict[str, _SharedProgram] = {}
         #: decision key -> (compliance value, canonical principals whose
         #: sub-graphs the fixpoint descended, ids of prepared assertions
         #: whose conditions it evaluated)
@@ -531,8 +548,45 @@ class ComplianceChecker:
                         f"invalid signature on credential by "
                         f"{assertion.authorizer!r}")
                 return None
-        return _Prepared(assertion, compile_conditions(assertion.conditions),
-                         signer)
+        return _Prepared(assertion, self._program(assertion), signer)
+
+    def _program(self, assertion: Credential) -> CompiledConditions:
+        """The compiled Conditions of ``assertion``: the shared program
+        when an admitted assertion holds an equal one under the same text,
+        a fresh compile otherwise.  Only admission makes a program shared
+        (:meth:`_hold_program`), so a request-scoped assertion may read the
+        table but leaves nothing in it.  Local-Constants change the
+        program, so an assertion with them never shares; neither does one
+        whose normalised text matches a program that is not equal to its
+        own (whitespace inside a string literal)."""
+        held = (None if assertion.local_constants
+                else self._programs.get(assertion.conditions_text))
+        if held is not None and held.compiled.program == assertion.conditions:
+            return held.compiled
+        return compile_conditions(assertion.conditions)
+
+    def _hold_program(self, prepared: _Prepared) -> None:
+        """Count a newly admitted entry as a holder of its program, which
+        becomes the shared one for its text if none is held yet."""
+        credential = prepared.credential
+        if credential.local_constants:
+            return
+        text = credential.conditions_text
+        held = self._programs.get(text)
+        if held is None:
+            self._programs[text] = _SharedProgram(prepared.compiled)
+        elif held.compiled is prepared.compiled:
+            held.holders += 1
+
+    def _release_program(self, prepared: _Prepared) -> None:
+        """Drop an entry's hold on its shared program, and the program
+        with its last holder."""
+        text = prepared.credential.conditions_text
+        held = self._programs.get(text)
+        if held is not None and held.compiled is prepared.compiled:
+            held.holders -= 1
+            if not held.holders:
+                del self._programs[text]
 
     def _admit(self, assertion: Credential, lazy: bool = False) -> _Prepared:
         """Count one more copy of ``assertion``, indexing it on first sight;
@@ -562,17 +616,19 @@ class ComplianceChecker:
         if prepared.verified is None:
             self._pending[id(prepared)] = prepared
         self._count_attributes(prepared, 1)
+        self._hold_program(prepared)
         return prepared
 
     def _unindex(self, prepared: _Prepared) -> None:
-        """Take an admitted entry out of its bucket, the pending set and
-        the referenced-attribute projection."""
+        """Take an admitted entry out of its bucket, the pending set, the
+        referenced-attribute projection and the shared-program table."""
         bucket = self._buckets[prepared.key]
         bucket.remove(prepared)
         if not bucket:
             del self._buckets[prepared.key]
         self._pending.pop(id(prepared), None)
         self._count_attributes(prepared, -1)
+        self._release_program(prepared)
 
     def _settle(self, prepared: _Prepared) -> bool:
         """The signature verdict of an admitted entry, running its deferred
@@ -693,7 +749,8 @@ class ComplianceChecker:
         """Decision-cache statistics: size, generation, hit/miss counts and
         the eviction counters, plus signature-check progress: ``unverified``
         admitted assertions whose check is still deferred, and the number
-        ``discarded`` as bad so far."""
+        ``discarded`` as bad so far; ``programs`` is the number of shared
+        compiled programs held."""
         with self._mutation_lock:
             return {"entries": len(self._decision_cache),
                     "generation": self._generation,
@@ -702,7 +759,8 @@ class ComplianceChecker:
                     "selective_evictions": self.selective_evictions,
                     "full_flushes": self.full_flushes,
                     "unverified": len(self._pending),
-                    "discarded": len(self._discarded)}
+                    "discarded": len(self._discarded),
+                    "programs": len(self._programs)}
 
     def cached_decision(self, attributes: Mapping[str, str],
                         authorizers: Iterable[str],

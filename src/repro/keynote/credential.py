@@ -50,26 +50,47 @@ class Credential:
     @classmethod
     def build(cls, authorizer: str, licensees: str, conditions: str,
               comment: str = "",
-              local_constants: dict[str, str] | None = None) -> "Credential":
-        """Build an (unsigned) credential from field bodies.
+              local_constants: dict[str, str] | None = None,
+              signature: str = "",
+              programs: "dict[str, ConditionsProgram] | None" = None,
+              ) -> "Credential":
+        """Build a credential from field bodies (unsigned unless a
+        ``signature`` is given).
 
+        :param programs: a table of parsed Conditions programs by field
+            body, read and filled here, so a caller building many
+            credentials cut from a few templates (recovery, say) parses
+            each distinct program once.  A credential with Local-Constants
+            never uses it: its program depends on the constants as well.
         :raises KeyNoteSyntaxError: if licensees or conditions are malformed.
         """
         constants = dict(local_constants or {})
+        parsed_licensees = parse_licensees(licensees, constants)
+        table = programs if not constants else None
+        program = table.get(conditions) if table is not None else None
+        if program is None:
+            program = parse_conditions(conditions, constants)
+            if table is not None:
+                table[conditions] = program
         return cls(
             authorizer=authorizer,
-            licensees=parse_licensees(licensees, constants),
-            conditions=parse_conditions(conditions, constants),
+            licensees=parsed_licensees,
+            conditions=program,
             conditions_text=" ".join(conditions.split()),
             licensees_text=" ".join(licensees.split()),
             comment=comment,
             local_constants=constants,
+            signature=signature,
         )
 
     @classmethod
-    def from_text(cls, text: str) -> "Credential":
+    def from_text(cls, text: str,
+                  programs: "dict[str, ConditionsProgram] | None" = None,
+                  ) -> "Credential":
         """Parse the textual credential form.
 
+        :param programs: the Conditions table :meth:`build` reads and
+            fills.
         :raises KeyNoteSyntaxError: on malformed input.
         """
         fields = split_fields(text)
@@ -92,17 +113,16 @@ class Credential:
             conditions_text = conditions_text[:-1]
         if not conditions_text.strip():
             conditions_text = "true"
-        credential = cls.build(
+        signature = fields.get("signature", "").strip().strip('"')
+        return cls.build(
             authorizer=authorizer,
             licensees=fields["licensees"],
             conditions=conditions_text,
             comment=fields.get("comment", ""),
             local_constants=constants,
+            signature=signature if signature != "..." else "",
+            programs=programs,
         )
-        signature = fields.get("signature", "").strip().strip('"')
-        if signature and signature != "...":
-            credential = replace(credential, signature=signature)
-        return credential
 
     def __hash__(self) -> int:
         # Equal credentials have equal texts, so hashing the strings (which

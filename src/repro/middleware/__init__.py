@@ -13,18 +13,19 @@ extended RBAC model of Section 2.  Each simulator here provides:
   and the KeyCOM service to push credentials down into the native store.
 """
 
-from repro.middleware.base import Invocation, Middleware, MiddlewareComponent
-from repro.middleware.complus import ComPlusCatalogue
-from repro.middleware.corba import CorbaOrb
-from repro.middleware.ejb import EJBServer
-from repro.middleware.registry import MiddlewareRegistry
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "ComPlusCatalogue",
-    "CorbaOrb",
-    "EJBServer",
-    "Invocation",
-    "Middleware",
-    "MiddlewareComponent",
-    "MiddlewareRegistry",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "ComPlusCatalogue": "complus",
+    "CorbaOrb": "corba",
+    "EJBServer": "ejb",
+    "Invocation": "base",
+    "Middleware": "base",
+    "MiddlewareComponent": "base",
+    "MiddlewareRegistry": "registry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

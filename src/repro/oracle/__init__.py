@@ -19,14 +19,15 @@ and RFC 2704 by eye:
   the oracle, shrinking any disagreement to a minimal replayable case.
 """
 
-from repro.oracle.rbac_oracle import RBACOracle
-from repro.oracle.keynote_oracle import (
-    oracle_authorises,
-    oracle_compliance_value,
-)
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "RBACOracle",
-    "oracle_authorises",
-    "oracle_compliance_value",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "RBACOracle": "rbac_oracle",
+    "oracle_authorises": "keynote_oracle",
+    "oracle_compliance_value": "keynote_oracle",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

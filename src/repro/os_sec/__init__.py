@@ -13,14 +13,17 @@ Both implement :class:`repro.os_sec.base.OperatingSystemSecurity`, the
 interface the stacked-authorisation layer mediates through.
 """
 
-from repro.os_sec.base import AccessRequest, OperatingSystemSecurity
-from repro.os_sec.unixlike import UnixSecurity
-from repro.os_sec.windows import AccessControlEntry, WindowsSecurity
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "AccessControlEntry",
-    "AccessRequest",
-    "OperatingSystemSecurity",
-    "UnixSecurity",
-    "WindowsSecurity",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "AccessControlEntry": "windows",
+    "AccessRequest": "base",
+    "OperatingSystemSecurity": "base",
+    "UnixSecurity": "unixlike",
+    "WindowsSecurity": "windows",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

@@ -20,7 +20,7 @@ require zero disagreements.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ServeError
@@ -28,12 +28,8 @@ from repro.keynote.api import KeyNoteSession
 from repro.keynote.credential import Credential
 from repro.middleware.corba import CorbaOrb
 from repro.obs import Observability, spans_to_dicts
-from repro.oracle.keynote_oracle import oracle_compliance_value
-from repro.oracle.rbac_oracle import RBACOracle
-from repro.rbac.policy import RBACPolicy
 from repro.rbac.serialize import policy_to_dict
 from repro.store.durable import DurablePolicyNode
-from repro.translate.from_keynote import comprehend_credentials
 from repro.util.clock import Clock, WallClock
 from repro.util.events import AuditLog
 from repro.webcom.keycom import KeyComService, PolicyUpdateRequest
@@ -43,6 +39,9 @@ from repro.webcom.stack import (
     MediationRequest,
     StackDecision,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rbac.policy import RBACPolicy
 
 #: recorded spans kept before the oldest are pruned — an always-on daemon
 #: would otherwise grow its trace buffer without bound
@@ -220,7 +219,12 @@ class ServePolicyPlane:
         fixpoint for L2 and the relational RBAC evaluation for L1 (when
         plugged).  Degraded or stale production decisions are exempt from
         the comparison — they are, by construction, not fresh mediations.
+        The oracles load on the first probe: a daemon that is never probed
+        does not pay for them at start-up.
         """
+        from repro.oracle.keynote_oracle import oracle_compliance_value
+        from repro.oracle.rbac_oracle import RBACOracle
+
         request = self._request(params, pin_time=True)
         correlation_id = self.obs.tracer.new_correlation_id()
         decision = self.stack.mediate(request, correlation_id=correlation_id)
@@ -262,7 +266,10 @@ class ServePolicyPlane:
                 if assertion.verify(self.keystore)]
 
     def translate(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Comprehend KeyNote credentials into one RBAC policy (§4.2)."""
+        """Comprehend KeyNote credentials into one RBAC policy (§4.2).
+        The translator loads on the first call."""
+        from repro.translate.from_keynote import comprehend_credentials
+
         texts = params.get("credentials") or []
         if not isinstance(texts, list):
             raise ServeError("translate params need a credentials list")

@@ -9,14 +9,21 @@
   behind ``repro durability``.
 """
 
-from repro.store.durable import DurablePolicyNode, DurableStore
-from repro.store.recovery import RecoveredState, recover
-from repro.store.snapshot import LoadedSnapshot, SnapshotStore
-from repro.store.wal import ScanResult, WriteAheadLog, scan_records
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "DurablePolicyNode", "DurableStore",
-    "RecoveredState", "recover",
-    "LoadedSnapshot", "SnapshotStore",
-    "ScanResult", "WriteAheadLog", "scan_records",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "DurablePolicyNode": "durable",
+    "DurableStore": "durable",
+    "RecoveredState": "recovery",
+    "recover": "recovery",
+    "LoadedSnapshot": "snapshot",
+    "SnapshotStore": "snapshot",
+    "ScanResult": "wal",
+    "WriteAheadLog": "wal",
+    "scan_records": "wal",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

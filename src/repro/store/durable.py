@@ -40,7 +40,7 @@ Record vocabulary (the ``kind`` field of every WAL payload):
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.crypto.keystore import Keystore
 from repro.errors import RecoveryError
@@ -56,8 +56,11 @@ from repro.store.snapshot import SnapshotStore
 from repro.store.wal import CrashHook, WriteAheadLog
 from repro.translate.propagate import PropagationEngine, VersionedUpdate
 from repro.util.clock import SimulatedClock
-from repro.webcom.failover import GraphCheckpoint
 from repro.webcom.keycom import KeyComService
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.keynote.ast import ConditionsProgram
+    from repro.webcom.failover import GraphCheckpoint
 
 
 class DurableStore:
@@ -139,23 +142,33 @@ def restore_session(recovered: RecoveredState,
     clock, values...).  The compiled compliance checker and its decision
     cache are *not* restored — the first post-recovery query rebuilds them
     from the recovered assertions.
+
+    A trust store is mostly credentials cut from a few templates (every
+    proxy credential carries the same Conditions), so each distinct
+    Conditions text is parsed once, through a table that lives only as
+    long as this call.
     """
     session = KeyNoteSession(**session_kwargs)
+    programs: dict[str, ConditionsProgram] = {}
+
+    def parse(text: str) -> Credential:
+        return Credential.from_text(text, programs)
+
     state = recovered.state.get("session", {})
     for text in state.get("policies", []):
-        session.add_policy(text)
+        session.add_policy(parse(text))
     for text, expires_at in state.get("credentials", []):
-        session.add_credential(text, expires_at=expires_at)
+        session.add_credential(parse(text), expires_at=expires_at)
     for record in _tail(recovered, ("keynote.policy", "keynote.credential",
                                     "keynote.revoke")):
         kind = record["kind"]
         if kind == "keynote.policy":
-            session.add_policy(record["text"])
+            session.add_policy(parse(record["text"]))
         elif kind == "keynote.credential":
-            session.add_credential(record["text"],
+            session.add_credential(parse(record["text"]),
                                    expires_at=record.get("expires_at"))
         else:
-            session.revoke_credential(Credential.from_text(record["text"]))
+            session.revoke_credential(parse(record["text"]))
     session.store = store
     return session
 
@@ -296,8 +309,12 @@ def restore_checkpoint(recovered: RecoveredState, graph_name: str,
     """Rebuild one graph's :class:`GraphCheckpoint` from snapshot + tail.
 
     A standby master resuming a crashed master's graph reads exactly the
-    frontier the crashed master acknowledged.
+    frontier the crashed master acknowledged.  The failover module (and
+    with it the graph engine and the simulated network) loads only here,
+    so a node without graph checkpoints never imports it.
     """
+    from repro.webcom.failover import GraphCheckpoint
+
     state = recovered.state.get("checkpoints", {}).get(graph_name)
     checkpoint = (GraphCheckpoint.from_dict(state) if state is not None
                   else GraphCheckpoint(graph_name))

@@ -16,50 +16,35 @@
   deltas across every registered system.
 """
 
-from repro.translate.common import (
-    ATTR_DOMAIN,
-    ATTR_OBJECT_TYPE,
-    ATTR_PERMISSION,
-    ATTR_ROLE,
-    WEBCOM_APP_DOMAIN,
-)
-from repro.translate.consistency import ConsistencyReport, check_consistency
-from repro.translate.from_keynote import comprehend_credentials, comprehend_policy
-from repro.translate.imprecise import ImpreciseChecker, ImpreciseResult
-from repro.translate.migrate import DomainMapping, migrate_policy
-from repro.translate.propagate import PropagationEngine
-from repro.translate.similarity import (
-    best_match,
-    jaccard,
-    levenshtein,
-    name_similarity,
-    overlap,
-)
-from repro.translate.to_keynote import encode_policy, encode_user_credentials
-from repro.translate.to_spki import spki_grant_tag, spki_policy_certificates
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "ATTR_DOMAIN",
-    "ATTR_OBJECT_TYPE",
-    "ATTR_PERMISSION",
-    "ATTR_ROLE",
-    "ConsistencyReport",
-    "DomainMapping",
-    "ImpreciseChecker",
-    "ImpreciseResult",
-    "PropagationEngine",
-    "WEBCOM_APP_DOMAIN",
-    "best_match",
-    "check_consistency",
-    "comprehend_credentials",
-    "comprehend_policy",
-    "encode_policy",
-    "encode_user_credentials",
-    "jaccard",
-    "levenshtein",
-    "migrate_policy",
-    "name_similarity",
-    "overlap",
-    "spki_grant_tag",
-    "spki_policy_certificates",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "ATTR_DOMAIN": "common",
+    "ATTR_OBJECT_TYPE": "common",
+    "ATTR_PERMISSION": "common",
+    "ATTR_ROLE": "common",
+    "ConsistencyReport": "consistency",
+    "DomainMapping": "migrate",
+    "ImpreciseChecker": "imprecise",
+    "ImpreciseResult": "imprecise",
+    "PropagationEngine": "propagate",
+    "WEBCOM_APP_DOMAIN": "common",
+    "best_match": "similarity",
+    "check_consistency": "consistency",
+    "comprehend_credentials": "from_keynote",
+    "comprehend_policy": "from_keynote",
+    "encode_policy": "to_keynote",
+    "encode_user_credentials": "to_keynote",
+    "jaccard": "similarity",
+    "levenshtein": "similarity",
+    "migrate_policy": "migrate",
+    "name_similarity": "similarity",
+    "overlap": "similarity",
+    "spki_grant_tag": "to_spki",
+    "spki_policy_certificates": "to_spki",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

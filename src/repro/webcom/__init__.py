@@ -24,56 +24,40 @@ Modules:
   of ``repro trace`` / ``repro metrics``).
 """
 
-from repro.webcom.engine import EvaluationMode, GraphEngine
-from repro.webcom.failover import GraphCheckpoint, MasterGroup
-from repro.webcom.faults import (
-    CrashWindow,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-)
-from repro.webcom.graph import CondensedGraph, GraphNode
-from repro.webcom.ide import ComponentPalette, PlacementSpec, WebComIDE
-from repro.webcom.keycom import KeyComService, PolicyUpdateRequest
-from repro.webcom.network import Message, SimulatedNetwork
-from repro.webcom.node import WebComClient, WebComMaster
-from repro.webcom.scenario import ObservedRun, run_observed_scenario
-from repro.webcom.secure import SecureWebComEnvironment
-from repro.webcom.stack import (
-    AuthorisationStack,
-    FrozenAttributes,
-    Layer,
-    MediationRequest,
-)
-from repro.webcom.workflow import WorkflowGuard, WorkflowPolicy
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "AuthorisationStack",
-    "ComponentPalette",
-    "CondensedGraph",
-    "CrashWindow",
-    "EvaluationMode",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FrozenAttributes",
-    "GraphCheckpoint",
-    "GraphEngine",
-    "GraphNode",
-    "KeyComService",
-    "Layer",
-    "MasterGroup",
-    "MediationRequest",
-    "Message",
-    "ObservedRun",
-    "PlacementSpec",
-    "PolicyUpdateRequest",
-    "SecureWebComEnvironment",
-    "SimulatedNetwork",
-    "WebComClient",
-    "WebComIDE",
-    "WebComMaster",
-    "WorkflowGuard",
-    "WorkflowPolicy",
-    "run_observed_scenario",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "AuthorisationStack": "stack",
+    "ComponentPalette": "ide",
+    "CondensedGraph": "graph",
+    "CrashWindow": "faults",
+    "EvaluationMode": "engine",
+    "FaultInjector": "faults",
+    "FaultPlan": "faults",
+    "FaultRule": "faults",
+    "FrozenAttributes": "stack",
+    "GraphCheckpoint": "failover",
+    "GraphEngine": "engine",
+    "GraphNode": "graph",
+    "KeyComService": "keycom",
+    "Layer": "stack",
+    "MasterGroup": "failover",
+    "MediationRequest": "stack",
+    "Message": "network",
+    "ObservedRun": "scenario",
+    "PlacementSpec": "ide",
+    "PolicyUpdateRequest": "keycom",
+    "SecureWebComEnvironment": "secure",
+    "SimulatedNetwork": "network",
+    "WebComClient": "node",
+    "WebComIDE": "ide",
+    "WebComMaster": "node",
+    "WorkflowGuard": "workflow",
+    "WorkflowPolicy": "workflow",
+    "run_observed_scenario": "scenario",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

@@ -19,6 +19,7 @@ human administrator.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,11 @@ from repro.util.events import AuditLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.durable import DurableStore
+
+#: evaluated requests :attr:`KeyComService.processed` keeps, newest last —
+#: each holds its parsed credentials, and a long-lived daemon evaluates
+#: one per install
+PROCESSED_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,10 @@ class KeyComService:
         #: dedup below holds across restarts because replay rebuilds
         #: :attr:`applied_ids` from the same records
         self.store = store
-        self.processed: list[tuple[PolicyUpdateRequest, bool]] = []
+        #: the newest evaluated requests with their verdicts (a bounded
+        #: window; the audit log records every one)
+        self.processed: deque[tuple[PolicyUpdateRequest, bool]] = deque(
+            maxlen=PROCESSED_WINDOW)
         #: request ids already applied successfully — re-delivery of the
         #: same id is acknowledged without touching the middleware again
         self.applied_ids: set[str] = set()

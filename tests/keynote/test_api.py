@@ -6,6 +6,7 @@ from repro.crypto import Keystore
 from repro.errors import CredentialError
 from repro.keynote.api import KeyNoteSession
 from repro.keynote.credential import Credential
+from repro.util.clock import SimulatedClock
 from repro.util.events import AuditLog
 
 POLICY_TEXT = '''
@@ -109,3 +110,45 @@ class TestSession:
         s.add_policy('Authorizer: POLICY\nLicensees: "Kbob"\n'
                      'Conditions: app_domain=="db";')
         assert bool(s.query({"app_domain": "db"}, authorizers=["Kbob"]))
+
+
+class TestStateFingerprint:
+    """The fingerprint's credential count is a running total kept at every
+    change to the credential multiset; it must equal a recount."""
+
+    def test_running_count_equals_a_recount(self, keystore):
+        session = KeyNoteSession(keystore=keystore, clock=SimulatedClock())
+        session.add_policy(POLICY_TEXT)
+        read = Credential.build("Kbob", '"Kalice"',
+                                'oper=="read"').signed_by(keystore)
+        write = Credential.build("Kbob", '"Kalice"',
+                                 'oper=="write"').signed_by(keystore)
+
+        def agrees() -> None:
+            policies, count, _generation = session.state_fingerprint()
+            assert policies == len(session.policies)
+            assert count == len(session.credentials)
+
+        agrees()
+        session.add_credential(read)
+        agrees()
+        session.add_credential(read)  # a duplicate is a second copy
+        agrees()
+        session.add_credential(write, expires_at=5.0)
+        assert session.state_fingerprint()[1] == 3
+        agrees()
+        assert session.revoke_credential(read)
+        agrees()
+        assert session.revoke_credential(read)
+        assert not session.revoke_credential(read)
+        agrees()
+        session.clock.advance(10.0)
+        assert session.sweep_expired() == [write]
+        assert session.state_fingerprint()[1] == 0
+        agrees()
+        session.add_credential(read)
+        session.add_credential(write)
+        agrees()
+        session.clear_credentials()
+        assert session.state_fingerprint()[1] == 0
+        agrees()

@@ -228,19 +228,63 @@ class TestDurability:
         assert json.loads(target.read_text())["report"] == "DURABILITY_6"
 
 
-def test_cli_import_does_not_load_scipy():
-    """The serve path never solves an assignment problem, draws a
-    delegation graph or validates a condensed graph, so importing the CLI
-    and the serve plane must not pay for ``scipy``, ``numpy`` or
-    ``networkx``: ``translate.similarity``, ``report`` and
-    ``webcom.graph`` import them on first use.  Run in a fresh
-    interpreter, since this one may have loaded them already."""
+#: what ``repro serve`` must not load: the framework facade, the
+#: scenarios, the oracles, the reports and the translators it never runs
+NOT_ON_THE_SERVE_PATH = (
+    "repro.core", "repro.spki", "repro.identity", "repro.oracle",
+    "repro.report",
+    *(f"repro.webcom.{name}" for name in (
+        "engine", "graph", "network", "node", "scenario", "ide", "secure",
+        "failover")),
+    *(f"repro.translate.{name}" for name in (
+        "to_keynote", "from_keynote", "similarity", "migrate")),
+)
+
+
+def _fresh_interpreter(probe: str) -> str:
+    """Run ``probe`` in a new interpreter (this one has loaded everything
+    already) and return its stdout."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, repro.cli, repro.serve.plane; print(sorted({"
-             "m.split('.')[0] for m in sys.modules} & "
-             "{'scipy', 'numpy', 'networkx'}))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120,
                             check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    """The daemon's start-up pays only for what ``repro serve`` runs.
+
+    The serve path never solves an assignment problem, draws a delegation
+    graph or validates a condensed graph, so importing the CLI, the serve
+    plane and the server must not pay for ``scipy``, ``numpy`` or
+    ``networkx`` (``translate.similarity``, ``report`` and
+    ``webcom.graph`` import them on first use).  Nor may it load any
+    module of :data:`NOT_ON_THE_SERVE_PATH`: the package facades are lazy
+    and the CLI imports each subcommand's modules inside the subcommand."""
+    probe = ("import json, sys, repro.cli, repro.serve.plane, "
+             "repro.serve.server; print(json.dumps(sorted(sys.modules)))")
+    loaded = json.loads(_fresh_interpreter(probe))
+    assert not {m.split(".")[0] for m in loaded} & {
+        "scipy", "numpy", "networkx"}
+    assert [m for m in loaded
+            if m.startswith(NOT_ON_THE_SERVE_PATH)] == []
+    assert "repro.store.durable" in loaded
+
+
+def test_every_top_level_name_still_imports():
+    """The lazy facades keep ``from repro import <name>`` working for every
+    name in ``__all__``, every submodule resolves as an attribute, and an
+    unknown name is still an ``AttributeError``."""
+    probe = ("import repro\n"
+             "exec('from repro import ' + ', '.join(repro.__all__))\n"
+             "import repro.webcom as webcom, repro.translate as translate\n"
+             "assert webcom.stack.AuthorisationStack is "
+             "repro.AuthorisationStack\n"
+             "assert translate.similarity.levenshtein is "
+             "translate.levenshtein\n"
+             "assert set(repro.__all__) <= set(dir(repro))\n"
+             "assert not hasattr(repro, 'no_such_name')\n"
+             "assert not hasattr(webcom, 'no_such_module')\n"
+             "print('ok')")
+    assert _fresh_interpreter(probe) == "ok"

@@ -192,5 +192,5 @@ class TestUpdateRequestValidation:
         except KeyComError:
             pass
         assert server.extract_rbac() == before
-        assert service.processed == []
+        assert list(service.processed) == []
         assert service.applied_ids == set()

@@ -10,7 +10,11 @@ from repro.middleware.complus import ComPlusCatalogue
 from repro.os_sec.windows import WindowsSecurity
 from repro.translate.to_keynote import membership_conditions
 from repro.util.events import AuditLog
-from repro.webcom.keycom import KeyComService, PolicyUpdateRequest
+from repro.webcom.keycom import (
+    PROCESSED_WINDOW,
+    KeyComService,
+    PolicyUpdateRequest,
+)
 
 
 @pytest.fixture
@@ -200,7 +204,7 @@ class TestMalformedRequests:
         with pytest.raises(KeyComError, match="malformed"):
             service.submit(PolicyUpdateRequest(**kwargs))
         assert catalogue.extract_rbac() == before
-        assert service.processed == []  # rejected before evaluation
+        assert list(service.processed) == []  # rejected before evaluation
 
     def test_non_tuple_credentials_rejected(self, setup):
         keystore, _catalogue, service, _audit = setup
@@ -226,7 +230,7 @@ class TestMalformedRequests:
         assert catalogue.extract_rbac() == before
         assert not catalogue.invoke("DomainA\\mallory", "SalariesDB",
                                     "Access")
-        assert service.processed == []  # rejected before evaluation
+        assert list(service.processed) == []  # rejected before evaluation
         assert audit.find(category="keycom.update") == []
 
     def test_negative_version_rejected(self, setup):
@@ -236,3 +240,23 @@ class TestMalformedRequests:
             credentials=(), version=-1)
         with pytest.raises(KeyComError, match="malformed"):
             service.submit(request)
+
+
+class TestHistoryWindow:
+    """A long-lived service keeps only the newest evaluated requests; the
+    audit log still records every one."""
+
+    def test_processed_keeps_only_the_newest_requests(self, setup):
+        keystore, _catalogue, service, audit = setup
+        cred = membership_credential(keystore, "KWebCom", "Kuser",
+                                     "DomainA", "Clerk")
+        total = PROCESSED_WINDOW + 10
+        for index in range(total):
+            assert service.submit(PolicyUpdateRequest(
+                user=f"user{index}", user_key="Kuser", domain="DomainA",
+                role="Clerk", credentials=(cred,)))
+        assert len(service.processed) == PROCESSED_WINDOW
+        assert service.processed[0][0].user == "user10"
+        assert service.processed[-1][0].user == f"user{total - 1}"
+        assert len(audit.find(category="keycom.update",
+                              outcome="allow")) == total
