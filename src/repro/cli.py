@@ -258,8 +258,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission = AdmissionController(
             clock=plane.clock, max_inflight=args.max_inflight,
             peer_rate=args.peer_rate, peer_burst=args.peer_burst,
-            obs=plane.obs,
-            brownout=BrownoutController(clock=plane.clock, obs=plane.obs))
+            brownout=BrownoutController(clock=plane.clock))
         server = ReproServer(plane, host=args.host, port=args.port,
                              pidfile=args.pidfile, admission=admission)
         await server.start()

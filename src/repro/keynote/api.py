@@ -336,7 +336,7 @@ class KeyNoteSession:
         # idiom for time-limited delegation).
         if "_cur_time" not in attributes:
             attributes = {**attributes, "_cur_time": repr(self.clock.now())}
-        if self.obs is not None:
+        if self.obs is not None and self.obs.tracer.recording:
             with self.obs.tracer.span("keynote.query",
                                       authorizers=",".join(authorizer_tuple)
                                       ) as span:

@@ -80,6 +80,9 @@ class Tracer:
     def __init__(self, clock: SimulatedClock | None = None) -> None:
         self.clock = clock or SimulatedClock()
         self.spans: list[Span] = []
+        #: off for a tracer nobody reads back (the serve daemon's): callers
+        #: then open no spans, and only :meth:`collect` keeps any
+        self.recording = True
         self._ids = IdGenerator()
         self._stack: list[Span] = []
 
@@ -88,11 +91,6 @@ class Tracer:
     def current(self) -> Span | None:
         """The innermost open span, or None outside any span."""
         return self._stack[-1] if self._stack else None
-
-    def current_correlation(self) -> str | None:
-        """The correlation id of the innermost open span, if any."""
-        span = self.current()
-        return span.correlation_id if span is not None else None
 
     def new_correlation_id(self) -> str:
         """Mint a fresh correlation id for a new end-to-end story."""
@@ -118,7 +116,8 @@ class Tracer:
         span = Span(span_id=self._ids.next("span"), name=name,
                     correlation_id=correlation_id, parent_id=parent_id,
                     start=self.clock.now(), attributes=dict(attributes))
-        self.spans.append(span)
+        if self.recording:
+            self.spans.append(span)
         self._stack.append(span)
         return span
 
@@ -165,8 +164,20 @@ class Tracer:
                     correlation_id=correlation_id or self.new_correlation_id(),
                     parent_id=parent_id, start=start, end=end, status=status,
                     attributes=dict(attributes))
-        self.spans.append(span)
+        if self.recording:
+            self.spans.append(span)
         return span
+
+    @contextmanager
+    def collect(self) -> Iterator[list[Span]]:
+        """Record the block's spans, even while not :attr:`recording`, into
+        a fresh list the caller owns; :attr:`spans` is left as it was."""
+        saved = self.spans, self.recording
+        self.spans, self.recording = [], True
+        try:
+            yield self.spans
+        finally:
+            self.spans, self.recording = saved
 
     # -- queries ----------------------------------------------------------
 

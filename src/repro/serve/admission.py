@@ -22,9 +22,9 @@ one deliberate property per class:
   steps through declared tiers — shed span/event broadcasting, then shed
   the lowest-priority work — and steps back down when pressure stays low.
   No tier serves an old decision: an authorisation answer is always
-  mediated against the current policy.  Every transition is emitted as an
-  ``obs`` metric/span and surfaced to the server for a ``server`` pub/sub
-  event, so brownout is always attributable.
+  mediated against the current policy.  Every transition is kept for
+  ``status`` and surfaced to the server for a ``server`` pub/sub event, so
+  brownout is always attributable.
 
 - :class:`RetryBudget` + :func:`backoff_delay` — the client half.
   Retries consume budget and successes refill it, so a synchronized retry
@@ -43,13 +43,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.util.clock import Clock, SimulatedClock
 from repro.webcom.health import PressureWindow
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
 
 # -- priority classes --------------------------------------------------------
 
@@ -61,7 +58,8 @@ CONTROL = 0
 ADMIN = 1
 #: the data plane: mediation and oracle probes — the floodable surface
 DATA = 2
-#: bulk/ancillary work: translation jobs, span-tree fetches
+#: bulk/ancillary work: translation jobs (span trees have no fetch call:
+#: they reach operators only as ``decision`` events, while subscribed)
 BULK = 3
 
 PRIORITY_NAMES = {CONTROL: "control", ADMIN: "admin",
@@ -75,7 +73,7 @@ METHOD_PRIORITY: dict[str, int] = {
     "revoke": CONTROL, "sweep": CONTROL,
     "update": ADMIN, "add_policy": ADMIN, "add_credential": ADMIN,
     "mediate": DATA, "probe": DATA,
-    "translate": BULK, "spans": BULK,
+    "translate": BULK,
 }
 
 
@@ -184,6 +182,9 @@ DEFAULT_TIERS: tuple[BrownoutTier, ...] = (
     BrownoutTier(2, "shed_bulk", enter=0.90, exit=0.60),
 )
 
+#: the newest tier transitions a :class:`BrownoutController` keeps
+TRANSITION_WINDOW = 64
+
 
 class BrownoutController:
     """Steps the plane through degradation tiers under sustained pressure.
@@ -199,15 +200,15 @@ class BrownoutController:
     :meth:`shed_bulk`); the server and the admission controller consult
     them per request.
 
-    Every transition is recorded, counted (``serve.brownout.*``), traced,
-    and handed to ``on_transition`` so the server can broadcast it.
+    Every transition is kept in :attr:`transitions` (the newest
+    :data:`TRANSITION_WINDOW`) and handed to ``on_transition`` so the
+    server can broadcast it.
     """
 
     def __init__(self, clock: Clock | None = None,
                  tiers: tuple[BrownoutTier, ...] = DEFAULT_TIERS,
                  window: float = 1.0, sustain: float = 0.5,
                  cool: float = 1.0,
-                 obs: "Observability | None" = None,
                  on_transition: Callable[[int, int, float], None] | None
                  = None) -> None:
         if list(tiers) != sorted(tiers, key=lambda t: t.level) or any(
@@ -217,20 +218,20 @@ class BrownoutController:
         self.tiers = tuple(tiers)
         self.sustain = float(sustain)
         self.cool = float(cool)
-        self.obs = obs
         self.on_transition = on_transition
         self.window = PressureWindow(clock=self.clock, window=window)
         self.level = 0
         self.max_level = 0
-        #: (at, from_level, to_level, pressure) for every transition
-        self.transitions: list[dict[str, Any]] = []
+        #: (at, from_level, to_level, pressure) of recent transitions
+        self.transitions: deque[dict[str, Any]] = deque(
+            maxlen=TRANSITION_WINDOW)
         self._above_since: float | None = None
         self._below_since: float | None = None
 
     # -- tier effects ------------------------------------------------------
 
     def shed_broadcast(self) -> bool:
-        """Tier >= 1: drop event broadcasting / span-tree assembly."""
+        """Tier >= 1: drop event broadcasting / span-tree recording."""
         return self.level >= 1
 
     def shed_bulk(self) -> bool:
@@ -286,14 +287,6 @@ class BrownoutController:
                   "tier": (self.tiers[new_level - 1].name if new_level
                            else "normal")}
         self.transitions.append(record)
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                f"serve.brownout.to_level.{new_level}").inc()
-            self.obs.metrics.gauge("serve.brownout.level").set(new_level)
-            self.obs.tracer.record(
-                "serve.brownout.transition", now, now,
-                from_level=old_level, to_level=new_level,
-                pressure=record["pressure"], tier=record["tier"])
         if self.on_transition is not None:
             self.on_transition(old_level, new_level, pressure)
 
@@ -329,8 +322,7 @@ class AdmissionController:
                  max_inflight: int = 64,
                  peer_rate: float | None = None,
                  peer_burst: float | None = None,
-                 brownout: BrownoutController | None = None,
-                 obs: "Observability | None" = None) -> None:
+                 brownout: BrownoutController | None = None) -> None:
         if max_inflight < 0:
             raise ValueError(f"max_inflight must be >= 0, "
                              f"got {max_inflight!r}")
@@ -340,7 +332,6 @@ class AdmissionController:
         self.peer_burst = (float(peer_burst) if peer_burst is not None
                            else (2.0 * peer_rate if peer_rate else None))
         self.brownout = brownout
-        self.obs = obs
         self.inflight = 0
         self._buckets: dict[str, TokenBucket] = {}
         self.admitted: dict[str, int] = {name: 0
@@ -396,9 +387,6 @@ class AdmissionController:
         self.inflight += 1
         self.admitted[PRIORITY_NAMES[priority]] += 1
         self._record(shed=False)
-        if self.obs is not None:
-            self.obs.metrics.gauge("serve.admission.inflight").set(
-                self.inflight)
         return Ticket(priority=priority, counted=True)
 
     def release(self, ticket: Ticket) -> None:
@@ -431,8 +419,6 @@ class AdmissionController:
             self.shed_brownout += 1
         self.shed_by_priority[PRIORITY_NAMES[priority]] += 1
         self._record(shed=True)
-        if self.obs is not None:
-            self.obs.metrics.counter(f"serve.admission.shed.{kind}").inc()
         return Refusal(kind=kind, error_type=error_type, message=message,
                        retry_after=retry_after, priority=priority)
 

@@ -27,7 +27,7 @@ from repro.errors import ServeError
 from repro.keynote.api import KeyNoteSession
 from repro.keynote.credential import Credential
 from repro.middleware.corba import CorbaOrb
-from repro.obs import Observability, spans_to_dicts
+from repro.obs import Observability
 from repro.rbac.serialize import policy_to_dict
 from repro.store.durable import DurablePolicyNode
 from repro.util.clock import Clock, WallClock
@@ -43,10 +43,6 @@ from repro.webcom.stack import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rbac.policy import RBACPolicy
 
-#: recorded spans kept before the oldest are pruned — an always-on daemon
-#: would otherwise grow its trace buffer without bound
-SPAN_BUFFER_LIMIT = 5000
-
 #: audit records kept in memory — every mediation writes one, no wire call
 #: reads them back, and listeners (the metrics mirror) see each record as
 #: it is written, so a long-lived daemon keeps only the newest window
@@ -54,16 +50,17 @@ AUDIT_WINDOW = 1024
 
 
 def decision_to_dict(decision: StackDecision) -> dict[str, Any]:
-    """Serialise a stack decision for the wire."""
-    denied = decision.deciding_layer()
+    """Serialise a stack decision for the wire, from the same
+    :attr:`~repro.webcom.stack.StackDecision.facts` its audit record read."""
+    facts = decision.facts
     return {
         "allowed": decision.allowed,
         "stale": decision.stale,
-        "degraded": [layer.name for layer in decision.degraded],
-        "denied_by": denied.name if denied is not None else None,
-        "layers": [{"layer": d.layer.name, "allowed": d.allowed,
+        "degraded": facts.degraded,
+        "denied_by": facts.denied_by,
+        "layers": [{"layer": name, "allowed": d.allowed,
                     "detail": d.detail, "error": d.error}
-                   for d in decision.decisions],
+                   for name, d in zip(facts.layers, decision.decisions)],
     }
 
 
@@ -94,6 +91,9 @@ class ServePolicyPlane:
         self.clock: Clock = clock or WallClock()
         self.keystore = keystore or Keystore()
         self.obs = Observability(clock=self.clock)
+        # A span's one reader is a ``decision`` event: the server collects
+        # a mediation's tree only while someone is subscribed.
+        self.obs.tracer.recording = False
         self.audit = AuditLog(capacity=AUDIT_WINDOW)
         self.middleware = CorbaOrb(machine, orb_name)
         self.node: DurablePolicyNode | None = None
@@ -183,17 +183,6 @@ class ServePolicyPlane:
             os_access=str(params.get("os_access", "read")),
             attributes=attributes)
 
-    def prune_spans(self) -> None:
-        """Bound the trace buffer (drop the oldest recorded spans)."""
-        spans = self.obs.tracer.spans
-        if len(spans) > SPAN_BUFFER_LIMIT:
-            del spans[:len(spans) - SPAN_BUFFER_LIMIT]
-
-    def span_tree(self, correlation_id: str) -> list[dict[str, Any]]:
-        """The serialised span tree of one correlation."""
-        return spans_to_dicts(
-            self.obs.tracer.find(correlation_id=correlation_id))
-
     # -- serve APIs --------------------------------------------------------
 
     def mediate(self, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -208,7 +197,6 @@ class ServePolicyPlane:
         result["correlation_id"] = correlation_id
         result["user"] = request.user
         result["operation"] = request.operation
-        self.prune_spans()
         return result
 
     def probe(self, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -251,19 +239,19 @@ class ServePolicyPlane:
             "oracle_value": value,
             "agree": agree,
         })
-        self.prune_spans()
         return result
 
     def admitted_assertions(self) -> list[Credential]:
         """The session's assertions that pass signature screening — the
         set the oracle must evaluate (it does no screening of its own), so
         a forged credential the checker discards cannot make a probe
-        disagree.  Checks go through the process-wide signature cache."""
-        assertions = self.session.policies + self.session.credentials
-        if not self.session.verify_signatures:
-            return assertions
-        return [assertion for assertion in assertions
-                if assertion.verify(self.keystore)]
+        disagree.  The verdicts are the checker's own: a check still
+        deferred runs there, once, and no other check runs again."""
+        checker = self.session.checker
+        checker.verify_pending()
+        discarded = set(checker.discarded)
+        return [assertion for assertion in checker.assertions
+                if assertion not in discarded]
 
     def translate(self, params: Mapping[str, Any]) -> dict[str, Any]:
         """Comprehend KeyNote credentials into one RBAC policy (§4.2).

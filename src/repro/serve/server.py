@@ -5,7 +5,9 @@
 concurrent clients connect, register in the peer registry (``hello``), and
 call the plane's APIs — ``mediate``, ``probe``, ``translate``, ``update``
 (KeyCom), credential management — while subscribers receive ``decision``
-events carrying each mediation's verdict and span tree.
+events carrying each mediation's verdict and span tree.  Those events are
+the only way span trees reach operators: a mediation records one only
+while some peer is subscribed (and brownout is not shedding broadcasts).
 
 Four properties an always-on plane needs beyond the request/response core:
 
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.errors import ProtocolError, ReproError, ServeError
+from repro.obs import Span, spans_to_dicts
 from repro.serve.admission import (
     AdmissionController,
     BrownoutController,
@@ -127,9 +130,8 @@ class ReproServer:
         self.clock = self.plane.clock
         if admission is None:
             admission = AdmissionController(
-                clock=self.clock, max_inflight=256, obs=self.plane.obs,
-                brownout=BrownoutController(clock=self.clock,
-                                            obs=self.plane.obs))
+                clock=self.clock, max_inflight=256,
+                brownout=BrownoutController(clock=self.clock))
         self.admission = admission
         if self.admission.brownout is not None \
                 and self.admission.brownout.on_transition is None:
@@ -192,8 +194,10 @@ class ReproServer:
             "add_credential": lambda peer, p: self.plane.add_credential(p),
             "revoke": lambda peer, p: self.plane.revoke_credential(p),
             "sweep": lambda peer, p: self.plane.sweep(p),
-            "spans": self._on_spans,
         }
+        #: peers subscribed to ``decision``: a mediation records its span
+        #: tree only while this is non-zero
+        self._decision_subscribers = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -323,7 +327,7 @@ class ReproServer:
             self._writers.pop(peer.peer_id, None)
             self._replies.pop(peer.peer_id, None)
             self.admission.forget_peer(peer.peer_id)
-            peer.subscriptions.clear()
+            self._resubscribe(peer, set())
             try:
                 writer.close()
             except RuntimeError:  # pragma: no cover - loop already closed
@@ -367,8 +371,6 @@ class ReproServer:
         deadline = message.get("deadline")
         if deadline is not None and self.clock.now() > deadline:
             self.deadline_expired_pre += 1
-            self.plane.obs.metrics.counter(
-                "serve.deadline.expired_pre_dispatch").inc()
             return refusal_response(
                 request_id, "DeadlineExceededError",
                 f"deadline {deadline:g} expired before dispatch "
@@ -396,8 +398,6 @@ class ReproServer:
             # for.  The real response stays recorded above, so an
             # idempotent retry under the same id replays it.
             self.deadline_expired_post += 1
-            self.plane.obs.metrics.counter(
-                "serve.deadline.expired_before_write").inc()
             return refusal_response(
                 request_id, "DeadlineExceededError",
                 f"deadline {deadline:g} expired before response write",
@@ -421,6 +421,7 @@ class ReproServer:
         if handler is None and method != "shutdown":
             return error_response(request_id, "ProtocolError",
                                   f"unknown method {method!r}")
+        spans = None
         try:
             if method == "shutdown":
                 # Respond first, then drain: the requester must get its
@@ -429,6 +430,9 @@ class ReproServer:
                     lambda: asyncio.ensure_future(
                         self.shutdown(str(params.get("reason", "client")))))
                 result: Any = {"draining": True}
+            elif method in ("mediate", "probe") and self._trace_decisions():
+                with self.plane.obs.tracer.collect() as spans:
+                    result = handler(peer, params)
             else:
                 result = handler(peer, params)
             peer.requests += 1
@@ -442,7 +446,7 @@ class ReproServer:
             response = error_response(request_id, "InternalError",
                                       repr(exc))
         if method in ("mediate", "probe") and response.get("ok"):
-            await self._broadcast_decision(peer, response["result"])
+            await self._broadcast_decision(peer, response["result"], spans)
         return response
 
     # -- built-in methods --------------------------------------------------
@@ -468,14 +472,20 @@ class ReproServer:
         unknown = [t for t in topics if t not in TOPICS]
         if unknown:
             raise ServeError(f"unknown topics: {', '.join(unknown)}")
-        peer.subscriptions.update(topics)
+        self._resubscribe(peer, peer.subscriptions | set(topics))
         return {"subscribed": sorted(peer.subscriptions)}
 
     def _on_unsubscribe(self, peer: PeerInfo,
                         params: Mapping[str, Any]) -> dict[str, Any]:
-        for topic in params.get("topics") or []:
-            peer.subscriptions.discard(topic)
+        self._resubscribe(peer, peer.subscriptions
+                          - set(params.get("topics") or []))
         return {"subscribed": sorted(peer.subscriptions)}
+
+    def _resubscribe(self, peer: PeerInfo, topics: set[str]) -> None:
+        """Replace a peer's subscriptions, counting decision subscribers."""
+        self._decision_subscribers += (("decision" in topics)
+                                       - ("decision" in peer.subscriptions))
+        peer.subscriptions = topics
 
     def _on_status(self, peer: PeerInfo,
                    params: Mapping[str, Any]) -> dict[str, Any]:
@@ -503,27 +513,25 @@ class ReproServer:
             "plane": self.plane.status(),
         }
 
-    def _on_spans(self, peer: PeerInfo,
-                  params: Mapping[str, Any]) -> dict[str, Any]:
-        correlation_id = str(params.get("correlation_id", ""))
-        if not correlation_id:
-            raise ServeError("spans params need a correlation_id")
-        return {"spans": self.plane.span_tree(correlation_id)}
-
     # -- pub/sub -----------------------------------------------------------
 
+    def _trace_decisions(self) -> bool:
+        """Whether a mediation now has a reader for its span tree."""
+        brownout = self.admission.brownout
+        return self._decision_subscribers > 0 and not (
+            brownout is not None and brownout.shed_broadcast())
+
     async def _broadcast_decision(self, peer: PeerInfo,
-                                  result: Mapping[str, Any]) -> None:
+                                  result: Mapping[str, Any],
+                                  spans: list[Span] | None) -> None:
         brownout = self.admission.brownout
         if brownout is not None and brownout.shed_broadcast():
             # Brownout tier 1: span/event broadcasting is the first load to
             # go — counted, never silent.
             self.events_shed += 1
-            self.plane.obs.metrics.counter("serve.events.shed").inc()
             return
-        if not any("decision" in p.subscriptions
-                   for p in self.registry.values()):
-            return  # don't assemble span trees nobody will receive
+        if spans is None:
+            return  # nobody subscribed, so no tree was recorded
         correlation_id = result.get("correlation_id", "")
         await self.broadcast("decision", {
             "peer": peer.name or peer.peer_id,
@@ -532,7 +540,9 @@ class ReproServer:
             "user": result.get("user"),
             "operation": result.get("operation"),
             "correlation_id": correlation_id,
-            "spans": self.plane.span_tree(correlation_id),
+            # A breaker transition has a correlation of its own.
+            "spans": spans_to_dicts(s for s in spans
+                                    if s.correlation_id == correlation_id),
         })
 
     async def broadcast(self, topic: str,

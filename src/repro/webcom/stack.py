@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
 from repro.errors import AuthorisationError
 from repro.keynote.api import KeyNoteSession
@@ -32,7 +33,7 @@ from repro.util.events import AuditLog
 from repro.webcom.health import BreakerState, CircuitBreaker, DegradedMode
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
+    from repro.obs import Counter, Observability
     from repro.webcom.faults import LayerFaultInjector
 
 
@@ -137,6 +138,16 @@ class LayerDecision:
     error: bool = False
 
 
+class MediationFacts(NamedTuple):
+    """A decision's outcome (``"allow"`` / ``"deny"``) and layer names: the
+    audit record, the span and the serve wire reply all read these."""
+
+    outcome: str
+    denied_by: str | None
+    layers: list[str]
+    degraded: list[str]
+
+
 @dataclass(frozen=True)
 class StackDecision:
     """The stack's combined verdict with the per-layer trace.
@@ -173,6 +184,16 @@ class StackDecision:
         """True when any layer was resolved without a live check."""
         return self.stale or bool(self.degraded) \
             or any(d.error for d in self.decisions)
+
+    @cached_property
+    def facts(self) -> MediationFacts:
+        """Computed once, on first use."""
+        denied = self.deciding_layer()
+        return MediationFacts(
+            outcome="allow" if self.allowed else "deny",
+            denied_by=denied.name if denied is not None else None,
+            layers=[decision.layer.name for decision in self.decisions],
+            degraded=[layer.name for layer in self.degraded])
 
 
 #: application-layer predicate (L3): request -> allowed
@@ -247,10 +268,25 @@ class AuthorisationStack:
         #: only while some layer's degraded mode is fail-static
         self._last_good: dict[MediationRequest, StackDecision] = {}
         self.stale_served = 0
+        #: name parts -> counter, bound on first increment (a counter that
+        #: never counts stays out of the registry)
+        self._counters: dict[tuple, "Counter"] = {}
 
     def _now(self) -> float:
         """Current simulated time (0.0 when no clock is configured)."""
         return self.clock.now() if self.clock is not None else 0.0
+
+    def _count(self, parts: tuple) -> None:
+        """Increment the counter named by ``parts`` joined with dots (a
+        :class:`Layer` by its name), naming it only the first time."""
+        counter = self._counters.get(parts)
+        if counter is None:
+            if self.obs is None:
+                return
+            name = ".".join(part.name if isinstance(part, Layer) else part
+                            for part in parts)
+            counter = self._counters[parts] = self.obs.metrics.counter(name)
+        counter.inc()
 
     # -- plugging -------------------------------------------------------------
 
@@ -338,64 +374,49 @@ class AuthorisationStack:
 
     # -- mediation -----------------------------------------------------------------
 
-    def _layer_checks(self, request: MediationRequest, hit: list[bool]):
-        """Yield ``(layer, thunk)`` pairs top-down (L3 → L0) for the
-        configured layers; each thunk returns ``(allowed, detail)``.  The
-        L2 thunk appends to ``hit`` when it answers from the checker's
-        decision cache."""
-        if self._app is not None:
-            app = self._app
-            yield Layer.APPLICATION, lambda: (bool(app(request)),
-                                              "application predicate")
-        if self._tm is not None:
-            tm = self._tm
-
-            def check_tm() -> tuple[bool, str]:
-                attributes = dict(request.attributes)
-                attributes.setdefault("op", request.operation)
-                authorizers = (request.user_key,)
-                _key, value = tm.decision_fingerprint(attributes, authorizers)
-                if value is None:
-                    self.cache_misses += 1
-                    value = tm.query(attributes, authorizers).compliance_value
-                else:
-                    self.cache_hits += 1
-                    hit.append(True)
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "stack.cache.hit" if hit else "stack.cache.miss").inc()
-                return (tm.values.at_least(value, tm.values.maximum),
-                        f"compliance={value}")
-
-            yield Layer.TRUST_MANAGEMENT, check_tm
-        if self._middleware is not None:
-            middleware = self._middleware
-
-            def check_middleware() -> tuple[bool, str]:
-                ok = middleware.check_invocation(Invocation(
-                    user=request.user, object_type=request.object_type,
-                    operation=request.operation))
-                return ok, f"middleware={middleware.name}"
-
-            yield Layer.MIDDLEWARE, check_middleware
-        if self._os is not None:
-            os_security = self._os
-
-            def check_os() -> tuple[bool, str]:
-                os_object = request.os_object or request.object_type
-                ok = os_security.check(request.user, os_object,
-                                       request.os_access)
-                return ok, f"os={os_security.platform}"
-
-            yield Layer.OS, check_os
+    def _check(self, layer: Layer, request: MediationRequest,
+               hit: list[bool]) -> tuple[bool, str]:
+        """One configured layer's live ``(allowed, detail)``, injecting
+        planned backend timeouts first; L2 appends to ``hit`` when it
+        answers from the checker's decision cache."""
+        if self.layer_faults is not None:
+            self.layer_faults.check(layer.name, self._now())
+        if layer is Layer.APPLICATION:
+            return bool(self._app(request)), "application predicate"
+        if layer is Layer.MIDDLEWARE:
+            ok = self._middleware.check_invocation(Invocation(
+                user=request.user, object_type=request.object_type,
+                operation=request.operation))
+            return ok, f"middleware={self._middleware.name}"
+        if layer is Layer.OS:
+            ok = self._os.check(request.user,
+                                request.os_object or request.object_type,
+                                request.os_access)
+            return ok, f"os={self._os.platform}"
+        # L2 answers from the checker's cached value when it holds one.
+        tm = self._tm
+        attributes = dict(request.attributes)
+        attributes.setdefault("op", request.operation)
+        authorizers = (request.user_key,)
+        _key, value = tm.decision_fingerprint(attributes, authorizers)
+        if value is None:
+            self.cache_misses += 1
+            self._count(("stack", "cache", "miss"))
+            value = tm.query(attributes, authorizers).compliance_value
+        else:
+            self.cache_hits += 1
+            self._count(("stack", "cache", "hit"))
+            hit.append(True)
+        return (tm.values.at_least(value, tm.values.maximum),
+                f"compliance={value}")
 
     def mediate(self, request: MediationRequest,
                 correlation_id: str | None = None) -> StackDecision:
         """Run the request down the stack.
 
-        When observability is configured, the whole mediation is one
-        ``stack.mediate`` span with a timed ``stack.layer.<NAME>`` child
-        per consulted layer; ``correlation_id`` ties the trace to the
+        While the observability tracer is recording, the whole mediation
+        is one ``stack.mediate`` span with a timed ``stack.layer.<NAME>``
+        child per consulted layer; ``correlation_id`` ties the trace to the
         remote scheduling decision that triggered this check (it defaults
         to whatever trace context is already open).
 
@@ -403,101 +424,87 @@ class AuthorisationStack:
             ``require_some_layer`` is set (an empty stack silently allowing
             everything is almost certainly a misconfiguration).
         """
-        if self.require_some_layer and not self.configured_layers():
+        layers = self.configured_layers()
+        if self.require_some_layer and not layers:
             raise AuthorisationError("no mediation layer is configured")
         hit: list[bool] = []
-        tracer = self.obs.tracer if self.obs is not None else None
+        tracer = (self.obs.tracer if self.obs is not None
+                  and self.obs.tracer.recording else None)
         if tracer is not None:
             with tracer.span("stack.mediate", correlation_id=correlation_id,
                              user=request.user,
                              op=request.operation) as span:
-                decision = self._run_layers(request, tracer, hit)
-                span.status = "allow" if decision.allowed else "deny"
+                decision = self._run_layers(request, layers, tracer, hit)
+                facts = decision.facts
+                span.status = facts.outcome
                 span.set(cached=bool(hit))
-                denied_by = decision.deciding_layer()
-                if denied_by is not None:
-                    span.set(denied_by=denied_by.name)
+                if facts.denied_by is not None:
+                    span.set(denied_by=facts.denied_by)
                 if decision.stale:
                     span.set(stale=True)
                 if decision.degraded:
-                    span.set(degraded=",".join(layer.name for layer
-                                               in decision.degraded))
+                    span.set(degraded=",".join(facts.degraded))
         else:
-            decision = self._run_layers(request, None, hit)
+            decision = self._run_layers(request, layers, None, hit)
         if (not decision.is_degraded() and DegradedMode.FAIL_STATIC
                 in self._degraded_modes.values()):
             # Only a fully, freshly mediated decision may seed the
             # last-known-good store, and only a fail-static layer reads it.
             self._last_good[request] = decision
-        if self.obs is not None:
-            outcome = "allow" if decision.allowed else "deny"
-            self.obs.metrics.counter(f"stack.mediate.{outcome}").inc()
+        self._count(("stack", "mediate", decision.facts.outcome))
         if self.audit is not None:
-            denied = decision.deciding_layer()
+            facts = decision.facts
             self.audit.record(
                 self._now(), "stack.mediate", subject=request.user,
-                outcome="allow" if decision.allowed else "deny",
-                operation=request.operation,
-                layers=[d.layer.name for d in decision.decisions],
-                denied_by=denied.name if denied is not None else None,
+                outcome=facts.outcome, operation=request.operation,
+                layers=facts.layers, denied_by=facts.denied_by,
                 cached=bool(hit), stale=decision.stale,
-                degraded=[layer.name for layer in decision.degraded])
+                degraded=facts.degraded)
         return decision
 
-    def _run_layers(self, request: MediationRequest, tracer,
-                    hit: list[bool]) -> StackDecision:
+    def _run_layers(self, request: MediationRequest, layers: tuple[Layer, ...],
+                    tracer, hit: list[bool]) -> StackDecision:
+        """Consult ``layers`` top-down (L3 → L0) until one denies."""
         decisions: list[LayerDecision] = []
         degraded: list[Layer] = []
         allowed = True
-        for layer, check in self._layer_checks(request, hit):
+        for layer in reversed(layers):
             if not allowed:
                 break
             breaker = self.breaker(layer)
-            if not breaker.allow():
-                # Breaker OPEN and still cooling down: resolve through the
-                # degraded mode without touching the backend at all.
-                static = self._degrade(layer, request, "breaker open",
-                                       decisions, degraded)
-                if static is not None:
-                    return static
-                allowed = decisions[-1].allowed
-                continue
-            probing = breaker.state is BreakerState.HALF_OPEN
-            try:
-                if tracer is not None:
-                    with tracer.span(f"stack.layer.{layer.name}",
-                                     probe=probing) as span:
-                        allowed, detail = self._checked(layer, check)
-                        span.status = "allow" if allowed else "deny"
-                        span.set(detail=detail)
+            # An OPEN breaker still cooling down resolves the layer through
+            # its degraded mode without touching the backend at all.
+            reason = "breaker open"
+            if breaker.allow():
+                try:
+                    if tracer is not None:
+                        with tracer.span(
+                                f"stack.layer.{layer.name}",
+                                probe=breaker.state is BreakerState.HALF_OPEN
+                        ) as span:
+                            allowed, detail = self._check(layer, request, hit)
+                            span.status = "allow" if allowed else "deny"
+                            span.set(detail=detail)
+                    else:
+                        allowed, detail = self._check(layer, request, hit)
+                except Exception as exc:  # deliberate: a flaky backend
+                    # must degrade explicitly, never abort mediation
+                    breaker.record_failure()
+                    self._count(("health", "layer", layer, "error"))
+                    reason = repr(exc)
                 else:
-                    allowed, detail = self._checked(layer, check)
-            except Exception as exc:  # deliberate: a flaky backend must
-                # degrade explicitly, never abort mediation mid-stack
-                breaker.record_failure()
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        f"health.layer.{layer.name}.error").inc()
-                static = self._degrade(layer, request, repr(exc),
-                                       decisions, degraded)
-                if static is not None:
-                    return static
-                allowed = decisions[-1].allowed
-                continue
-            breaker.record_success()
-            if self.obs is not None:
-                verdict = "allow" if allowed else "deny"
-                self.obs.metrics.counter(
-                    f"stack.layer.{layer.name}.{verdict}").inc()
-            decisions.append(LayerDecision(layer, allowed, detail))
+                    breaker.record_success()
+                    self._count(("stack", "layer", layer,
+                                 "allow" if allowed else "deny"))
+                    decisions.append(LayerDecision(layer, allowed, detail))
+                    continue
+            static = self._degrade(layer, request, reason, decisions,
+                                   degraded)
+            if static is not None:
+                return static
+            allowed = decisions[-1].allowed
         return StackDecision(allowed=allowed, decisions=tuple(decisions),
                              degraded=tuple(degraded))
-
-    def _checked(self, layer: Layer, check) -> tuple[bool, str]:
-        """Run one layer check, injecting planned backend timeouts first."""
-        if self.layer_faults is not None:
-            self.layer_faults.check(layer.name, self._now())
-        return check()
 
     def _degrade(self, layer: Layer, request: MediationRequest, reason: str,
                  decisions: list[LayerDecision],
@@ -512,15 +519,13 @@ class AuthorisationStack:
         """
         mode = self.degraded_mode(layer)
         degraded.append(layer)
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                f"health.degraded.{layer.name}.{mode.value}").inc()
+        self._count(("health", "degraded", layer, mode.value))
         if mode is DegradedMode.FAIL_STATIC:
             last_good = self._last_good.get(request)
             if last_good is not None:
                 self.stale_served += 1
                 if self.obs is not None:
-                    self.obs.metrics.counter("health.stale_served").inc()
+                    self._count(("health", "stale_served"))
                     now = self._now()
                     self.obs.tracer.record(
                         "health.stale_served", now, now, layer=layer.name,

@@ -11,6 +11,7 @@ from repro.serve.admission import (
     CONTROL,
     DATA,
     DEFAULT_TIERS,
+    TRANSITION_WINDOW,
     AdmissionController,
     BrownoutController,
     Refusal,
@@ -197,6 +198,23 @@ class TestBrownoutController:
         assert snap["max_level"] >= 1
         assert [t["name"] for t in snap["tiers"]] == \
             [t.name for t in DEFAULT_TIERS]
+
+    def test_keeps_only_the_newest_transitions(self):
+        clock = SimulatedClock()
+        seen = []
+        brownout = _hot_brownout(
+            clock, on_transition=lambda old, new, p: seen.append((old, new)))
+        while len(seen) <= TRANSITION_WINDOW + 10:
+            _push_pressure(brownout, clock, shed_ratio=0.7, seconds=0.6)
+            for _ in range(2):
+                clock.advance(1.2)
+                brownout.poll()
+        assert brownout.level == 0
+        kept = brownout.snapshot()["transitions"]
+        assert len(kept) == TRANSITION_WINDOW
+        assert [(t["from"], t["to"]) for t in kept] == \
+            seen[-TRANSITION_WINDOW:]
+        assert kept[-1]["at"] == brownout.transitions[-1]["at"]
 
     def test_rejects_non_consecutive_tiers(self):
         with pytest.raises(ValueError):

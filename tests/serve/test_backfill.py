@@ -14,7 +14,8 @@ import gc
 import logging
 import weakref
 
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.keystore import SIGNATURE_CACHE
 from repro.keynote.credential import Credential
 from repro.serve.client import ServeClient
 from repro.serve.plane import ServePolicyPlane
@@ -179,6 +180,29 @@ class TestProbeOverForgedCredentials:
         assert result["oracle_allowed"] is False
         assert result["agree"] is True
         assert plane.oracle_disagreements == 0
+
+    def test_a_backfilled_probe_verifies_no_signature(self, monkeypatch):
+        """Probe screening reads the checker's settled verdicts: once the
+        backfill is done, a probe checks no signature again, even after
+        the signature cache has forgotten every outcome."""
+        universe = Universe("screen", users=6)
+        plane = ServePolicyPlane()
+        universe.install(plane)
+        assert plane.session.checker.verify_pending() == 0
+        SIGNATURE_CACHE.clear()
+        verified = []
+        check = PublicKey.verify
+        monkeypatch.setattr(PublicKey, "verify", lambda *args: (
+            verified.append(args) or check(*args)))
+        forged = plane.probe(universe.forged_request())
+        honest = plane.probe(universe.request(3))
+        assert verified == []
+        assert SIGNATURE_CACHE.hits == SIGNATURE_CACHE.misses == 0
+        assert (forged["allowed"], forged["agree"]) == (False, True)
+        assert (honest["allowed"], honest["agree"]) == (True, True)
+        screened = plane.admitted_assertions()
+        assert universe.forged not in screened
+        assert len(screened) == 1 + len(universe.credentials)
 
 
 class TestFrozenHeap:

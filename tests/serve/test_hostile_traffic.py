@@ -89,10 +89,8 @@ async def _run(scenario, root):
     plane.session.add_policy(TRUST_ROOT)
     admission = AdmissionController(
         clock=plane.clock, max_inflight=4, peer_rate=10.0, peer_burst=5.0,
-        obs=plane.obs,
         brownout=BrownoutController(clock=plane.clock, window=0.5,
-                                    sustain=0.1, cool=0.5,
-                                    obs=plane.obs))
+                                    sustain=0.1, cool=0.5))
     server = await ReproServer(plane, admission=admission).start()
     rng = random.Random(scenario)
 
