@@ -136,3 +136,61 @@ def test_memoisation_ablation_is_measurable():
     assert memo.query({}, [leaf]) == "true"
     assert memo.last_query_stats.memo_hits > 0
     assert memo.last_query_stats.assertions_visited <= len(assertions)
+
+
+def _validated_checker(dependents: int) -> tuple[ComplianceChecker,
+                                                  Credential]:
+    """A checker holding ``dependents`` cached decisions that all read one
+    team credential (each request carries a fresh ``job`` value, which a
+    second team credential makes part of the key)."""
+    team_grant = Credential.build("Kteam", '"Kuser"', 'op=="read"')
+    checker = ComplianceChecker([
+        Credential.build("POLICY", '"Kteam"', 'app=="grid"'),
+        team_grant,
+        Credential.build("Kteam", '"Kuser"', 'job=="never"'),
+        # Keeps ``op`` in the key shape when team_grant leaves.
+        Credential.build("Kother", '"Kuser"', 'op=="write"'),
+    ], verify_signatures=False)
+    for n in range(dependents):
+        checker.query({"app": "grid", "op": "read", "job": f"j{n}"},
+                      ["Kuser"])
+    return checker, team_grant
+
+
+@pytest.mark.parametrize("dependents", [100, 10000])
+def test_perf_revoke_with_many_dependents(benchmark, dependents):
+    """A revoke marks the credential dead and visits none of the decisions
+    that read it, so a revoke/re-add round costs the same with 100 or
+    10,000 dependents; each stale decision is dropped on its next read."""
+    checker, team_grant = _validated_checker(dependents)
+
+    def churn():
+        checker.revoke_assertion(team_grant)
+        checker.add_assertion(team_grant)
+
+    benchmark(churn)
+    info = checker.cache_info()
+    assert info["entries"] == dependents  # touched none of them
+    assert info["selective_evictions"] == info["full_flushes"] == 0
+    assert checker.query({"app": "grid", "op": "read", "job": "j0"},
+                         ["Kuser"]) == "true"
+    assert checker.cache_info()["selective_evictions"] == 1
+
+
+def test_perf_warm_hit_validation(benchmark):
+    """A warm hit after an unrelated mutation checks the decision's
+    dependencies (the principals and credentials its fixpoint read)
+    before serving it; the decision survives and keeps hitting."""
+    keystore = Keystore()
+    assertions = build_chain(keystore, 8)
+    checker = ComplianceChecker(assertions, keystore=keystore)
+    assert checker.query({"x": "1"}, ["Kchain8"]) == "true"
+    keystore.create("Kelsewhere")
+    checker.add_assertion(Credential.build(
+        "Kelsewhere", '"Kchain8"', 'x=="1"').sign(
+            keystore.pair("Kelsewhere").private))
+    hits = checker.cache_hits
+    assert benchmark(checker.query, {"x": "1"}, ["Kchain8"]) == "true"
+    assert checker.cache_hits > hits
+    assert checker.cache_misses == 1
+    assert checker.selective_evictions == 0

@@ -10,9 +10,9 @@ It plays the role of the "System PKI" box in Figure 3.
 Schnorr signature verification by ``(key, message digest, signature)``: a
 credential's bytes are verified once per process, not once per
 compliance-checker build, and at most :data:`SIGNATURE_CACHE_SIZE` outcomes
-are kept.  The shared :data:`SIGNATURE_CACHE` instance is
-what :meth:`Credential.verify <repro.keynote.credential.Credential.verify>`
-consults; bind a metrics registry to surface ``crypto.sigverify.hit`` /
+are kept, least recently used out first.  The shared
+:data:`SIGNATURE_CACHE` instance is what :meth:`Credential.verify
+<repro.keynote.credential.Credential.verify>` consults; bind a metrics registry to surface ``crypto.sigverify.hit`` /
 ``crypto.sigverify.miss`` counters.
 """
 
@@ -24,14 +24,15 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.crypto.keys import KeyPair, PublicKey, Signature
 from repro.errors import UnknownKeyError
+from repro.util.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
-#: outcomes a cache keeps before evicting the oldest — every proxy renewal
-#: and KeyCom install presents a new signature, so a long-lived daemon
-#: would otherwise keep one entry per credential it ever saw (the same
-#: bound as the public-key decode memo)
+#: outcomes a cache keeps before evicting the least recently used — every
+#: proxy renewal and KeyCom install presents a new signature, so a
+#: long-lived daemon would otherwise keep one entry per credential it ever
+#: saw (the same bound as the public-key decode memo)
 SIGNATURE_CACHE_SIZE = 4096
 
 
@@ -42,8 +43,9 @@ class SignatureVerificationCache:
     its result can be cached process-wide.  The message is keyed by SHA-256
     digest to bound memory; both valid and invalid outcomes are cached (an
     invalid signature stays invalid).  Past :data:`SIGNATURE_CACHE_SIZE`
-    entries the oldest is evicted (first in, first out); an evicted
-    signature simply verifies again, as a miss.
+    entries the least recently used is evicted (counted in
+    :attr:`evictions`); an evicted signature simply verifies again, as a
+    miss.
 
     The shared process-wide instance is consulted by every concurrent serve
     handler (and by test harnesses running checkers from worker threads), so
@@ -58,7 +60,8 @@ class SignatureVerificationCache:
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[int, bytes, str], bool] = {}
+        self._cache: LRUCache[tuple[int, bytes, str], bool] = \
+            LRUCache(SIGNATURE_CACHE_SIZE)
         self.hits = 0
         self.misses = 0
         self._metrics: "MetricsRegistry | None" = None
@@ -89,21 +92,25 @@ class SignatureVerificationCache:
             metrics.counter("crypto.sigverify.miss").inc()
         result = public.verify(message, signature)
         with self._lock:
-            self._cache[key] = result
-            if len(self._cache) > SIGNATURE_CACHE_SIZE:
-                del self._cache[next(iter(self._cache))]
+            self._cache.put(key, result)
         return result
 
     def clear(self) -> None:
         """Drop every cached outcome and zero the counters."""
         with self._lock:
             self._cache.clear()
+            self._cache.evictions = 0
             self.hits = 0
             self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._cache)
+
+    @property
+    def evictions(self) -> int:
+        """Outcomes dropped to stay within :data:`SIGNATURE_CACHE_SIZE`."""
+        return self._cache.evictions
 
     def stats(self) -> dict[str, int]:
         with self._lock:

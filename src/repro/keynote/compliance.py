@@ -46,15 +46,21 @@ Hot-path machinery (the authorisation fast path):
   monotonicity makes safe) — mirroring the in-query memo's taint rule.  An
   entry is kept small, since a daemon holds one per distinct request: the
   projection is only the attribute values, in the order of the referenced
-  names (which a full flush guards, see below), and the value carries the
-  entry's own dependency sets as tuples;
-- *incremental invalidation*: every cached decision records the set of
-  canonical principals whose delegation sub-graphs the fixpoint actually
-  descended and the set of assertions whose conditions it evaluated.
-  :meth:`ComplianceChecker.add_assertion` evicts only the decisions that
-  visited the new assertion's authorizer;
-  :meth:`ComplianceChecker.revoke_assertion` only the decisions that read
-  the revoked assertion.  Soundness rests on monotonicity: an assertion
+  names (which a full flush guards, see below), and the entry carries its
+  own dependencies in one tuple;
+- *validation on read*: every cached decision carries the generation it
+  was computed at and one dependency tuple: the canonical principals whose
+  delegation sub-graphs the fixpoint descended and weak references to the
+  prepared assertions whose conditions it evaluated (weak, so a revoked
+  credential is freed at once, not when the last decision that read it
+  leaves the cache).  A mutation only marks what it changed:
+  :meth:`ComplianceChecker.add_assertion` stamps the new assertion's
+  authorizer bucket with the new generation, and the last-copy
+  :meth:`ComplianceChecker.revoke_assertion` leaves the prepared entry dead
+  (``count == 0``, or freed).  A read drops an entry one of whose
+  principals was stamped after it, or one of whose assertions is dead
+  (counted as ``selective_evictions``), so a mutation costs O(1) however
+  many decisions depend on it.  Soundness rests on monotonicity: an assertion
   authored by principal ``P`` can influence a decision only through
   ``principal_value(P)``, so a decision whose fixpoint never touched ``P``
   is unchanged by any mutation of ``P``'s assertions.  Every short-circuit
@@ -64,6 +70,13 @@ Hot-path machinery (the authorisation fast path):
   set.  When a mutation changes the shape of the referenced-attribute
   projection (the cache key function itself), the checker falls back to a
   conservative full flush (counted as ``full_flushes``);
+- *bounded memory*: the decision cache and the canonicalisation memo are
+  least-recently-used maps (:class:`~repro.util.lru.LRUCache`) of at most
+  :data:`DECISION_CACHE_SIZE` and :data:`CANON_CACHE_SIZE` entries, since
+  proxy credentials and fresh attribute values make their key spaces
+  unbounded; an evicted decision costs one fixpoint when it comes back.
+  A stored key's attribute values are interned, so a thousand keys share
+  one copy of each repeated value;
 - *guard-indexed delegation*: each principal's admitted assertions sit in
   one bucket indexed by their program's equality guard
   (:attr:`CompiledConditions.guard <repro.keynote.eval.CompiledConditions.guard>`),
@@ -90,6 +103,7 @@ import threading
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import attrgetter
+from sys import intern
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -98,16 +112,26 @@ from typing import (
     Mapping,
     Sequence,
 )
+from weakref import ref
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ComplianceError, CredentialError
 from repro.keynote.credential import Credential
 from repro.keynote.eval import CompiledConditions, compile_conditions
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
+from repro.util.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.crypto.keys import PublicKey
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+
+#: cached decisions a checker keeps, least recently used out first: above
+#: the working set of a daemon fed cache-busting traffic for seconds (an 8 s
+#: cold_delegation bench run ends near 10.6k entries), not for hours
+DECISION_CACHE_SIZE = 16384
+#: principal -> canonical id memo entries a checker keeps (requesters are
+#: remote keys, so this too grows with traffic)
+CANON_CACHE_SIZE = 8192
 
 
 @dataclass
@@ -167,11 +191,12 @@ class _Prepared:
     ``key`` is the canonical authorizer whose bucket holds the entry,
     ``seq`` its admission order and ``count`` how many times the
     credential was added and not revoked: one entry stands for every copy
-    of an equal credential.
+    of an equal credential, and an entry whose count reached 0 is dead —
+    every cached decision that read it fails validation.
     """
 
     __slots__ = ("credential", "compiled", "signer", "verified", "key",
-                 "seq", "count")
+                 "seq", "count", "__weakref__")
 
     def __init__(self, credential: Credential,
                  compiled: "CompiledConditions | None",
@@ -209,13 +234,17 @@ class _Bucket:
     stops before it, never skips one) and is replaced, not edited, when
     an entry leaves; ``guarded`` itself is replaced whenever an attribute
     key comes or goes, since fixpoints iterate it.
+
+    ``stamp`` is the generation at which an assertion was last admitted
+    here: a cached decision older than it may have missed that assertion.
     """
 
-    __slots__ = ("unguarded", "guarded")
+    __slots__ = ("unguarded", "guarded", "stamp")
 
     def __init__(self) -> None:
         self.unguarded: list[_Prepared] = []
         self.guarded: dict[str, dict[str, list[_Prepared]]] = {}
+        self.stamp = 0
 
     def __iter__(self) -> Iterator[_Prepared]:
         yield from self.unguarded
@@ -294,12 +323,12 @@ class ComplianceChecker:
         visited, fixpoint depth) is mirrored into ``keynote.*`` metrics and
         decision-cache traffic into ``keynote.cache.hit`` / ``.miss``.
 
-    Whole query outcomes are memoised in a decision cache.  Safe by
-    construction: the cache key covers every attribute any assertion can
-    read, the canonical authorizer set and the value set;
+    Whole query outcomes are memoised in a bounded decision cache.  Safe
+    by construction: the cache key covers every attribute any assertion
+    can read, the canonical authorizer set and the value set;
     :meth:`add_assertion` / :meth:`revoke_assertion` bump :attr:`generation`
-    and evict only the decisions whose recorded dependency sets intersect
-    the delta.
+    and mark what they changed, and a read drops an entry whose recorded
+    dependencies were marked after it was computed.
 
     The assertion set is a multiset keyed by credential value: adding an
     equal credential again only counts a copy, and it takes as many
@@ -329,14 +358,16 @@ class ComplianceChecker:
         #: canonical principal -> its admitted assertions
         self._buckets: dict[str, _Bucket] = {}
         self._discarded: list[Credential] = []
-        self._canon_cache: dict[str, str] = {}
+        self._canon_cache: LRUCache[str, str] = LRUCache(CANON_CACHE_SIZE)
         #: Conditions text -> the program its admitted holders share
         #: (assertions without Local-Constants only)
         self._programs: dict[str, _SharedProgram] = {}
-        #: decision key -> (compliance value, canonical principals whose
-        #: sub-graphs the fixpoint descended, ids of prepared assertions
-        #: whose conditions it evaluated)
-        self._decision_cache: dict[tuple, tuple[str, tuple, tuple]] = {}
+        #: decision key -> (compliance value, generation it was computed
+        #: at, dependencies: the canonical principals whose sub-graphs the
+        #: fixpoint descended and weak references to the prepared
+        #: assertions whose conditions it evaluated)
+        self._decision_cache: LRUCache[tuple, tuple[str, int, tuple]] = \
+            LRUCache(DECISION_CACHE_SIZE)
         #: serialises assertion-set mutation against decision-cache traffic;
         #: concurrent serve handlers (or threaded harnesses) may interleave
         #: query with add/revoke, and a torn generation bump could otherwise
@@ -345,10 +376,7 @@ class ComplianceChecker:
         self._generation = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: the inverted dependency indexes mutations consult to find the
-        #: decisions that depend on them
-        self._principal_index: dict[str, set[tuple]] = {}
-        self._assertion_index: dict[int, set[tuple]] = {}
+        #: cached decisions dropped on read because a dependency moved
         self.selective_evictions = 0
         self.full_flushes = 0
         #: the referenced-attribute projection as a multiset: attribute ->
@@ -368,6 +396,10 @@ class ComplianceChecker:
         #: first call
         self._backfill_order: "Iterator[_Prepared] | None" = None
         self._admissions = count()
+        #: metric name -> counter, bound on first use (a counter that
+        #: never counts stays out of the registry)
+        self._counters: dict[str, "Counter"] = {}
+        self._depth: "Histogram | None" = None
         for assertion in assertions:
             self._admit(assertion, lazy=not strict)
 
@@ -376,8 +408,9 @@ class ComplianceChecker:
     @property
     def generation(self) -> int:
         """Bumped whenever the assertion set changes: a mutation epoch the
-        in-flight store guard and session fingerprints key on.  It does not
-        flush the decision cache — mutations evict only their dependents."""
+        in-flight store guard, decision validation and session fingerprints
+        key on.  It does not flush the decision cache — a read drops only
+        the entries whose dependencies moved."""
         return self._generation
 
     @property
@@ -458,12 +491,12 @@ class ComplianceChecker:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
-        was rejected in non-strict mode).  Only the cached decisions whose
-        fixpoint visited the new assertion's authorizer are evicted —
-        decisions that never descended into that principal's sub-graph
-        cannot change (monotonicity) and survive.  Adding a copy of an
-        assertion already present evicts nothing: the set of values the
-        fixpoint joins is unchanged.
+        was rejected in non-strict mode).  The authorizer's bucket is
+        stamped with the new generation, so only the cached decisions whose
+        fixpoint visited that principal fail validation — decisions that
+        never descended into its sub-graph cannot change (monotonicity) and
+        survive.  Adding a copy of an assertion already present marks
+        nothing: the set of values the fixpoint joins is unchanged.
 
         :raises CredentialError: for a bad signature in strict mode.
         """
@@ -477,11 +510,10 @@ class ComplianceChecker:
             admitted = held.verified is not False
             if admitted and held.count == 1:
                 if self._referenced_key != old_shape:
-                    # The cache key function itself changed; selective
-                    # eviction cannot address old-projection entries.
+                    # The cache key function itself changed; validation
+                    # cannot address old-projection entries.
                     self._full_flush_on_churn()
-                else:
-                    self._evict_dependents(principals=(held.key,))
+                self._buckets[held.key].stamp = self._generation + 1
             self._bump_generation()
             return admitted
 
@@ -489,38 +521,36 @@ class ComplianceChecker:
         """Remove one copy of an admitted assertion; bumps the generation
         on success.
 
-        Only the decisions whose fixpoint evaluated the revoked assertion
-        are evicted — revocation propagates through the delegation graph
-        exactly as far as the dependency index recorded, and unrelated warm
-        decisions survive.  The entry is found by value and leaves only
-        its own guard list, so the cost does not grow with the assertion
-        set.  While other copies remain nothing is evicted.
+        Removing the last copy leaves the prepared entry dead, so only the
+        decisions whose fixpoint evaluated it fail validation — revocation
+        propagates through the delegation graph exactly as far as their
+        dependencies recorded, and unrelated warm decisions survive.  No
+        dependent is visited: the cost is O(1) however many there are.  The
+        entry is found by value and leaves only its own guard list, so the
+        cost does not grow with the assertion set either.  While other
+        copies remain nothing is marked.
 
-        Eviction ordering (pinned by test): dependents are evicted and the
-        generation bumped *before* the prepared entry leaves its bucket
-        and before the memoised ``_canonical`` / referenced-attribute state
-        is updated, all inside the mutation lock — a concurrent
-        :meth:`query` either sees the fully-old state (and its
-        epoch-guarded store refuses to cache) or the fully-new one; it can
-        never hit a stale entry for a half-applied delta.  The bucket list
-        is replaced, not edited, so a fixpoint iterating it reads the old
-        set to the end.
+        Ordering (pinned by test): the entry is marked dead and the
+        generation bumped *before* it leaves its bucket and before the
+        memoised ``_canonical`` / referenced-attribute state is updated,
+        all inside the mutation lock — a concurrent :meth:`query` either
+        sees the fully-old state (and its epoch-guarded store refuses to
+        cache) or the fully-new one; it can never hit a stale entry for a
+        half-applied delta.  The bucket list is replaced, not edited, so a
+        fixpoint iterating it reads the old set to the end.
         """
         with self._mutation_lock:
             held = self._assertions.get(assertion)
             if held is None or held.verified is False:
                 return False
-            held.count -= 1
-            if held.count:
-                self._bump_generation()
-                return True
-            old_shape = self._referenced_key
-            self._evict_dependents(assertion_ids=(id(held),))
+            held.count -= 1  # at 0 this marks the entry dead
             self._bump_generation()
-            del self._assertions[assertion]
-            self._unindex(held)
-            if self._referenced_key != old_shape:
-                self._full_flush_on_churn()
+            if not held.count:
+                old_shape = self._referenced_key
+                del self._assertions[assertion]
+                self._unindex(held)
+                if self._referenced_key != old_shape:
+                    self._full_flush_on_churn()
             return True
 
     def _prepare(self, assertion: Credential,
@@ -691,72 +721,34 @@ class ComplianceChecker:
             # Canonicalisation may change too (e.g. a key registered since).
             self._canon_cache.clear()
 
-    def _flush_decisions(self) -> None:
-        self._decision_cache.clear()
-        self._principal_index.clear()
-        self._assertion_index.clear()
-
     def _full_flush_on_churn(self) -> None:
         """Conservative fallback when a delta invalidates the cache *key
         function* (referenced-attribute projection shape changed)."""
         self.full_flushes += 1
-        if self.metrics is not None:
-            self.metrics.counter("keynote.cache.full_flush").inc()
-        self._flush_decisions()
-
-    def _evict_dependents(self, principals: Iterable[str] = (),
-                          assertion_ids: Iterable[int] = ()) -> int:
-        """Drop every cached decision whose dependency sets intersect the
-        delta; returns the eviction count.  Entries that survive are, by
-        the monotonicity argument in the module docstring, still equal to
-        a cold recompute."""
-        victims: set[tuple] = set()
-        for principal in principals:
-            victims |= self._principal_index.get(principal, set())
-        for assertion_id in assertion_ids:
-            victims |= self._assertion_index.get(assertion_id, set())
-        for key in victims:
-            self._drop_entry(key)
-        self.selective_evictions += len(victims)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "keynote.cache.selective_evictions").inc(len(victims))
-        return len(victims)
-
-    def _drop_entry(self, key: tuple) -> None:
-        _value, principals, assertion_ids = self._decision_cache.pop(
-            key, (None, (), ()))
-        for principal in principals:
-            bucket = self._principal_index.get(principal)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._principal_index[principal]
-        for assertion_id in assertion_ids:
-            bucket = self._assertion_index.get(assertion_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._assertion_index[assertion_id]
+        self._count("keynote.cache.full_flush")
+        self._decision_cache.clear()
 
     def clear_decision_cache(self) -> None:
         """Flush cached decisions without touching the assertion set (cold
         restart for benchmarks)."""
         with self._mutation_lock:
-            self._flush_decisions()
+            self._decision_cache.clear()
 
     def cache_info(self) -> dict[str, int]:
         """Decision-cache statistics: size, generation, hit/miss counts and
-        the eviction counters, plus signature-check progress: ``unverified``
-        admitted assertions whose check is still deferred, and the number
-        ``discarded`` as bad so far; ``programs`` is the number of shared
-        compiled programs held."""
+        the eviction counters (``selective_evictions`` dropped on read as
+        stale, ``evictions`` dropped to stay within
+        :data:`DECISION_CACHE_SIZE`), plus signature-check progress:
+        ``unverified`` admitted assertions whose check is still deferred,
+        and the number ``discarded`` as bad so far; ``programs`` is the
+        number of shared compiled programs held."""
         with self._mutation_lock:
             return {"entries": len(self._decision_cache),
                     "generation": self._generation,
                     "hits": self.cache_hits,
                     "misses": self.cache_misses,
                     "selective_evictions": self.selective_evictions,
+                    "evictions": self._decision_cache.evictions,
                     "full_flushes": self.full_flushes,
                     "unverified": len(self._pending),
                     "discarded": len(self._discarded),
@@ -767,26 +759,59 @@ class ComplianceChecker:
                         values: ComplianceValueSet = DEFAULT_VALUE_SET,
                         ) -> "tuple[tuple, str | None]":
         """The decision key for a request and its currently cached value
-        (None when absent).  Does not run the fixpoint and does not count
-        as cache traffic — the authorisation stack serves its L2 verdict
-        from this value when present and counts the hit itself."""
+        (None when absent, or when the entry failed validation and was
+        dropped).  Does not run the fixpoint and does not count as cache
+        traffic — the authorisation stack serves its L2 verdict from this
+        value when present and counts the hit itself."""
         with self._mutation_lock:
-            key = (self._attr_key(attributes),
-                   self._requesters(authorizers, self._canonical),
-                   values.values)
-            entry = self._decision_cache.get(key)
-            return key, entry[0] if entry is not None else None
+            key = self._decision_key(
+                attributes, self._requesters(authorizers, self._canonical),
+                values)
+            return key, self._lookup(key)
+
+    def _lookup(self, key: tuple) -> "str | None":
+        """The valid cached value under ``key``, or None; a stale entry is
+        dropped and counted.  Called under the mutation lock."""
+        entry = self._decision_cache.get(key)
+        if entry is None:
+            return None
+        value, generation, deps = entry
+        if generation != self._generation and self._moved(generation, deps):
+            self._decision_cache.pop(key)
+            self.selective_evictions += 1
+            self._count("keynote.cache.selective_evictions")
+            return None
+        return value
+
+    def _moved(self, generation: int, deps: tuple) -> bool:
+        """Whether a decision computed at ``generation`` over ``deps`` may
+        differ now: a principal it descended into admitted an assertion
+        since (its bucket's stamp is newer; a missing bucket reads as 0),
+        or an assertion it read was revoked (dead: no copy left, or already
+        freed)."""
+        buckets = self._buckets
+        for dep in deps:
+            if dep.__class__ is str:
+                bucket = buckets.get(dep)
+                if bucket is not None and bucket.stamp > generation:
+                    return True
+            else:
+                prepared = dep()
+                if prepared is None or not prepared.count:
+                    return True
+        return False
 
     def _canonical(self, principal: str) -> str:
         """Canonical principal id, memoised per checker: symbolic names
         resolve to encoded keys when a keystore knows them, so "Kbob" and
         the encoded key unify.  The memo is flushed on generation bumps (a
-        name may have been registered since)."""
+        name may have been registered since); ids are interned, so every
+        decision key holds one copy of each."""
         with self._mutation_lock:
             cached = self._canon_cache.get(principal)
             if cached is None:
-                cached = self._resolve(principal)
-                self._canon_cache[principal] = cached
+                cached = intern(self._resolve(principal))
+                self._canon_cache.put(principal, cached)
             return cached
 
     def _resolve(self, principal: str) -> str:
@@ -837,29 +862,40 @@ class ComplianceChecker:
         results: list[str] = []
         cond_memos: dict[tuple, dict[int, str]] = {}
         for attributes, authorizers in requests:
-            memo_key = (self._referenced_key, self._attr_key(attributes),
-                        values.values)
+            memo_key = (self._referenced_key,
+                        self._decision_key(attributes, (), values))
             cond_memo = cond_memos.setdefault(memo_key, {})
             results.append(self._query(attributes, authorizers, values,
                                        cond_memo))
         return results
 
-    def _attr_key(self, attributes: Mapping[str, str]) -> tuple:
-        """The attribute projection that can influence a decision.
+    def _decision_key(self, attributes: Mapping[str, str],
+                      requesters: tuple[str, ...],
+                      values: ComplianceValueSet) -> tuple:
+        """The decision-cache key: the attribute projection that can
+        influence a decision, then the canonical requesters and the value
+        set, in one flat tuple (a daemon holds one key per distinct
+        request).
 
-        Only attributes some assertion reads are part of the cache key;
+        Only attributes some assertion reads are part of the key;
         unreferenced attributes (a ``_cur_time`` no credential tests, say)
         cannot change the outcome, so they must not fragment the cache.
         The key holds their values alone, in :attr:`_referenced_key` order:
         the names are the same for every key until the shape changes, and
         a shape change flushes the cache.  With a ``$`` dereference
         anywhere the read set is dynamic and the full attribute set is
-        keyed as (name, value) pairs.
+        keyed as (name, value) pairs.  Either way the requesters and the
+        value set are the last two items, so two keys are equal only when
+        all three parts are.
         """
         referenced = self._referenced_key
         if referenced is None:
-            return tuple(sorted(attributes.items()))
-        return tuple([attributes.get(name, "") for name in referenced])
+            key: list = sorted(attributes.items())
+        else:
+            key = [attributes.get(name, "") for name in referenced]
+        key.append(requesters)
+        key.append(values.values)
+        return tuple(key)
 
     @staticmethod
     def _requesters(authorizers: Iterable[str],
@@ -876,25 +912,21 @@ class ComplianceChecker:
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
         with self._mutation_lock:
-            cache_key = (self._attr_key(attributes), requesters,
-                         values.values)
-            entry = self._decision_cache.get(cache_key)
+            cache_key = self._decision_key(attributes, requesters, values)
+            cached = self._lookup(cache_key)
             cached_generation = self._generation
-        if entry is not None:
-            cached = entry[0]
+        if cached is not None:
             self.cache_hits += 1
             profile = ComplianceStats(queries=1)
             self.last_query_stats = profile
             self.stats.merge(profile)
-            if self.metrics is not None:
-                self.metrics.counter("keynote.queries").inc()
-                self.metrics.counter("keynote.cache.hit").inc()
+            self._count("keynote.queries")
+            self._count("keynote.cache.hit")
             return cached
         self.cache_misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("keynote.cache.miss").inc()
+        self._count("keynote.cache.miss")
         profile = ComplianceStats(queries=1)
-        deps: "tuple[set, set]" = (set(), set())
+        deps: set = set()
         try:
             result = self._evaluate(attributes, requesters, values, profile,
                                     cond_memo, deps, self._canonical, None,
@@ -912,9 +944,10 @@ class ComplianceChecker:
                     # this fixpoint ran: the value was computed over an
                     # assertion set that no longer exists, so it must not
                     # seed the *fresh* cache.  (This also guarantees the
-                    # dependency sets below refer to live prepared
-                    # assertions.)
-                    self._remember(cache_key, result, deps)
+                    # dependencies below were live at ``cached_generation``.)
+                    self._decision_cache.put(
+                        _interned(cache_key),
+                        (result, cached_generation, tuple(deps)))
         return result
 
     def _query_overlay(self, attributes: Mapping[str, str],
@@ -935,7 +968,7 @@ class ComplianceChecker:
         def canonical(principal: str) -> str:
             resolved = local.get(principal)
             if resolved is None:
-                resolved = (self._canon_cache.get(principal)
+                resolved = (self._canon_cache.peek(principal)
                             or self._resolve(principal))
                 local[principal] = resolved
             return resolved
@@ -952,7 +985,7 @@ class ComplianceChecker:
         profile = ComplianceStats(queries=1)
         try:
             return self._evaluate(attributes, requesters, values, profile,
-                                  None, (set(), set()), canonical, overlay,
+                                  None, set(), canonical, overlay,
                                   self._peek)
         finally:
             self._record_profile(profile)
@@ -963,21 +996,11 @@ class ComplianceChecker:
         if self.metrics is not None:
             self._record_metrics(profile)
 
-    def _remember(self, key: tuple, result: str,
-                  deps: "tuple[set, set]") -> None:
-        principals, assertion_ids = deps
-        self._decision_cache[key] = (result, tuple(principals),
-                                     tuple(assertion_ids))
-        for principal in principals:
-            self._principal_index.setdefault(principal, set()).add(key)
-        for assertion_id in assertion_ids:
-            self._assertion_index.setdefault(assertion_id, set()).add(key)
-
     def _evaluate(self, attributes: Mapping[str, str],
                   requesters: tuple[str, ...], values: ComplianceValueSet,
                   profile: ComplianceStats,
                   cond_memo: "dict[int, str] | None",
-                  deps: "tuple[set, set]",
+                  deps: set,
                   canonical: "Callable[[str], str]",
                   overlay: "dict[str, list[_Prepared]] | None",
                   verdict: "Callable[[_Prepared], bool]") -> str:
@@ -994,14 +1017,15 @@ class ComplianceChecker:
         signatures no decision needs.
 
         The search records into ``deps`` every canonical principal whose
-        sub-graph it descended (``deps[0]``) and the id of every prepared
-        assertion whose value it read (``deps[1]``) — the dependency sets
-        selective eviction later consults.  A guard-skipped assertion is
-        not read and not recorded: it adds the minimum whatever it holds,
-        so revoking it cannot change this decision, and adding a sibling
-        evicts through ``deps[0]``.  Requester short-circuits are
-        deliberately *not* recorded: a requester's own assertions are never
-        read, so mutations of them cannot change this decision."""
+        sub-graph it descended and a weak reference to every prepared
+        assertion whose value it read — the dependencies validation on read
+        later checks.  A
+        guard-skipped assertion is not read and not recorded: it adds the
+        minimum whatever it holds, so revoking it cannot change this
+        decision, and adding a sibling stamps its principal.  Requester
+        short-circuits are deliberately *not* recorded: a requester's own
+        assertions are never read, so mutations of them cannot change this
+        decision."""
         if cond_memo is None:
             cond_memo = {}
         memo: dict[str, str] = {}
@@ -1018,7 +1042,7 @@ class ComplianceChecker:
                 return values.maximum
             # Recorded before the memo check: the first (miss) visit
             # records the principal, so later memo hits are covered.
-            deps[0].add(principal)
+            deps.add(principal)
             if principal in memo:
                 profile.memo_hits += 1
                 return memo[principal]
@@ -1058,7 +1082,7 @@ class ComplianceChecker:
             return result
 
         def assertion_value(prepared: _Prepared) -> str:
-            deps[1].add(id(prepared))
+            deps.add(ref(prepared))
             conditions_value = cond_memo.get(id(prepared))
             if conditions_value is None:
                 conditions_value = prepared.compiled.value(attributes, values)
@@ -1081,16 +1105,28 @@ class ComplianceChecker:
 
         return principal_value("POLICY")
 
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (when metrics are attached),
+        asking the registry for it only the first time."""
+        counter = self._counters.get(name)
+        if counter is None:
+            if self.metrics is None:
+                return
+            counter = self._counters[name] = self.metrics.counter(name)
+        counter.inc(amount)
+
     def _record_metrics(self, profile: ComplianceStats) -> None:
-        metrics = self.metrics
-        assert metrics is not None
-        metrics.counter("keynote.queries").inc()
-        metrics.counter("keynote.memo.hit").inc(profile.memo_hits)
-        metrics.counter("keynote.memo.miss").inc(profile.memo_misses)
-        metrics.counter("keynote.assertions_visited").inc(
-            profile.assertions_visited)
-        metrics.counter("keynote.cycles_broken").inc(profile.cycles_broken)
-        metrics.histogram("keynote.fixpoint_depth").observe(profile.max_depth)
+        self._count("keynote.queries")
+        self._count("keynote.memo.hit", profile.memo_hits)
+        self._count("keynote.memo.miss", profile.memo_misses)
+        self._count("keynote.assertions_visited", profile.assertions_visited)
+        self._count("keynote.cycles_broken", profile.cycles_broken)
+        depth = self._depth
+        if depth is None:
+            assert self.metrics is not None
+            depth = self._depth = self.metrics.histogram(
+                "keynote.fixpoint_depth")
+        depth.observe(profile.max_depth)
 
     def authorises(self, attributes: Mapping[str, str],
                    authorizers: Iterable[str],
@@ -1101,6 +1137,16 @@ class ComplianceChecker:
         target = threshold if threshold is not None else values.maximum
         return values.at_least(self.query(attributes, authorizers, values),
                                target)
+
+
+def _interned(key: tuple) -> tuple:
+    """A decision key to store, its string attribute values interned: each
+    request decodes its own copies of them, and the cache would otherwise
+    keep one per key.  (Requesters are interned by
+    :meth:`ComplianceChecker._canonical`; a lookup key is never stored, so
+    it skips this.)"""
+    return tuple([intern(part) if part.__class__ is str else part
+                  for part in key])
 
 
 def evaluate_query(assertions: Sequence[Credential],

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.util.clock import Clock, SimulatedClock
-from repro.webcom.health import PressureWindow
+from repro.webcom.health import TRANSITION_WINDOW, PressureWindow
 
 # -- priority classes --------------------------------------------------------
 
@@ -181,9 +181,6 @@ DEFAULT_TIERS: tuple[BrownoutTier, ...] = (
     BrownoutTier(1, "shed_broadcast", enter=0.60, exit=0.30),
     BrownoutTier(2, "shed_bulk", enter=0.90, exit=0.60),
 )
-
-#: the newest tier transitions a :class:`BrownoutController` keeps
-TRANSITION_WINDOW = 64
 
 
 class BrownoutController:

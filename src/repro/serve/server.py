@@ -323,7 +323,10 @@ class ReproServer:
                 finally:
                     self._end_request()
         finally:
+            # A closed connection leaves the registry: ``status`` and every
+            # broadcast see live peers only.
             peer.alive = False
+            self.registry.pop(peer.peer_id, None)
             self._writers.pop(peer.peer_id, None)
             self._replies.pop(peer.peer_id, None)
             self.admission.forget_peer(peer.peer_id)

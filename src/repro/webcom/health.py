@@ -47,6 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
 
+#: the newest state transitions a :class:`CircuitBreaker` (or the serve
+#: plane's brownout controller) keeps: a flapping backend must not grow
+#: the report without bound
+TRANSITION_WINDOW = 64
+
+
 class BreakerState(str, enum.Enum):
     """The classic three-state circuit-breaker automaton."""
 
@@ -117,8 +123,12 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at: float | None = None
-        #: (simulated time, from-state, to-state) for every transition
-        self.transitions: list[tuple[float, str, str]] = []
+        #: (simulated time, from-state, to-state) of the newest
+        #: :data:`TRANSITION_WINDOW` transitions
+        self.transitions: deque[tuple[float, str, str]] = deque(
+            maxlen=TRANSITION_WINDOW)
+        #: every transition, including those the window dropped
+        self.transition_count = 0
 
     def _now(self) -> float:
         return self.clock.now()
@@ -178,6 +188,7 @@ class CircuitBreaker:
         self.state = new_state
         now = self._now()
         self.transitions.append((now, old_state.value, new_state.value))
+        self.transition_count += 1
         if self.obs is not None:
             self.obs.metrics.counter(f"health.breaker.{new_state.value}").inc()
             self.obs.metrics.counter(
@@ -201,6 +212,7 @@ class CircuitBreaker:
             "consecutive_failures": self._consecutive_failures,
             "opened_at": self._opened_at,
             "transitions": [list(t) for t in self.transitions],
+            "transition_count": self.transition_count,
         }
 
     def __repr__(self) -> str:

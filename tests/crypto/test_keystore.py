@@ -110,3 +110,25 @@ class TestSignatureCacheBound:
         assert not cache.verify(pair.public, f"filler {last}".encode(),
                                 Signature(last + 1, last + 1))
         assert cache.hits == hits + 1
+
+    def test_a_hit_keeps_an_outcome_past_newer_ones(self, monkeypatch):
+        cache = SignatureVerificationCache()
+        pair = KeyPair.generate("Krecent")
+        first = b"verified often"
+        signature = pair.private.sign(first)
+        assert cache.verify(pair.public, first, signature)
+        with monkeypatch.context() as patch:
+            patch.setattr(PublicKey, "verify",
+                          lambda self, message, sig: False)
+            for n in range(2 * SIGNATURE_CACHE_SIZE):
+                cache.verify(pair.public, f"filler {n}".encode(),
+                             Signature(n + 1, n + 1))
+                if n % 1000 == 0:
+                    # Least recently used, not first in: a signature
+                    # checked again keeps its place.
+                    assert cache.verify(pair.public, first, signature)
+        hits = cache.hits
+        assert cache.verify(pair.public, first, signature)
+        assert cache.hits == hits + 1
+        assert len(cache) == SIGNATURE_CACHE_SIZE
+        assert cache.evictions == SIGNATURE_CACHE_SIZE + 1

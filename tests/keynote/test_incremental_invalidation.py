@@ -252,43 +252,44 @@ class TestValuesOnlyKeys:
 
 
 class TestRevokeEvictionOrdering:
-    """Pins the revoke_assertion contract: dependents are evicted and the
-    generation bumped BEFORE the prepared entry is structurally removed
-    and its attributes retracted from the referenced-attribute multiset.
-    A concurrent query that raced the old order could recompute against
-    half-applied state and be cached under a stale dependency record."""
+    """Pins the revoke_assertion contract: the prepared entry is marked dead
+    and the generation bumped BEFORE the entry is structurally removed and
+    its attributes retracted from the referenced-attribute multiset.  A
+    concurrent query that raced the old order could recompute against
+    half-applied state and be cached as valid."""
 
-    def test_evict_then_bump_then_remove(self, monkeypatch):
+    def test_mark_bump_then_remove(self, monkeypatch):
         universe = small_universe()
         checker = fresh_checker(universe)
         probe(checker, universe, 4)
         events = []
+        revoked = universe["proxy_creds"][4]
+        held = checker._assertions[revoked]
+        key = checker._canonical("Kuser4")
 
-        real_evict = checker._evict_dependents
         real_bump = checker._bump_generation
         real_count = checker._count_attributes
 
-        def spy_evict(*args, **kwargs):
-            events.append("evict")
-            return real_evict(*args, **kwargs)
-
         def spy_bump(*args, **kwargs):
-            events.append("bump")
+            # Marked dead, still in its bucket and its attributes counted.
+            events.append(("bump", held.count, key in checker._buckets))
             return real_bump(*args, **kwargs)
 
         def spy_count(prepared, delta):
             # Structural removal happens immediately before the retraction;
             # record what the structures say at this point.
-            key = checker._canonical("Kuser4")
             events.append(("retract", delta, key in checker._buckets))
             return real_count(prepared, delta)
 
-        monkeypatch.setattr(checker, "_evict_dependents", spy_evict)
         monkeypatch.setattr(checker, "_bump_generation", spy_bump)
         monkeypatch.setattr(checker, "_count_attributes", spy_count)
 
-        assert checker.revoke_assertion(universe["proxy_creds"][4])
-        assert events == ["evict", "bump", ("retract", -1, False)]
+        assert checker.revoke_assertion(revoked)
+        assert events == [("bump", 0, True), ("retract", -1, False)]
+        # The dependent decision is dropped on its next read.
+        _key, cached = checker.cached_decision(
+            _attrs(universe, 4, "submit"), [universe["proxy_keys"][4]])
+        assert cached is None
 
     def test_failed_revoke_neither_evicts_nor_bumps(self):
         universe = small_universe()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,13 @@ from repro.obs.export import (
     render_metrics,
     render_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    PERCENTILE_ERROR,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.util.clock import SimulatedClock
 
 
@@ -70,13 +77,44 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("latency").percentile(101)
 
-    def test_samples_carry_observation_times(self):
+    def test_observations_stamp_the_last_update(self):
         clock = SimulatedClock()
         h = Histogram("latency", clock)
+        assert h.updated_at is None
         h.observe(1.0)
         clock.advance(2.0)
         h.observe(3.0)
-        assert h.samples == [(0.0, 1.0), (2.0, 3.0)]
+        assert h.updated_at == 2.0
+        assert h.as_dict()["updated_at"] == 2.0
+        assert "samples" not in h.as_dict()
+
+    def test_constant_memory_and_bounded_percentile_error(self):
+        rng = random.Random(3)
+        values = [rng.lognormvariate(0.0, 2.0) for _ in range(20000)]
+        h = Histogram("latency")
+        for n, value in enumerate(values, 1):
+            h.observe(value)
+            if n == 10000:
+                buckets = len(h._buckets)
+        # The second 10000 draws from the same range add few buckets.
+        assert len(h._buckets) < buckets + 50 < 600
+        ordered = sorted(values)
+        assert (h.count, h.minimum(), h.maximum()) == \
+            (20000, ordered[0], ordered[-1])
+        assert h.total() == sum(values)
+        for p in (1, 10, 50, 90, 95, 99, 99.9):
+            exact = ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
+            assert abs(h.percentile(p) / exact - 1) <= PERCENTILE_ERROR
+        assert h.percentile(0) == ordered[0]
+        assert h.percentile(100) == ordered[-1]
+
+    def test_zero_negative_and_repeated_values(self):
+        h = Histogram("delta")
+        for value in (0.0, -2.0, 5.0, 5.0, -2.0, 0.0):
+            h.observe(value)
+        assert [h.percentile(p) for p in (1, 34, 50, 67, 100)] == \
+            [-2.0, 0.0, 0.0, 5.0, 5.0]
+        assert len(h._buckets) == 3
 
 
 class TestRegistry:
@@ -97,8 +135,10 @@ class TestRegistry:
             clock.advance(4.0)
         with registry.time("op.latency"):
             pass  # nothing advanced the clock
-        assert registry.histogram("op.latency").samples == [(4.0, 4.0),
-                                                            (4.0, 0.0)]
+        latency = registry.histogram("op.latency")
+        assert (latency.count, latency.minimum(), latency.maximum()) == \
+            (2, 0.0, 4.0)
+        assert latency.updated_at == 4.0
 
     def test_names_snapshot_and_reset(self):
         registry = MetricsRegistry()

@@ -454,6 +454,29 @@ class TestLiveness:
         assert server.heartbeat_timeout == 1.0
         assert hello["heartbeat_interval"] == 5.0
 
+    def test_closed_connections_leave_the_registry(self):
+        async def scenario():
+            server, client = await _boot(_plane())
+            await client.hello(role="stays")
+            for n in range(50):
+                visitor = await ServeClient(f"v{n}").connect(server.host,
+                                                             server.port)
+                assert (await visitor.call("ping"))["pong"]
+                await visitor.close()
+            # The server sees each close when its read loop wakes.
+            for _ in range(100):
+                if len(server.registry) == 1:
+                    break
+                await asyncio.sleep(0.01)
+            status = await client.call("status")
+            await client.close()
+            await server.shutdown()
+            return server, status
+
+        server, status = asyncio.run(scenario())
+        assert [peer["role"] for peer in status["peers"]] == ["stays"]
+        assert server.registry == {}
+
 
 class TestTranslateApi:
     def test_translate_comprehends_credentials_over_the_wire(self):

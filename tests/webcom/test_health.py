@@ -10,7 +10,8 @@ from repro.util.clock import SimulatedClock
 from repro.util.events import AuditLog
 from repro.webcom.faults import (LayerFaultInjector, LayerFaultPlan,
                                  LayerFaultRule)
-from repro.webcom.health import BreakerState, CircuitBreaker, DegradedMode
+from repro.webcom.health import (TRANSITION_WINDOW, BreakerState,
+                                 CircuitBreaker, DegradedMode)
 from repro.webcom.stack import AuthorisationStack, Layer, MediationRequest
 
 
@@ -96,6 +97,25 @@ class TestCircuitBreaker:
                    for s in obs.tracer.spans)
         records = audit.find(category="health.breaker")
         assert records and records[0].outcome == "open"
+
+    def test_a_flapping_breaker_keeps_only_the_newest_transitions(self):
+        clock = SimulatedClock()
+        breaker = CircuitBreaker("x", clock=clock, failure_threshold=1,
+                                 cooldown=1.0)
+        # Each round opens (a failed half-open probe reopens) and then
+        # half-opens the breaker: two transitions.
+        for _ in range(1000):
+            breaker.record_failure()
+            clock.advance(1.0)
+            assert breaker.allow()
+        assert breaker.transition_count == 2000
+        snapshot = breaker.snapshot()
+        assert len(breaker.transitions) == TRANSITION_WINDOW == 64
+        assert len(snapshot["transitions"]) == 64
+        assert snapshot["transition_count"] == 2000
+        # The window holds the newest 32 rounds, oldest first.
+        assert snapshot["transitions"][0] == [968.0, "half_open", "open"]
+        assert snapshot["transitions"][-1] == [1000.0, "open", "half_open"]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
