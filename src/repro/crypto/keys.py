@@ -23,7 +23,7 @@ KEY_PREFIX = "kn-schnorr-hex"
 SIG_PREFIX = "sig-schnorr-sha256-hex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A Schnorr signature (challenge e, response s)."""
 
@@ -49,7 +49,7 @@ class Signature:
             raise KeyFormatError(f"non-hex signature body: {text!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """A public key: group element y = g^x."""
 

@@ -7,10 +7,10 @@ credentials be written with symbolic names while being signed with real keys.
 It plays the role of the "System PKI" box in Figure 3.
 
 :class:`SignatureVerificationCache` memoises the (deterministic) outcome of
-Schnorr signature verification by ``(key, message digest, signature)``: a
-credential's bytes are verified once per process, not once per
-compliance-checker build, and at most :data:`SIGNATURE_CACHE_SIZE` outcomes
-are kept, least recently used out first.  The shared
+Schnorr signature verification by one digest of ``(group, key, message,
+signature)``: a credential's bytes are verified once per process, not once
+per compliance-checker build, and at most :data:`SIGNATURE_CACHE_SIZE`
+outcomes are kept, least recently used out first.  The shared
 :data:`SIGNATURE_CACHE` instance is what :meth:`Credential.verify
 <repro.keynote.credential.Credential.verify>` consults; bind a metrics registry to surface ``crypto.sigverify.hit`` /
 ``crypto.sigverify.miss`` counters.
@@ -39,13 +39,14 @@ SIGNATURE_CACHE_SIZE = 4096
 class SignatureVerificationCache:
     """Memoises signature-verification outcomes.
 
-    Verification is a pure function of (public key, message, signature), so
-    its result can be cached process-wide.  The message is keyed by SHA-256
-    digest to bound memory; both valid and invalid outcomes are cached (an
-    invalid signature stays invalid).  Past :data:`SIGNATURE_CACHE_SIZE`
-    entries the least recently used is evicted (counted in
-    :attr:`evictions`); an evicted signature simply verifies again, as a
-    miss.
+    Verification is a pure function of (group, public key, message,
+    signature), so its result can be cached process-wide.  Each outcome is
+    keyed by one SHA-256 digest over all of them
+    (:func:`_verification_key`), 32 bytes however long the message; both
+    valid and invalid outcomes are cached (an invalid signature stays
+    invalid).  Past :data:`SIGNATURE_CACHE_SIZE` entries the least recently
+    used is evicted (counted in :attr:`evictions`); an evicted signature
+    simply verifies again, as a miss.
 
     The shared process-wide instance is consulted by every concurrent serve
     handler (and by test harnesses running checkers from worker threads), so
@@ -60,8 +61,7 @@ class SignatureVerificationCache:
     """
 
     def __init__(self) -> None:
-        self._cache: LRUCache[tuple[int, bytes, str], bool] = \
-            LRUCache(SIGNATURE_CACHE_SIZE)
+        self._cache: LRUCache[bytes, bool] = LRUCache(SIGNATURE_CACHE_SIZE)
         self.hits = 0
         self.misses = 0
         self._metrics: "MetricsRegistry | None" = None
@@ -74,8 +74,7 @@ class SignatureVerificationCache:
     def verify(self, public: PublicKey, message: bytes,
                signature: Signature) -> bool:
         """Cached :meth:`PublicKey.verify`."""
-        key = (public.y, hashlib.sha256(message).digest(),
-               f"{signature.e:x}:{signature.s:x}")
+        key = _verification_key(public, message, signature)
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -116,6 +115,23 @@ class SignatureVerificationCache:
         with self._lock:
             return {"entries": len(self._cache), "hits": self.hits,
                     "misses": self.misses}
+
+
+def _verification_key(public: PublicKey, message: bytes,
+                     signature: Signature) -> bytes:
+    """The SHA-256 digest naming one verification: the group's (p, q, g),
+    the key's y, the message and the signature's (e, s), each prefixed by
+    its length so that no two distinct inputs share an encoding."""
+    digest = hashlib.sha256()
+    group = public.group
+    for part in (group.p, group.q, group.g, public.y, message,
+                 signature.e, signature.s):
+        if isinstance(part, int):
+            part = part.to_bytes(part.bit_length() // 8 + 1, "big",
+                                 signed=True)
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    return digest.digest()
 
 
 #: the process-wide cache credentials verify through by default

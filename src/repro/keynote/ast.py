@@ -16,6 +16,7 @@ threshold extension used by several KeyNote deployments)::
     primary    := NUMBER | STRING | IDENT | '$' primary | '(' or_expr ')'
 
 Nodes carry no evaluation logic; :mod:`repro.keynote.eval` walks them.
+They are slotted: every admitted credential keeps its parsed tree.
 """
 
 from __future__ import annotations
@@ -26,21 +27,21 @@ from typing import Union
 Expr = Union["StringLit", "NumberLit", "Attribute", "Deref", "Unary", "Binary"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringLit:
     """A quoted string literal."""
 
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLit:
     """A numeric literal; kept as text so 1 and 1.0 compare numerically."""
 
     literal: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     """A reference to an action attribute (or local constant, resolved at
     parse time)."""
@@ -48,14 +49,14 @@ class Attribute:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deref:
     """``$expr``: the attribute whose *name* is the value of ``expr``."""
 
     inner: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     """``!e`` (logical not) or ``-e`` (numeric negation)."""
 
@@ -63,7 +64,7 @@ class Unary:
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     """Any binary operator: comparisons, arithmetic, logic, ``~=``, ``.``."""
 
@@ -72,7 +73,7 @@ class Binary:
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """One conditions clause: ``test`` optionally yielding ``value``.
 
@@ -84,7 +85,7 @@ class Clause:
     value: Union[str, "ConditionsProgram", None] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionsProgram:
     """A full Conditions field: an ordered sequence of clauses.
 

@@ -10,6 +10,8 @@ Two kinds (RFC 2704):
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
@@ -27,13 +29,47 @@ POLICY_PRINCIPAL = "POLICY"
 KEYNOTE_VERSION = "2"
 
 
-@dataclass(frozen=True)
-class Credential:
+class _NoConstants(Mapping):
+    """The immutable empty Local-Constants table every credential without
+    constants shares; copying or pickling it yields the shared instance."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str) -> str:
+        raise KeyError(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "NO_CONSTANTS"
+
+
+NO_CONSTANTS: Mapping[str, str] = _NoConstants()
+
+
+class _WeaklyReferenced:
+    """Gives a slotted dataclass a ``__weakref__`` slot on every supported
+    Python (``dataclass(weakref_slot=True)`` needs 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Credential(_WeaklyReferenced):
     """A parsed KeyNote assertion.
 
     ``authorizer`` and the licensee principals are either symbolic names
     (``"Kbob"``) or encoded public keys; symbolic names are resolved through a
     :class:`~repro.crypto.keystore.Keystore` at signing/verification time.
+    Parsing interns both, so a key that authorizes one credential and is
+    licensed by another is held once.
     """
 
     authorizer: str
@@ -42,7 +78,8 @@ class Credential:
     conditions_text: str
     licensees_text: str
     comment: str = ""
-    local_constants: dict[str, str] = field(default_factory=dict, compare=False)
+    local_constants: Mapping[str, str] = field(
+        default_factory=lambda: NO_CONSTANTS, compare=False)
     signature: str = ""
 
     # -- construction --------------------------------------------------------
@@ -64,7 +101,7 @@ class Credential:
             never uses it: its program depends on the constants as well.
         :raises KeyNoteSyntaxError: if licensees or conditions are malformed.
         """
-        constants = dict(local_constants or {})
+        constants = dict(local_constants) if local_constants else NO_CONSTANTS
         parsed_licensees = parse_licensees(licensees, constants)
         table = programs if not constants else None
         program = table.get(conditions) if table is not None else None
@@ -73,7 +110,7 @@ class Credential:
             if table is not None:
                 table[conditions] = program
         return cls(
-            authorizer=authorizer,
+            authorizer=sys.intern(authorizer),
             licensees=parsed_licensees,
             conditions=program,
             conditions_text=" ".join(conditions.split()),
@@ -102,7 +139,7 @@ class Credential:
         if version != KEYNOTE_VERSION:
             raise KeyNoteSyntaxError(f"unsupported KeyNote version {version!r}")
         constants = parse_local_constants(fields["local-constants"]) \
-            if "local-constants" in fields else {}
+            if "local-constants" in fields else NO_CONSTANTS
         authorizer = fields["authorizer"].strip()
         if authorizer.startswith('"') and authorizer.endswith('"'):
             authorizer = authorizer[1:-1]
@@ -167,15 +204,12 @@ class Credential:
         with symbolic principals left as-is (the signature binds the text the
         authorizer actually uttered).
 
-        The rendering is memoised: the instance is frozen, so the canonical
-        form cannot change, and the hot authorisation path (signature cache
-        lookups) asks for it repeatedly.
+        Rendered afresh on every call and never kept: a compliance checker
+        settles each credential's verdict once, so the bytes are asked for
+        once per signing or verification, and keeping them would cost an
+        admitted credential about 400 bytes for the rest of its life.
         """
-        cached = self.__dict__.get("_canonical_bytes")
-        if cached is None:
-            cached = self.to_text(include_signature=False).encode("utf-8")
-            object.__setattr__(self, "_canonical_bytes", cached)
-        return cached
+        return self.to_text(include_signature=False).encode("utf-8")
 
     # -- signing ----------------------------------------------------------------
 

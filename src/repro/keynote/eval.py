@@ -31,6 +31,7 @@ compiles every assertion's conditions at construction time.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
@@ -671,7 +672,7 @@ class CompiledConditions:
             shared = guards if shared is None else [
                 guard for guard in shared if guard in guards]
         self._referenced: "frozenset[str] | None" = (
-            None if flags & _DEREF else frozenset(names))
+            None if flags & _DEREF else _shared_names(frozenset(names)))
         #: ``(attribute, literal)`` when every top-level clause tests
         #: ``attribute == "literal"`` as a conjunct, so the program's value
         #: is the minimum whenever the attribute reads anything else; None
@@ -730,6 +731,14 @@ class CompiledConditions:
 def compile_conditions(program: ConditionsProgram) -> CompiledConditions:
     """Lower a Conditions program into a :class:`CompiledConditions`."""
     return CompiledConditions(program)
+
+
+@lru_cache(maxsize=1024)
+def _shared_names(names: frozenset[str]) -> frozenset[str]:
+    """The first-seen set equal to ``names``, so programs that read the
+    same attributes (one per credential cut from a template) hold one
+    set between them."""
+    return names
 
 
 #: flags of the attribute walk: a ``$`` makes the read set dynamic, and a

@@ -14,8 +14,9 @@ delegation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
 from repro.errors import KeyNoteSyntaxError
 from repro.keynote.tokens import Token, TokenType, tokenize
@@ -24,7 +25,7 @@ from repro.keynote.values import ComplianceValueSet
 LicenseeExpr = Union["Principal", "AllOf", "AnyOf", "Threshold"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Principal:
     """A single principal (public key or symbolic name)."""
 
@@ -38,7 +39,7 @@ class Principal:
         return lookup(self.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllOf:
     """Conjunction: every sub-expression must concur (meet)."""
 
@@ -52,7 +53,7 @@ class AllOf:
         return values.meet([p.value(lookup, values) for p in self.parts])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyOf:
     """Disjunction: any sub-expression suffices (join)."""
 
@@ -66,7 +67,7 @@ class AnyOf:
         return values.join([p.value(lookup, values) for p in self.parts])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Threshold:
     """``k-of(e1, ..., en)``: the k-th largest sub-expression value."""
 
@@ -92,7 +93,7 @@ class _LicenseeParser:
     """Recursive-descent parser for licensee expressions."""
 
     def __init__(self, tokens: list[Token],
-                 constants: dict[str, str] | None = None) -> None:
+                 constants: Mapping[str, str] | None = None) -> None:
         self._tokens = tokens
         self._pos = 0
         self._constants = constants or {}
@@ -139,9 +140,8 @@ class _LicenseeParser:
             return Principal(tok.value)
         if tok.type is TokenType.IDENT:
             # A local constant standing for a key.
-            if tok.value in self._constants:
-                return Principal(self._constants[tok.value])
-            return Principal(tok.value)
+            return Principal(sys.intern(self._constants.get(tok.value,
+                                                            tok.value)))
         if tok.type is TokenType.NUMBER:
             # Threshold: NUMBER '-' 'of' '(' list ')'
             self._expect_op("-")
@@ -171,7 +171,8 @@ class _LicenseeParser:
 
 
 def parse_licensees(text: str,
-                    constants: dict[str, str] | None = None) -> LicenseeExpr:
+                    constants: Mapping[str, str] | None = None,
+                    ) -> LicenseeExpr:
     """Parse a Licensees field body.
 
     :param constants: Local-Constants substitution table (name -> key text).

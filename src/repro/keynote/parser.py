@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Mapping
 
 from repro.errors import KeyNoteSyntaxError
 from repro.keynote.ast import (
@@ -27,7 +28,7 @@ class _ExprParser:
     """Recursive-descent parser for the conditions grammar in ast.py."""
 
     def __init__(self, tokens: list[Token],
-                 constants: dict[str, str] | None = None) -> None:
+                 constants: Mapping[str, str] | None = None) -> None:
         self._tokens = tokens
         self._pos = 0
         self._constants = constants or {}
@@ -181,7 +182,8 @@ class _ExprParser:
 
 
 def parse_conditions(text: str,
-                     constants: dict[str, str] | None = None) -> ConditionsProgram:
+                     constants: Mapping[str, str] | None = None,
+                     ) -> ConditionsProgram:
     """Parse a Conditions field body into a program.
 
     :param constants: Local-Constants substitutions applied at parse time.
@@ -191,7 +193,7 @@ def parse_conditions(text: str,
 
 
 def parse_expression(text: str,
-                     constants: dict[str, str] | None = None) -> Expr:
+                     constants: Mapping[str, str] | None = None) -> Expr:
     """Parse a single expression (no clauses)."""
     return _ExprParser(tokenize(text), constants).parse_expression()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -46,7 +47,7 @@ _KINDS = {"number": TokenType.NUMBER, "ident": TokenType.IDENT,
           "op": TokenType.OP}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A lexical token with position information for error messages."""
 
@@ -64,7 +65,9 @@ def tokenize(text: str) -> list[Token]:
     """Tokenize a condition or licensee expression.
 
     Lines and columns count from 1; every character, tabs included, is one
-    column, and only ``\\n`` starts a new line.
+    column, and only ``\\n`` starts a new line.  Token values are interned:
+    the parsed trees of admitted credentials keep them, and credentials cut
+    from one template repeat the same keys, names and literals.
 
     :raises KeyNoteSyntaxError: on unterminated strings or unknown characters.
     """
@@ -87,9 +90,11 @@ def tokenize(text: str) -> list[Token]:
             value = found.group("string")
             if "\\" in value:
                 value = _ESCAPE_RE.sub(r"\1", value)
-            tokens.append(Token(TokenType.STRING, value, line, column))
+            tokens.append(Token(TokenType.STRING, sys.intern(value),
+                                line, column))
         elif kind != "skip":
-            tokens.append(Token(_KINDS[kind], found.group(), line, column))
+            tokens.append(Token(_KINDS[kind], sys.intern(found.group()),
+                                line, column))
         newlines = text.count("\n", pos, stop)
         if newlines:
             line += newlines

@@ -16,6 +16,7 @@ _EXPORTS = {
     "DurablePolicyNode": "durable",
     "DurableStore": "durable",
     "RecoveredState": "recovery",
+    "RecoveryInfo": "recovery",
     "recover": "recovery",
     "LoadedSnapshot": "snapshot",
     "SnapshotStore": "snapshot",

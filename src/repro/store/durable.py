@@ -51,7 +51,7 @@ from repro.rbac.diff import PolicyDelta, delta_from_dict, delta_to_dict
 from repro.rbac.model import Assignment
 from repro.rbac.policy import RBACPolicy
 from repro.rbac.serialize import policy_from_dict, policy_to_dict
-from repro.store.recovery import RecoveredState, recover
+from repro.store.recovery import RecoveredState, RecoveryInfo, recover
 from repro.store.snapshot import SnapshotStore
 from repro.store.wal import CrashHook, WriteAheadLog
 from repro.translate.propagate import PropagationEngine, VersionedUpdate
@@ -349,13 +349,15 @@ class DurablePolicyNode:
                  local_policy: RBACPolicy, engine: PropagationEngine,
                  keycom: KeyComService | None,
                  checkpoints: dict[str, GraphCheckpoint],
-                 recovered: RecoveredState) -> None:
+                 recovered: RecoveryInfo) -> None:
         self.store = store
         self.session = session
         self.local_policy = local_policy
         self.engine = engine
         self.keycom = keycom
         self.checkpoints = checkpoints
+        #: the recovery's scalar facts; the snapshot document and log tail
+        #: it replayed are dropped once the components are rebuilt
         self.recovered = recovered
 
     @classmethod
@@ -394,7 +396,7 @@ class DurablePolicyNode:
         checkpoints = {name: restore_checkpoint(recovered, name, store=store)
                        for name in graph_names}
         return cls(store, session, local_policy, engine, keycom,
-                   checkpoints, recovered)
+                   checkpoints, recovered.info())
 
     def state(self) -> dict[str, Any]:
         """The full snapshot state of every composed component."""

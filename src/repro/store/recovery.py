@@ -24,7 +24,7 @@ cold so no pre-crash cache entry can be served as fresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.errors import RecoveryError
@@ -33,13 +33,10 @@ from repro.store.wal import WriteAheadLog
 
 
 @dataclass
-class RecoveredState:
-    """Everything recovery reassembled from disk."""
+class RecoveryInfo:
+    """The scalar facts of one recovery: what a recovered node keeps once
+    it has replayed the snapshot state and WAL tail."""
 
-    #: the snapshot state, or {} when recovering from the log alone
-    state: dict[str, Any] = field(default_factory=dict)
-    #: WAL payloads past the snapshot, in append (LSN) order
-    tail: list[dict] = field(default_factory=list)
     #: LSN the snapshot covers (0 without a snapshot)
     snapshot_lsn: int = 0
     #: snapshot sequence number used (0 without a snapshot)
@@ -53,6 +50,22 @@ class RecoveredState:
 
     def used_snapshot(self) -> bool:
         return self.snapshot_seq > 0
+
+
+@dataclass
+class RecoveredState(RecoveryInfo):
+    """Everything recovery reassembled from disk."""
+
+    #: the snapshot state, or {} when recovering from the log alone
+    state: dict[str, Any] = field(default_factory=dict)
+    #: WAL payloads past the snapshot, in append (LSN) order
+    tail: list[dict] = field(default_factory=list)
+
+    def info(self) -> RecoveryInfo:
+        """The scalar facts alone, without the decoded snapshot document
+        and log records the component restores consumed."""
+        return RecoveryInfo(**{f.name: getattr(self, f.name)
+                               for f in fields(RecoveryInfo)})
 
 
 def recover(wal: WriteAheadLog, snapshots: SnapshotStore) -> RecoveredState:

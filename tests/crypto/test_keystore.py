@@ -3,10 +3,12 @@
 import pytest
 
 from repro.crypto import KeyPair, Keystore
+from repro.crypto.group import DEFAULT_GROUP, SchnorrGroup
 from repro.crypto.keys import PublicKey, Signature
 from repro.crypto.keystore import (
     SIGNATURE_CACHE_SIZE,
     SignatureVerificationCache,
+    _verification_key,
 )
 from repro.errors import UnknownKeyError
 
@@ -132,3 +134,48 @@ class TestSignatureCacheBound:
         assert cache.hits == hits + 1
         assert len(cache) == SIGNATURE_CACHE_SIZE
         assert cache.evictions == SIGNATURE_CACHE_SIZE + 1
+
+
+class TestSignatureCacheKey:
+    """An outcome is keyed by one digest of everything verification
+    reads: the group, the key, the message and the signature."""
+
+    #: the same order-q subgroup under another generator: ``y`` is still a
+    #: member, but a signature made under ``g`` does not verify under ``g^2``
+    OTHER_GROUP = SchnorrGroup(DEFAULT_GROUP.p, DEFAULT_GROUP.q,
+                               pow(DEFAULT_GROUP.g, 2, DEFAULT_GROUP.p))
+
+    def test_a_verdict_under_one_group_is_not_served_for_another(self):
+        cache = SignatureVerificationCache()
+        pair = KeyPair.generate("Kgroup")
+        message = b"signed under the default group"
+        signature = pair.private.sign(message)
+        assert cache.verify(pair.public, message, signature)
+        other = PublicKey(pair.public.y, group=self.OTHER_GROUP)
+        assert self.OTHER_GROUP.contains(other.y)
+        assert not other.verify(message, signature)
+        assert not cache.verify(other, message, signature)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.verify(pair.public, message, signature)
+        assert cache.hits == 1
+
+    def test_each_input_changes_the_32_byte_key(self):
+        group = DEFAULT_GROUP
+        public = KeyPair.generate("Kkey").public
+        signature = Signature(3, 4)
+        base = _verification_key(public, b"ab", signature)
+        variants = [
+            _verification_key(PublicKey(public.y, self.OTHER_GROUP), b"ab",
+                              signature),
+            _verification_key(PublicKey(public.y, SchnorrGroup(
+                group.p, group.q + 1, group.g)), b"ab", signature),
+            _verification_key(PublicKey(public.y, SchnorrGroup(
+                group.p + 2, group.q, group.g)), b"ab", signature),
+            _verification_key(PublicKey(public.y + 1), b"ab", signature),
+            _verification_key(public, b"ab\x00", signature),
+            _verification_key(public, b"ab", Signature(4, 4)),
+            _verification_key(public, b"ab", Signature(3, 5)),
+        ]
+        assert len(base) == 32
+        assert all(len(key) == 32 for key in variants)
+        assert len({base, *variants}) == 1 + len(variants)

@@ -218,6 +218,27 @@ class TestFullNode:
                     == again.engine.expected_digest(name))
         again.close()
 
+    def test_a_recovered_node_keeps_no_recovery_input(self, tmp_path):
+        node = _recover_node(tmp_path / "node")
+        node.session.add_policy(POLICY)
+        node.session.add_credential(_credential("Ku1"))
+        node.snapshot()
+        node.session.add_credential(_credential("Ku2"))
+        node.close()
+        store = DurableStore(tmp_path / "node")
+        replayed = store.open()
+        store.close()
+        assert replayed.state and replayed.tail
+        again = _recover_node(tmp_path / "node")
+        # the snapshot document and log tail are consumed by the restores;
+        # the node keeps only the scalar facts of its recovery
+        assert not hasattr(again.recovered, "state")
+        assert not hasattr(again.recovered, "tail")
+        assert again.recovered == replayed.info()
+        assert again.recovered.used_snapshot()
+        assert bool(again.session.query({"app_domain": "db"}, ["Ku2"]))
+        again.close()
+
     def test_delta_dict_roundtrip(self):
         delta = PolicyDelta(
             added_grants=frozenset({Grant("D", "R", "O", "p")}),
