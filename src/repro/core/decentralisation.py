@@ -87,16 +87,10 @@ class DelegationService:
             membership_attributes(domain, role), [user_key]))
 
     def revoke(self, credential: Credential) -> bool:
-        """Drop a previously added credential (simple revocation-by-removal;
-        the paper's middleware propagation handles the stores).
+        """Drop one copy of a previously added credential (simple
+        revocation-by-removal; the paper's middleware propagation handles
+        the stores).
 
         Returns True if the credential was present.
         """
-        creds = self.session.credentials
-        if credential in creds:
-            creds.remove(credential)
-            self.session.clear_credentials()
-            for cred in creds:
-                self.session.add_credential(cred)
-            return True
-        return False
+        return self.session.revoke_credential(credential)

@@ -43,6 +43,10 @@ class QueryResult:
 class KeyNoteSession:
     """A long-lived KeyNote evaluation context.
 
+    Its one trust store is a :class:`ComplianceChecker` built at
+    construction; ``assertions`` and ``expiring`` seed it unjournalled
+    (recovery passes the acknowledged multiset and expiry registry).
+
     >>> from repro.crypto import Keystore
     >>> ks = Keystore(); _ = ks.create("Kbob")
     >>> session = KeyNoteSession(keystore=ks)
@@ -60,7 +64,10 @@ class KeyNoteSession:
                  obs: "Observability | None" = None,
                  clock_skew: float = 0.0,
                  expiry_grace: float | None = None,
-                 store: "DurableStore | None" = None) -> None:
+                 store: "DurableStore | None" = None,
+                 assertions: Iterable[Credential] = (),
+                 expiring: Mapping[Credential, float] | None = None,
+                 ) -> None:
         if clock_skew < 0:
             raise CredentialError(
                 f"clock_skew cannot be negative, got {clock_skew}")
@@ -72,7 +79,6 @@ class KeyNoteSession:
         self.audit = audit
         self.clock = clock or (obs.clock if obs is not None
                                else SimulatedClock())
-        self.verify_signatures = verify_signatures
         self.obs = obs
         #: assumed bound on how far any client clock drifts from ours
         self.clock_skew = clock_skew
@@ -86,16 +92,12 @@ class KeyNoteSession:
         #: session, so a crashed node recovers exactly its acknowledged
         #: trust state (:mod:`repro.store.durable` replays the records)
         self.store = store
-        self._policies: list[Credential] = []
-        #: signed credentials by value -> how many times each was added and
-        #: not revoked (a credential added twice needs two revokes)
-        self._credentials: dict[Credential, int] = {}
-        #: the sum of those counts, kept at every change so
-        #: :meth:`state_fingerprint` does not recount
-        self._credential_count = 0
-        self._checker: ComplianceChecker | None = None
+        self._checker = ComplianceChecker(
+            assertions=assertions, keystore=keystore,
+            verify_signatures=verify_signatures,
+            metrics=obs.metrics if obs is not None else None)
         #: credential -> structured expiry instant (simulated seconds)
-        self._expires_at: dict[Credential, float] = {}
+        self._expires_at: dict[Credential, float] = dict(expiring or {})
 
     def _journal(self, kind: str, credential: Credential, **payload) -> None:
         # The text is rendered only when there is a store to write it to:
@@ -115,13 +117,15 @@ class KeyNoteSession:
             raise CredentialError(
                 "add_policy requires an 'Authorizer: POLICY' assertion")
         self._journal("keynote.policy", credential)
-        self._policies.append(credential)
-        self._absorb(credential)
+        self._checker.add_assertion(credential)
         return credential
 
     def add_credential(self, source: str | Credential,
                        expires_at: float | None = None) -> Credential:
         """Add a signed credential supplied by a requester or a PKI.
+
+        Its signature is checked when a decision first reads it; a forged
+        credential is held (and revocable) but grants nothing.
 
         :param expires_at: optional structured expiry instant (simulated
             seconds).  Unlike a ``_cur_time < T`` condition — which flips a
@@ -149,33 +153,23 @@ class KeyNoteSession:
                                   if expires_at is not None else None))
         if expires_at is not None:
             self._expires_at[credential] = float(expires_at)
-        self._credentials[credential] = self._credentials.get(credential,
-                                                              0) + 1
-        self._credential_count += 1
-        self._absorb(credential)
+        self._checker.add_assertion(credential, defer=True)
         return credential
 
     def revoke_credential(self, credential: Credential) -> bool:
-        """Remove one copy of a previously added credential.
+        """Remove one copy of a previously added credential (a discarded
+        forgery included); False when no copy is held.
 
-        Bumps the live checker's generation and evicts every cached
-        decision that read the revoked credential — the next query cannot
-        be served a stale ALLOW that relied on it, while unrelated cached
-        decisions stay warm.  Credentials are held by value, so the cost
-        does not grow with the number held.
+        Bumps the checker's generation and marks the revoked credential
+        dead, so no cached decision that read it is served again, while
+        unrelated cached decisions stay warm.  Credentials are held by
+        value, so the cost does not grow with the number held.
         """
-        count = self._credentials.get(credential)
-        if count is None:
+        if credential.is_policy or credential not in self._checker:
             return False
         self._journal("keynote.revoke", credential)
-        if count > 1:
-            self._credentials[credential] = count - 1
-        else:
-            del self._credentials[credential]
-        self._credential_count -= 1
         self._expires_at.pop(credential, None)
-        if self._checker is not None:
-            self._checker.revoke_assertion(credential)
+        self._checker.revoke_assertion(credential)
         return True
 
     def sweep_expired(self) -> list[Credential]:
@@ -211,13 +205,6 @@ class KeyNoteSession:
         """The structured-expiry registry (credential -> instant)."""
         return dict(self._expires_at)
 
-    def _absorb(self, credential: Credential) -> None:
-        """Feed a new assertion to the live checker incrementally (it evicts
-        only the cached decisions that visited the assertion's authorizer)
-        instead of discarding the checker for a full rebuild."""
-        if self._checker is not None:
-            self._checker.add_assertion(credential)
-
     def add_credentials(self, text: str) -> list[Credential]:
         """Parse and add several credentials from one blob."""
         added = [self.add_credential(c) for c in parse_credentials(text)]
@@ -231,31 +218,31 @@ class KeyNoteSession:
 
     @property
     def policies(self) -> list[Credential]:
-        """The policy assertions added so far."""
-        return list(self._policies)
+        """The policy assertions held, in first-added order."""
+        return [assertion for assertion in self._checker.assertions
+                if assertion.is_policy]
 
     @property
     def credentials(self) -> list[Credential]:
-        """The signed credentials added so far, each as many times as it
-        was added and not revoked."""
-        return [credential for credential, count in self._credentials.items()
-                for _ in range(count)]
+        """The signed credentials held (admitted, pending or discarded),
+        in first-added order, each as many times as it was added and not
+        revoked."""
+        return [assertion for assertion in self._checker.assertions
+                if not assertion.is_policy]
 
     def clear_credentials(self) -> None:
-        """Drop signed credentials (policies stay)."""
-        self._credentials.clear()
-        self._credential_count = 0
-        self._expires_at.clear()
-        self._checker = None
+        """Revoke every signed credential, journalled (policies stay)."""
+        for credential in self.credentials:
+            self.revoke_credential(credential)
 
     def state_fingerprint(self) -> tuple[int, int, int]:
         """A value that changes whenever the assertion set may have changed
-        (reported by the serve plane's status and mutation replies).
+        (reported by the serve plane's status and mutation replies): the
+        policy and credential copies held and the checker's generation.
         Decision caches should key on :meth:`decision_fingerprint`
         instead, which changes only when one decision does.
         """
-        return (len(self._policies), self._credential_count,
-                self._checker.generation if self._checker is not None else -1)
+        return (*self._checker.copies(), self._checker.generation)
 
     def decision_fingerprint(self, attributes: Mapping[str, str],
                              authorizers: Iterable[str],
@@ -266,47 +253,26 @@ class KeyNoteSession:
         ``_cur_time`` is injected exactly as :meth:`query` does, so the
         key matches what the query actually computed (the checker's
         attribute projection drops ``_cur_time`` unless some assertion
-        references it).  A session whose checker is not built — cold after
-        recovery, or after :meth:`clear_credentials` — reports a sentinel
-        key and no value, so no externally cached decision can validate
-        against it.  The authorisation stack reads its L2 verdict through
-        this first and runs :meth:`query` only when no value is cached.
+        references it).  A recovered session starts with an empty decision
+        cache, so nothing decided before a restart is served after it.
+        The authorisation stack reads its L2 verdict through this first
+        and runs :meth:`query` only when no value is cached.
         """
-        if self._checker is None:
-            return ("cold",), None
         if "_cur_time" not in attributes:
             attributes = {**attributes, "_cur_time": repr(self.clock.now())}
         return self._checker.cached_decision(attributes, tuple(authorizers),
                                              self.values)
 
-    def checker_cache_info(self) -> "dict[str, int] | None":
-        """Decision-cache statistics of the live checker, or None while the
-        checker is cold (never forces a build — status probes must not
-        side-effect the session)."""
-        if self._checker is None:
-            return None
+    def checker_cache_info(self) -> dict[str, int]:
+        """The checker's decision-cache and signature-check statistics."""
         return self._checker.cache_info()
 
     # -- queries -----------------------------------------------------------------
 
     @property
     def checker(self) -> ComplianceChecker:
-        """The live compliance checker (built lazily on first access).
-
-        The instance persists across queries so its decision cache and
-        precompiled assertions are reused; :meth:`add_policy` /
-        :meth:`add_credential` / :meth:`revoke_credential` feed it
-        incrementally.
-        """
-        return self._checker_instance()
-
-    def _checker_instance(self) -> ComplianceChecker:
-        if self._checker is None:
-            self._checker = ComplianceChecker(
-                assertions=self._policies + self.credentials,
-                keystore=self.keystore,
-                verify_signatures=self.verify_signatures,
-                metrics=self.obs.metrics if self.obs is not None else None)
+        """The session's compliance checker and trust store, changed
+        incrementally by every add and revoke."""
         return self._checker
 
     def query(self, attributes: Mapping[str, str],
@@ -328,7 +294,7 @@ class KeyNoteSession:
             (defaults to the value set's maximum).
         """
         extras = list(extra_credentials)
-        checker = self._checker_instance()
+        checker = self._checker
         authorizer_tuple = tuple(authorizers)
         # The current simulated time is always available to conditions as
         # `_cur_time`, so credentials can carry expiry tests like
@@ -378,4 +344,4 @@ class KeyNoteSession:
             (attrs if "_cur_time" in attrs else {**attrs, "_cur_time": now},
              tuple(auths))
             for attrs, auths in requests]
-        return self._checker_instance().query_many(prepared, self.values)
+        return self._checker.query_many(prepared, self.values)

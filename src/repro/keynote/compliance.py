@@ -35,11 +35,11 @@ Hot-path machinery (the authorisation fast path):
   its conditions rise above the minimum, before reading its licensees; an
   assertion whose conditions give the minimum contributes the minimum
   whatever its signature, so skipping the check there changes no value.  A
-  bad assertion leaves the index and joins :attr:`ComplianceChecker.discarded`,
-  exactly as if construction had dropped it, and
-  :meth:`ComplianceChecker.verify_pending` settles the rest in the
-  background.  Strict mode, :meth:`ComplianceChecker.add_assertion` and
-  request-scoped assertions check eagerly;
+  bad assertion leaves the index and stays held as
+  :attr:`ComplianceChecker.discarded`, exactly as if construction had
+  dropped it, and :meth:`ComplianceChecker.verify_pending` settles the rest
+  in the background.  :meth:`ComplianceChecker.add_assertion` defers too
+  when asked; strict mode and request-scoped assertions check eagerly;
 - a *decision cache* memoises full query outcomes by (relevant attribute
   projection, canonical authorizer set, value set).  Values computed under a
   live cycle-break assumption are never cached (unless maximal, which
@@ -353,11 +353,13 @@ class ComplianceChecker:
         self.stats = ComplianceStats()
         self.last_query_stats: "ComplianceStats | None" = None
         #: every presented assertion by value (admitted, pending or
-        #: discarded); admitted ones also sit in their authorizer's bucket
+        #: discarded: ``verified`` False), in first-added order; admitted
+        #: ones also sit in their authorizer's bucket
         self._assertions: dict[Credential, _Prepared] = {}
+        #: copies held, by ``is_policy``
+        self._copies = {True: 0, False: 0}
         #: canonical principal -> its admitted assertions
         self._buckets: dict[str, _Bucket] = {}
-        self._discarded: list[Credential] = []
         self._canon_cache: LRUCache[str, str] = LRUCache(CANON_CACHE_SIZE)
         #: Conditions text -> the program its admitted holders share
         #: (assertions without Local-Constants only)
@@ -423,10 +425,21 @@ class ComplianceChecker:
 
     @property
     def discarded(self) -> list[Credential]:
-        """The assertions found bad so far (non-strict mode): dropped at
-        admission, or when their deferred signature check failed.  Once
+        """The held assertions found bad so far (non-strict mode): dropped
+        at admission, or when their deferred signature check failed, each
+        as many times as it was added and not revoked.  Once
         :meth:`verify_pending` returns 0 this is every bad assertion."""
-        return list(self._discarded)
+        with self._mutation_lock:
+            return [held.credential for held in self._assertions.values()
+                    if held.verified is False for _ in range(held.count)]
+
+    def __contains__(self, assertion: object) -> bool:
+        """Whether a copy of ``assertion`` is held, discarded or not."""
+        return assertion in self._assertions
+
+    def copies(self) -> tuple[int, int]:
+        """Copies held: (POLICY assertions, signed credentials)."""
+        return self._copies[True], self._copies[False]
 
     def verify_pending(self, limit: int | None = None) -> int:
         """Run up to ``limit`` (default: all) of the deferred signature
@@ -487,11 +500,15 @@ class ComplianceChecker:
                     stack.append(iter(self._buckets.get(key, ())))
         return order
 
-    def add_assertion(self, assertion: Credential) -> bool:
+    def add_assertion(self, assertion: Credential,
+                      defer: bool = False) -> bool:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
-        was rejected in non-strict mode).  The authorizer's bucket is
+        was rejected in non-strict mode).  With ``defer`` a non-strict
+        checker resolves the signer only, as construction does: the check
+        waits for the first read or :meth:`verify_pending`, and a pending
+        assertion counts as admitted.  The authorizer's bucket is
         stamped with the new generation, so only the cached decisions whose
         fixpoint visited that principal fail validation — decisions that
         never descended into its sub-graph cannot change (monotonicity) and
@@ -500,10 +517,11 @@ class ComplianceChecker:
 
         :raises CredentialError: for a bad signature in strict mode.
         """
+        lazy = defer and not self.strict
         with self._mutation_lock:
             old_shape = self._referenced_key
-            held = self._admit(assertion)
-            if held.verified is None:
+            held = self._admit(assertion, lazy)
+            if held.verified is None and not lazy:
                 # A copy of an entry whose deferred check has not run yet:
                 # this path checks eagerly.
                 self._settle(held)
@@ -518,8 +536,11 @@ class ComplianceChecker:
             return admitted
 
     def revoke_assertion(self, assertion: Credential) -> bool:
-        """Remove one copy of an admitted assertion; bumps the generation
-        on success.
+        """Remove one copy of a held assertion (admitted, pending or
+        discarded).  Returns True, and bumps the generation, when the copy
+        was admitted or pending: only such a revoke can change a decision.
+        A discarded copy is in no bucket, so it just leaves the store and
+        the answer is False.
 
         Removing the last copy leaves the prepared entry dead, so only the
         decisions whose fixpoint evaluated it fail validation — revocation
@@ -541,9 +562,14 @@ class ComplianceChecker:
         """
         with self._mutation_lock:
             held = self._assertions.get(assertion)
-            if held is None or held.verified is False:
+            if held is None:
                 return False
             held.count -= 1  # at 0 this marks the entry dead
+            self._copies[assertion.is_policy] -= 1
+            if held.verified is False:
+                if not held.count:
+                    del self._assertions[assertion]
+                return False
             self._bump_generation()
             if not held.count:
                 old_shape = self._referenced_key
@@ -626,15 +652,14 @@ class ComplianceChecker:
         held = self._assertions.get(assertion)
         if held is not None:
             held.count += 1
-            if held.verified is False:
-                self._discarded.append(assertion)
+            self._copies[assertion.is_policy] += 1
             return held
-        prepared = self._prepare(assertion, lazy)
+        prepared = self._prepare(assertion, lazy)  # may raise when strict
+        self._copies[assertion.is_policy] += 1
         if prepared is None:
             held = _Prepared(assertion, None)
             held.verified = False
             self._assertions[assertion] = held
-            self._discarded.append(assertion)
             return held
         self._assertions[assertion] = prepared
         prepared.key = self._canonical(assertion.authorizer)
@@ -662,8 +687,8 @@ class ComplianceChecker:
 
     def _settle(self, prepared: _Prepared) -> bool:
         """The signature verdict of an admitted entry, running its deferred
-        check on first use.  A bad entry joins :attr:`discarded` (once per
-        copy) and leaves its bucket, retracting its attributes as a revoke
+        check on first use.  A bad entry stays held as :attr:`discarded`
+        and leaves its bucket, retracting its attributes as a revoke
         does.  No decision needs eviction: the check is deterministic, so
         every decision that read the entry saw this verdict, and every
         other one never depended on it — unless the key shape changed,
@@ -675,7 +700,6 @@ class ComplianceChecker:
             pending = self._pending.pop(id(prepared), None)
             prepared.verified = verdict
             if pending is not None and not verdict:
-                self._discarded.extend([prepared.credential] * prepared.count)
                 old_shape = self._referenced_key
                 self._unindex(prepared)
                 if self._referenced_key != old_shape:
@@ -723,10 +747,12 @@ class ComplianceChecker:
 
     def _full_flush_on_churn(self) -> None:
         """Conservative fallback when a delta invalidates the cache *key
-        function* (referenced-attribute projection shape changed)."""
-        self.full_flushes += 1
-        self._count("keynote.cache.full_flush")
-        self._decision_cache.clear()
+        function* (referenced-attribute projection shape changed); counted
+        only when there was a cached decision to flush."""
+        if self._decision_cache:
+            self.full_flushes += 1
+            self._count("keynote.cache.full_flush")
+            self._decision_cache.clear()
 
     def clear_decision_cache(self) -> None:
         """Flush cached decisions without touching the assertion set (cold
@@ -751,7 +777,7 @@ class ComplianceChecker:
                     "evictions": self._decision_cache.evictions,
                     "full_flushes": self.full_flushes,
                     "unverified": len(self._pending),
-                    "discarded": len(self._discarded),
+                    "discarded": len(self.discarded),
                     "programs": len(self._programs)}
 
     def cached_decision(self, attributes: Mapping[str, str],

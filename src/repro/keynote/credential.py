@@ -76,7 +76,6 @@ class Credential(_WeaklyReferenced):
     licensees: LicenseeExpr
     conditions: ConditionsProgram
     conditions_text: str
-    licensees_text: str
     comment: str = ""
     local_constants: Mapping[str, str] = field(
         default_factory=lambda: NO_CONSTANTS, compare=False)
@@ -114,7 +113,6 @@ class Credential(_WeaklyReferenced):
             licensees=parsed_licensees,
             conditions=program,
             conditions_text=" ".join(conditions.split()),
-            licensees_text=" ".join(licensees.split()),
             comment=comment,
             local_constants=constants,
             signature=signature,
@@ -162,11 +160,11 @@ class Credential(_WeaklyReferenced):
         )
 
     def __hash__(self) -> int:
-        # Equal credentials have equal texts, so hashing the strings (which
-        # cache their own hashes) agrees with the generated field-wise
-        # ``__eq__`` and skips re-hashing both parsed trees per lookup.
-        return hash((self.authorizer, self.licensees_text,
-                     self.conditions_text, self.comment, self.signature))
+        # Equal credentials have equal Conditions texts, so hashing that
+        # string (which caches its hash) agrees with the generated ``__eq__``
+        # and skips re-hashing the parsed program per lookup.
+        return hash((self.authorizer, self.licensees, self.conditions_text,
+                     self.comment, self.signature))
 
     # -- properties ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ call.  With a durability ``root`` the whole assembly is recovered through
 :class:`~repro.store.durable.DurablePolicyNode`, so every mutating API path
 (credential add/revoke, KeyCom install) journals ahead to the PR-6 WAL
 before touching memory, and a crashed daemon reboots into exactly its
-acknowledged trust state (with every cache cold).
+acknowledged trust state (with every cache empty).
 
 Every handler's work is also cross-checkable: :meth:`probe` mediates a
 request through the production stack *and* re-derives the expected verdict
@@ -101,11 +101,10 @@ class ServePolicyPlane:
             self.node = DurablePolicyNode.recover(
                 root, keystore=self.keystore, clock=self.clock,
                 keycom_middleware=self.middleware,
-                verify_signatures=verify_signatures)
+                verify_signatures=verify_signatures, obs=self.obs)
             self.session = self.node.session
             self.keycom = self.node.keycom
             self.session.audit = self.audit
-            self.session.obs = self.obs
             assert self.keycom is not None
             self.keycom.audit = self.audit
         else:

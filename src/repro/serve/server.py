@@ -29,7 +29,7 @@ Four properties an always-on plane needs beyond the request/response core:
 - **Idle backfill.**  The compliance checker defers each credential's
   signature check until a decision first needs it, so a restarted daemon
   answers after parsing its trust store, not after verifying all of it.  A
-  background task builds the checker at start-up and then runs the
+  background task freezes the recovered heap at start-up and then runs the
   remaining checks a slice at a time, only while no request is in flight.
 """
 
@@ -583,7 +583,7 @@ class ReproServer:
         return reaped
 
     async def _backfill_loop(self) -> None:
-        """Build the compliance checker, then run its deferred signature
+        """Freeze the heap, then run the checker's deferred signature
         checks a slice at a time whenever no request is in flight.
 
         It runs on the event loop, not in a thread: the checks are
@@ -592,15 +592,14 @@ class ReproServer:
         the drain's idle event while requests are in flight and yields
         between slices, so a new request waits behind one slice at most.
 
-        Once the checker is built the heap is frozen: the recovered trust
-        store and the compiled checker live as long as the daemon, and a
-        full collection would otherwise re-walk all of them.  Frozen
-        objects are still freed by reference counting (a revoked entry
-        leaves with its last reference); only cyclic garbage among them
-        would stay.  There is deliberately no collection first: it would
-        delay the first decision.
+        The heap is frozen before the first request: the trust store
+        lives as long as the daemon, and a full collection would otherwise
+        re-walk all of it.  Frozen objects are still freed by reference
+        counting (a revoked entry leaves with its last reference); only
+        cyclic garbage among them would stay.  There is deliberately no
+        collection first: it would delay the first decision.
         """
-        checker = self.plane.session.checker  # parse, compile and index
+        checker = self.plane.session.checker
         gc.freeze()
         while True:
             if self._inflight:

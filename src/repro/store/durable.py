@@ -12,8 +12,8 @@ Components journal their mutations through :meth:`DurableStore.append`
 *before* touching in-memory state (write-ahead discipline); recovery loads
 the newest valid snapshot, replays the WAL tail past it, and the
 ``restore_*`` functions in this module turn those records back into live
-components.  Caches (compiled checkers, decision caches)
-are deliberately **not** persisted: a recovered node starts cold and must
+components.  Caches (decision caches, signature verdicts) are deliberately
+**not** persisted: a recovered node starts with empty ones and must
 re-derive every verdict from the recovered assertions and relations — the
 durability sweep (:mod:`repro.store.harness`) asserts those verdicts are
 byte-identical to the pre-crash oracle's.
@@ -60,6 +60,7 @@ from repro.webcom.keycom import KeyComService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.keynote.ast import ConditionsProgram
+    from repro.obs import Observability
     from repro.webcom.failover import GraphCheckpoint
 
 
@@ -139,38 +140,48 @@ def restore_session(recovered: RecoveredState,
     """Rebuild a :class:`KeyNoteSession` from snapshot + tail.
 
     ``session_kwargs`` pass through to the session constructor (keystore,
-    clock, values...).  The compiled compliance checker and its decision
-    cache are *not* restored — the first post-recovery query rebuilds them
-    from the recovered assertions.
+    clock, obs, values...).  The snapshot's assertions and the tail's adds
+    and revokes fold into one ordered multiset — policies first, then
+    credentials in first-added order — and an expiry registry, which seed
+    the session's compliance checker in one build: its signature checks
+    wait for the first read or the idle backfill, and its decision cache
+    starts empty.
 
     A trust store is mostly credentials cut from a few templates (every
     proxy credential carries the same Conditions), so each distinct
     Conditions text is parsed once, through a table that lives only as
     long as this call.
     """
-    session = KeyNoteSession(**session_kwargs)
     programs: dict[str, ConditionsProgram] = {}
-
-    def parse(text: str) -> Credential:
-        return Credential.from_text(text, programs)
-
+    policies: list[Credential] = []
+    #: credential -> copies added and not revoked, in first-added order
+    credentials: dict[Credential, int] = {}
+    expiring: dict[Credential, float] = {}
     state = recovered.state.get("session", {})
-    for text in state.get("policies", []):
-        session.add_policy(parse(text))
-    for text, expires_at in state.get("credentials", []):
-        session.add_credential(parse(text), expires_at=expires_at)
-    for record in _tail(recovered, ("keynote.policy", "keynote.credential",
-                                    "keynote.revoke")):
-        kind = record["kind"]
-        if kind == "keynote.policy":
-            session.add_policy(parse(record["text"]))
-        elif kind == "keynote.credential":
-            session.add_credential(parse(record["text"]),
-                                   expires_at=record.get("expires_at"))
-        else:
-            session.revoke_credential(parse(record["text"]))
-    session.store = store
-    return session
+    records = [{"kind": "keynote.policy", "text": text}
+               for text in state.get("policies", [])]
+    records += [{"kind": "keynote.credential", "text": text,
+                 "expires_at": expires_at}
+                for text, expires_at in state.get("credentials", [])]
+    for record in records + _tail(recovered, (
+            "keynote.policy", "keynote.credential", "keynote.revoke")):
+        credential = Credential.from_text(record["text"], programs)
+        copies = credentials.get(credential, 0)
+        if record["kind"] == "keynote.policy":
+            policies.append(credential)
+        elif record["kind"] == "keynote.credential":
+            credentials[credential] = copies + 1
+            if record.get("expires_at") is not None:
+                expiring[credential] = float(record["expires_at"])
+        elif copies:
+            expiring.pop(credential, None)
+            credentials[credential] = copies - 1
+            if copies == 1:
+                del credentials[credential]
+    assertions = policies + [credential for credential, copies
+                             in credentials.items() for _ in range(copies)]
+    return KeyNoteSession(store=store, assertions=assertions,
+                          expiring=expiring, **session_kwargs)
 
 
 def restore_policy(recovered: RecoveredState, name: str = "policy",
@@ -335,7 +346,7 @@ class DurablePolicyNode:
     service with its own middleware, and graph checkpoints — all journalling
     through one :class:`DurableStore`.  Construct via :meth:`recover`; call
     :meth:`snapshot` at checkpoints; after a crash, :meth:`recover` on the
-    same root reassembles the acknowledged state with every cache cold.
+    same root reassembles the acknowledged state with every cache empty.
 
     :param replicas: fresh ``(middleware, domains)`` pairs to register with
         the engine — recovery converges each to its authoritative slice via
@@ -369,8 +380,10 @@ class DurablePolicyNode:
                 keycom_middleware: Middleware | None = None,
                 graph_names: Sequence[str] = (),
                 verify_signatures: bool = True,
-                keep: int = 2) -> "DurablePolicyNode":
-        """Open (or create) the store at ``root`` and rebuild the node.
+                keep: int = 2,
+                obs: "Observability | None" = None) -> "DurablePolicyNode":
+        """Open (or create) the store at ``root`` and rebuild the node
+        (``obs`` is the session's, so its checker counts into it).
 
         :raises CorruptLogError: damaged acknowledged history.
         :raises RecoveryError: log compacted past every usable snapshot.
@@ -380,7 +393,7 @@ class DurablePolicyNode:
         clock = clock or SimulatedClock()
         session = restore_session(
             recovered, store=store, keystore=keystore, clock=clock,
-            verify_signatures=verify_signatures)
+            verify_signatures=verify_signatures, obs=obs)
         local_policy = restore_policy(recovered, name="local",
                                       journal=None)
         local_policy.journal = store.append

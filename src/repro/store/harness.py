@@ -17,7 +17,7 @@ and verifies three properties:
    against the naive oracles of PR 5 and must agree exactly;
 3. **replica convergence and cold caches** — every middleware replica's
    digest matches its authoritative slice after recovery, and the
-   recovered session starts with no compiled checker (caches are rebuilt,
+   recovered session's decision cache starts empty (caches are rebuilt,
    never restored).
 
 The sweep's aggregate is the ``DURABILITY_6.json`` artifact; its
@@ -282,7 +282,7 @@ def verify_recovery(root: "Path | str", acked: list[tuple],
                                    "detail": str(exc)})
         result["acked_loss"] = True
         return result
-    result["cold_caches"] = node.session._checker is None
+    result["cold_caches"] = node.session.checker_cache_info()["entries"] == 0
     recovered = _canonical_state(node)
     model = _replay_model(scratch / "model-acked", acked)
     if recovered == _canonical_state(model):
@@ -313,8 +313,8 @@ def verify_recovery(root: "Path | str", acked: list[tuple],
                                    "count": len(disagreements)})
     if not result["cold_caches"]:
         result["failures"].append({"kind": "warm_cache",
-                                   "detail": "recovered session carried a "
-                                             "compiled checker"})
+                                   "detail": "recovered session carried "
+                                             "cached decisions"})
     node.close()
     return result
 

@@ -12,7 +12,10 @@ import pytest
 from repro.core.decentralisation import DelegationService
 from repro.crypto import Keystore
 from repro.keynote.api import KeyNoteSession
+from repro.keynote.credential import Credential
 from repro.translate.common import WEBCOM_APP_DOMAIN
+from repro.translate.to_keynote import membership_conditions
+from repro.util.clock import SimulatedClock
 
 
 @pytest.fixture
@@ -124,3 +127,22 @@ class TestRevocation:
         service.grant_role("Kb", "Finance", "Auditor")
         assert service.revoke(grant_a)
         assert service.holds_role("Kb", "Finance", "Auditor")
+
+    def test_revoke_keeps_the_other_grants_expiry(self, keystore):
+        """Revoking one grant must leave every other credential as it
+        was, its structured expiry included."""
+        clock = SimulatedClock()
+        session = KeyNoteSession(keystore=keystore, clock=clock)
+        service = DelegationService(session, keystore, "KWebCom")
+        service.admit_administrator()
+        keystore.create("Ka")
+        expiring = Credential.build(
+            "KWebCom", '"Ka"', membership_conditions("Finance", "Clerk"),
+        ).sign(keystore.pair("KWebCom").private)
+        session.add_credential(expiring, expires_at=5.0)
+        other = service.grant_role("Kb", "Finance", "Auditor")
+        assert service.revoke(other)
+        assert session.expiring() == {expiring: 5.0}
+        clock.advance(100.0)
+        assert session.sweep_expired() == [expiring]
+        assert not service.holds_role("Ka", "Finance", "Clerk")

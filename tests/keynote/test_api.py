@@ -1,5 +1,7 @@
 """Tests for the session-style KeyNote API."""
 
+from collections import Counter
+
 import pytest
 
 from repro.crypto import Keystore
@@ -152,3 +154,25 @@ class TestStateFingerprint:
         session.clear_credentials()
         assert session.state_fingerprint()[1] == 0
         agrees()
+
+
+class TestOneStore:
+    """The checker is the session's only copy of its assertions."""
+
+    def test_revoked_forgeries_leave_the_checker(self, session, keystore):
+        honest = Credential.build("Kbob", '"Kalice"',
+                                  'oper=="read"').signed_by(keystore)
+        session.add_credential(honest)
+        forged = Credential.build("Kbob", '"Kalice"', 'oper=="write"').sign(
+            keystore.pair("Kalice").private)
+        checker = session.checker
+        for _ in range(1000):
+            session.add_credential(forged)
+            assert checker.verify_pending() == 0  # the forgery is discarded
+            assert checker.cache_info()["discarded"] == 1
+            assert session.revoke_credential(forged)
+        assert checker.cache_info()["discarded"] == 0
+        assert Counter(checker.assertions) == Counter(
+            session.policies + session.credentials)
+        assert session.credentials == [honest]
+        assert session.state_fingerprint()[:2] == (1, 1)

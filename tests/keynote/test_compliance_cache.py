@@ -284,3 +284,17 @@ class TestCachedUncachedEquivalence:
                 oracle_compliance_value(cached.assertions, attributes,
                                         authorizers, keystore=keystore)
         assert cached.cache_hits > 0  # the sweep actually exercised hits
+
+
+class TestFullFlushCounting:
+    def test_a_shape_change_counts_a_flush_only_of_cached_entries(self):
+        checker = ComplianceChecker(
+            [Credential.build("POLICY", '"Ka"', 'x=="1"')],
+            verify_signatures=False)
+        # A new attribute changes the key shape; nothing is cached yet.
+        checker.add_assertion(Credential.build("POLICY", '"Kb"', 'y=="1"'))
+        assert checker.full_flushes == 0
+        assert checker.query({"x": "1"}, ["Ka"]) == "true"
+        checker.add_assertion(Credential.build("POLICY", '"Kc"', 'z=="1"'))
+        assert checker.full_flushes == 1
+        assert checker.cache_info()["entries"] == 0

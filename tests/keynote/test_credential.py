@@ -109,6 +109,18 @@ class TestRoundTrip:
         assert again.licensees == cred.licensees
         assert again.conditions == cred.conditions
 
+    @pytest.mark.parametrize("licensees", ['"Kb" || "Kc"',
+                                           '2-of("Kb","Kc","Kd")',
+                                           '"Kb"&&("Kc"||"Kd")'])
+    def test_a_credential_equals_its_rendered_text(self, licensees):
+        """``to_text`` renders Licensees in its own spelling; the value
+        (and so the store key) must not depend on the spelling."""
+        cred = Credential.from_text(
+            f'Authorizer: "Ka"\nLicensees: {licensees}\nConditions: x=="1";')
+        again = Credential.from_text(cred.to_text())
+        assert again == cred
+        assert hash(again) == hash(cred)
+
     def test_round_trip_preserves_signature(self, keystore):
         cred = Credential.from_text(FIG4_TEXT).sign(keystore.pair("Kbob").private)
         again = Credential.from_text(cred.to_text())

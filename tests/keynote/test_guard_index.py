@@ -307,6 +307,7 @@ class TestMultiset:
         policy = Credential.build("POLICY", '"Ka"', "true")
         checker = ComplianceChecker([policy, forged, honest],
                                     keystore=keystore)
+        assert checker.query({"x": "go"}, ["Kb"]) == "true"  # one entry
         assert checker.verify_pending() == 0
         assert checker.discarded == [forged]
         assert checker.full_flushes == 1

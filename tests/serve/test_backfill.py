@@ -94,7 +94,7 @@ class TestBackfill:
 
         async def scenario():
             plane = ServePolicyPlane(root=tmp_path)
-            assert plane.session.checker_cache_info() is None  # cold
+            assert plane.session.checker_cache_info()["entries"] == 0
             server = await ReproServer(plane).start()
             info = await backfilled(plane)
             await server.shutdown()

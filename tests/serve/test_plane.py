@@ -7,6 +7,10 @@ cached stack verdict, the daemon's stack keeps no per-request state, and
 ``status()`` still reports the L2 cache traffic in its four-key shape.
 """
 
+import pytest
+
+from repro.crypto.keys import KeyPair
+from repro.keynote.credential import Credential
 from repro.rbac.model import Assignment, Grant
 from repro.serve.plane import AUDIT_WINDOW, ServePolicyPlane
 from repro.util.clock import SimulatedClock
@@ -87,3 +91,47 @@ class TestAuditWindow:
         assert len(plane.audit) == AUDIT_WINDOW
         assert plane.status()["audit"]["recorded"] == base + len(seen)
         assert sum(r.category == "stack.mediate" for r in seen) == 2 * batch
+
+
+class TestRevokeAfterRestart:
+    @pytest.mark.parametrize("spelling", ['{b} || {c}',
+                                          '2-of({b},{c},{d})'])
+    def test_an_installed_credential_is_revoked_by_its_text(self, tmp_path,
+                                                            spelling):
+        """The WAL journals a credential in ``to_text``'s spelling; a
+        revoke after a restart, by the text the operator installed, must
+        still find it."""
+        a, b, c, d = (KeyPair.generate(f"plane-restart-{n}") for n in "abcd")
+        keys = {name: f'"{pair.public.encode()}"'
+                for name, pair in zip("bcd", (b, c, d))}
+        licensees = spelling.format(**keys)
+        signature = Credential.build(
+            a.public.encode(), licensees, 'app_domain=="x"').sign(
+                a.private).signature
+        text = (f'Authorizer: "{a.public.encode()}"\n'
+                f"Licensees: {licensees}\n"
+                f'Conditions: app_domain=="x";\n'
+                f'Signature: "{signature}"\n')
+        plane = ServePolicyPlane(root=tmp_path, clock=SimulatedClock())
+        plane.add_policy({"text": f'Authorizer: POLICY\n'
+                                  f'Licensees: "{a.public.encode()}"\n'
+                                  f'Conditions: app_domain=="x";'})
+        plane.add_credential({"text": text})
+        plane.close()
+        again = ServePolicyPlane(root=tmp_path, clock=SimulatedClock())
+        requesters = [b.public.encode(), c.public.encode()]
+        assert again.session.query({"app_domain": "x"}, requesters)
+        assert again.revoke_credential({"text": text})["revoked"]
+        assert again.session.credentials == []
+        assert not again.session.query({"app_domain": "x"}, requesters)
+        again.close()
+
+
+class TestRecoveredMetrics:
+    def test_a_recovered_checker_counts_into_the_plane_metrics(self,
+                                                              tmp_path):
+        ServePolicyPlane(root=tmp_path, clock=SimulatedClock()).close()
+        plane = _licensed_plane(root=tmp_path)
+        plane.mediate(JOB_SUBMIT)
+        assert plane.obs.metrics.counter("keynote.cache.miss").value == 1
+        plane.close()

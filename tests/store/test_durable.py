@@ -132,29 +132,26 @@ class TestKeyComReplayDedup:
 class TestRecoveryFlushesCaches:
     def test_decision_cache_cannot_survive_a_crash(self, tmp_path):
         """Pre-crash ALLOWs cached by the compliance checker must not be
-        served after recovery: the recovered session starts with no
-        compiled checker and re-derives the (revoked) verdict."""
+        served after recovery: the recovered session's decision cache
+        starts empty, and it re-derives the (revoked) verdict."""
         node = _recover_node(tmp_path / "node")
         node.session.add_policy(POLICY)
         credential = _credential("Ku1")
         node.session.add_credential(credential)
         attributes = {"app_domain": "db"}
         assert bool(node.session.query(attributes, ["Ku1"]))
-        assert node.session._checker is not None  # warm decision cache
-        assert node.session.state_fingerprint()[2] >= 0
+        assert node.session.checker_cache_info()["entries"] == 1  # warm
         node.session.revoke_credential(Credential.from_text(credential))
         node.close()  # crash: the warm checker dies with the process
         again = _recover_node(tmp_path / "node")
-        assert again.session._checker is None  # cold on arrival
-        assert again.session.state_fingerprint()[2] == -1
+        assert again.session.checker_cache_info()["entries"] == 0  # cold
         assert not bool(again.session.query(attributes, ["Ku1"]))
         again.close()
 
     def test_mediation_cache_fingerprint_is_cold_after_recovery(self,
                                                                 tmp_path):
-        """The stack mediation cache keys entries by the TM session's
-        state fingerprint; a recovered session reports the cold-checker
-        fingerprint, so no pre-crash entry could ever validate."""
+        """A recovered session reports a fresh fingerprint over an empty
+        decision cache, so no pre-crash decision could ever validate."""
         node = _recover_node(tmp_path / "node")
         node.session.add_policy(POLICY)
         node.session.add_credential(_credential("Ku2"))
@@ -163,7 +160,47 @@ class TestRecoveryFlushesCaches:
         node.close()
         again = _recover_node(tmp_path / "node")
         assert again.session.state_fingerprint() != warm
-        assert again.session.state_fingerprint()[2] == -1
+        assert again.session.checker_cache_info()["entries"] == 0
+        again.close()
+
+
+class TestSessionFold:
+    @pytest.mark.parametrize("snapshot_midway", [False, True])
+    def test_recovery_keeps_copies_order_and_expiry(self, tmp_path,
+                                                    snapshot_midway):
+        """Snapshot and tail fold into the multiset the live session held:
+        copies, first-added order and the expiry registry."""
+        node = _recover_node(tmp_path / "node")
+        session = node.session
+        session.add_policy(POLICY)
+        first, second = _credential("Ku1"), _credential("Ku2")
+        session.add_credential(first, expires_at=7.0)
+        session.add_credential(first)
+        session.add_credential(second, expires_at=9.0)
+        if snapshot_midway:
+            node.snapshot()
+        session.add_credential(second)
+        assert session.revoke_credential(Credential.from_text(first))
+        held = (session.policies, session.credentials, session.expiring(),
+                session.state_fingerprint()[:2])
+        assert [c.to_text() for c in held[1]] == [first, second, second]
+        node.close()
+        again = _recover_node(tmp_path / "node")
+        session = again.session
+        assert (session.policies, session.credentials, session.expiring(),
+                session.state_fingerprint()[:2]) == held
+        again.close()
+
+
+    def test_cleared_credentials_stay_cleared(self, tmp_path):
+        node = _recover_node(tmp_path / "node")
+        node.session.add_policy(POLICY)
+        node.session.add_credential(_credential("Ku1"), expires_at=5.0)
+        node.session.clear_credentials()
+        node.close()
+        again = _recover_node(tmp_path / "node")
+        assert again.session.credentials == []
+        assert again.session.expiring() == {}
         again.close()
 
 
