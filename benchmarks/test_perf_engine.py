@@ -7,13 +7,16 @@ requests):
 - cold build + first batch (interning, closure construction, answering);
 - warm ``check_access_many`` batch throughput;
 - incremental delta maintenance (grant + assign churn on a built engine);
-- compiled KeyNote bytecode vs the tree-walking evaluator.
+- compiled KeyNote conditions (the closures of the benchmark universe's
+  four Conditions shapes) vs the tree-walking evaluator.
 
 Answers are checked against the naive oracle in ``tests/rbac`` and
 ``tests/test_fuzz_engine.py``; these benches only time.
 """
 
 import random
+
+import pytest
 
 from repro.keynote.eval import ConditionEvaluator, compile_conditions
 from repro.keynote.parser import parse_conditions
@@ -119,6 +122,21 @@ def test_perf_keynote_tree_walk(benchmark):
     assert benchmark(walk) == "true"
 
 
-def test_perf_keynote_bytecode(benchmark):
-    compiled = compile_conditions(parse_conditions(_CONDITIONS))
-    assert benchmark(compiled.value, _ATTRS, DEFAULT_VALUE_SET) == "true"
+#: the benchmark universe's four Conditions shapes (``bench/universe.py``),
+#: each with a request it grants
+_SHAPES = {
+    "policy": ('app_domain=="grid"', {"app_domain": "grid"}),
+    "org": ('vo=="o0" && group=="t0" '
+            '&& (op != "run" || job ~= "^job-[0-9]+$")',
+            {"vo": "o0", "group": "t0", "op": "run", "job": "job-17"}),
+    "team": ('subject=="u7"', {"subject": "u7"}),
+    "proxy": ('op=="submit" || op=="status" || op=="run"', {"op": "run"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_perf_keynote_bytecode(benchmark, shape):
+    """The compiled closures of one bench shape (the name predates them)."""
+    text, attributes = _SHAPES[shape]
+    compiled = compile_conditions(parse_conditions(text))
+    assert benchmark(compiled.value, attributes, DEFAULT_VALUE_SET) == "true"

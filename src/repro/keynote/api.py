@@ -116,8 +116,9 @@ class KeyNoteSession:
         if not credential.is_policy:
             raise CredentialError(
                 "add_policy requires an 'Authorizer: POLICY' assertion")
+        compiled = self._checker.compile(credential)
         self._journal("keynote.policy", credential)
-        self._checker.add_assertion(credential)
+        self._checker.add_assertion(credential, compiled=compiled)
         return credential
 
     def add_credential(self, source: str | Credential,
@@ -138,6 +139,9 @@ class KeyNoteSession:
             observe a PASS/FAIL flap for the same request.
         :raises CredentialError: if a POLICY assertion is smuggled in, or
             ``expires_at`` is not a finite number.
+        :raises KeyNoteSyntaxError: when its Conditions do not compile.
+            Like every refusal here, it comes before anything is
+            journalled.
         """
         credential = self._coerce(source)
         if credential.is_policy:
@@ -148,12 +152,13 @@ class KeyNoteSession:
                     and math.isfinite(expires_at)):
                 raise CredentialError(
                     f"expires_at must be a finite number, got {expires_at!r}")
+        compiled = self._checker.compile(credential)
         self._journal("keynote.credential", credential,
                       expires_at=(float(expires_at)
                                   if expires_at is not None else None))
         if expires_at is not None:
             self._expires_at[credential] = float(expires_at)
-        self._checker.add_assertion(credential, defer=True)
+        self._checker.add_assertion(credential, defer=True, compiled=compiled)
         return credential
 
     def revoke_credential(self, credential: Credential) -> bool:

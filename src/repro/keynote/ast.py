@@ -16,7 +16,12 @@ threshold extension used by several KeyNote deployments)::
     primary    := NUMBER | STRING | IDENT | '$' primary | '(' or_expr ')'
 
 Nodes carry no evaluation logic; :mod:`repro.keynote.eval` walks them.
-They are slotted: every admitted credential keeps its parsed tree.
+They are slotted: every admitted credential keeps its parsed tree.  A
+chain (``a && b && c``, ``a . b . c``) nests along a node's left operand
+and a run (``!!a``, ``--a``, ``$$a``) along its operand, so equality walks
+those in a loop and hashing walks the whole tree with an explicit stack:
+a 5000-term chain costs no Python frame per term.  Only parenthesised
+nesting, which the parser's own recursion bounds, recurses.
 """
 
 from __future__ import annotations
@@ -25,6 +30,25 @@ from dataclasses import dataclass
 from typing import Union
 
 Expr = Union["StringLit", "NumberLit", "Attribute", "Deref", "Unary", "Binary"]
+
+
+def _tree_hash(node: object) -> int:
+    """A structural hash of ``node`` and everything below it."""
+    parts = []
+    pending = [node]
+    while pending:
+        item = pending.pop()
+        kind = item.__class__
+        names = getattr(kind, "__match_args__", None)
+        if names is not None:  # a node
+            parts.append(kind.__name__)
+            pending.extend(getattr(item, name) for name in names)
+        elif kind is tuple:
+            parts.append(len(item))
+            pending.extend(item)
+        else:
+            parts.append(item)
+    return hash(tuple(parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +79,18 @@ class Deref:
 
     inner: Expr
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Deref:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Deref and b.__class__ is Deref:
+            if a is b:
+                return True
+            a, b = a.inner, b.inner
+        return a == b
+
+    __hash__ = _tree_hash
+
 
 @dataclass(frozen=True, slots=True)
 class Unary:
@@ -62,6 +98,20 @@ class Unary:
 
     op: str
     operand: Expr
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Unary:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Unary and b.__class__ is Unary:
+            if a is b:
+                return True
+            if a.op != b.op:
+                return False
+            a, b = a.operand, b.operand
+        return a == b
+
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +121,20 @@ class Binary:
     op: str
     left: Expr
     right: Expr
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Binary:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Binary and b.__class__ is Binary:
+            if a is b:
+                return True
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    __hash__ = _tree_hash
 
 
 @dataclass(frozen=True, slots=True)

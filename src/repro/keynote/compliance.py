@@ -115,9 +115,10 @@ from typing import (
 from weakref import ref
 
 from repro.crypto.keystore import Keystore
-from repro.errors import ComplianceError, CredentialError
+from repro.errors import ComplianceError, CredentialError, KeyNoteSyntaxError
 from repro.keynote.credential import Credential
 from repro.keynote.eval import CompiledConditions, compile_conditions
+from repro.keynote.licensees import Principal
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 from repro.util.lru import LRUCache
 
@@ -318,6 +319,10 @@ class ComplianceChecker:
         :class:`~repro.errors.CredentialError` at construction; if False
         (RFC behaviour) the assertion is silently discarded — when the
         fixpoint first needs it, or when :meth:`verify_pending` reaches it.
+        A non-strict construction also discards an assertion whose
+        Conditions do not compile (a trust store journalled before the
+        compiler refused them may hold one), rather than raising
+        :class:`~repro.errors.KeyNoteSyntaxError`.
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
         when set, the per-query profile (memo hits/misses, assertions
         visited, fixpoint depth) is mirrored into ``keynote.*`` metrics and
@@ -395,15 +400,20 @@ class ComplianceChecker:
         #: oldest first
         self._pending: dict[int, _Prepared] = {}
         #: the order :meth:`verify_pending` settles them in, built on its
-        #: first call
+        #: first call and emptied once that backlog is drained
         self._backfill_order: "Iterator[_Prepared] | None" = None
         self._admissions = count()
         #: metric name -> counter, bound on first use (a counter that
         #: never counts stays out of the registry)
         self._counters: dict[str, "Counter"] = {}
         self._depth: "Histogram | None" = None
+        #: called (outside the lock) after :meth:`add_assertion` leaves an
+        #: admitted assertion's signature check pending, so an idle
+        #: backfill knows there is work again
+        self.on_deferred: "Callable[[], None] | None" = None
         for assertion in assertions:
-            self._admit(assertion, lazy=not strict)
+            self._admit(assertion, lazy=not strict,
+                        discard_uncompiled=not strict)
 
     # -- assertion-set management ---------------------------------------------
 
@@ -447,8 +457,11 @@ class ComplianceChecker:
 
         Each check is exactly the one the fixpoint would run on first read,
         so calling this never changes a decision — it only moves the cost
-        off the request path (the daemon calls it while idle).  Checks run
-        in delegation order (:meth:`_delegation_order`).
+        off the request path (the daemon calls it while idle).  The
+        backlog of the first call runs in delegation order
+        (:meth:`_delegation_order`); once it is drained, entries admitted
+        later run oldest first, since ordering one or two new entries would
+        walk every assertion again.
         """
         done = 0
         while limit is None or done < limit:
@@ -461,7 +474,7 @@ class ComplianceChecker:
             if not self._pending:
                 # Let go of the order: its list holds every entry it
                 # listed, revoked ones included, until it is exhausted.
-                self._backfill_order = None
+                self._backfill_order = iter(())
             return len(self._pending)
 
     def _next_pending(self) -> "_Prepared | None":
@@ -501,14 +514,18 @@ class ComplianceChecker:
         return order
 
     def add_assertion(self, assertion: Credential,
-                      defer: bool = False) -> bool:
+                      defer: bool = False,
+                      compiled: "CompiledConditions | None" = None) -> bool:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
         was rejected in non-strict mode).  With ``defer`` a non-strict
         checker resolves the signer only, as construction does: the check
         waits for the first read or :meth:`verify_pending`, and a pending
-        assertion counts as admitted.  The authorizer's bucket is
+        assertion counts as admitted (and :attr:`on_deferred` is called).
+        ``compiled`` is what :meth:`compile` returned for the assertion, so
+        a caller that must know the assertion compiles before it commits
+        to adding it compiles it once.  The authorizer's bucket is
         stamped with the new generation, so only the cached decisions whose
         fixpoint visited that principal fail validation — decisions that
         never descended into its sub-graph cannot change (monotonicity) and
@@ -516,11 +533,12 @@ class ComplianceChecker:
         nothing: the set of values the fixpoint joins is unchanged.
 
         :raises CredentialError: for a bad signature in strict mode.
+        :raises KeyNoteSyntaxError: when its Conditions do not compile.
         """
         lazy = defer and not self.strict
         with self._mutation_lock:
             old_shape = self._referenced_key
-            held = self._admit(assertion, lazy)
+            held = self._admit(assertion, lazy, compiled)
             if held.verified is None and not lazy:
                 # A copy of an entry whose deferred check has not run yet:
                 # this path checks eagerly.
@@ -533,7 +551,9 @@ class ComplianceChecker:
                     self._full_flush_on_churn()
                 self._buckets[held.key].stamp = self._generation + 1
             self._bump_generation()
-            return admitted
+        if held.verified is None and self.on_deferred is not None:
+            self.on_deferred()
+        return admitted
 
     def revoke_assertion(self, assertion: Credential) -> bool:
         """Remove one copy of a held assertion (admitted, pending or
@@ -579,10 +599,13 @@ class ComplianceChecker:
                     self._full_flush_on_churn()
             return True
 
-    def _prepare(self, assertion: Credential,
-                 lazy: bool = False) -> "_Prepared | None":
+    def _prepare(self, assertion: Credential, lazy: bool = False,
+                 compiled: "CompiledConditions | None" = None,
+                 discard_uncompiled: bool = False,
+                 ) -> "_Prepared | None":
         """Verify (through the signature cache) and compile one assertion;
-        None when its signature is rejected in non-strict mode.
+        None when its signature is rejected in non-strict mode, or with
+        ``discard_uncompiled`` when its Conditions do not compile.
 
         With ``lazy`` only the signer is resolved here, so the verdict
         cannot depend on when the check runs (a key registered later does
@@ -590,6 +613,8 @@ class ComplianceChecker:
         wait in a pending entry.
 
         :raises CredentialError: for a bad signature in strict mode.
+        :raises KeyNoteSyntaxError: when the Conditions do not compile and
+            ``discard_uncompiled`` is False.
         """
         signer = None
         if self.verify_signatures and not assertion.is_policy:
@@ -604,17 +629,30 @@ class ComplianceChecker:
                         f"invalid signature on credential by "
                         f"{assertion.authorizer!r}")
                 return None
-        return _Prepared(assertion, self._program(assertion), signer)
+        if compiled is None:
+            try:
+                compiled = self.compile(assertion)
+            except KeyNoteSyntaxError:
+                if not discard_uncompiled:
+                    raise
+                return None
+        return _Prepared(assertion, compiled, signer)
 
-    def _program(self, assertion: Credential) -> CompiledConditions:
+    def compile(self, assertion: Credential) -> CompiledConditions:
         """The compiled Conditions of ``assertion``: the shared program
         when an admitted assertion holds an equal one under the same text,
-        a fresh compile otherwise.  Only admission makes a program shared
+        a fresh compile otherwise.
+
+        Only admission makes a program shared
         (:meth:`_hold_program`), so a request-scoped assertion may read the
         table but leaves nothing in it.  Local-Constants change the
         program, so an assertion with them never shares; neither does one
         whose normalised text matches a program that is not equal to its
-        own (whitespace inside a string literal)."""
+        own (whitespace inside a string literal).
+
+        :raises KeyNoteSyntaxError: when the compiler cannot lower the
+            program.
+        """
         held = (None if assertion.local_constants
                 else self._programs.get(assertion.conditions_text))
         if held is not None and held.compiled.program == assertion.conditions:
@@ -644,7 +682,9 @@ class ComplianceChecker:
             if not held.holders:
                 del self._programs[text]
 
-    def _admit(self, assertion: Credential, lazy: bool = False) -> _Prepared:
+    def _admit(self, assertion: Credential, lazy: bool = False,
+               compiled: "CompiledConditions | None" = None,
+               discard_uncompiled: bool = False) -> _Prepared:
         """Count one more copy of ``assertion``, indexing it on first sight;
         returns its entry (``verified`` False when it was rejected).  A
         credential value gets one verdict per checker: a copy shares its
@@ -654,7 +694,8 @@ class ComplianceChecker:
             held.count += 1
             self._copies[assertion.is_policy] += 1
             return held
-        prepared = self._prepare(assertion, lazy)  # may raise when strict
+        prepared = self._prepare(assertion, lazy, compiled,
+                                 discard_uncompiled)  # may raise
         self._copies[assertion.is_policy] += 1
         if prepared is None:
             held = _Prepared(assertion, None)
@@ -886,7 +927,7 @@ class ComplianceChecker:
         skip the fixpoint entirely.
         """
         results: list[str] = []
-        cond_memos: dict[tuple, dict[int, str]] = {}
+        cond_memos: dict[tuple, dict[int, int]] = {}
         for attributes, authorizers in requests:
             memo_key = (self._referenced_key,
                         self._decision_key(attributes, (), values))
@@ -933,7 +974,7 @@ class ComplianceChecker:
     def _query(self, attributes: Mapping[str, str],
                authorizers: Iterable[str],
                values: ComplianceValueSet,
-               cond_memo: "dict[int, str] | None") -> str:
+               cond_memo: "dict[int, int] | None") -> str:
         requesters = self._requesters(authorizers, self._canonical)
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
@@ -954,12 +995,13 @@ class ComplianceChecker:
         profile = ComplianceStats(queries=1)
         deps: set = set()
         try:
-            result = self._evaluate(attributes, requesters, values, profile,
-                                    cond_memo, deps, self._canonical, None,
-                                    self._settle)
+            rank = self._evaluate(attributes, requesters, values, profile,
+                                  cond_memo, deps, self._canonical, None,
+                                  self._settle)
         finally:
             self._record_profile(profile)
-        if profile.cycles_broken == 0 or result == values.maximum:
+        result = values.values[rank]
+        if profile.cycles_broken == 0 or rank == values.top:
             # The taint rule of the in-query memo, applied to whole
             # decisions: a value computed under a cycle-break assumption may
             # be an under-approximation and is never cached — unless it is
@@ -1010,9 +1052,9 @@ class ComplianceChecker:
                                    []).append(prepared)
         profile = ComplianceStats(queries=1)
         try:
-            return self._evaluate(attributes, requesters, values, profile,
-                                  None, set(), canonical, overlay,
-                                  self._peek)
+            return values.values[self._evaluate(
+                attributes, requesters, values, profile, None, set(),
+                canonical, overlay, self._peek)]
         finally:
             self._record_profile(profile)
 
@@ -1025,13 +1067,14 @@ class ComplianceChecker:
     def _evaluate(self, attributes: Mapping[str, str],
                   requesters: tuple[str, ...], values: ComplianceValueSet,
                   profile: ComplianceStats,
-                  cond_memo: "dict[int, str] | None",
+                  cond_memo: "dict[int, int] | None",
                   deps: set,
                   canonical: "Callable[[str], str]",
                   overlay: "dict[str, list[_Prepared]] | None",
-                  verdict: "Callable[[_Prepared], bool]") -> str:
-        """One fixpoint run; ``cond_memo`` (shared across a batch) memoises
-        per-assertion condition values for this attribute projection,
+                  verdict: "Callable[[_Prepared], bool]") -> int:
+        """One fixpoint run on ranks in ``values``; returns the request's
+        rank.  ``cond_memo`` (shared across a batch) memoises
+        per-assertion condition ranks for this attribute projection,
         ``overlay`` holds request-scoped assertions read after each
         principal's admitted ones, and ``verdict`` settles a pending
         signature check.
@@ -1051,39 +1094,51 @@ class ComplianceChecker:
         decision, and adding a sibling stamps its principal.  Requester
         short-circuits are deliberately *not* recorded: a requester's own
         assertions are never read, so mutations of them cannot change this
-        decision."""
+        decision.
+
+        Everything a visit reads per step is bound to a local once per run,
+        and the profile counters are summed locally and added to
+        ``profile`` when the run ends."""
         if cond_memo is None:
             cond_memo = {}
-        memo: dict[str, str] = {}
+        top = values.top
+        buckets = self._buckets
+        record = deps.add
+        memo: dict[str, int] = {}
         in_progress: set[str] = set()
         # Values computed while a cycle-break assumption was live may be
         # under-approximations; `tainted` tracks that so they are never
         # memoised (a cached under-approximation could wrongly deny a later
         # sub-query).  A maximum value is always safe to cache: monotonicity
         # means the true value can only be >= the computed one.
-        tainted_flag = [False]
+        tainted = False
+        memo_hits = memo_misses = visited = max_depth = cycles = 0
 
-        def principal_value(principal: str) -> str:
+        def principal_rank(principal: str) -> int:
+            nonlocal tainted, memo_hits, memo_misses, visited, max_depth
+            nonlocal cycles
             if principal in requesters:
-                return values.maximum
+                return top
             # Recorded before the memo check: the first (miss) visit
             # records the principal, so later memo hits are covered.
-            deps.add(principal)
-            if principal in memo:
-                profile.memo_hits += 1
-                return memo[principal]
-            profile.memo_misses += 1
+            record(principal)
+            result = memo.get(principal)
+            if result is not None:
+                memo_hits += 1
+                return result
+            memo_misses += 1
             if principal in in_progress:
-                tainted_flag[0] = True
-                profile.cycles_broken += 1
-                return values.minimum  # delegation cycles grant nothing
-            outer_taint = tainted_flag[0]
-            tainted_flag[0] = False
+                tainted = True
+                cycles += 1
+                return 0  # delegation cycles grant nothing
+            outer_taint = tainted
+            tainted = False
             in_progress.add(principal)
-            profile.max_depth = max(profile.max_depth, len(in_progress))
+            if len(in_progress) > max_depth:
+                max_depth = len(in_progress)
+            result = 0
             try:
-                result = values.minimum
-                bucket = self._buckets.get(principal)
+                bucket = buckets.get(principal)
                 candidates = ([] if bucket is None
                               else bucket.candidates(attributes))
                 if overlay:
@@ -1092,44 +1147,55 @@ class ComplianceChecker:
                         candidates.append(presented)
                 for entries in candidates:
                     for prepared in entries:
-                        profile.assertions_visited += 1
-                        result = values.join([result,
-                                              assertion_value(prepared)])
-                        if result == values.maximum:
-                            break
-                    if result == values.maximum:
+                        visited += 1
+                        rank = assertion_rank(prepared)
+                        if rank > result:
+                            result = rank
+                            if result == top:
+                                break
+                    if result == top:
                         break
             finally:
                 in_progress.discard(principal)
-            subtree_tainted = tainted_flag[0]
-            if not subtree_tainted or result == values.maximum:
+            subtree_tainted = tainted
+            if not subtree_tainted or result == top:
                 memo[principal] = result
-            tainted_flag[0] = outer_taint or subtree_tainted
+            tainted = outer_taint or subtree_tainted
             return result
 
-        def assertion_value(prepared: _Prepared) -> str:
-            deps.add(ref(prepared))
-            conditions_value = cond_memo.get(id(prepared))
-            if conditions_value is None:
-                conditions_value = prepared.compiled.value(attributes, values)
-                cond_memo[id(prepared)] = conditions_value
-            if conditions_value == values.minimum:
-                return values.minimum
+        def assertion_rank(prepared: _Prepared) -> int:
+            record(ref(prepared))
+            conditions = cond_memo.get(id(prepared))
+            if conditions is None:
+                conditions = prepared.compiled.rank(attributes, values)
+                cond_memo[id(prepared)] = conditions
+            if not conditions:
+                return 0
             if prepared.verified is not True and not verdict(prepared):
-                return values.minimum
-            licensee_value = prepared.credential.licensees.value(
-                lambda key: licensee_principal_value(key), values)
-            return values.meet([conditions_value, licensee_value])
+                return 0
+            licensees = prepared.credential.licensees
+            if licensees.__class__ is Principal:
+                licensed = licensee_rank(licensees.key)
+            else:
+                licensed = licensees.rank(licensee_rank)
+            return conditions if conditions < licensed else licensed
 
-        def licensee_principal_value(principal: str) -> str:
+        def licensee_rank(principal: str) -> int:
             key = canonical(principal)
             if key in requesters:
-                return values.maximum
+                return top
             # Delegation: the licensee's own assertions must carry trust
             # onward to the requesters.
-            return principal_value(key)
+            return principal_rank(key)
 
-        return principal_value("POLICY")
+        try:
+            return principal_rank("POLICY")
+        finally:
+            profile.memo_hits += memo_hits
+            profile.memo_misses += memo_misses
+            profile.assertions_visited += visited
+            profile.max_depth = max(profile.max_depth, max_depth)
+            profile.cycles_broken += cycles
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (when metrics are attached),

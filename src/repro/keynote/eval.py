@@ -16,22 +16,31 @@ Semantics follow RFC 2704:
 Two evaluation strategies share these semantics: the tree-walking
 :class:`ConditionEvaluator` (one AST dispatch per node per query — the
 readable reference the oracle uses) and :func:`compile_conditions`, which
-lowers a program once into a **flat postfix bytecode** evaluated by a
-small stack VM — no ``isinstance`` dispatch and no Python call tree per
-query.  The compiler constant-folds every attribute-free subexpression
-(including whole clauses whose tests are statically decided), precompiles
-literal regexes, and emits explicit short-circuit jumps for ``&&``/``||``
-and for RFC 2704's invalid-operand rule: a soft failure is a *sentinel
-value* (:data:`FAIL`) that jump instructions route past the unevaluated
-operand, byte-for-byte matching the tree walker's exception semantics.
+lowers a program once into **nested Python closures** that mirror the tree
+walker node for node: the same evaluation order, the same soft failures
+(raised as :class:`_SoftFailure` and read as false at a test boundary) and
+the same hard errors, with no AST dispatch per query.  The compiler folds
+every attribute-free subexpression through the tree walker, drops clauses
+whose tests are statically false, lowers each chain of ``&&``, of ``||``
+or of ``.`` and arithmetic, and each run of ``!``, ``-`` or ``$``, to one
+closure evaluated in a loop, and specialises the commonest shapes: an
+attribute compared with ``==``/``!=`` to a non-numeric string literal is
+one string comparison, and ``~=`` against a literal pattern is one
+precompiled search.  A literal bad regex, or a clause naming a value
+outside the query's value set, still raises at query time, exactly where
+the tree walker raises.  No Python source is generated: every closure is
+an instance of a fixed function in this module, so credential text never
+reaches ``exec``, ``eval`` or ``compile``.
 :class:`ComplianceChecker <repro.keynote.compliance.ComplianceChecker>`
-compiles every assertion's conditions at construction time.
+compiles every assertion's conditions at admission.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
+from types import FunctionType
 from typing import Callable, Mapping, Union
 
 from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
@@ -49,6 +58,8 @@ from repro.keynote.ast import (
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 
 Value = Union[str, float]
+#: a compiled test or value: the action attributes in, a bool or a value out
+Closure = Callable[[Mapping[str, str]], object]
 
 
 class _SoftFailure(Exception):
@@ -182,8 +193,8 @@ class ConditionEvaluator:
         right = self._value(expr.right)
         left_numeric, right_numeric = _is_numeric(left), _is_numeric(right)
         if left_numeric and right_numeric:
-            return _NUMERIC_COMPARISONS[expr.op](_as_number(left),
-                                                 _as_number(right))
+            return _COMPARISONS[expr.op](_as_number(left),
+                                         _as_number(right))
         if left_numeric != right_numeric:
             # Mixed numeric/non-numeric context: the test fails (RFC 2704's
             # invalid-operand rule), except that (in)equality against a
@@ -195,7 +206,7 @@ class ConditionEvaluator:
             raise _SoftFailure(
                 f"ordered comparison between {left!r} and {right!r}")
         lstr, rstr = _as_string(left), _as_string(right)
-        return _STRING_COMPARISONS[expr.op](lstr, rstr)
+        return _COMPARISONS[expr.op](lstr, rstr)
 
     def _value(self, expr: Expr) -> Value:
         if isinstance(expr, StringLit):
@@ -253,190 +264,18 @@ class ConditionEvaluator:
         raise KeyNoteEvalError(f"unknown arithmetic operator {op!r}")
 
 
-_NUMERIC_COMPARISONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
 }
-
-_STRING_COMPARISONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-# -- compiled conditions: flat postfix bytecode -------------------------------
-
-class _Failure:
-    """The soft-failure sentinel the VM routes instead of raising.
-
-    RFC 2704's invalid-operand rule is an *exception* in the tree walker;
-    in the bytecode it is a stack value, so the flat instruction stream
-    needs no Python try/except per node.  Jump instructions propagate it
-    past unevaluated operands exactly where the tree walker's exception
-    would have unwound, and the test boundary converts it to False.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "FAIL"
-
-
-#: the singleton soft-failure sentinel
-FAIL = _Failure()
-
-# Opcodes.  arg meaning in brackets; stack effect after the dash.
-OP_CONST = 0        # [value]        — push constant
-OP_FAIL = 1         # []             — push FAIL (folded soft failure)
-OP_ATTR = 2         # [name]         — push attrs.get(name, "")
-OP_DEREF = 3        # []             — pop v; push attrs.get(str(v), "")
-OP_NEG = 4          # []             — pop v; push -number(v)
-OP_NOT = 5          # []             — pop t; push not t
-OP_TRUTH = 6        # []             — pop v; push bare-value truth of v
-OP_BOOL2STR = 7     # []             — pop t; push "true"/"false"
-OP_CONCAT = 8       # []             — pop b, a; push str(a) + str(b)
-OP_ARITH = 9        # [op]           — pop b, a; push a <op> b
-OP_CMP = 10         # [op]           — pop b, a; push comparison truth
-OP_MATCH = 11       # []             — pop pattern, subject; regex search
-OP_MATCH_CONST = 12  # [compiled re] — pop subject; precompiled search
-OP_JFALSE = 13      # [target]       — top False/FAIL: jump (keep); else pop
-OP_JTRUE = 14       # [target]       — top True: jump (keep); else pop
-OP_JFAIL = 15       # [target]       — top FAIL: jump (keep); else continue
-
-OP_NAMES = {
-    OP_CONST: "CONST", OP_FAIL: "PUSH_FAIL", OP_ATTR: "ATTR",
-    OP_DEREF: "DEREF", OP_NEG: "NEG", OP_NOT: "NOT", OP_TRUTH: "TRUTH",
-    OP_BOOL2STR: "BOOL2STR", OP_CONCAT: "CONCAT", OP_ARITH: "ARITH",
-    OP_CMP: "CMP", OP_MATCH: "MATCH", OP_MATCH_CONST: "MATCH_CONST",
-    OP_JFALSE: "JFALSE", OP_JTRUE: "JTRUE", OP_JFAIL: "JFAIL",
-}
-
-#: bytecode: a tuple of (opcode, arg) pairs
-Code = "tuple[tuple[int, object], ...]"
-
-_ARITH_FN = ConditionEvaluator._arith
-
-
-def _run(code, attrs: Mapping[str, str]):
-    """Execute one test's bytecode; returns True, False or :data:`FAIL`.
-
-    :raises KeyNoteEvalError: for a malformed *dynamic* regex pattern —
-        the one hard error the tree walker also raises at query time.
-    """
-    stack: list = []
-    push = stack.append
-    pop = stack.pop
-    pc = 0
-    size = len(code)
-    while pc < size:
-        op, arg = code[pc]
-        pc += 1
-        if op == OP_ATTR:
-            push(attrs.get(arg, ""))
-        elif op == OP_CONST:
-            push(arg)
-        elif op == OP_CMP:
-            b = pop()
-            a = pop()
-            if b is FAIL:
-                push(FAIL)
-                continue
-            a_num = _num_or_none(a)
-            b_num = _num_or_none(b)
-            if a_num is not None and b_num is not None:
-                push(_NUMERIC_COMPARISONS[arg](a_num, b_num))
-            elif (a_num is None) != (b_num is None):
-                # Mixed numeric/non-numeric: (in)equality is a meaningful
-                # string test, ordered comparison soft-fails (RFC 2704).
-                if arg == "==":
-                    push(False)
-                elif arg == "!=":
-                    push(True)
-                else:
-                    push(FAIL)
-            else:
-                push(_STRING_COMPARISONS[arg](_as_string(a), _as_string(b)))
-        elif op == OP_JFALSE:
-            if stack[-1] is False or stack[-1] is FAIL:
-                pc = arg
-            else:
-                pop()
-        elif op == OP_JTRUE:
-            if stack[-1] is True:
-                pc = arg
-            else:
-                pop()  # discard False *or FAIL*: || protects its left arm
-        elif op == OP_JFAIL:
-            if stack[-1] is FAIL:
-                pc = arg
-        elif op == OP_MATCH_CONST:
-            a = pop()
-            push(FAIL if a is FAIL
-                 else arg.search(_as_string(a)) is not None)
-        elif op == OP_MATCH:
-            b = pop()
-            a = pop()
-            if b is FAIL:
-                push(FAIL)
-                continue
-            pattern = _as_string(b)
-            try:
-                push(re.search(pattern, _as_string(a)) is not None)
-            except re.error as exc:
-                raise KeyNoteEvalError(
-                    f"bad regular expression {pattern!r}: {exc}")
-        elif op == OP_TRUTH:
-            v = pop()
-            if v is FAIL:
-                push(FAIL)
-            else:
-                v_num = _num_or_none(v)
-                push(v == "true" if v_num is None else v_num != 0.0)
-        elif op == OP_NOT:
-            t = pop()
-            push(FAIL if t is FAIL else not t)
-        elif op == OP_BOOL2STR:
-            t = pop()
-            push(FAIL if t is FAIL else ("true" if t else "false"))
-        elif op == OP_ARITH:
-            b = pop()
-            a = pop()
-            if b is FAIL:
-                push(FAIL)
-                continue
-            try:
-                push(_ARITH_FN(arg, _as_number(a), _as_number(b)))
-            except _SoftFailure:
-                push(FAIL)
-        elif op == OP_CONCAT:
-            b = pop()
-            a = pop()
-            push(FAIL if b is FAIL else _as_string(a) + _as_string(b))
-        elif op == OP_NEG:
-            v = pop()
-            if v is FAIL:
-                push(FAIL)
-            else:
-                v_num = _num_or_none(v)
-                push(FAIL if v_num is None else -v_num)
-        elif op == OP_DEREF:
-            v = pop()
-            push(FAIL if v is FAIL else attrs.get(_as_string(v), ""))
-        else:  # OP_FAIL
-            push(FAIL)
-    return stack[-1]
 
 
 def _num_or_none(value):
-    """float(value) or None — one conversion where the tree walker pays
+    """float(value) or None: one conversion where the tree walker pays
     two (_is_numeric then _as_number)."""
     if type(value) is float:
         return value
@@ -446,228 +285,508 @@ def _num_or_none(value):
         return None
 
 
-# -- compiler -----------------------------------------------------------------
+# -- compiled conditions: closures --------------------------------------------
+
+#: deepest nesting of closures the compiler builds, so that a query's
+#: stack can always call them (one frame a level).  A chain of ``&&``, of
+#: ``||`` or of ``.`` and arithmetic, and a run of ``!`` or of ``-`` and
+#: ``$``, lowers to one closure whatever its length, so only parentheses
+#: nested dozens deep with several operators at each level, or a
+#: hand-built tree, come near it; a program deeper than this is refused
+#: with :class:`KeyNoteSyntaxError`.
+MAX_NESTING = 256
 
 #: stateless tree-walking evaluator used for compile-time constant folding
 _CONST_EVAL = ConditionEvaluator({}, DEFAULT_VALUE_SET)
 
+_ARITH = ConditionEvaluator._arith
 
-def _is_const(expr: Expr) -> bool:
-    """True when no attribute (direct or dereferenced) can influence
-    ``expr`` — the subtree folds to a constant at compile time."""
-    if isinstance(expr, (StringLit, NumberLit)):
-        return True
-    if isinstance(expr, (Attribute, Deref)):
-        return False
-    if isinstance(expr, Unary):
-        return _is_const(expr.operand)
-    if isinstance(expr, Binary):
-        return _is_const(expr.left) and _is_const(expr.right)
-    return False
+#: the answer of ``==`` / ``!=`` when exactly one operand is numeric; an
+#: ordered comparison soft-fails instead
+_MIXED = {"==": False, "!=": True}
+
+#: the value of a folded subexpression that soft-fails
+_FAILED = object()
 
 
-def _emit_truth(expr: Expr, code: list) -> None:
-    """Emit bytecode leaving the *truth* of ``expr`` (bool or FAIL)."""
-    if _is_const(expr):
-        try:
-            code.append([OP_CONST, _CONST_EVAL._truth(expr)])
-            return
-        except _SoftFailure:
-            code.append([OP_FAIL, None])
-            return
-        except KeyNoteEvalError:
-            pass  # e.g. bad literal regex: defer the hard error to runtime
-    if isinstance(expr, Binary) and expr.op in _BOOL_OPS:
-        mark = len(code)
-        _emit_truth(expr.left, code)
-        if len(code) == mark + 1 and code[mark][0] in (OP_CONST, OP_FAIL):
-            # Constant left arm with a dynamic right arm: either the left
-            # arm decides (keep it as the result) or it is transparent
-            # (drop it, the right arm alone remains).  A FAIL left arm
-            # decides && (propagates) and is absorbed by ||.
-            left_true = (code[mark][0] == OP_CONST
-                         and code[mark][1] is True)
-            if left_true if expr.op == "||" else not left_true:
-                return
-            code.pop()
-            _emit_truth(expr.right, code)
-            return
-        jump = [OP_JFALSE if expr.op == "&&" else OP_JTRUE, None]
-        code.append(jump)
-        _emit_truth(expr.right, code)
-        jump[1] = len(code)
-        return
-    if isinstance(expr, Unary) and expr.op == "!":
-        _emit_truth(expr.operand, code)
-        code.append([OP_NOT, None])
-        return
-    if isinstance(expr, Binary) and (expr.op in _COMPARE_OPS
-                                     or expr.op == "~="):
-        _emit_compare(expr, code)
-        return
-    _emit_value(expr, code)
-    code.append([OP_TRUTH, None])
+class _Folded:
+    """A subexpression the compiler evaluated: ``value`` is its value (or
+    truth), or :data:`_FAILED`."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
 
 
-def _emit_compare(expr: Binary, code: list) -> None:
-    _emit_value(expr.left, code)
-    if expr.op == "~=" and isinstance(expr.right, StringLit):
-        try:
-            compiled = re.compile(expr.right.value)
-        except re.error:
-            compiled = None  # defer: KeyNoteEvalError at query time
-        if compiled is not None:
-            code.append([OP_MATCH_CONST, compiled])
-            return
-    # Strict left-to-right: a soft-failed left operand must skip the
-    # right operand entirely (its evaluation could raise a hard error the
-    # tree walker would never reach).
-    jump = [OP_JFAIL, None]
-    code.append(jump)
-    _emit_value(expr.right, code)
-    code.append([OP_MATCH if expr.op == "~=" else OP_CMP,
-                 None if expr.op == "~=" else expr.op])
-    jump[1] = len(code)
+def _fold(expr: Expr, truth: bool) -> "_Folded | None":
+    """``expr`` (which reads no attribute) evaluated by the tree walker;
+    None when that raises a hard error, which must surface per query, or
+    when the tree is too deep for the tree walker's recursion."""
+    try:
+        return _Folded(_CONST_EVAL._truth(expr) if truth
+                       else _CONST_EVAL._value(expr))
+    except _SoftFailure:
+        return _Folded(_FAILED)
+    except KeyNoteEvalError:
+        return None  # e.g. a bad literal regex
+    except RecursionError:
+        return None  # lowered instead: its chains and runs are loops
 
 
-def _emit_value(expr: Expr, code: list) -> None:
-    """Emit bytecode leaving the *value* of ``expr`` (str, float or FAIL)."""
-    if isinstance(expr, StringLit):
-        code.append([OP_CONST, expr.value])
-        return
-    if isinstance(expr, NumberLit):
-        code.append([OP_CONST, _number_literal(expr.literal)])
-        return
-    if isinstance(expr, Attribute):
-        code.append([OP_ATTR, expr.name])
-        return
-    if _is_const(expr):
-        try:
-            code.append([OP_CONST, _CONST_EVAL._value(expr)])
-            return
-        except _SoftFailure:
-            code.append([OP_FAIL, None])
-            return
-        except KeyNoteEvalError:
-            pass
-    if isinstance(expr, Deref):
-        _emit_value(expr.inner, code)
-        code.append([OP_DEREF, None])
-        return
-    if isinstance(expr, Unary):
-        if expr.op == "-":
-            _emit_value(expr.operand, code)
-            code.append([OP_NEG, None])
-            return
-        if expr.op == "!":
-            _emit_truth(expr.operand, code)
-            code.append([OP_NOT, None])
-            code.append([OP_BOOL2STR, None])
-            return
-        raise KeyNoteEvalError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, Binary):
-        if expr.op == "." or expr.op in _ARITH_OPS:
-            _emit_value(expr.left, code)
-            jump = [OP_JFAIL, None]
-            code.append(jump)
-            _emit_value(expr.right, code)
-            code.append([OP_CONCAT, None] if expr.op == "."
-                        else [OP_ARITH, expr.op])
-            jump[1] = len(code)
-            return
-        if expr.op in _COMPARE_OPS | {"~="} | _BOOL_OPS:
-            _emit_truth(expr, code)
-            code.append([OP_BOOL2STR, None])
-            return
-        raise KeyNoteEvalError(f"unknown operator {expr.op!r}")
-    raise KeyNoteEvalError(f"cannot evaluate {expr!r}")
+def _fail() -> None:
+    raise _SoftFailure("statically invalid operand")
 
 
-def compile_test(expr: Expr) -> "Code | None":
-    """Compile one clause test to bytecode.
+def _closure(lowered: "_Folded | Closure") -> Closure:
+    """A lowered subexpression as a closure, constants included."""
+    if lowered.__class__ is not _Folded:
+        return lowered
+    value = lowered.value
+    if value is _FAILED:
+        def failed(attrs):
+            _fail()
+        return failed
 
-    Returns ``None`` when the test folds to a static True (the caller
-    skips the VM), and ``()`` when it folds to static False/FAIL (the
-    caller drops the clause).
-    """
-    code: list = []
-    _emit_truth(expr, code)
-    if len(code) == 1 and code[0][0] == OP_CONST:
-        return None if code[0][1] is True else ()
-    if len(code) == 1 and code[0][0] == OP_FAIL:
-        return ()
-    return tuple((op, arg) for op, arg in code)
+    def constant(attrs):
+        return value
+    return constant
 
 
-class _CompiledClause:
-    """One clause: compiled test + its value form.
+def _deeper(depth: int) -> int:
+    if depth >= MAX_NESTING:
+        raise KeyNoteSyntaxError(
+            f"Conditions nest deeper than {MAX_NESTING} levels")
+    return depth + 1
 
-    ``kind`` 0 yields ``_MAX_TRUST``, 1 a named value (resolved against
-    the query's value set when the test passes — unknown names must keep
-    raising exactly then), 2 a nested tuple of compiled clauses.
+
+def _attribute_literal(attribute: Expr, literal: Expr,
+                       ) -> "tuple[str, str] | None":
+    """``(name, literal)`` when ``attribute == literal`` is a plain string
+    test: an attribute against a non-numeric string literal.  (A numeric
+    literal also equals other spellings of its number: ``"01" == "1"``.)"""
+    if (attribute.__class__ is Attribute and literal.__class__ is StringLit
+            and _num_or_none(literal.value) is None):
+        return attribute.name, literal.value
+    return None
+
+
+class _Lowering:
+    """Lowers one program's expressions to closures.
+
+    Every closure mirrors the tree walker's handling of its node: the same
+    evaluation order, a soft failure raised as :class:`_SoftFailure` where
+    the tree walker raises it, and the same hard errors.  Subexpressions
+    that read no attribute are folded through the tree walker; ``dynamic``
+    holds the ids of the nodes that do read one.
     """
 
-    __slots__ = ("code", "kind", "payload")
+    __slots__ = ("dynamic",)
 
-    def __init__(self, code, kind: int, payload) -> None:
-        self.code = code
-        self.kind = kind
-        self.payload = payload
+    def __init__(self, dynamic: "set[int]") -> None:
+        self.dynamic = dynamic
+
+    # -- truth ------------------------------------------------------------
+
+    def truth(self, expr: Expr, depth: int) -> "_Folded | Closure":
+        """Lower ``expr`` read as a test: a closure returning a bool."""
+        if id(expr) not in self.dynamic:
+            folded = _fold(expr, True)
+            if folded is not None:
+                return folded
+        depth = _deeper(depth)
+        if expr.__class__ is Binary:
+            op = expr.op
+            if op == "&&":
+                return self._all_of(expr, depth)
+            if op == "||":
+                return self._any_of(expr, depth)
+            if op == "~=":
+                return self._match(expr, depth)
+            if op in _COMPARISONS:
+                return self._compare(expr, depth)
+        elif expr.__class__ is Unary and expr.op == "!":
+            return self._negation(expr, depth)
+        value = _closure(self.value(expr, depth))
+
+        def bare(attrs):
+            # A bare value holds iff it is "true" or a nonzero number.
+            result = value(attrs)
+            number = _num_or_none(result)
+            return result == "true" if number is None else number != 0.0
+        return bare
+
+    @staticmethod
+    def _operands(expr: Binary) -> list:
+        """The operands of the ``expr.op`` chain at ``expr``, in evaluation
+        order: nested ``expr.op`` nodes are flattened on either side."""
+        op = expr.op
+        operands = []
+        stack = [expr.right, expr.left]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Binary and node.op == op:
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                operands.append(node)
+        return operands
+
+    def _all_of(self, expr: Binary, depth: int) -> "_Folded | Closure":
+        tests = []
+        last: object = True
+        for operand in self._operands(expr):
+            lowered = self.truth(operand, depth)
+            if lowered.__class__ is not _Folded:
+                tests.append(lowered)
+            elif lowered.value is not True:
+                # False or a soft failure: no later operand ever runs.
+                last = lowered.value
+                break
+        if not tests:
+            return _Folded(last)
+        if len(tests) == 1 and last is True:
+            return tests[0]
+        tests = tuple(tests)
+
+        def all_of(attrs):
+            for test in tests:
+                if not test(attrs):
+                    return False
+            if last is _FAILED:
+                _fail()
+            return last
+        return all_of
+
+    def _any_of(self, expr: Binary, depth: int) -> "_Folded | Closure":
+        # Every operand but the last is protected: its soft failure reads
+        # as false.  The last one's soft failure is the chain's.
+        operands = self._operands(expr)
+        tests = []
+        last: object = False
+        for index, operand in enumerate(operands):
+            lowered = self.truth(operand, depth)
+            if lowered.__class__ is not _Folded:
+                tests.append(lowered)
+                continue
+            value = lowered.value
+            if value is True or index == len(operands) - 1:
+                last = value  # no later operand ever runs
+                break
+            # A false or failed operand before the last is absorbed.
+        else:
+            last = tests.pop()
+        if not tests:
+            return last if callable(last) else _Folded(last)
+        tests = tuple(tests)
+        final = last if callable(last) else _closure(_Folded(last))
+
+        def any_of(attrs):
+            for test in tests:
+                try:
+                    if test(attrs):
+                        return True
+                except _SoftFailure:
+                    pass
+            return final(attrs)
+        return any_of
+
+    def _negation(self, expr: Expr, depth: int) -> "_Folded | Closure":
+        negate = False
+        while expr.__class__ is Unary and expr.op == "!":
+            negate = not negate
+            expr = expr.operand
+        inner = self.truth(expr, depth)
+        if not negate:
+            return inner  # an even run of ``!``: truths are bools already
+        if inner.__class__ is _Folded:
+            value = inner.value
+            return inner if value is _FAILED else _Folded(not value)
+
+        def negation(attrs):
+            return not inner(attrs)
+        return negation
+
+    def _compare(self, expr: Binary, depth: int) -> Closure:
+        op = expr.op
+        if op == "==" or op == "!=":
+            plain = (_attribute_literal(expr.left, expr.right)
+                     or _attribute_literal(expr.right, expr.left))
+            if plain is not None:
+                return _string_test(op, *plain)
+        left = _closure(self.value(expr.left, depth))
+        right = _closure(self.value(expr.right, depth))
+        compare = _COMPARISONS[op]
+        mixed = _MIXED.get(op)
+
+        def compare_values(attrs):
+            # Strict left-to-right: a soft-failed left operand never
+            # evaluates the right one.
+            a = left(attrs)
+            b = right(attrs)
+            a_number = _num_or_none(a)
+            b_number = _num_or_none(b)
+            if a_number is not None and b_number is not None:
+                return compare(a_number, b_number)
+            if a_number is None and b_number is None:
+                return compare(a, b)  # neither is a float: strings as-is
+            if mixed is None:
+                _fail()
+            return mixed
+        return compare_values
+
+    def _match(self, expr: Binary, depth: int) -> Closure:
+        left, right = expr.left, expr.right
+        pattern = None
+        if right.__class__ is StringLit:
+            try:
+                pattern = re.compile(right.value)
+            except re.error:
+                pass  # KeyNoteEvalError per query, as the tree walker
+        subject_of = _closure(self.value(left, depth))
+        if pattern is not None:
+            search = pattern.search
+
+            def match_literal(attrs):
+                return search(_as_string(subject_of(attrs))) is not None
+            return match_literal
+        pattern_of = _closure(self.value(right, depth))
+
+        def match(attrs):
+            subject = _as_string(subject_of(attrs))
+            text = _as_string(pattern_of(attrs))
+            try:
+                return re.search(text, subject) is not None
+            except re.error as exc:
+                raise KeyNoteEvalError(
+                    f"bad regular expression {text!r}: {exc}")
+        return match
+
+    # -- values -------------------------------------------------------------
+
+    def value(self, expr: Expr, depth: int) -> "_Folded | Closure":
+        """Lower ``expr`` read as a value: a closure returning a string or
+        a float."""
+        if expr.__class__ is StringLit:
+            return _Folded(expr.value)
+        if expr.__class__ is NumberLit:
+            return _Folded(_number_literal(expr.literal))
+        if expr.__class__ is Attribute:
+            name = expr.name
+
+            def attribute(attrs):
+                return attrs.get(name, "")
+            return attribute
+        if id(expr) not in self.dynamic:
+            folded = _fold(expr, False)
+            if folded is not None:
+                return folded
+        depth = _deeper(depth)
+        if expr.__class__ is Deref:
+            return self._unary(expr, depth)
+        if expr.__class__ is Unary:
+            if expr.op == "-":
+                return self._unary(expr, depth)
+            if expr.op == "!":
+                return _as_text(self._negation(expr, depth))
+            raise KeyNoteEvalError(f"unknown unary operator {expr.op!r}")
+        if expr.__class__ is Binary:
+            op = expr.op
+            if op == "." or op in _ARITH_OPS:
+                return self._arithmetic(expr, depth)
+            if op in _COMPARISONS or op == "~=" or op in _BOOL_OPS:
+                return _as_text(self.truth(expr, depth))
+            raise KeyNoteEvalError(f"unknown operator {op!r}")
+        raise KeyNoteEvalError(f"cannot evaluate {expr!r}")
+
+    def _unary(self, expr: "Unary | Deref", depth: int) -> Closure:
+        # A run of ``-`` and ``$`` (``--n``, ``-$$a``) is one closure that
+        # applies them innermost first: ``$`` reads the attribute its
+        # operand names, ``-`` negates a number.
+        derefs = []
+        while True:
+            if expr.__class__ is Deref:
+                derefs.append(True)
+                expr = expr.inner
+            elif expr.__class__ is Unary and expr.op == "-":
+                derefs.append(False)
+                expr = expr.operand
+            else:
+                break
+        inner = _closure(self.value(expr, depth))
+        derefs.reverse()
+        derefs = tuple(derefs)
+
+        def unary(attrs):
+            value = inner(attrs)
+            for deref in derefs:
+                if deref:
+                    value = attrs.get(_as_string(value), "")
+                else:
+                    value = -_as_number(value)
+            return value
+        return unary
+
+    def _arithmetic(self, expr: Binary, depth: int) -> Closure:
+        # The parser nests a chain of ``.`` and arithmetic to the left
+        # (``a . b . c`` is ``(a . b) . c``); the chain is one closure
+        # that combines its operands left to right.
+        steps = []
+        while True:
+            steps.append((expr.op, expr.right))
+            expr = expr.left
+            if not (expr.__class__ is Binary
+                    and (expr.op == "." or expr.op in _ARITH_OPS)):
+                break
+        first = _closure(self.value(expr, depth))
+        steps = tuple((op, _closure(self.value(right, depth)))
+                      for op, right in reversed(steps))
+
+        def chain(attrs):
+            value = first(attrs)
+            for op, operand in steps:
+                if op == ".":
+                    value = _as_string(value) + _as_string(operand(attrs))
+                else:
+                    # The left operand must be a number before the right
+                    # one is evaluated.
+                    number = _as_number(value)
+                    value = _ARITH(op, number, _as_number(operand(attrs)))
+            return value
+        return chain
 
 
-def _compile_clause(clause: Clause) -> "_CompiledClause | None":
-    code = compile_test(clause.test)
-    if code == ():
-        return None  # statically false test: the clause can never fire
-    if clause.value is None:
-        return _CompiledClause(code, 0, None)
-    if isinstance(clause.value, ConditionsProgram):
-        nested = tuple(c for c in map(_compile_clause, clause.value.clauses)
-                       if c is not None)
-        return _CompiledClause(code, 2, nested)
-    return _CompiledClause(code, 1, clause.value)
+def _as_text(test: "_Folded | Closure") -> "_Folded | Closure":
+    """A truth read as a value: "true" or "false"."""
+    if test.__class__ is _Folded:
+        value = test.value
+        return test if value is _FAILED else _Folded(
+            "true" if value else "false")
+
+    def as_text(attrs):
+        return "true" if test(attrs) else "false"
+    return as_text
 
 
-def _clause_value(clause: _CompiledClause, attrs: Mapping[str, str],
-                  values: ComplianceValueSet) -> str:
-    if clause.code is not None and _run(clause.code, attrs) is not True:
-        return values.minimum
-    if clause.kind == 0:
-        return values.maximum
-    if clause.kind == 1:
-        return values.resolve(clause.payload)
-    result = values.minimum
-    for sub in clause.payload:
-        result = values.join([result, _clause_value(sub, attrs, values)])
-    return result
+def _string_test(op: str, name: str, literal: str) -> Closure:
+    """``name == literal`` or ``!=`` for a non-numeric literal: one string
+    comparison.  A value that is not that string differs from it, numeric
+    or not, exactly as the general rule finds."""
+    if op == "==":
+        def equals(attrs):
+            return attrs.get(name, "") == literal
+        return equals
+
+    def differs(attrs):
+        return attrs.get(name, "") != literal
+    return differs
+
+
+# -- programs -----------------------------------------------------------------
+
+#: clause kinds: the test yields ``_MAX_TRUST``, a named value, or a
+#: nested program's rank
+_MAXIMUM, _NAMED, _NESTED = 0, 1, 2
+
+
+def _lower_clauses(lowering: _Lowering, clauses, depth: int) -> tuple:
+    """``(test, kind, payload)`` per clause that can fire; ``test`` is
+    None when it holds statically, and a statically false clause is
+    dropped."""
+    lowered = []
+    for clause in clauses:
+        test = lowering.truth(clause.test, depth)
+        if test.__class__ is _Folded:
+            if test.value is not True:
+                continue  # statically false: the clause can never fire
+            test = None
+        if clause.value is None:
+            lowered.append((test, _MAXIMUM, None))
+        elif isinstance(clause.value, ConditionsProgram):
+            nested = _lower_clauses(lowering, clause.value.clauses,
+                                    _deeper(depth))
+            lowered.append((test, _NESTED, _program_rank(nested)))
+        else:
+            # Resolved against the query's value set when the test holds:
+            # an unknown name must keep raising exactly then.
+            lowered.append((test, _NAMED, clause.value))
+    return tuple(lowered)
+
+
+def _rank_minimum(attrs, values) -> int:
+    return 0
+
+
+def _rank_maximum(attrs, values) -> int:
+    return values.top
+
+
+def _program_rank(clauses: tuple) -> "Callable[..., int]":
+    """The rank closure of lowered clauses: the join of the ranks of the
+    clauses whose tests hold."""
+    if not clauses:
+        return _rank_minimum
+    if len(clauses) == 1 and clauses[0][1] == _MAXIMUM:
+        test = clauses[0][0]
+        if test is None:
+            return _rank_maximum
+
+        def rank_if(attrs, values):
+            try:
+                return values.top if test(attrs) else 0
+            except _SoftFailure:
+                return 0
+        return rank_if
+
+    def rank_join(attrs, values):
+        # Every clause runs, as in the tree walker: a later one may raise.
+        best = 0
+        for test, kind, payload in clauses:
+            if test is not None:
+                try:
+                    if not test(attrs):
+                        continue
+                except _SoftFailure:
+                    continue
+            if kind == _MAXIMUM:
+                rank = values.top
+            elif kind == _NAMED:
+                rank = values.rank(payload)
+            else:
+                rank = payload(attrs, values)
+            if rank > best:
+                best = rank
+        return best
+    return rank_join
 
 
 class CompiledConditions:
-    """A Conditions program lowered to bytecode, evaluated many times.
+    """A Conditions program lowered to closures, evaluated many times.
 
-    Built once (per assertion, at checker construction) and then invoked
-    per query with just the action attribute set and the value set —
-    exactly :meth:`ConditionEvaluator.program_value`, without re-walking
-    the AST.  :meth:`referenced_attributes` reports which action
-    attributes can influence the program's value (``None`` when a ``$``
-    dereference makes the set dynamic), which is what lets the decision
-    cache ignore irrelevant attributes such as an unused ``_cur_time``.
-    :attr:`guard` is the equality conjunct the compliance checker indexes
-    the program's assertion by.
+    Built once (per assertion, at admission) and then invoked per query
+    with just the action attribute set and the value set — exactly
+    :meth:`ConditionEvaluator.program_value`, without re-walking the AST.
+    :meth:`rank` is the compliance checker's entry point (the value's
+    index in the value set); :meth:`value` names it.
+    :meth:`referenced_attributes` reports which action attributes can
+    influence the program's value (``None`` when a ``$`` dereference
+    makes the set dynamic), which is what lets the decision cache ignore
+    irrelevant attributes such as an unused ``_cur_time``.  :attr:`guard`
+    is the equality conjunct the compliance checker indexes the program's
+    assertion by.
     """
 
-    __slots__ = ("program", "_clauses", "_referenced", "guard")
+    __slots__ = ("program", "_rank", "_referenced", "guard")
 
     def __init__(self, program: ConditionsProgram) -> None:
         self.program = program
-        self._clauses = tuple(
-            c for c in map(_compile_clause, program.clauses)
-            if c is not None)
-        names: set[str] = set()
-        flags = 0
+        dynamic, names, flags = _scan(program)
+        plain = _plain_equality(program)
+        self._rank = (_rank_if_equal(*plain) if plain is not None
+                      else _program_rank(_lower_clauses(
+                          _Lowering(dynamic), program.clauses, 0)))
         shared: "list[tuple[str, str]] | None" = None
         for clause in program.clauses:
-            flags |= _collect_clause_attributes(clause, names)
             guards = _equality_guards(clause.test)
             shared = guards if shared is None else [
                 guard for guard in shared if guard in guards]
@@ -680,57 +799,124 @@ class CompiledConditions:
         self.guard: "tuple[str, str] | None" = (
             shared[0] if shared and not flags & _HARD_ERROR else None)
 
+    def rank(self, attributes: Mapping[str, str],
+             values: ComplianceValueSet) -> int:
+        """Rank in ``values`` of the program's value for one attribute
+        set."""
+        return self._rank(attributes, values)
+
     def value(self, attributes: Mapping[str, str],
               values: ComplianceValueSet) -> str:
         """Compliance value of the program for one attribute set."""
-        result = values.minimum
-        for clause in self._clauses:
-            result = values.join([result,
-                                  _clause_value(clause, attributes, values)])
-        return result
+        return values.values[self._rank(attributes, values)]
 
     def referenced_attributes(self) -> "frozenset[str] | None":
         """Attributes the program reads, or None when ``$`` makes the set
         depend on runtime values."""
         return self._referenced
 
-    def instruction_count(self) -> int:
-        """Total emitted instructions (0 for a fully folded program)."""
-        def count(clauses) -> int:
-            total = 0
-            for clause in clauses:
-                total += len(clause.code or ())
-                if clause.kind == 2:
-                    total += count(clause.payload)
-            return total
-        return count(self._clauses)
+    def closures(self) -> "list[tuple[str, tuple]]":
+        """``(name, constants)`` of every closure the compiler built for
+        the program, outermost first: what each does, and the literals,
+        folded values and patterns it holds.  A fully folded program has
+        none."""
+        found: "list[tuple[str, tuple]]" = []
+        pending: list = [self._rank]
+        while pending:
+            function = pending.pop(0)
+            if not function.__closure__:
+                continue  # a shared function, not one built here
+            constants, nested = [], []
+            cells = [cell.cell_contents for cell in function.__closure__]
+            while cells:
+                item = cells.pop(0)
+                if isinstance(item, FunctionType):
+                    nested.append(item)
+                elif isinstance(item, tuple):
+                    cells[:0] = item
+                elif item is not None:
+                    constants.append(item)
+            found.append((function.__name__, tuple(constants)))
+            pending[:0] = nested
+        return found
 
-    def disassemble(self) -> list[str]:
-        """Human-readable listing of every clause's bytecode."""
-        lines: list[str] = []
 
-        def dump(clauses, indent: str) -> None:
-            for index, clause in enumerate(clauses):
-                value = {0: "-> _MAX_TRUST",
-                         1: f"-> {clause.payload!r}",
-                         2: "-> {...}"}[clause.kind]
-                lines.append(f"{indent}clause {index} {value}")
-                if clause.code is None:
-                    lines.append(f"{indent}  <static true>")
-                else:
-                    for addr, (op, arg) in enumerate(clause.code):
-                        suffix = "" if arg is None else f" {arg!r}"
-                        lines.append(
-                            f"{indent}  {addr:3d} {OP_NAMES[op]}{suffix}")
-                if clause.kind == 2:
-                    dump(clause.payload, indent + "  ")
-        dump(self._clauses, "")
-        return lines
+def _plain_equality(program: ConditionsProgram) -> "tuple[str, str] | None":
+    """``(name, literal)`` when the whole program is one plain
+    ``attribute == "literal"`` test: the commonest credential (a team
+    signs one per member), which then costs a single closure."""
+    if len(program.clauses) != 1 or program.clauses[0].value is not None:
+        return None
+    test = program.clauses[0].test
+    if test.__class__ is not Binary or test.op != "==":
+        return None
+    return (_attribute_literal(test.left, test.right)
+            or _attribute_literal(test.right, test.left))
+
+
+def _rank_if_equal(name: str, literal: str) -> "Callable[..., int]":
+    def rank_if_equal(attrs, values):
+        return values.top if attrs.get(name, "") == literal else 0
+    return rank_if_equal
 
 
 def compile_conditions(program: ConditionsProgram) -> CompiledConditions:
-    """Lower a Conditions program into a :class:`CompiledConditions`."""
-    return CompiledConditions(program)
+    """Lower a Conditions program into a :class:`CompiledConditions`.
+
+    :raises KeyNoteSyntaxError: for a program the compiler cannot lower
+        (nested deeper than :data:`MAX_NESTING`, or than its own recursion
+        reaches) or a malformed number literal.
+    """
+    try:
+        return CompiledConditions(program)
+    except RecursionError:
+        raise KeyNoteSyntaxError(
+            "Conditions nest too deeply to compile") from None
+
+
+def _scan(program: ConditionsProgram) -> "tuple[set[int], set[str], int]":
+    """One iterative walk over every test of ``program`` and its nested
+    programs: the ids of the nodes whose value depends on the attributes,
+    the attribute names read and the walk's flags."""
+    dynamic: "set[int]" = set()
+    names: "set[str]" = set()
+    flags = 0
+    stack: list = []
+    programs = [program]
+    while programs:
+        for clause in programs.pop().clauses:
+            stack.append(clause.test)
+            if isinstance(clause.value, ConditionsProgram):
+                programs.append(clause.value)
+    order = []  # parents before children
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.__class__ is Binary:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif node.__class__ is Unary:
+            stack.append(node.operand)
+        elif node.__class__ is Deref:
+            stack.append(node.inner)
+    for node in reversed(order):
+        kind = node.__class__
+        if kind is StringLit or kind is NumberLit:
+            continue
+        if kind is Attribute:
+            names.add(node.name)
+        elif kind is Deref:
+            flags |= _DEREF
+        elif kind is Binary:
+            if node.op == "~=" and not _is_literal_pattern(node.right):
+                flags |= _HARD_ERROR
+            if id(node.left) not in dynamic and id(node.right) not in dynamic:
+                continue
+        elif kind is Unary:
+            if id(node.operand) not in dynamic:
+                continue
+        dynamic.add(id(node))  # an unknown node class counts as dynamic
+    return dynamic, names, flags
 
 
 @lru_cache(maxsize=1024)
@@ -747,43 +933,9 @@ _DEREF = 1
 _HARD_ERROR = 2
 
 
-def _collect_program_attributes(program: ConditionsProgram,
-                                names: set) -> int:
-    """Accumulate attribute names read by ``program``; returns the walk's
-    flags."""
-    flags = 0
-    for clause in program.clauses:
-        flags |= _collect_clause_attributes(clause, names)
-    return flags
-
-
-def _collect_clause_attributes(clause: Clause, names: set) -> int:
-    flags = _collect_expr_attributes(clause.test, names)
-    if isinstance(clause.value, ConditionsProgram):
-        flags |= _collect_program_attributes(clause.value, names)
-    return flags
-
-
-def _collect_expr_attributes(expr: Expr, names: set) -> int:
-    if isinstance(expr, Attribute):
-        names.add(expr.name)
-        return 0
-    if isinstance(expr, Deref):
-        return _collect_expr_attributes(expr.inner, names) | _DEREF
-    if isinstance(expr, Unary):
-        return _collect_expr_attributes(expr.operand, names)
-    if isinstance(expr, Binary):
-        flags = (_collect_expr_attributes(expr.left, names)
-                 | _collect_expr_attributes(expr.right, names))
-        if expr.op == "~=" and not _is_literal_pattern(expr.right):
-            flags |= _HARD_ERROR
-        return flags
-    return 0
-
-
 def _is_literal_pattern(expr: Expr) -> bool:
     """True for a string literal that compiles as a regex — the only
-    ``~=`` operand the VM matches without a query-time error path."""
+    ``~=`` operand matched without a query-time error path."""
     if not isinstance(expr, StringLit):
         return False
     try:
@@ -801,14 +953,18 @@ def _equality_guards(test: Expr) -> "list[tuple[str, str]]":
     Only non-numeric literals qualify.  For them ``==`` is plain string
     equality; a numeric-looking literal also equals other spellings of
     its number (``"01" == "1"``)."""
-    if isinstance(test, Binary):
-        if test.op == "&&":
-            return _equality_guards(test.left) + _equality_guards(test.right)
-        if test.op == "==":
-            for attribute, literal in ((test.left, test.right),
-                                       (test.right, test.left)):
-                if (isinstance(attribute, Attribute)
-                        and isinstance(literal, StringLit)
-                        and _num_or_none(literal.value) is None):
-                    return [(attribute.name, literal.value)]
-    return []
+    guards = []
+    stack = [test]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is not Binary:
+            continue
+        if node.op == "&&":
+            stack.append(node.right)
+            stack.append(node.left)
+        elif node.op == "==":
+            plain = (_attribute_literal(node.left, node.right)
+                     or _attribute_literal(node.right, node.left))
+            if plain is not None:
+                guards.append(plain)
+    return guards

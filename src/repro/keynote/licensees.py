@@ -9,7 +9,8 @@ to, combined with ``&&`` (all must concur), ``||`` (any suffices) and the
 Evaluation is over an assignment of compliance values to principals:
 ``&&`` takes the meet (min), ``||`` the join (max), and ``k-of`` the k-th
 largest — exactly the monotone semantics RFC 2704 gives threshold
-delegation.
+delegation.  :meth:`value` works on value names, :meth:`rank` on their
+ranks in the value set (what the compliance checker's fixpoint uses).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class Principal:
               values: ComplianceValueSet) -> str:
         return lookup(self.key)
 
+    def rank(self, lookup: Callable[[str], int]) -> int:
+        return lookup(self.key)
+
 
 @dataclass(frozen=True, slots=True)
 class AllOf:
@@ -52,6 +56,9 @@ class AllOf:
               values: ComplianceValueSet) -> str:
         return values.meet([p.value(lookup, values) for p in self.parts])
 
+    def rank(self, lookup: Callable[[str], int]) -> int:
+        return min([p.rank(lookup) for p in self.parts])
+
 
 @dataclass(frozen=True, slots=True)
 class AnyOf:
@@ -65,6 +72,9 @@ class AnyOf:
     def value(self, lookup: Callable[[str], str],
               values: ComplianceValueSet) -> str:
         return values.join([p.value(lookup, values) for p in self.parts])
+
+    def rank(self, lookup: Callable[[str], int]) -> int:
+        return max([p.rank(lookup) for p in self.parts])
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +97,10 @@ class Threshold:
               values: ComplianceValueSet) -> str:
         return values.kth_largest(
             [p.value(lookup, values) for p in self.parts], self.k)
+
+    def rank(self, lookup: Callable[[str], int]) -> int:
+        ranks = sorted([p.rank(lookup) for p in self.parts], reverse=True)
+        return ranks[self.k - 1]  # 1 <= k <= len(parts), checked above
 
 
 class _LicenseeParser:

@@ -187,15 +187,25 @@ def parse_conditions(text: str,
     """Parse a Conditions field body into a program.
 
     :param constants: Local-Constants substitutions applied at parse time.
-    :raises KeyNoteSyntaxError: on malformed input.
+    :raises KeyNoteSyntaxError: on malformed input, or nesting (of
+        parentheses, ``!``, ``-`` or ``$``) deeper than the parser's
+        recursion reaches.
     """
-    return _ExprParser(tokenize(text), constants).parse_program()
+    parser = _ExprParser(tokenize(text), constants)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise KeyNoteSyntaxError("Conditions nest too deeply") from None
 
 
 def parse_expression(text: str,
                      constants: Mapping[str, str] | None = None) -> Expr:
     """Parse a single expression (no clauses)."""
-    return _ExprParser(tokenize(text), constants).parse_expression()
+    parser = _ExprParser(tokenize(text), constants)
+    try:
+        return parser.parse_expression()
+    except RecursionError:
+        raise KeyNoteSyntaxError("expression nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

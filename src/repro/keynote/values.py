@@ -20,7 +20,12 @@ MAX_TRUST_NAME = "_MAX_TRUST"
 
 @dataclass(frozen=True)
 class ComplianceValueSet:
-    """An ordered set of compliance values, least to most trusted."""
+    """An ordered set of compliance values, least to most trusted.
+
+    A value's *rank* is its index in the order; :attr:`top` is the rank of
+    the maximum.  The rank table is built once, with the reserved aliases
+    in it, so ranking a value is one dictionary lookup.
+    """
 
     values: tuple[str, ...]
 
@@ -32,6 +37,14 @@ class ComplianceValueSet:
         for reserved in (MIN_TRUST_NAME, MAX_TRUST_NAME):
             if reserved in self.values:
                 raise ComplianceError(f"{reserved} is reserved")
+        top = len(self.values) - 1
+        ranks = {value: rank for rank, value in enumerate(self.values)}
+        ranks[MIN_TRUST_NAME] = 0
+        ranks[MAX_TRUST_NAME] = top
+        # Not fields: they derive from ``values`` and stay out of equality,
+        # hashing and the repr.
+        object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "top", top)
 
     @classmethod
     def of(cls, values: Iterable[str]) -> "ComplianceValueSet":
@@ -55,13 +68,9 @@ class ComplianceValueSet:
 
         :raises ComplianceError: for values outside the set.
         """
-        if value == MIN_TRUST_NAME:
-            return 0
-        if value == MAX_TRUST_NAME:
-            return len(self.values) - 1
         try:
-            return self.values.index(value)
-        except ValueError:
+            return self._ranks[value]
+        except (KeyError, TypeError):
             raise ComplianceError(
                 f"{value!r} is not in the compliance value set "
                 f"{list(self.values)}") from None

@@ -30,7 +30,8 @@ Four properties an always-on plane needs beyond the request/response core:
   signature check until a decision first needs it, so a restarted daemon
   answers after parsing its trust store, not after verifying all of it.  A
   background task freezes the recovered heap at start-up and then runs the
-  remaining checks a slice at a time, only while no request is in flight.
+  remaining checks a slice at a time, only while no request is in flight;
+  a credential added later wakes it again.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ class ReproServer:
         self._server: asyncio.base_events.Server | None = None
         self._reaper: asyncio.Task | None = None
         self._backfill: asyncio.Task | None = None
+        #: set while the signature-check backfill has started (the heap is
+        #: frozen) and has no deferred check left to run
+        self.backfill_idle = asyncio.Event()
         self.registry: dict[str, PeerInfo] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         #: per-connection request-id reply caches (node.py dedup semantics),
@@ -591,6 +595,11 @@ class ReproServer:
         just the same, at moments the loop could not choose.  It waits on
         the drain's idle event while requests are in flight and yields
         between slices, so a new request waits behind one slice at most.
+        With nothing pending it parks, with :attr:`backfill_idle` set,
+        until the checker defers another check
+        (:attr:`~repro.keynote.compliance.ComplianceChecker.on_deferred`:
+        a credential added over the wire, say), so no check is left for a
+        request or a ``probe`` to pay for inline.
 
         The heap is frozen before the first request: the trust store
         lives as long as the daemon, and a full collection would otherwise
@@ -600,18 +609,30 @@ class ReproServer:
         collection first: it would delay the first decision.
         """
         checker = self.plane.session.checker
+        deferred = asyncio.Event()
+
+        def wake() -> None:
+            self.backfill_idle.clear()
+            deferred.set()
+
+        checker.on_deferred = wake
         gc.freeze()
-        while True:
-            if self._inflight:
-                await self._idle.wait()
-            elif checker.verify_pending(BACKFILL_SLICE):
-                # A timer, not sleep(0): the loop queues I/O callbacks
-                # ahead of due timers, so a request that arrived during
-                # the slice is read (and ``_inflight`` raised) before this
-                # task resumes, instead of after one more slice.
-                await asyncio.sleep(BACKFILL_YIELD_S)
-            else:
-                return
+        try:
+            while True:
+                if self._inflight:
+                    await self._idle.wait()
+                elif checker.verify_pending(BACKFILL_SLICE):
+                    # A timer, not sleep(0): the loop queues I/O callbacks
+                    # ahead of due timers, so a request that arrived during
+                    # the slice is read (and ``_inflight`` raised) before
+                    # this task resumes, instead of after one more slice.
+                    await asyncio.sleep(BACKFILL_YIELD_S)
+                else:
+                    self.backfill_idle.set()
+                    await deferred.wait()
+                    deferred.clear()
+        finally:
+            checker.on_deferred = None
 
     async def _reap_loop(self) -> None:
         try:

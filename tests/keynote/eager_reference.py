@@ -21,7 +21,7 @@ from repro.crypto.keystore import Keystore
 from repro.errors import CredentialError
 from repro.keynote.compliance import ComplianceChecker, _Prepared
 from repro.keynote.credential import Credential
-from repro.keynote.eval import compile_conditions
+from repro.keynote.eval import CompiledConditions, compile_conditions
 
 
 def reference_verify(credential: Credential,
@@ -48,8 +48,13 @@ def reference_verify(credential: Credential,
 class EagerReferenceChecker(ComplianceChecker):
     """A checker whose every admission verifies the signature at once."""
 
-    def _prepare(self, assertion: Credential,
-                 lazy: bool = False) -> "_Prepared | None":
+    def _prepare(self, assertion: Credential, lazy: bool = False,
+                 compiled: "CompiledConditions | None" = None,
+                 discard_uncompiled: bool = False,
+                 ) -> "_Prepared | None":
+        # A program compiled by the caller is ignored: this checker
+        # compiles its own, unguarded copy (every program it is given
+        # compiles, so ``discard_uncompiled`` never applies).
         if self.verify_signatures and not reference_verify(assertion,
                                                            self.keystore):
             if self.strict:

@@ -1,11 +1,13 @@
-"""Bytecode-vs-tree-walk equivalence for the condition compiler (PR 8).
+"""Compiled-vs-tree-walk equivalence for the condition compiler.
 
-The postfix bytecode in :mod:`repro.keynote.eval` must agree with the
-tree-walking :class:`ConditionEvaluator` on every program: same value,
-same soft-failure outcomes, and — crucially — the same *hard* errors (a
-soft-failed left operand must keep the right operand unevaluated in both
-implementations).
+The closures :func:`~repro.keynote.eval.compile_conditions` lowers a
+program to must agree with the tree-walking :class:`ConditionEvaluator`
+on every program: same value, same soft-failure outcomes, and —
+crucially — the same *hard* errors (a soft-failed left operand must keep
+the right operand unevaluated in both implementations).
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
 from repro.keynote.ast import (Attribute, Binary, Clause, ConditionsProgram,
                                Deref, NumberLit, StringLit, Unary)
-from repro.keynote.eval import (ConditionEvaluator, compile_conditions,
-                                compile_test, _run)
+from repro.keynote.compliance import ComplianceChecker
+from repro.keynote.credential import Credential
+from repro.keynote.eval import ConditionEvaluator, compile_conditions
 from repro.keynote.parser import parse_conditions
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 
@@ -50,7 +53,7 @@ ATTRIBUTES = st.fixed_dictionaries(
 
 
 def _program_outcomes(program, attributes, values):
-    """(tree outcome, bytecode outcome) where an outcome is a value string
+    """(tree outcome, compiled outcome) where an outcome is a value string
     or the marker ``("error", message)``."""
     try:
         tree = ConditionEvaluator(attributes, values).program_value(program)
@@ -102,8 +105,8 @@ class TestTargetedSemantics:
     def test_soft_failure_skips_right_operand(self):
         # The left comparison soft-fails (string vs number ordered), so
         # the right operand's bad regex must stay unevaluated — in the
-        # tree walker the exception unwinds first, in the bytecode the
-        # JFAIL jump skips it.
+        # tree walker the exception unwinds first, in the compiled
+        # comparison it propagates before the right closure runs.
         assert _value('(("x" < 1) == (a ~= "[")) || true',
                       {"a": "x"}) == "true"
 
@@ -127,6 +130,12 @@ class TestTargetedSemantics:
     def test_and_propagates_soft_failure_to_false(self):
         assert _value('("x" < 1) && true', {}) == "false"
 
+    def test_or_propagates_its_last_arms_soft_failure(self):
+        # Only the arms before the last are protected: the last arm's
+        # soft failure fails the whole ||, and so the test around it.
+        assert _value('!(a == "1" || ("x" < a))', {"a": "2"}) == "false"
+        assert _value('!(("x" < a) || a == "1")', {"a": "2"}) == "true"
+
     def test_unknown_value_name_raises_only_when_test_passes(self):
         program = parse_conditions('a == "1" -> "no-such-value"')
         compiled = compile_conditions(program)
@@ -138,27 +147,31 @@ class TestTargetedSemantics:
 class TestConstantFolding:
     def test_constant_program_emits_no_instructions(self):
         compiled = compile_conditions(parse_conditions('1 < 2 && 3 == 3'))
-        assert compiled.instruction_count() == 0
+        assert compiled.closures() == []
         assert compiled.value({}, DEFAULT_VALUE_SET) == "true"
 
     def test_statically_false_clause_is_dropped(self):
         compiled = compile_conditions(
             parse_conditions('1 > 2 -> "high"; a == "1" -> "medium"'))
-        assert len(compiled._clauses) == 1
+        held = [value for _, constants in compiled.closures()
+                for value in constants]
+        assert "medium" in held and "high" not in held
         assert compiled.value({"a": "1"}, VALUES) == "medium"
         assert compiled.value({"a": "0"}, VALUES) == "low"
 
     def test_constant_subexpression_is_folded(self):
-        from repro.keynote.eval import OP_ARITH, OP_CONST
-        code = compile_test(parse_conditions('a == 2 * 3').clauses[0].test)
-        ops = [op for op, _ in code]
-        assert OP_ARITH not in ops  # 2 * 3 folded at compile time
-        assert (OP_CONST, 6.0) in code
+        compiled = compile_conditions(parse_conditions('a == 2 * 3'))
+        # 2 * 3 folded at compile time: one comparison against 6.0 and no
+        # arithmetic closure
+        closures = compiled.closures()
+        assert "chain" not in [name for name, _ in closures]
+        assert ("constant", (6.0,)) in closures
+        assert compiled.value({"a": "6"}, DEFAULT_VALUE_SET) == "true"
 
     def test_short_circuit_skips_right_arm(self):
         # A statically-true left arm folds the whole || to a constant.
         compiled = compile_conditions(parse_conditions('1 < 2 || a == "1"'))
-        assert compiled.instruction_count() == 0
+        assert compiled.closures() == []
 
     def test_referenced_attributes(self):
         compiled = compile_conditions(parse_conditions('a == "1" && b < 2'))
@@ -167,9 +180,13 @@ class TestConstantFolding:
         assert dynamic.referenced_attributes() is None
 
     def test_disassemble_lists_opcodes(self):
-        compiled = compile_conditions(parse_conditions('a == "1" && b < 2'))
-        listing = "\n".join(compiled.disassemble())
-        assert "ATTR" in listing and "JFALSE" in listing and "CMP" in listing
+        compiled = compile_conditions(parse_conditions('a == "x" && b < 2'))
+        closures = dict(compiled.closures())
+        assert closures["all_of"] == (True,)  # one n-ary conjunction
+        assert closures["equals"] == ("x", "a")  # a plain string test
+        assert "compare_values" in closures
+        assert closures["attribute"] == ("b",)
+        assert closures["constant"] == (2.0,)
 
 
 class TestMalformedNumberLiteral:
@@ -184,3 +201,128 @@ class TestMalformedNumberLiteral:
     def test_compile_raises_syntax_error(self, test):
         with pytest.raises(KeyNoteSyntaxError):
             compile_conditions(ConditionsProgram((Clause(test),)))
+
+
+def _deepest(build, limit=5000):
+    """The largest depth in [1, limit] for which ``build(depth)`` parses
+    (``build`` raises KeyNoteSyntaxError past the parser's reach)."""
+    low, high = 1, limit
+    while low < high:
+        middle = (low + high + 1) // 2
+        try:
+            build(middle)
+        except KeyNoteSyntaxError:
+            high = middle - 1
+        else:
+            low = middle
+    return low
+
+
+def _deep_value(text, attributes):
+    """The compiled value of ``text``, checked against the tree walker,
+    whose recursion a deep program needs more frames for."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4000)
+    try:
+        tree = ConditionEvaluator(attributes, DEFAULT_VALUE_SET).program_value(
+            parse_conditions(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    compiled = compile_conditions(parse_conditions(text))
+    assert compiled.value(attributes, DEFAULT_VALUE_SET) == tree
+    return tree
+
+
+class TestDeepPrograms:
+    """Programs far deeper than a recursive compiler could lower, each
+    checked inside a POLICY -> K1 -> K2 -> K3 -> K4 delegation chain whose
+    every hop carries the program, against values computed by hand."""
+
+    HOPS = ("POLICY", "K1", "K2", "K3", "K4")
+
+    def _decide(self, text, attributes):
+        programs: dict = {}  # one parsed program for all hops, as recovery
+        chain = [Credential.build(author, f'"{licensee}"', text,
+                                  programs=programs)
+                 for author, licensee in zip(self.HOPS, self.HOPS[1:])]
+        checker = ComplianceChecker(chain, verify_signatures=False)
+        value = checker.query(attributes, ["K4"])
+        if value == "true":  # a grant walked every hop
+            assert checker.last_query_stats.max_depth == 4
+        return value
+
+    def test_a_5000_term_or_chain(self):
+        text = " || ".join(f'a=="v{n}"' for n in range(5000))
+        assert self._decide(text, {"a": "v4999"}) == "true"
+        assert self._decide(text, {"a": "v0"}) == "true"
+        assert self._decide(text, {"a": "v5000"}) == "false"
+
+    def test_a_5000_term_and_chain(self):
+        text = " && ".join(f'a{n}=="v"' for n in range(5000))
+        every = {f"a{n}": "v" for n in range(5000)}
+        assert self._decide(text, every) == "true"
+        assert self._decide(text, {**every, "a4999": "w"}) == "false"
+        assert self._decide(text, {**every, "a0": "w"}) == "false"
+
+    def test_the_deepest_not_chain_the_parser_accepts(self):
+        def text(depth):
+            return "!" * depth + 'a=="x"'
+
+        depth = _deepest(lambda d: Credential.build("POLICY", '"K1"',
+                                                    text(d)))
+        assert depth > 100
+        for d in (depth, depth - 1):
+            holds = d % 2 == 0  # an even run of ! cancels out
+            assert self._decide(text(d), {"a": "x"}) == (
+                "true" if holds else "false")
+            assert self._decide(text(d), {"a": "y"}) == (
+                "false" if holds else "true")
+
+    def test_a_1000_term_concatenation(self):
+        text = (" . ".join(f"a{n}" for n in range(1000))
+                + f' == "{"x" * 1000}"')
+        every = {f"a{n}": "x" for n in range(1000)}
+        assert _deep_value(text, every) == "true"
+        assert self._decide(text, every) == "true"
+        assert self._decide(text, {**every, "a999": ""}) == "false"
+        assert self._decide(text, {**every, "a0": "xx"}) == "false"
+
+    def test_a_1000_term_arithmetic_chain(self):
+        # ((n + 1) - 1) * 1 ... keeps n; a non-number fails the test
+        text = ("n" + " + 1 - 1 * 1" * 333) + " == 7"
+        assert _deep_value(text, {"n": "7"}) == "true"
+        assert self._decide(text, {"n": "7"}) == "true"
+        assert self._decide(text, {"n": "8"}) == "false"
+        assert self._decide(text, {"n": "z"}) == "false"
+
+    @pytest.mark.parametrize("depth", [299, 300])
+    def test_a_300_deep_run_of_minus(self, depth):
+        text = "-" * depth + "n == " + ("-3" if depth % 2 else "3")
+        for n, holds in (("3", "true"), ("4", "false"), ("z", "false")):
+            assert _deep_value(text, {"n": n}) == holds
+            assert self._decide(text, {"n": n}) == holds
+
+    @pytest.mark.parametrize("depth", [299, 300])
+    def test_a_300_deep_run_of_dereferences(self, depth):
+        # a names b, b names a: the run ends on a for an odd depth
+        text = "$" * depth + 'a == "b"'
+        attributes = {"a": "b", "b": "a"}
+        holds = "false" if depth % 2 else "true"
+        assert _deep_value(text, attributes) == holds
+        assert self._decide(text, attributes) == holds
+
+    def test_the_deepest_parenthesis_nesting_the_parser_accepts(self):
+        # E(0) = c=="z";  E(n) = (a=="x" && (b=="y" || E(n - 1)))
+        def text(depth):
+            return ('(a=="x" && (b=="y" || ' * depth + 'c=="z"'
+                    + "))" * depth)
+
+        depth = _deepest(lambda d: Credential.build("POLICY", '"K1"',
+                                                    text(d)))
+        assert depth > 10
+        program = text(depth)
+        assert self._decide(program, {"a": "x", "b": "y"}) == "true"
+        assert self._decide(program, {"a": "x", "c": "z"}) == "true"
+        assert self._decide(program, {"a": "x", "b": "n",
+                                      "c": "n"}) == "false"
+        assert self._decide(program, {"b": "y", "c": "z"}) == "false"

@@ -327,17 +327,17 @@ class TestRevokeMidFixpoint:
         c2 = Credential.build("Ka", '"Kb"', 'x=="1"')
         checker = ComplianceChecker([policy, c1, c2],
                                     verify_signatures=False)
-        real_value = CompiledConditions.value
+        real_rank = CompiledConditions.rank
         fired = []
 
-        def value(self, attributes, values):
+        def rank(self, attributes, values):
             if self.program == c1.conditions and not fired:
                 fired.append(True)
                 # The mutation lock is re-entrant: this runs inline.
                 assert checker.revoke_assertion(c1)
-            return real_value(self, attributes, values)
+            return real_rank(self, attributes, values)
 
-        monkeypatch.setattr(CompiledConditions, "value", value)
+        monkeypatch.setattr(CompiledConditions, "rank", rank)
         assert checker.query({"x": "1"}, ["Kb"]) == "true"
         assert fired
         assert checker.query({"x": "1"}, ["Kb"]) == "true"

@@ -198,6 +198,25 @@ class TestProgress:
         assert checker.query({}, ["K4"]) == "true"
         assert checker.cache_info()["unverified"] == 0
 
+    def test_later_admissions_do_not_reorder_the_store(self, monkeypatch):
+        """The delegation order is built for the first backlog only: a
+        deferred admission after it drains is settled without walking
+        every assertion again (a daemon's backfill wakes per add)."""
+        walks = []
+        order = ComplianceChecker._delegation_order
+        monkeypatch.setattr(ComplianceChecker, "_delegation_order",
+                            lambda self: walks.append(1) or order(self))
+        checker = ComplianceChecker(self.universe(), keystore=make_keystore())
+        assert checker.verify_pending() == 0
+        woken = []
+        checker.on_deferred = lambda: woken.append(1)
+        for licensee in ("K3", "K4"):
+            checker.add_assertion(signed("K2", licensee), defer=True)
+        assert woken == [1, 1]
+        assert checker.verify_pending() == 0
+        assert walks == [1]
+        assert checker.query({"x": "1"}, ["K4"]) == "true"
+
     def test_revoke_drops_a_pending_entry(self):
         universe = self.universe()
         checker = ComplianceChecker(universe, keystore=make_keystore())

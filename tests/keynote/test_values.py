@@ -46,6 +46,24 @@ class TestOrdering:
         with pytest.raises(ComplianceError):
             TRI.rank("maybe")
 
+    @pytest.mark.parametrize("call", [
+        lambda: TRI.join(["approve", "maybe"]),
+        lambda: TRI.meet(["maybe"]),
+        lambda: TRI.kth_largest(["reject", "maybe"], 1),
+        lambda: TRI.resolve("maybe"),
+        lambda: TRI.rank(["unhashable"]),
+    ], ids=["join", "meet", "kth_largest", "resolve", "unhashable"])
+    def test_every_ranking_refuses_an_unknown_value(self, call):
+        with pytest.raises(ComplianceError, match="not in the compliance"):
+            call()
+
+    def test_the_rank_table_stays_out_of_equality_and_repr(self):
+        again = ComplianceValueSet.of(TRI.values)
+        assert again == TRI and hash(again) == hash(TRI)
+        assert repr(again) == ("ComplianceValueSet(values=('reject', "
+                               "'approve_with_log', 'approve'))")
+        assert TRI.top == 2 and DEFAULT_VALUE_SET.top == 1
+
     def test_meet_join(self):
         assert TRI.meet(["approve", "reject"]) == "reject"
         assert TRI.join(["approve_with_log", "reject"]) == "approve_with_log"

@@ -74,15 +74,11 @@ class Universe:
                                "subject": "mallory"}}
 
 
-async def backfilled(plane: ServePolicyPlane) -> dict:
-    """Wait (bounded) until the live checker has no deferred checks."""
-    deadline = asyncio.get_running_loop().time() + BACKFILL_TIMEOUT_S
-    while True:
-        info = plane.session.checker_cache_info()
-        if info is not None and info["unverified"] == 0:
-            return info
-        assert asyncio.get_running_loop().time() < deadline, info
-        await asyncio.sleep(0.01)
+async def backfilled(server: ReproServer) -> dict:
+    """Wait (bounded) until the server's backfill task reports that it has
+    started and has no deferred check left; the live checker's counts."""
+    await asyncio.wait_for(server.backfill_idle.wait(), BACKFILL_TIMEOUT_S)
+    return server.plane.session.checker_cache_info()
 
 
 class TestBackfill:
@@ -96,7 +92,7 @@ class TestBackfill:
             plane = ServePolicyPlane(root=tmp_path)
             assert plane.session.checker_cache_info()["entries"] == 0
             server = await ReproServer(plane).start()
-            info = await backfilled(plane)
+            info = await backfilled(server)
             await server.shutdown()
             return info
 
@@ -120,7 +116,7 @@ class TestBackfill:
                       for u in range(3, USERS, 11)]
             replies = await asyncio.gather(*(
                 client.call(method, params) for method, params, _ in calls))
-            info = await backfilled(plane)
+            info = await backfilled(server)
             final = await client.call("status")
             await client.close()
             await server.shutdown()
@@ -158,6 +154,48 @@ class TestBackfill:
         assert report["inflight_after_drain"] == 0
         assert report["wal_flushed"] is True
         assert not [r for r in caplog.records if "pending" in r.getMessage()]
+
+
+class TestBackfillWakesForNewCredentials:
+    def test_wire_adds_are_verified_while_the_daemon_idles(self,
+                                                          monkeypatch):
+        """Credentials added over the wire after the backfill finished
+        are checked by it while no request is in flight, so the next
+        probe verifies no signature inline."""
+        universe = Universe("rearm", users=4)
+        added = []
+        for n in range(5):
+            signer = KeyPair.generate(f"backfill-rearm-signer-{n}")
+            added.append(Credential.build(
+                signer.public.encode(), f'"{universe.proxies[n % 4]}"',
+                'op=="run"').sign(signer.private).to_text())
+
+        async def scenario():
+            plane = ServePolicyPlane()
+            universe.install(plane)
+            server = await ReproServer(plane).start()
+            await backfilled(server)
+            client = await ServeClient("t").connect(server.host, server.port)
+            for text in added:
+                assert (await client.call("add_credential",
+                                          {"text": text}))["added"]
+            info = await backfilled(server)
+            running = not server._backfill.done()
+            SIGNATURE_CACHE.clear()
+            verified = []
+            check = PublicKey.verify
+            monkeypatch.setattr(PublicKey, "verify", lambda *args: (
+                verified.append(args) or check(*args)))
+            probe = await client.call("probe", universe.request(1))
+            await client.close()
+            await server.shutdown()
+            return info, running, verified, probe
+
+        info, running, verified, probe = asyncio.run(scenario())
+        assert running  # parked, not finished
+        assert info["unverified"] == 0
+        assert verified == []
+        assert probe["allowed"] and probe["agree"]
 
 
 class TestProbeOverForgedCredentials:
@@ -222,7 +260,7 @@ class TestFrozenHeap:
             plane.add_credential({"text": text})
             server = await ReproServer(plane).start()
             try:
-                await backfilled(plane)
+                await backfilled(server)
                 assert gc.get_freeze_count() > 0
                 request = universe.request(0)
                 assert plane.mediate(request)["allowed"]

@@ -7,10 +7,17 @@ cached stack verdict, the daemon's stack keeps no per-request state, and
 ``status()`` still reports the L2 cache traffic in its four-key shape.
 """
 
+from dataclasses import replace
+from functools import reduce
+
 import pytest
 
 from repro.crypto.keys import KeyPair
+from repro.errors import KeyNoteSyntaxError
+from repro.keynote.ast import (Attribute, Binary, Clause, ConditionsProgram,
+                               NumberLit)
 from repro.keynote.credential import Credential
+from repro.keynote.eval import MAX_NESTING
 from repro.rbac.model import Assignment, Grant
 from repro.serve.plane import AUDIT_WINDOW, ServePolicyPlane
 from repro.util.clock import SimulatedClock
@@ -134,4 +141,113 @@ class TestRecoveredMetrics:
         plane = _licensed_plane(root=tmp_path)
         plane.mediate(JOB_SUBMIT)
         assert plane.obs.metrics.counter("keynote.cache.miss").value == 1
+        plane.close()
+
+
+def _deep_chain_plane(root, conditions: str):
+    """A durable plane holding one team -> proxy credential with these
+    Conditions, added over the wire (its signature check is deferred);
+    returns the plane, the proxy key and the credential's text."""
+    team = KeyPair.generate("plane-deep-team")
+    proxy = KeyPair.generate("plane-deep-proxy").public.encode()
+    text = Credential.build(team.public.encode(), f'"{proxy}"',
+                            conditions).sign(team.private).to_text()
+    plane = ServePolicyPlane(root=root, clock=SimulatedClock())
+    plane.add_policy({"text": f'Authorizer: POLICY\n'
+                              f'Licensees: "{team.public.encode()}"\n'
+                              f'Conditions: app_domain=="grid";'})
+    assert plane.add_credential({"text": text})["added"]
+    return plane, proxy, text
+
+
+def _run(proxy: str, a: str) -> dict:
+    return {"user": "u", "user_key": proxy, "object_type": "job",
+            "operation": "run", "attributes": {"app_domain": "grid", "a": a}}
+
+
+#: Conditions deeper than a recursive compiler could lower, each true
+#: when the request's ``a`` is "5" (the concatenation ends in a letter:
+#: two 1000-digit numbers both read as infinity, and so compare equal)
+DEEP = {
+    "and-chain": " && ".join(['a=="5"'] * 1000),
+    "concatenation": " . ".join(["a"] * 1000) + f' . "z" == "{"5" * 1000}z"',
+    "minus-run": "-" * 300 + "a == 5",
+}
+
+
+class TestConditionsTheCompilerLowers:
+    @pytest.mark.parametrize("conditions", DEEP.values(), ids=DEEP.keys())
+    def test_a_deep_chain_survives_a_crash_restart(self, tmp_path,
+                                                   conditions):
+        """A chain too deep for a recursive compiler is admitted, decided,
+        and recovered after a crash (no clean close) with the same
+        verdicts."""
+        plane, proxy, _text = _deep_chain_plane(tmp_path, conditions)
+        verdicts = [plane.mediate(_run(proxy, a))["allowed"]
+                    for a in ("5", "6")]
+        assert verdicts == [True, False]
+        # crash: the WAL is not closed and no snapshot is written
+        again = ServePolicyPlane(root=tmp_path, clock=SimulatedClock())
+        assert [again.mediate(_run(proxy, a))["allowed"]
+                for a in ("5", "6")] == verdicts
+        again.close()
+
+    def test_a_deep_chain_is_revoked_by_its_text(self, tmp_path):
+        """Revoking re-parses the text and compares its tree with the held
+        one; so does a second copy's admission."""
+        plane, proxy, text = _deep_chain_plane(tmp_path, DEEP["and-chain"])
+        assert plane.add_credential({"text": text})["added"]
+        assert plane.revoke_credential({"text": text})["revoked"]
+        assert plane.mediate(_run(proxy, "5"))["allowed"]  # one copy left
+        # crash: the WAL is not closed and no snapshot is written
+        again = ServePolicyPlane(root=tmp_path, clock=SimulatedClock())
+        assert again.mediate(_run(proxy, "5"))["allowed"]
+        assert again.revoke_credential({"text": text})["revoked"]
+        assert not again.mediate(_run(proxy, "5"))["allowed"]
+        assert not again.revoke_credential({"text": text})["revoked"]
+        again.close()
+
+    def test_a_journalled_program_the_compiler_refuses_recovers_discarded(
+            self, tmp_path):
+        """A trust store journalled before the compiler refused such
+        Conditions (here: parentheses nested with several operators at
+        each level, past ``MAX_NESTING``) still recovers; the credential
+        is held, grants nothing, and is revoked by its text."""
+        plane, proxy, _text = _deep_chain_plane(tmp_path, 'a=="5"')
+        nested = 'a || a && !(a == a . a * a ^ -(' * 32 + "a" + "))" * 32
+        team = KeyPair.generate("plane-deep-team")
+        text = Credential.build(team.public.encode(), f'"{proxy}"',
+                                f'a=="6" && ({nested})').sign(
+                                    team.private).to_text()
+        with pytest.raises(KeyNoteSyntaxError):
+            plane.add_credential({"text": text})
+        plane.session.store.append("keynote.credential", text=text,
+                                   expires_at=None)
+        # crash: the WAL is not closed and no snapshot is written
+        again = ServePolicyPlane(root=tmp_path, clock=SimulatedClock())
+        assert again.session.checker.discarded == [Credential.from_text(text)]
+        assert again.mediate(_run(proxy, "5"))["allowed"]
+        assert not again.mediate(_run(proxy, "6"))["allowed"]
+        assert again.revoke_credential({"text": text})["revoked"]
+        assert again.session.checker.discarded == []
+        again.close()
+
+    @pytest.mark.parametrize("test", [
+        Binary("<", Attribute("n"), NumberLit("²")),
+        # nested deeper than the compiler builds closures
+        reduce(lambda inner, depth: Binary(
+            "&&" if depth % 2 else "||", Attribute("a"), inner),
+            range(MAX_NESTING + 1), Attribute("a")),
+    ], ids=["malformed-number", "too-deep"])
+    def test_a_refused_credential_journals_nothing(self, tmp_path, test):
+        plane, _proxy, _text = _deep_chain_plane(tmp_path, 'a=="5"')
+        wal = tmp_path / "wal.log"
+        before = wal.read_bytes()
+        credential = replace(
+            Credential.build("Kteam", '"Kuser"', 'a=="x"'),
+            conditions=ConditionsProgram((Clause(test),)))
+        with pytest.raises(KeyNoteSyntaxError):
+            plane.session.add_credential(credential)
+        assert wal.read_bytes() == before
+        assert credential not in plane.session.checker
         plane.close()
