@@ -17,6 +17,7 @@ from repro.crypto.keystore import Keystore
 from repro.errors import CredentialError
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
+from repro.keynote.eval import compile_conditions
 from repro.keynote.parser import parse_credentials
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 from repro.util.clock import SimulatedClock
@@ -116,9 +117,9 @@ class KeyNoteSession:
         if not credential.is_policy:
             raise CredentialError(
                 "add_policy requires an 'Authorizer: POLICY' assertion")
-        compiled = self._checker.compile(credential)
+        compile_conditions(credential.conditions)  # refuse before journalling
         self._journal("keynote.policy", credential)
-        self._checker.add_assertion(credential, compiled=compiled)
+        self._checker.add_assertion(credential)
         return credential
 
     def add_credential(self, source: str | Credential,
@@ -152,13 +153,13 @@ class KeyNoteSession:
                     and math.isfinite(expires_at)):
                 raise CredentialError(
                     f"expires_at must be a finite number, got {expires_at!r}")
-        compiled = self._checker.compile(credential)
+        compile_conditions(credential.conditions)  # refuse before journalling
         self._journal("keynote.credential", credential,
                       expires_at=(float(expires_at)
                                   if expires_at is not None else None))
         if expires_at is not None:
             self._expires_at[credential] = float(expires_at)
-        self._checker.add_assertion(credential, defer=True, compiled=compiled)
+        self._checker.add_assertion(credential, defer=True)
         return credential
 
     def revoke_credential(self, credential: Credential) -> bool:

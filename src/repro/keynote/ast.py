@@ -26,8 +26,11 @@ nesting, which the parser's own recursion bounds, recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.keynote.eval import CompiledConditions
 
 Expr = Union["StringLit", "NumberLit", "Attribute", "Deref", "Unary", "Binary"]
 
@@ -49,6 +52,13 @@ def _tree_hash(node: object) -> int:
         else:
             parts.append(item)
     return hash(tuple(parts))
+
+
+class _WeaklyReferenced:
+    """Gives a slotted dataclass a ``__weakref__`` slot on every supported
+    Python (``dataclass(weakref_slot=True)`` needs 3.11)."""
+
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +160,18 @@ class Clause:
 
 
 @dataclass(frozen=True, slots=True)
-class ConditionsProgram:
+class ConditionsProgram(_WeaklyReferenced):
     """A full Conditions field: an ordered sequence of clauses.
 
     The program's compliance value is the join (max) of the values of all
-    clauses whose tests hold.
+    clauses whose tests hold.  ``compiled`` keeps the closures
+    :func:`~repro.keynote.eval.compile_conditions` built for it (which do
+    not refer back to it); equality, hashing and copies ignore it.
     """
 
     clauses: tuple[Clause, ...]
+    compiled: "CompiledConditions | None" = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self) -> tuple:
+        return ConditionsProgram, (self.clauses,)

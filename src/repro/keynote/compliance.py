@@ -24,11 +24,9 @@ Hot-path machinery (the authorisation fast path):
 
 - construction precompiles every assertion's Conditions program
   (:func:`~repro.keynote.eval.compile_conditions`) and canonicalises its
-  authorizer once — per-query work is only the fixpoint itself.  Admitted
-  assertions without Local-Constants share one program per distinct
-  Conditions text, held in a table counted by its holders: a trust store
-  of proxy credentials cut from one template compiles it once, and an
-  entry leaves with its last holder;
+  authorizer once — per-query work is only the fixpoint itself.  A
+  program keeps its closures, and credentials cut from one template share
+  one program (:data:`~repro.keynote.credential.PROGRAMS`);
 - *deferred signature checks*: in non-strict mode construction resolves
   each signed credential's key but does not verify it.  The fixpoint checks
   an assertion (through the process-wide signature cache) the first time
@@ -64,12 +62,13 @@ Hot-path machinery (the authorisation fast path):
   authored by principal ``P`` can influence a decision only through
   ``principal_value(P)``, so a decision whose fixpoint never touched ``P``
   is unchanged by any mutation of ``P``'s assertions.  Every short-circuit
-  in the search (max-join break, minimum-conditions skip, licensee
-  early-outs) only *prunes* assertions of principals that were already
-  visited, so the recorded principal set over-approximates the true read
-  set.  When a mutation changes the shape of the referenced-attribute
-  projection (the cache key function itself), the checker falls back to a
-  conservative full flush (counted as ``full_flushes``);
+  in the search (max-join break, minimum-conditions skip, a licensee
+  ``||`` stopped at the top rank) prunes only reads that cannot move a
+  value already at its cap, so the recorded set covers every read the
+  value depends on.  When a mutation changes the shape of the
+  referenced-attribute projection (the cache key function itself), the
+  checker falls back to a conservative full flush (counted as
+  ``full_flushes``);
 - *bounded memory*: the decision cache and the canonicalisation memo are
   least-recently-used maps (:class:`~repro.util.lru.LRUCache`) of at most
   :data:`DECISION_CACHE_SIZE` and :data:`CANON_CACHE_SIZE` entries, since
@@ -214,16 +213,6 @@ class _Prepared:
 _admission_order = attrgetter("seq")
 
 
-class _SharedProgram:
-    """One compiled program and how many admitted entries hold it."""
-
-    __slots__ = ("compiled", "holders")
-
-    def __init__(self, compiled: CompiledConditions) -> None:
-        self.compiled = compiled
-        self.holders = 1
-
-
 class _Bucket:
     """One principal's admitted assertions, indexed by equality guard:
     ``unguarded`` entries, plus ``guarded[attribute][literal]`` for the
@@ -366,9 +355,6 @@ class ComplianceChecker:
         #: canonical principal -> its admitted assertions
         self._buckets: dict[str, _Bucket] = {}
         self._canon_cache: LRUCache[str, str] = LRUCache(CANON_CACHE_SIZE)
-        #: Conditions text -> the program its admitted holders share
-        #: (assertions without Local-Constants only)
-        self._programs: dict[str, _SharedProgram] = {}
         #: decision key -> (compliance value, generation it was computed
         #: at, dependencies: the canonical principals whose sub-graphs the
         #: fixpoint descended and weak references to the prepared
@@ -514,8 +500,7 @@ class ComplianceChecker:
         return order
 
     def add_assertion(self, assertion: Credential,
-                      defer: bool = False,
-                      compiled: "CompiledConditions | None" = None) -> bool:
+                      defer: bool = False) -> bool:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
@@ -523,10 +508,8 @@ class ComplianceChecker:
         checker resolves the signer only, as construction does: the check
         waits for the first read or :meth:`verify_pending`, and a pending
         assertion counts as admitted (and :attr:`on_deferred` is called).
-        ``compiled`` is what :meth:`compile` returned for the assertion, so
-        a caller that must know the assertion compiles before it commits
-        to adding it compiles it once.  The authorizer's bucket is
-        stamped with the new generation, so only the cached decisions whose
+        The authorizer's bucket is stamped with the new generation, so only
+        the cached decisions whose
         fixpoint visited that principal fail validation — decisions that
         never descended into its sub-graph cannot change (monotonicity) and
         survive.  Adding a copy of an assertion already present marks
@@ -538,7 +521,7 @@ class ComplianceChecker:
         lazy = defer and not self.strict
         with self._mutation_lock:
             old_shape = self._referenced_key
-            held = self._admit(assertion, lazy, compiled)
+            held = self._admit(assertion, lazy)
             if held.verified is None and not lazy:
                 # A copy of an entry whose deferred check has not run yet:
                 # this path checks eagerly.
@@ -600,7 +583,6 @@ class ComplianceChecker:
             return True
 
     def _prepare(self, assertion: Credential, lazy: bool = False,
-                 compiled: "CompiledConditions | None" = None,
                  discard_uncompiled: bool = False,
                  ) -> "_Prepared | None":
         """Verify (through the signature cache) and compile one assertion;
@@ -629,61 +611,15 @@ class ComplianceChecker:
                         f"invalid signature on credential by "
                         f"{assertion.authorizer!r}")
                 return None
-        if compiled is None:
-            try:
-                compiled = self.compile(assertion)
-            except KeyNoteSyntaxError:
-                if not discard_uncompiled:
-                    raise
-                return None
+        try:
+            compiled = compile_conditions(assertion.conditions)
+        except KeyNoteSyntaxError:
+            if not discard_uncompiled:
+                raise
+            return None
         return _Prepared(assertion, compiled, signer)
 
-    def compile(self, assertion: Credential) -> CompiledConditions:
-        """The compiled Conditions of ``assertion``: the shared program
-        when an admitted assertion holds an equal one under the same text,
-        a fresh compile otherwise.
-
-        Only admission makes a program shared
-        (:meth:`_hold_program`), so a request-scoped assertion may read the
-        table but leaves nothing in it.  Local-Constants change the
-        program, so an assertion with them never shares; neither does one
-        whose normalised text matches a program that is not equal to its
-        own (whitespace inside a string literal).
-
-        :raises KeyNoteSyntaxError: when the compiler cannot lower the
-            program.
-        """
-        held = (None if assertion.local_constants
-                else self._programs.get(assertion.conditions_text))
-        if held is not None and held.compiled.program == assertion.conditions:
-            return held.compiled
-        return compile_conditions(assertion.conditions)
-
-    def _hold_program(self, prepared: _Prepared) -> None:
-        """Count a newly admitted entry as a holder of its program, which
-        becomes the shared one for its text if none is held yet."""
-        credential = prepared.credential
-        if credential.local_constants:
-            return
-        text = credential.conditions_text
-        held = self._programs.get(text)
-        if held is None:
-            self._programs[text] = _SharedProgram(prepared.compiled)
-        elif held.compiled is prepared.compiled:
-            held.holders += 1
-
-    def _release_program(self, prepared: _Prepared) -> None:
-        """Drop an entry's hold on its shared program, and the program
-        with its last holder."""
-        text = prepared.credential.conditions_text
-        held = self._programs.get(text)
-        if held is not None and held.compiled is prepared.compiled:
-            held.holders -= 1
-            if not held.holders:
-                del self._programs[text]
-
     def _admit(self, assertion: Credential, lazy: bool = False,
-               compiled: "CompiledConditions | None" = None,
                discard_uncompiled: bool = False) -> _Prepared:
         """Count one more copy of ``assertion``, indexing it on first sight;
         returns its entry (``verified`` False when it was rejected).  A
@@ -694,7 +630,7 @@ class ComplianceChecker:
             held.count += 1
             self._copies[assertion.is_policy] += 1
             return held
-        prepared = self._prepare(assertion, lazy, compiled,
+        prepared = self._prepare(assertion, lazy,
                                  discard_uncompiled)  # may raise
         self._copies[assertion.is_policy] += 1
         if prepared is None:
@@ -712,19 +648,17 @@ class ComplianceChecker:
         if prepared.verified is None:
             self._pending[id(prepared)] = prepared
         self._count_attributes(prepared, 1)
-        self._hold_program(prepared)
         return prepared
 
     def _unindex(self, prepared: _Prepared) -> None:
-        """Take an admitted entry out of its bucket, the pending set, the
-        referenced-attribute projection and the shared-program table."""
+        """Take an admitted entry out of its bucket, the pending set and
+        the referenced-attribute projection."""
         bucket = self._buckets[prepared.key]
         bucket.remove(prepared)
         if not bucket:
             del self._buckets[prepared.key]
         self._pending.pop(id(prepared), None)
         self._count_attributes(prepared, -1)
-        self._release_program(prepared)
 
     def _settle(self, prepared: _Prepared) -> bool:
         """The signature verdict of an admitted entry, running its deferred
@@ -807,8 +741,7 @@ class ComplianceChecker:
         stale, ``evictions`` dropped to stay within
         :data:`DECISION_CACHE_SIZE`), plus signature-check progress:
         ``unverified`` admitted assertions whose check is still deferred,
-        and the number ``discarded`` as bad so far; ``programs`` is the
-        number of shared compiled programs held."""
+        and the number ``discarded`` as bad so far."""
         with self._mutation_lock:
             return {"entries": len(self._decision_cache),
                     "generation": self._generation,
@@ -818,8 +751,7 @@ class ComplianceChecker:
                     "evictions": self._decision_cache.evictions,
                     "full_flushes": self.full_flushes,
                     "unverified": len(self._pending),
-                    "discarded": len(self.discarded),
-                    "programs": len(self._programs)}
+                    "discarded": len(self.discarded)}
 
     def cached_decision(self, attributes: Mapping[str, str],
                         authorizers: Iterable[str],
@@ -1177,7 +1109,7 @@ class ComplianceChecker:
             if licensees.__class__ is Principal:
                 licensed = licensee_rank(licensees.key)
             else:
-                licensed = licensees.rank(licensee_rank)
+                licensed = licensees.rank(licensee_rank, top)
             return conditions if conditions < licensed else licensed
 
         def licensee_rank(principal: str) -> int:

@@ -13,17 +13,19 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from weakref import WeakValueDictionary
 
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
 from repro.crypto.keystore import SIGNATURE_CACHE, Keystore
 from repro.errors import CredentialError, KeyNoteSyntaxError
-from repro.keynote.ast import ConditionsProgram
+from repro.keynote.ast import ConditionsProgram, _WeaklyReferenced
 from repro.keynote.licensees import LicenseeExpr, licensees_to_text, parse_licensees
 from repro.keynote.parser import (
     parse_conditions,
     parse_local_constants,
     split_fields,
 )
+from repro.keynote.tokens import normalise
 
 POLICY_PRINCIPAL = "POLICY"
 KEYNOTE_VERSION = "2"
@@ -54,11 +56,11 @@ class _NoConstants(Mapping):
 NO_CONSTANTS: Mapping[str, str] = _NoConstants()
 
 
-class _WeaklyReferenced:
-    """Gives a slotted dataclass a ``__weakref__`` slot on every supported
-    Python (``dataclass(weakref_slot=True)`` needs 3.11)."""
-
-    __slots__ = ("__weakref__",)
+#: The process's Conditions table: normalised Conditions text -> the
+#: program parsed from it, read and filled by :meth:`Credential.build`
+#: whatever path presents the text.  An entry leaves with the last
+#: credential that holds its program.
+PROGRAMS: "WeakValueDictionary[str, ConditionsProgram]" = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,44 +90,38 @@ class Credential(_WeaklyReferenced):
               comment: str = "",
               local_constants: dict[str, str] | None = None,
               signature: str = "",
-              programs: "dict[str, ConditionsProgram] | None" = None,
               ) -> "Credential":
         """Build a credential from field bodies (unsigned unless a
         ``signature`` is given).
 
-        :param programs: a table of parsed Conditions programs by field
-            body, read and filled here, so a caller building many
-            credentials cut from a few templates (recovery, say) parses
-            each distinct program once.  A credential with Local-Constants
-            never uses it: its program depends on the constants as well.
+        The Conditions are parsed only when :data:`PROGRAMS` holds no
+        program for their text; Local-Constants are substituted at parse
+        time, so a credential with them always parses its own.
+
         :raises KeyNoteSyntaxError: if licensees or conditions are malformed.
         """
         constants = dict(local_constants) if local_constants else NO_CONSTANTS
         parsed_licensees = parse_licensees(licensees, constants)
-        table = programs if not constants else None
-        program = table.get(conditions) if table is not None else None
+        text = normalise(conditions)
+        program = None if constants else PROGRAMS.get(text)
         if program is None:
             program = parse_conditions(conditions, constants)
-            if table is not None:
-                table[conditions] = program
+            if not constants:
+                PROGRAMS[text] = program
         return cls(
             authorizer=sys.intern(authorizer),
             licensees=parsed_licensees,
             conditions=program,
-            conditions_text=" ".join(conditions.split()),
+            conditions_text=text,
             comment=comment,
             local_constants=constants,
             signature=signature,
         )
 
     @classmethod
-    def from_text(cls, text: str,
-                  programs: "dict[str, ConditionsProgram] | None" = None,
-                  ) -> "Credential":
+    def from_text(cls, text: str) -> "Credential":
         """Parse the textual credential form.
 
-        :param programs: the Conditions table :meth:`build` reads and
-            fills.
         :raises KeyNoteSyntaxError: on malformed input.
         """
         fields = split_fields(text)
@@ -156,13 +152,12 @@ class Credential(_WeaklyReferenced):
             comment=fields.get("comment", ""),
             local_constants=constants,
             signature=signature if signature != "..." else "",
-            programs=programs,
         )
 
     def __hash__(self) -> int:
-        # Equal credentials have equal Conditions texts, so hashing that
-        # string (which caches its hash) agrees with the generated ``__eq__``
-        # and skips re-hashing the parsed program per lookup.
+        # ``conditions_text`` is a compared field, so hashing that string
+        # (which caches its hash) instead of the parsed program agrees
+        # with the generated ``__eq__`` and skips a tree walk per lookup.
         return hash((self.authorizer, self.licensees, self.conditions_text,
                      self.comment, self.signature))
 

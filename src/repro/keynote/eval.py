@@ -763,8 +763,9 @@ def _program_rank(clauses: tuple) -> "Callable[..., int]":
 class CompiledConditions:
     """A Conditions program lowered to closures, evaluated many times.
 
-    Built once (per assertion, at admission) and then invoked per query
-    with just the action attribute set and the value set — exactly
+    Built once per program (:func:`compile_conditions` keeps it on the
+    program) and then invoked per query with just the action attribute
+    set and the value set — exactly
     :meth:`ConditionEvaluator.program_value`, without re-walking the AST.
     :meth:`rank` is the compliance checker's entry point (the value's
     index in the value set); :meth:`value` names it.
@@ -776,10 +777,9 @@ class CompiledConditions:
     assertion by.
     """
 
-    __slots__ = ("program", "_rank", "_referenced", "guard")
+    __slots__ = ("_rank", "_referenced", "_guard")
 
     def __init__(self, program: ConditionsProgram) -> None:
-        self.program = program
         dynamic, names, flags = _scan(program)
         plain = _plain_equality(program)
         self._rank = (_rank_if_equal(*plain) if plain is not None
@@ -792,12 +792,17 @@ class CompiledConditions:
                 guard for guard in shared if guard in guards]
         self._referenced: "frozenset[str] | None" = (
             None if flags & _DEREF else _shared_names(frozenset(names)))
-        #: ``(attribute, literal)`` when every top-level clause tests
-        #: ``attribute == "literal"`` as a conjunct, so the program's value
-        #: is the minimum whenever the attribute reads anything else; None
-        #: when no such conjunct exists or skipping could hide a hard error
-        self.guard: "tuple[str, str] | None" = (
+        self._guard: "tuple[str, str] | None" = (
             shared[0] if shared and not flags & _HARD_ERROR else None)
+
+    @property
+    def guard(self) -> "tuple[str, str] | None":
+        """``(attribute, literal)`` when every top-level clause tests
+        ``attribute == "literal"`` as a conjunct, so the program's value
+        is the minimum whenever the attribute reads anything else; None
+        when no such conjunct exists or skipping could hide a hard error.
+        Read-only: every holder of the program shares this object."""
+        return self._guard
 
     def rank(self, attributes: Mapping[str, str],
              values: ComplianceValueSet) -> int:
@@ -861,17 +866,22 @@ def _rank_if_equal(name: str, literal: str) -> "Callable[..., int]":
 
 
 def compile_conditions(program: ConditionsProgram) -> CompiledConditions:
-    """Lower a Conditions program into a :class:`CompiledConditions`.
+    """Lower a Conditions program into a :class:`CompiledConditions`,
+    kept on the program for every later call.
 
     :raises KeyNoteSyntaxError: for a program the compiler cannot lower
         (nested deeper than :data:`MAX_NESTING`, or than its own recursion
         reaches) or a malformed number literal.
     """
-    try:
-        return CompiledConditions(program)
-    except RecursionError:
-        raise KeyNoteSyntaxError(
-            "Conditions nest too deeply to compile") from None
+    compiled = program.compiled
+    if compiled is None:
+        try:
+            compiled = CompiledConditions(program)
+        except RecursionError:
+            raise KeyNoteSyntaxError(
+                "Conditions nest too deeply to compile") from None
+        object.__setattr__(program, "compiled", compiled)
+    return compiled
 
 
 def _scan(program: ConditionsProgram) -> "tuple[set[int], set[str], int]":

@@ -10,7 +10,8 @@ Evaluation is over an assignment of compliance values to principals:
 ``&&`` takes the meet (min), ``||`` the join (max), and ``k-of`` the k-th
 largest — exactly the monotone semantics RFC 2704 gives threshold
 delegation.  :meth:`value` works on value names, :meth:`rank` on their
-ranks in the value set (what the compliance checker's fixpoint uses).
+ranks in the value set (what the compliance checker's fixpoint uses); a
+``||`` stops at the first part of the ``top`` rank.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Principal:
               values: ComplianceValueSet) -> str:
         return lookup(self.key)
 
-    def rank(self, lookup: Callable[[str], int]) -> int:
+    def rank(self, lookup: Callable[[str], int], top: int) -> int:
         return lookup(self.key)
 
 
@@ -56,8 +57,8 @@ class AllOf:
               values: ComplianceValueSet) -> str:
         return values.meet([p.value(lookup, values) for p in self.parts])
 
-    def rank(self, lookup: Callable[[str], int]) -> int:
-        return min([p.rank(lookup) for p in self.parts])
+    def rank(self, lookup: Callable[[str], int], top: int) -> int:
+        return min([p.rank(lookup, top) for p in self.parts])
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +74,15 @@ class AnyOf:
               values: ComplianceValueSet) -> str:
         return values.join([p.value(lookup, values) for p in self.parts])
 
-    def rank(self, lookup: Callable[[str], int]) -> int:
-        return max([p.rank(lookup) for p in self.parts])
+    def rank(self, lookup: Callable[[str], int], top: int) -> int:
+        best = 0
+        for part in self.parts:
+            rank = part.rank(lookup, top)
+            if rank > best:
+                best = rank
+                if best == top:
+                    break
+        return best
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +106,9 @@ class Threshold:
         return values.kth_largest(
             [p.value(lookup, values) for p in self.parts], self.k)
 
-    def rank(self, lookup: Callable[[str], int]) -> int:
-        ranks = sorted([p.rank(lookup) for p in self.parts], reverse=True)
+    def rank(self, lookup: Callable[[str], int], top: int) -> int:
+        ranks = sorted([p.rank(lookup, top) for p in self.parts],
+                       reverse=True)
         return ranks[self.k - 1]  # 1 <= k <= len(parts), checked above
 
 

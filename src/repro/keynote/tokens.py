@@ -43,6 +43,13 @@ _TOKEN_RE = re.compile("|".join((
 #: a backslash escapes the next character, whatever it is
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
+#: a string literal (group 1, kept as written), a comment (group 2) with
+#: the layout after it (group 3 its ending newline), or a whitespace run
+#: other than a single space (which is its own normal form)
+_LAYOUT_RE = re.compile(
+    r'("[^"\\]*(?:\\.[^"\\]*)*")|(#[^\n]*)(\n)?[ \t\r\n]*'
+    r'|[\t\r\n][ \t\r\n]*| [ \t\r\n]+', re.DOTALL)
+
 _KINDS = {"number": TokenType.NUMBER, "ident": TokenType.IDENT,
           "op": TokenType.OP}
 
@@ -102,3 +109,26 @@ def tokenize(text: str) -> list[Token]:
         pos = stop
     tokens.append(Token(TokenType.EOF, "", line, pos - line_start + 1))
     return tokens
+
+
+def normalise(text: str) -> str:
+    """The normal form of ``text``: each run of whitespace outside string
+    literals and comments becomes one space, and none is left at either
+    end; a comment keeps the newline that ends it, with its own
+    whitespace runs made one space.  String literals (escapes included)
+    are kept as written, so two texts with one normal form tokenize alike.
+
+    Every text earlier versions stored (``" ".join(text.split())``) is
+    its own normal form, so the bytes they signed and journalled are
+    unchanged.
+    """
+    return _LAYOUT_RE.sub(_layout, text).strip(" \n")
+
+
+def _layout(match: "re.Match[str]") -> str:
+    literal, comment, newline = match.groups()
+    if literal is not None:
+        return literal
+    if comment is not None:
+        return " ".join(comment.split()) + (newline or "")
+    return " "

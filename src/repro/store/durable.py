@@ -59,7 +59,6 @@ from repro.util.clock import SimulatedClock
 from repro.webcom.keycom import KeyComService
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.keynote.ast import ConditionsProgram
     from repro.obs import Observability
     from repro.webcom.failover import GraphCheckpoint
 
@@ -148,11 +147,11 @@ def restore_session(recovered: RecoveredState,
     starts empty.
 
     A trust store is mostly credentials cut from a few templates (every
-    proxy credential carries the same Conditions), so each distinct
-    Conditions text is parsed once, through a table that lives only as
-    long as this call.
+    proxy credential carries the same Conditions), and each distinct
+    Conditions text is parsed and compiled once: ``Credential.from_text``
+    reads the process's Conditions table
+    (:data:`~repro.keynote.credential.PROGRAMS`).
     """
-    programs: dict[str, ConditionsProgram] = {}
     policies: list[Credential] = []
     #: credential -> copies added and not revoked, in first-added order
     credentials: dict[Credential, int] = {}
@@ -165,7 +164,7 @@ def restore_session(recovered: RecoveredState,
                 for text, expires_at in state.get("credentials", [])]
     for record in records + _tail(recovered, (
             "keynote.policy", "keynote.credential", "keynote.revoke")):
-        credential = Credential.from_text(record["text"], programs)
+        credential = Credential.from_text(record["text"])
         copies = credentials.get(credential, 0)
         if record["kind"] == "keynote.policy":
             policies.append(credential)

@@ -21,7 +21,7 @@ from repro.crypto.keystore import Keystore
 from repro.errors import CredentialError
 from repro.keynote.compliance import ComplianceChecker, _Prepared
 from repro.keynote.credential import Credential
-from repro.keynote.eval import CompiledConditions, compile_conditions
+from repro.keynote.eval import CompiledConditions
 
 
 def reference_verify(credential: Credential,
@@ -45,16 +45,21 @@ def reference_verify(credential: Credential,
     return public.verify(credential.canonical_bytes(), signature)
 
 
+class _Unguarded(CompiledConditions):
+    """A private compile of one program that the checker files unguarded."""
+
+    guard = None
+
+
 class EagerReferenceChecker(ComplianceChecker):
     """A checker whose every admission verifies the signature at once."""
 
     def _prepare(self, assertion: Credential, lazy: bool = False,
-                 compiled: "CompiledConditions | None" = None,
                  discard_uncompiled: bool = False,
                  ) -> "_Prepared | None":
-        # A program compiled by the caller is ignored: this checker
-        # compiles its own, unguarded copy (every program it is given
-        # compiles, so ``discard_uncompiled`` never applies).
+        # Every program it is given compiles, so ``discard_uncompiled``
+        # never applies.  The compile is its own: the one kept on the
+        # program is shared with every other checker in the process.
         if self.verify_signatures and not reference_verify(assertion,
                                                            self.keystore):
             if self.strict:
@@ -62,6 +67,4 @@ class EagerReferenceChecker(ComplianceChecker):
                     f"invalid signature on credential by "
                     f"{assertion.authorizer!r}")
             return None
-        compiled = compile_conditions(assertion.conditions)
-        compiled.guard = None
-        return _Prepared(assertion, compiled)
+        return _Prepared(assertion, _Unguarded(assertion.conditions))

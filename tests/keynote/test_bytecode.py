@@ -4,7 +4,10 @@ The closures :func:`~repro.keynote.eval.compile_conditions` lowers a
 program to must agree with the tree-walking :class:`ConditionEvaluator`
 on every program: same value, same soft-failure outcomes, and —
 crucially — the same *hard* errors (a soft-failed left operand must keep
-the right operand unevaluated in both implementations).
+the right operand unevaluated in both implementations).  A generated
+program also survives its credential's text form: the Conditions a
+credential journals parse back to it, literal whitespace and escaped
+quotes included.
 """
 
 import sys
@@ -28,7 +31,8 @@ _ATTR_NAMES = ("a", "b", "num", "flag")
 _LEAVES = st.one_of(
     st.sampled_from([StringLit("x"), StringLit("true"), StringLit(""),
                      StringLit("3"), NumberLit("2"), NumberLit("0"),
-                     NumberLit("3.5")]),
+                     NumberLit("3.5"), StringLit("x  y"), StringLit("\tx "),
+                     StringLit('say "hi"')]),
     st.sampled_from(_ATTR_NAMES).map(Attribute),
 )
 _UNARY_OPS = ("!", "-")
@@ -48,8 +52,25 @@ def _exprs(children):
 
 EXPRESSIONS = st.recursive(_LEAVES, _exprs, max_leaves=12)
 ATTRIBUTES = st.fixed_dictionaries(
-    {}, optional={name: st.sampled_from(["", "1", "2", "x", "true", "b"])
+    {}, optional={name: st.sampled_from(["", "1", "2", "x", "true", "b",
+                                         "x  y"])
                   for name in _ATTR_NAMES})
+
+
+def _text(expr) -> str:
+    """Conditions text for ``expr``, parenthesised so it parses back to
+    exactly this tree."""
+    if isinstance(expr, StringLit):
+        return '"' + expr.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(expr, NumberLit):
+        return expr.literal
+    if isinstance(expr, Attribute):
+        return expr.name
+    if isinstance(expr, Deref):
+        return f"$({_text(expr.inner)})"
+    if isinstance(expr, Unary):
+        return f"({expr.op}({_text(expr.operand)}))"
+    return f"({_text(expr.left)} {expr.op} {_text(expr.right)})"
 
 
 def _program_outcomes(program, attributes, values):
@@ -74,6 +95,14 @@ class TestGeneratedEquivalence:
         program = ConditionsProgram((Clause(expr, None),))
         tree, byte = _program_outcomes(program, attributes, DEFAULT_VALUE_SET)
         assert tree == byte
+        # The journalled text of a credential carrying the program (what
+        # recovery reads) parses back to it.
+        journalled = Credential.build("POLICY", '"Ka"',
+                                      _text(expr)).to_text()
+        read = Credential.from_text(journalled)
+        assert read.conditions == program
+        assert _program_outcomes(read.conditions, attributes,
+                                 DEFAULT_VALUE_SET) == (tree, byte)
 
     @given(exprs=st.lists(EXPRESSIONS, min_size=1, max_size=3),
            attributes=ATTRIBUTES)
@@ -241,9 +270,8 @@ class TestDeepPrograms:
     HOPS = ("POLICY", "K1", "K2", "K3", "K4")
 
     def _decide(self, text, attributes):
-        programs: dict = {}  # one parsed program for all hops, as recovery
-        chain = [Credential.build(author, f'"{licensee}"', text,
-                                  programs=programs)
+        # The hops share one parsed program (one text, no constants).
+        chain = [Credential.build(author, f'"{licensee}"', text)
                  for author, licensee in zip(self.HOPS, self.HOPS[1:])]
         checker = ComplianceChecker(chain, verify_signatures=False)
         value = checker.query(attributes, ["K4"])

@@ -152,6 +152,47 @@ class TestTaintRule:
         assert checker.last_query_stats.cycles_broken >= 1
 
 
+class TestLicenseeDisjunction:
+    """POLICY licenses four orgs with one ``||``; each org licenses Ke,
+    and only the granting org's credential holds for the request (the
+    others' conditions have no equality guard, so a visit reads them)."""
+
+    ORGS = ("Ka", "Kb", "Kc", "Kd")
+
+    def checker(self, keystore, granting: str) -> ComplianceChecker:
+        orgs = " || ".join(f'"{org}"' for org in self.ORGS)
+        return ComplianceChecker([policy(orgs, 'app=="grid"'), *(
+            signed(keystore, org, '"Ke"', f'org=="{org}"'
+                   if org == granting else 'org=="none" || app=="none"')
+            for org in self.ORGS)], keystore=keystore)
+
+    def test_the_first_granting_org_ends_the_disjunction(self, keystore):
+        checker = self.checker(keystore, "Ka")
+        assert checker.query({"app": "grid", "org": "Ka"}, ["Ke"]) == "true"
+        # POLICY's assertion and Ka's: no other org is visited.
+        assert checker.last_query_stats.assertions_visited == 2
+        assert checker.last_query_stats.memo_misses == 2
+        # ... or recorded: adding under Kb leaves the decision cached.
+        checker.add_assertion(
+            signed(keystore, "Kb", '"Ke"', 'org=="Ka"'))
+        assert checker.cached_decision(
+            {"app": "grid", "org": "Ka"}, ["Ke"])[1] == "true"
+
+    def test_orgs_after_the_granting_one_are_not_visited(self, keystore):
+        checker = self.checker(keystore, "Kc")
+        assert checker.query({"app": "grid", "org": "Kc"}, ["Ke"]) == "true"
+        assert checker.last_query_stats.assertions_visited == 4
+        assert checker.last_query_stats.memo_misses == 4
+        checker.add_assertion(
+            signed(keystore, "Kd", '"Ke"', 'org=="Kc"'))
+        assert checker.cached_decision(
+            {"app": "grid", "org": "Kc"}, ["Ke"])[1] == "true"
+        # A denial visits every org (Kc's guarded credential is skipped).
+        assert checker.query({"app": "grid", "org": "Kx"}, ["Ke"]) == "false"
+        assert checker.last_query_stats.assertions_visited == 4
+        assert checker.last_query_stats.memo_misses == 5
+
+
 class TestEvaluateQueryParity:
     """The one-shot helper must honour the same knobs as the checker."""
 

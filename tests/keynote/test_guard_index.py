@@ -176,6 +176,30 @@ class TestDifferential:
                 sorted(map(repr, unindexed.assertions))
 
 
+class TestReferenceIsolation:
+    """The reference's unguarded compiles are its own: a program and its
+    closures are shared by every checker in the process."""
+
+    def test_the_reference_leaves_the_shared_programs_guarded(self):
+        assertions = team_universe(100)
+        guards = [compile_conditions(a.conditions).guard for a in assertions]
+        assert all(guards)
+        before = ComplianceChecker(assertions, verify_signatures=False)
+        EagerReferenceChecker(assertions, verify_signatures=False)
+        assert [compile_conditions(a.conditions).guard
+                for a in assertions] == guards
+        after = ComplianceChecker(assertions, verify_signatures=False)
+        for checker in (before, after):
+            assert checker.query({"app": "grid", "subject": "u7"},
+                                 ["Kuser7"]) == "true"
+            assert checker.last_query_stats.assertions_visited == 2
+            victim = assertions[9]  # Kteam -> Kuser8, guarded by u8
+            assert checker.revoke_assertion(victim)
+            assert checker.query({"app": "grid", "subject": "u8"},
+                                 ["Kuser8"]) == "false"
+            assert checker.revoke_assertion(victim) is False
+
+
 class TestReadOrder:
     """The index reads the unindexed scan minus the skipped entries, so a
     max-value break and a query-time error fall exactly where they would
@@ -331,7 +355,7 @@ class TestRevokeMidFixpoint:
         fired = []
 
         def rank(self, attributes, values):
-            if self.program == c1.conditions and not fired:
+            if self is c1.conditions.compiled and not fired:
                 fired.append(True)
                 # The mutation lock is re-entrant: this runs inline.
                 assert checker.revoke_assertion(c1)

@@ -7,7 +7,10 @@ licensed by another is one string object, every frozen value type of the
 parsed tree is slotted, credentials without Local-Constants share one
 immutable empty table, and the signature cache keeps one 32-byte digest
 per outcome.  The counting test weighs the difference between an N- and
-a 2N-credential store cut from the benchmark universe's templates.
+a 2N-credential store cut from the benchmark universe's templates; a
+store added over the wire keeps no more per credential than the same
+store recovered from a snapshot (each Conditions text is parsed once per
+process, whichever path presents it).
 """
 
 import copy
@@ -18,6 +21,8 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -37,6 +42,7 @@ from repro.keynote.ast import (
 from repro.keynote.credential import NO_CONSTANTS, Credential
 from repro.keynote.licensees import AllOf, AnyOf, Principal, Threshold
 from repro.keynote.tokens import Token, TokenType
+from repro.store.durable import DurablePolicyNode
 
 #: bytes per admitted credential of :func:`bytes_per_credential` at the
 #: commit before credentials were held once, by CPython minor version (the
@@ -47,6 +53,10 @@ from repro.keynote.tokens import Token, TokenType
 HELD_BEFORE = {(3, 10): 4910, (3, 11): 4192, (3, 12): 4008, (3, 13): 4100}
 #: the share of :data:`HELD_BEFORE` an admitted credential may keep now
 HELD_SHARE = 0.60
+#: what a credential added over the wire may keep, as a share of what the
+#: same credential keeps in a store recovered from a snapshot (the
+#: difference was ~18% while each wire add parsed its own tree)
+WIRE_SHARE = 1.05
 
 TEAM = KeyPair.generate("resident-team")
 POLICY = (f'Authorizer: POLICY\nLicensees: "{TEAM.public.encode()}"\n'
@@ -82,32 +92,57 @@ def admitted_store(texts: list[str]) -> KeyNoteSession:
     return session
 
 
-def resident_bytes(texts: list[str]) -> int:
-    """Traced bytes the admitted store of ``texts`` keeps, with the
-    process-wide signature cache and key-decode memo starting empty."""
+def snapshotted(root: Path, texts: list[str]) -> Path:
+    """A durable node under ``root`` whose snapshot holds the admitted
+    store of ``texts`` (and whose log holds no record)."""
+    node = DurablePolicyNode.recover(root)
+    node.session.add_policy(POLICY)
+    for text in texts:
+        node.session.add_credential(text)
+    node.snapshot()
+    node.close()
+    return root
+
+
+def recovered_store(root: Path) -> DurablePolicyNode:
+    node = DurablePolicyNode.recover(root)
+    assert node.session.checker.verify_pending() == 0
+    return node
+
+
+def resident_bytes(source, store: Callable = admitted_store) -> int:
+    """Traced bytes ``store(source)`` keeps, with the process-wide
+    signature cache and key-decode memo starting empty."""
     SIGNATURE_CACHE.clear()
     _decode_public.cache_clear()
     gc.collect()
     before = tracemalloc.get_traced_memory()[0]
-    session = admitted_store(texts)
+    kept = store(source)
     gc.collect()
     held = tracemalloc.get_traced_memory()[0] - before
-    del session
+    del kept
     return held
 
 
-def bytes_per_credential(users: int = 50, rounds: int = 3) -> float:
-    """The traced cost of one more admitted credential: the difference
-    between a store of ``2 * users`` and one of ``4 * users`` credentials,
-    divided by the ``2 * users`` it adds.  The median of ``rounds``
-    differences: a process-wide table (the interned strings, say) that
-    grows during one round charges that round for the whole table."""
-    stores = [(templates(f"small-{n}", users),
-               templates(f"large-{n}", 2 * users)) for n in range(rounds)]
+def bytes_per_credential(users: int = 50, rounds: int = 3,
+                         store: Callable = admitted_store,
+                         prepare: Callable = lambda name, texts: texts,
+                         ) -> float:
+    """The traced cost of one more credential ``store`` admits: the
+    difference between a store of ``2 * users`` and one of ``4 * users``
+    credentials, divided by the ``2 * users`` it adds.  ``prepare`` turns
+    a store's name and texts into what ``store`` reads, untraced.  The
+    median of ``rounds`` differences: a process-wide table (the interned
+    strings, say) that grows during one round charges that round for the
+    whole table."""
+    stores = [(prepare(f"small-{n}", templates(f"small-{n}", users)),
+               prepare(f"large-{n}", templates(f"large-{n}", 2 * users)))
+              for n in range(rounds)]
     admitted_store(templates("warm-up", 2))  # first-use set-up, untraced
     tracemalloc.start()
     try:
-        differences = [resident_bytes(large) - resident_bytes(small)
+        differences = [resident_bytes(large, store)
+                       - resident_bytes(small, store)
                        for small, large in stores]
     finally:
         tracemalloc.stop()
@@ -124,6 +159,16 @@ class TestResidentBytes:
         assert held <= HELD_SHARE * before, (
             f"{held:.0f} B per admitted credential, "
             f"over {HELD_SHARE:.0%} of {before} B")
+
+    def test_a_wire_added_credential_keeps_what_a_recovered_one_does(
+            self, tmp_path):
+        wire = bytes_per_credential()
+        recovered = bytes_per_credential(
+            store=recovered_store,
+            prepare=lambda name, texts: snapshotted(tmp_path / name, texts))
+        assert wire <= WIRE_SHARE * recovered, (
+            f"{wire:.0f} B per credential added over the wire, against "
+            f"{recovered:.0f} B per recovered credential")
 
     def test_no_credential_holds_rendered_bytes_after_verification(self):
         session = admitted_store(templates("rendered", 4))

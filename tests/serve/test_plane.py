@@ -193,8 +193,9 @@ class TestConditionsTheCompilerLowers:
         again.close()
 
     def test_a_deep_chain_is_revoked_by_its_text(self, tmp_path):
-        """Revoking re-parses the text and compares its tree with the held
-        one; so does a second copy's admission."""
+        """Revoking finds the held credential by its text (whose program
+        the Conditions table hands back, not a fresh parse); so does a
+        second copy's admission."""
         plane, proxy, text = _deep_chain_plane(tmp_path, DEEP["and-chain"])
         assert plane.add_credential({"text": text})["added"]
         assert plane.revoke_credential({"text": text})["revoked"]

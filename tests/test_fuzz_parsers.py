@@ -6,6 +6,7 @@ properties assert they either parse or raise their documented exception —
 never an unrelated crash (IndexError, RecursionError within reason, ...).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from repro.errors import KeyNoteSyntaxError, SExpressionError
 from repro.keynote.credential import Credential
 from repro.keynote.licensees import parse_licensees
 from repro.keynote.parser import parse_conditions, parse_expression
-from repro.keynote.tokens import tokenize
+from repro.keynote.tokens import normalise, tokenize
 from repro.spki.sexp import parse_sexp
 
 # Characters that exercise every token class plus pure noise.
@@ -30,7 +31,27 @@ class TestTokenizerFuzz:
             tokens = tokenize(text)
             assert tokens  # at least EOF
         except KeyNoteSyntaxError:
-            pass
+            # The normal form a credential stores is no valid text either.
+            with pytest.raises(KeyNoteSyntaxError):
+                tokenize(normalise(text))
+            return
+        # ... and a valid text's normal form tokenizes to the same values.
+        assert [(token.type, token.value)
+                for token in tokenize(normalise(text))] == [
+            (token.type, token.value) for token in tokens]
+        assert normalise(normalise(text)) == normalise(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=EXPR_ALPHABET, max_size=60))
+    def test_the_earlier_stored_form_is_its_own_normal_form(self, text):
+        """Earlier versions stored and signed ``" ".join(text.split())``;
+        reading it back must not change those bytes."""
+        stored = " ".join(text.split())
+        try:
+            tokenize(stored)
+        except KeyNoteSyntaxError:
+            return
+        assert normalise(stored) == stored
 
 
 class TestExpressionParserFuzz:
