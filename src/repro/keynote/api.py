@@ -117,7 +117,7 @@ class KeyNoteSession:
         if not credential.is_policy:
             raise CredentialError(
                 "add_policy requires an 'Authorizer: POLICY' assertion")
-        compile_conditions(credential.conditions)  # refuse before journalling
+        compile_conditions(credential.shape)  # refuse before journalling
         self._journal("keynote.policy", credential)
         self._checker.add_assertion(credential)
         return credential
@@ -153,7 +153,7 @@ class KeyNoteSession:
                     and math.isfinite(expires_at)):
                 raise CredentialError(
                     f"expires_at must be a finite number, got {expires_at!r}")
-        compile_conditions(credential.conditions)  # refuse before journalling
+        compile_conditions(credential.shape)  # refuse before journalling
         self._journal("keynote.credential", credential,
                       expires_at=(float(expires_at)
                                   if expires_at is not None else None))

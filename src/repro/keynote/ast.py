@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Union
 if TYPE_CHECKING:  # pragma: no cover
     from repro.keynote.eval import CompiledConditions
 
-Expr = Union["StringLit", "NumberLit", "Attribute", "Deref", "Unary", "Binary"]
+Expr = Union["StringLit", "NumberLit", "Slot", "Attribute", "Deref", "Unary",
+             "Binary"]
 
 
 def _tree_hash(node: object) -> int:
@@ -73,6 +74,16 @@ class NumberLit:
     """A numeric literal; kept as text so 1 and 1.0 compare numerically."""
 
     literal: str
+
+
+@dataclass(frozen=True, slots=True)
+class Slot:
+    """A string literal left out of a shared tree: the ``index``-th
+    literal of the binding each credential holding the tree keeps
+    (:func:`repro.keynote.tokens.template`).  :func:`bind` puts the
+    literal back; the tree walker never sees a slot."""
+
+    index: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,3 +186,54 @@ class ConditionsProgram(_WeaklyReferenced):
 
     def __reduce__(self) -> tuple:
         return ConditionsProgram, (self.clauses,)
+
+
+def bind(program: ConditionsProgram,
+         binding: "tuple[str, ...]") -> ConditionsProgram:
+    """``program`` with each :class:`Slot` replaced by the literal
+    ``binding`` holds for it: the concrete tree of one credential.  A
+    program without slots is returned as it is.
+
+    Chains and runs are rebuilt in a loop, so a 5000-term chain costs no
+    Python frame per term; only nested programs (``-> { ... }``), which
+    the parser's recursion bounds, recurse.
+    """
+    if not binding:
+        return program
+    return ConditionsProgram(tuple(
+        Clause(_bind(clause.test, binding),
+               bind(clause.value, binding)
+               if clause.value.__class__ is ConditionsProgram
+               else clause.value)
+        for clause in program.clauses))
+
+
+def _bind(expr: Expr, binding: "tuple[str, ...]") -> Expr:
+    """``expr`` with its slots filled; subtrees without one are shared."""
+    done: list = []
+    pending: list = [(expr, False)]
+    while pending:
+        node, children_done = pending.pop()
+        kind = node.__class__
+        if kind is Slot:
+            done.append(StringLit(binding[node.index]))
+        elif kind is Binary:
+            if children_done:
+                right, left = done.pop(), done.pop()
+                done.append(node if left is node.left and right is node.right
+                            else Binary(node.op, left, right))
+            else:
+                pending += ((node, True), (node.right, False),
+                            (node.left, False))
+        elif kind is Unary or kind is Deref:
+            inner = node.operand if kind is Unary else node.inner
+            if not children_done:
+                pending += ((node, True), (inner, False))
+            else:
+                operand = done.pop()
+                done.append(node if operand is inner
+                            else Unary(node.op, operand) if kind is Unary
+                            else Deref(operand))
+        else:
+            done.append(node)
+    return done[0]

@@ -26,7 +26,9 @@ Hot-path machinery (the authorisation fast path):
   (:func:`~repro.keynote.eval.compile_conditions`) and canonicalises its
   authorizer once — per-query work is only the fixpoint itself.  A
   program keeps its closures, and credentials cut from one template share
-  one program (:data:`~repro.keynote.credential.PROGRAMS`);
+  one shape and its closures
+  (:data:`~repro.keynote.credential.PROGRAMS`), each evaluated against
+  the credential's own binding;
 - *deferred signature checks*: in non-strict mode construction resolves
   each signed credential's key but does not verify it.  The fixpoint checks
   an assertion (through the process-wide signature cache) the first time
@@ -266,7 +268,8 @@ class _Bucket:
         return lists
 
     def add(self, prepared: _Prepared) -> None:
-        guard = prepared.compiled.guard  # type: ignore[union-attr]
+        guard = prepared.compiled.bound_guard(  # type: ignore[union-attr]
+            prepared.credential.binding)
         if guard is None:
             self.unguarded.append(prepared)
             return
@@ -278,7 +281,8 @@ class _Bucket:
             by_literal.setdefault(literal, []).append(prepared)
 
     def remove(self, prepared: _Prepared) -> None:
-        guard = prepared.compiled.guard  # type: ignore[union-attr]
+        guard = prepared.compiled.bound_guard(  # type: ignore[union-attr]
+            prepared.credential.binding)
         if guard is None:
             self.unguarded = [entry for entry in self.unguarded
                               if entry is not prepared]
@@ -612,7 +616,7 @@ class ComplianceChecker:
                         f"{assertion.authorizer!r}")
                 return None
         try:
-            compiled = compile_conditions(assertion.conditions)
+            compiled = compile_conditions(assertion.shape)
         except KeyNoteSyntaxError:
             if not discard_uncompiled:
                 raise
@@ -1099,7 +1103,8 @@ class ComplianceChecker:
             record(ref(prepared))
             conditions = cond_memo.get(id(prepared))
             if conditions is None:
-                conditions = prepared.compiled.rank(attributes, values)
+                conditions = prepared.compiled.rank(
+                    attributes, values, prepared.credential.binding)
                 cond_memo[id(prepared)] = conditions
             if not conditions:
                 return 0

@@ -18,14 +18,15 @@ from weakref import WeakValueDictionary
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
 from repro.crypto.keystore import SIGNATURE_CACHE, Keystore
 from repro.errors import CredentialError, KeyNoteSyntaxError
-from repro.keynote.ast import ConditionsProgram, _WeaklyReferenced
+from repro.keynote.ast import ConditionsProgram, _WeaklyReferenced, bind
 from repro.keynote.licensees import LicenseeExpr, licensees_to_text, parse_licensees
 from repro.keynote.parser import (
     parse_conditions,
     parse_local_constants,
+    parse_shape,
     split_fields,
 )
-from repro.keynote.tokens import normalise
+from repro.keynote.tokens import normalise, template
 
 POLICY_PRINCIPAL = "POLICY"
 KEYNOTE_VERSION = "2"
@@ -56,11 +57,13 @@ class _NoConstants(Mapping):
 NO_CONSTANTS: Mapping[str, str] = _NoConstants()
 
 
-#: The process's Conditions table: normalised Conditions text -> the
-#: program parsed from it, read and filled by :meth:`Credential.build`
-#: whatever path presents the text.  An entry leaves with the last
-#: credential that holds its program.
-PROGRAMS: "WeakValueDictionary[str, ConditionsProgram]" = WeakValueDictionary()
+#: The process's Conditions table: shape key
+#: (:func:`~repro.keynote.tokens.template`) -> the shape parsed for it,
+#: read and filled by :meth:`Credential.build` whatever path presents the
+#: text.  Credentials cut from one template differ only in their slotted
+#: literals, so they share one entry, one tree and one compile.  An entry
+#: leaves with the last credential that holds its shape.
+PROGRAMS: "WeakValueDictionary[tuple, ConditionsProgram]" = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,15 +75,24 @@ class Credential(_WeaklyReferenced):
     :class:`~repro.crypto.keystore.Keystore` at signing/verification time.
     Parsing interns both, so a key that authorizes one credential and is
     licensed by another is held once.
+
+    The Conditions are held as a ``shape`` shared through
+    :data:`PROGRAMS` with every credential cut from the same template,
+    plus this credential's ``binding``: the literals the shape leaves as
+    slots.  :attr:`conditions` puts them together on demand.  A
+    credential with Local-Constants holds its own shape with no slots.
+    Equality and hashing read the text (``conditions_text`` and the
+    constants), never the trees.
     """
 
     authorizer: str
     licensees: LicenseeExpr
-    conditions: ConditionsProgram
     conditions_text: str
+    shape: ConditionsProgram = field(compare=False)
+    binding: tuple[str, ...] = field(default=(), compare=False)
     comment: str = ""
     local_constants: Mapping[str, str] = field(
-        default_factory=lambda: NO_CONSTANTS, compare=False)
+        default_factory=lambda: NO_CONSTANTS)
     signature: str = ""
 
     # -- construction --------------------------------------------------------
@@ -95,24 +107,28 @@ class Credential(_WeaklyReferenced):
         ``signature`` is given).
 
         The Conditions are parsed only when :data:`PROGRAMS` holds no
-        program for their text; Local-Constants are substituted at parse
-        time, so a credential with them always parses its own.
+        shape for their template; otherwise only their literals are read.
+        Local-Constants are substituted at parse time, so a credential
+        with them always parses its own program.
 
         :raises KeyNoteSyntaxError: if licensees or conditions are malformed.
         """
         constants = dict(local_constants) if local_constants else NO_CONSTANTS
         parsed_licensees = parse_licensees(licensees, constants)
         text = normalise(conditions)
-        program = None if constants else PROGRAMS.get(text)
-        if program is None:
-            program = parse_conditions(conditions, constants)
-            if not constants:
-                PROGRAMS[text] = program
+        if constants:
+            shape, binding = parse_conditions(conditions, constants), ()
+        else:
+            key, binding = template(conditions)
+            shape = PROGRAMS.get(key)
+            if shape is None:
+                shape = PROGRAMS[key] = parse_shape(conditions, key)
         return cls(
             authorizer=sys.intern(authorizer),
             licensees=parsed_licensees,
-            conditions=program,
             conditions_text=text,
+            shape=shape,
+            binding=binding,
             comment=comment,
             local_constants=constants,
             signature=signature,
@@ -155,13 +171,20 @@ class Credential(_WeaklyReferenced):
         )
 
     def __hash__(self) -> int:
-        # ``conditions_text`` is a compared field, so hashing that string
-        # (which caches its hash) instead of the parsed program agrees
-        # with the generated ``__eq__`` and skips a tree walk per lookup.
+        # The generated ``__eq__`` compares these and the constants, so
+        # equal credentials hash alike; the text caches its hash.
         return hash((self.authorizer, self.licensees, self.conditions_text,
                      self.comment, self.signature))
 
     # -- properties ----------------------------------------------------------
+
+    @property
+    def conditions(self) -> ConditionsProgram:
+        """The Conditions program this credential grants under: its shape
+        with the binding's literals in the slots, built afresh on each
+        read (no credential keeps one); the shape itself when it has no
+        slots."""
+        return bind(self.shape, self.binding)
 
     @property
     def is_policy(self) -> bool:

@@ -33,6 +33,13 @@ an instance of a fixed function in this module, so credential text never
 reaches ``exec``, ``eval`` or ``compile``.
 :class:`ComplianceChecker <repro.keynote.compliance.ComplianceChecker>`
 compiles every assertion's conditions at admission.
+
+A program may be a *shape* holding :class:`~repro.keynote.ast.Slot`
+nodes (:func:`~repro.keynote.tokens.template`): every closure takes the
+action attributes and a *binding*, the tuple of literals one credential
+fills the slots with, so the closures of one shape serve every credential
+cut from its template.  A slot is never folded; it is read from the
+binding where the literal would have been held in a cell.
 """
 
 from __future__ import annotations
@@ -52,14 +59,17 @@ from repro.keynote.ast import (
     Deref,
     Expr,
     NumberLit,
+    Slot,
     StringLit,
     Unary,
 )
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 
 Value = Union[str, float]
-#: a compiled test or value: the action attributes in, a bool or a value out
-Closure = Callable[[Mapping[str, str]], object]
+#: a compiled test or value: the action attributes and the credential's
+#: binding (the literals its shape leaves as slots) in, a bool or a value
+#: out
+Closure = Callable[[Mapping[str, str], tuple], object]
 
 
 class _SoftFailure(Exception):
@@ -344,11 +354,11 @@ def _closure(lowered: "_Folded | Closure") -> Closure:
         return lowered
     value = lowered.value
     if value is _FAILED:
-        def failed(attrs):
+        def failed(attrs, lits):
             _fail()
         return failed
 
-    def constant(attrs):
+    def constant(attrs, lits):
         return value
     return constant
 
@@ -361,11 +371,17 @@ def _deeper(depth: int) -> int:
 
 
 def _attribute_literal(attribute: Expr, literal: Expr,
-                       ) -> "tuple[str, str] | None":
+                       ) -> "tuple[str, str | int] | None":
     """``(name, literal)`` when ``attribute == literal`` is a plain string
-    test: an attribute against a non-numeric string literal.  (A numeric
-    literal also equals other spellings of its number: ``"01" == "1"``.)"""
-    if (attribute.__class__ is Attribute and literal.__class__ is StringLit
+    test: an attribute against a non-numeric string literal, or against a
+    slot (only non-numeric literals are slotted), whose index stands for
+    the literal.  (A numeric literal also equals other spellings of its
+    number: ``"01" == "1"``.)"""
+    if attribute.__class__ is not Attribute:
+        return None
+    if literal.__class__ is Slot:
+        return attribute.name, literal.index
+    if (literal.__class__ is StringLit
             and _num_or_none(literal.value) is None):
         return attribute.name, literal.value
     return None
@@ -409,9 +425,9 @@ class _Lowering:
             return self._negation(expr, depth)
         value = _closure(self.value(expr, depth))
 
-        def bare(attrs):
+        def bare(attrs, lits):
             # A bare value holds iff it is "true" or a nonzero number.
-            result = value(attrs)
+            result = value(attrs, lits)
             number = _num_or_none(result)
             return result == "true" if number is None else number != 0.0
         return bare
@@ -449,9 +465,9 @@ class _Lowering:
             return tests[0]
         tests = tuple(tests)
 
-        def all_of(attrs):
+        def all_of(attrs, lits):
             for test in tests:
-                if not test(attrs):
+                if not test(attrs, lits):
                     return False
             if last is _FAILED:
                 _fail()
@@ -481,14 +497,14 @@ class _Lowering:
         tests = tuple(tests)
         final = last if callable(last) else _closure(_Folded(last))
 
-        def any_of(attrs):
+        def any_of(attrs, lits):
             for test in tests:
                 try:
-                    if test(attrs):
+                    if test(attrs, lits):
                         return True
                 except _SoftFailure:
                     pass
-            return final(attrs)
+            return final(attrs, lits)
         return any_of
 
     def _negation(self, expr: Expr, depth: int) -> "_Folded | Closure":
@@ -503,8 +519,8 @@ class _Lowering:
             value = inner.value
             return inner if value is _FAILED else _Folded(not value)
 
-        def negation(attrs):
-            return not inner(attrs)
+        def negation(attrs, lits):
+            return not inner(attrs, lits)
         return negation
 
     def _compare(self, expr: Binary, depth: int) -> Closure:
@@ -519,11 +535,11 @@ class _Lowering:
         compare = _COMPARISONS[op]
         mixed = _MIXED.get(op)
 
-        def compare_values(attrs):
+        def compare_values(attrs, lits):
             # Strict left-to-right: a soft-failed left operand never
             # evaluates the right one.
-            a = left(attrs)
-            b = right(attrs)
+            a = left(attrs, lits)
+            b = right(attrs, lits)
             a_number = _num_or_none(a)
             b_number = _num_or_none(b)
             if a_number is not None and b_number is not None:
@@ -547,14 +563,14 @@ class _Lowering:
         if pattern is not None:
             search = pattern.search
 
-            def match_literal(attrs):
-                return search(_as_string(subject_of(attrs))) is not None
+            def match_literal(attrs, lits):
+                return search(_as_string(subject_of(attrs, lits))) is not None
             return match_literal
         pattern_of = _closure(self.value(right, depth))
 
-        def match(attrs):
-            subject = _as_string(subject_of(attrs))
-            text = _as_string(pattern_of(attrs))
+        def match(attrs, lits):
+            subject = _as_string(subject_of(attrs, lits))
+            text = _as_string(pattern_of(attrs, lits))
             try:
                 return re.search(text, subject) is not None
             except re.error as exc:
@@ -571,10 +587,16 @@ class _Lowering:
             return _Folded(expr.value)
         if expr.__class__ is NumberLit:
             return _Folded(_number_literal(expr.literal))
+        if expr.__class__ is Slot:
+            slot = expr.index
+
+            def literal(attrs, lits):
+                return lits[slot]
+            return literal
         if expr.__class__ is Attribute:
             name = expr.name
 
-            def attribute(attrs):
+            def attribute(attrs, lits):
                 return attrs.get(name, "")
             return attribute
         if id(expr) not in self.dynamic:
@@ -617,8 +639,8 @@ class _Lowering:
         derefs.reverse()
         derefs = tuple(derefs)
 
-        def unary(attrs):
-            value = inner(attrs)
+        def unary(attrs, lits):
+            value = inner(attrs, lits)
             for deref in derefs:
                 if deref:
                     value = attrs.get(_as_string(value), "")
@@ -642,16 +664,18 @@ class _Lowering:
         steps = tuple((op, _closure(self.value(right, depth)))
                       for op, right in reversed(steps))
 
-        def chain(attrs):
-            value = first(attrs)
+        def chain(attrs, lits):
+            value = first(attrs, lits)
             for op, operand in steps:
                 if op == ".":
-                    value = _as_string(value) + _as_string(operand(attrs))
+                    value = (_as_string(value)
+                             + _as_string(operand(attrs, lits)))
                 else:
                     # The left operand must be a number before the right
                     # one is evaluated.
                     number = _as_number(value)
-                    value = _ARITH(op, number, _as_number(operand(attrs)))
+                    value = _ARITH(op, number,
+                                   _as_number(operand(attrs, lits)))
             return value
         return chain
 
@@ -663,21 +687,32 @@ def _as_text(test: "_Folded | Closure") -> "_Folded | Closure":
         return test if value is _FAILED else _Folded(
             "true" if value else "false")
 
-    def as_text(attrs):
-        return "true" if test(attrs) else "false"
+    def as_text(attrs, lits):
+        return "true" if test(attrs, lits) else "false"
     return as_text
 
 
-def _string_test(op: str, name: str, literal: str) -> Closure:
-    """``name == literal`` or ``!=`` for a non-numeric literal: one string
-    comparison.  A value that is not that string differs from it, numeric
-    or not, exactly as the general rule finds."""
+def _string_test(op: str, name: str, literal: "str | int") -> Closure:
+    """``name == literal`` or ``!=`` for a non-numeric literal (or the
+    binding's slot ``literal``): one string comparison.  A value that is
+    not that string differs from it, numeric or not, exactly as the
+    general rule finds."""
+    if literal.__class__ is int:
+        slot = literal
+        if op == "==":
+            def equals_slot(attrs, lits):
+                return attrs.get(name, "") == lits[slot]
+            return equals_slot
+
+        def differs_slot(attrs, lits):
+            return attrs.get(name, "") != lits[slot]
+        return differs_slot
     if op == "==":
-        def equals(attrs):
+        def equals(attrs, lits):
             return attrs.get(name, "") == literal
         return equals
 
-    def differs(attrs):
+    def differs(attrs, lits):
         return attrs.get(name, "") != literal
     return differs
 
@@ -713,11 +748,11 @@ def _lower_clauses(lowering: _Lowering, clauses, depth: int) -> tuple:
     return tuple(lowered)
 
 
-def _rank_minimum(attrs, values) -> int:
+def _rank_minimum(attrs, values, lits) -> int:
     return 0
 
 
-def _rank_maximum(attrs, values) -> int:
+def _rank_maximum(attrs, values, lits) -> int:
     return values.top
 
 
@@ -731,20 +766,20 @@ def _program_rank(clauses: tuple) -> "Callable[..., int]":
         if test is None:
             return _rank_maximum
 
-        def rank_if(attrs, values):
+        def rank_if(attrs, values, lits):
             try:
-                return values.top if test(attrs) else 0
+                return values.top if test(attrs, lits) else 0
             except _SoftFailure:
                 return 0
         return rank_if
 
-    def rank_join(attrs, values):
+    def rank_join(attrs, values, lits):
         # Every clause runs, as in the tree walker: a later one may raise.
         best = 0
         for test, kind, payload in clauses:
             if test is not None:
                 try:
-                    if not test(attrs):
+                    if not test(attrs, lits):
                         continue
                 except _SoftFailure:
                     continue
@@ -753,7 +788,7 @@ def _program_rank(clauses: tuple) -> "Callable[..., int]":
             elif kind == _NAMED:
                 rank = values.rank(payload)
             else:
-                rank = payload(attrs, values)
+                rank = payload(attrs, values, lits)
             if rank > best:
                 best = rank
         return best
@@ -765,8 +800,13 @@ class CompiledConditions:
 
     Built once per program (:func:`compile_conditions` keeps it on the
     program) and then invoked per query with just the action attribute
-    set and the value set — exactly
-    :meth:`ConditionEvaluator.program_value`, without re-walking the AST.
+    set, the value set and the credential's *binding* — exactly
+    :meth:`ConditionEvaluator.program_value` on the program with its
+    slots filled from the binding (:func:`~repro.keynote.ast.bind`),
+    without re-walking the AST.  A shape is compiled once for every
+    credential cut from its template: a closure that reads a slot indexes
+    the binding it is called with, so a credential keeps only its
+    literals.  A program without slots takes the empty binding.
     :meth:`rank` is the compliance checker's entry point (the value's
     index in the value set); :meth:`value` names it.
     :meth:`referenced_attributes` reports which action attributes can
@@ -774,7 +814,7 @@ class CompiledConditions:
     makes the set dynamic), which is what lets the decision cache ignore
     irrelevant attributes such as an unused ``_cur_time``.  :attr:`guard`
     is the equality conjunct the compliance checker indexes the program's
-    assertion by.
+    assertion by, :meth:`bound_guard` that conjunct for one binding.
     """
 
     __slots__ = ("_rank", "_referenced", "_guard")
@@ -785,46 +825,64 @@ class CompiledConditions:
         self._rank = (_rank_if_equal(*plain) if plain is not None
                       else _program_rank(_lower_clauses(
                           _Lowering(dynamic), program.clauses, 0)))
-        shared: "list[tuple[str, str]] | None" = None
+        shared: "list[tuple[str, str | int]] | None" = None
         for clause in program.clauses:
             guards = _equality_guards(clause.test)
             shared = guards if shared is None else [
                 guard for guard in shared if guard in guards]
         self._referenced: "frozenset[str] | None" = (
             None if flags & _DEREF else _shared_names(frozenset(names)))
-        self._guard: "tuple[str, str] | None" = (
+        self._guard: "tuple[str, str | int] | None" = (
             shared[0] if shared and not flags & _HARD_ERROR else None)
 
     @property
-    def guard(self) -> "tuple[str, str] | None":
+    def guard(self) -> "tuple[str, str | int] | None":
         """``(attribute, literal)`` when every top-level clause tests
         ``attribute == "literal"`` as a conjunct, so the program's value
         is the minimum whenever the attribute reads anything else; None
         when no such conjunct exists or skipping could hide a hard error.
-        Read-only: every holder of the program shares this object."""
+        When the literal is a slot, ``literal`` is its index in the
+        binding (:meth:`bound_guard` reads it).  Read-only: every holder
+        of the program shares this object."""
         return self._guard
 
+    def bound_guard(self, binding: "tuple[str, ...]" = (),
+                    ) -> "tuple[str, str] | None":
+        """:attr:`guard` with its literal read from ``binding``: the
+        conjunct of the credential that holds that binding."""
+        guard = self.guard
+        if guard is None or guard[1].__class__ is not int:
+            return guard
+        return guard[0], binding[guard[1]]
+
     def rank(self, attributes: Mapping[str, str],
-             values: ComplianceValueSet) -> int:
+             values: ComplianceValueSet,
+             binding: "tuple[str, ...]" = ()) -> int:
         """Rank in ``values`` of the program's value for one attribute
-        set."""
-        return self._rank(attributes, values)
+        set, its slots filled from ``binding``."""
+        return self._rank(attributes, values, binding)
 
     def value(self, attributes: Mapping[str, str],
-              values: ComplianceValueSet) -> str:
-        """Compliance value of the program for one attribute set."""
-        return values.values[self._rank(attributes, values)]
+              values: ComplianceValueSet,
+              binding: "tuple[str, ...]" = ()) -> str:
+        """Compliance value of the program for one attribute set, its
+        slots filled from ``binding``."""
+        return values.values[self._rank(attributes, values, binding)]
 
     def referenced_attributes(self) -> "frozenset[str] | None":
         """Attributes the program reads, or None when ``$`` makes the set
         depend on runtime values."""
         return self._referenced
 
-    def closures(self) -> "list[tuple[str, tuple]]":
+    def closures(self, binding: "tuple[str, ...] | None" = None,
+                 ) -> "list[tuple[str, tuple]]":
         """``(name, constants)`` of every closure the compiler built for
         the program, outermost first: what each does, and the literals,
-        folded values and patterns it holds.  A fully folded program has
-        none."""
+        folded values and patterns it holds.  A closure that reads a slot
+        reports the literal ``binding`` holds for it (the literal the
+        credential holding that binding evaluates), or the
+        :class:`~repro.keynote.ast.Slot` itself without a binding.  A
+        fully folded program has none."""
         found: "list[tuple[str, tuple]]" = []
         pending: list = [self._rank]
         while pending:
@@ -832,7 +890,12 @@ class CompiledConditions:
             if not function.__closure__:
                 continue  # a shared function, not one built here
             constants, nested = [], []
-            cells = [cell.cell_contents for cell in function.__closure__]
+            cells = [
+                (cell.cell_contents if name != "slot"
+                 else Slot(cell.cell_contents) if binding is None
+                 else binding[cell.cell_contents])
+                for name, cell in zip(function.__code__.co_freevars,
+                                      function.__closure__)]
             while cells:
                 item = cells.pop(0)
                 if isinstance(item, FunctionType):
@@ -846,7 +909,8 @@ class CompiledConditions:
         return found
 
 
-def _plain_equality(program: ConditionsProgram) -> "tuple[str, str] | None":
+def _plain_equality(program: ConditionsProgram,
+                    ) -> "tuple[str, str | int] | None":
     """``(name, literal)`` when the whole program is one plain
     ``attribute == "literal"`` test: the commonest credential (a team
     signs one per member), which then costs a single closure."""
@@ -859,15 +923,23 @@ def _plain_equality(program: ConditionsProgram) -> "tuple[str, str] | None":
             or _attribute_literal(test.right, test.left))
 
 
-def _rank_if_equal(name: str, literal: str) -> "Callable[..., int]":
-    def rank_if_equal(attrs, values):
+def _rank_if_equal(name: str, literal: "str | int") -> "Callable[..., int]":
+    if literal.__class__ is int:
+        slot = literal
+
+        def rank_if_equal_slot(attrs, values, lits):
+            return values.top if attrs.get(name, "") == lits[slot] else 0
+        return rank_if_equal_slot
+
+    def rank_if_equal(attrs, values, lits):
         return values.top if attrs.get(name, "") == literal else 0
     return rank_if_equal
 
 
 def compile_conditions(program: ConditionsProgram) -> CompiledConditions:
-    """Lower a Conditions program into a :class:`CompiledConditions`,
-    kept on the program for every later call.
+    """Lower a Conditions program (a credential's shape, slots and all)
+    into a :class:`CompiledConditions`, kept on the program for every
+    later call.
 
     :raises KeyNoteSyntaxError: for a program the compiler cannot lower
         (nested deeper than :data:`MAX_NESTING`, or than its own recursion
@@ -911,7 +983,7 @@ def _scan(program: ConditionsProgram) -> "tuple[set[int], set[str], int]":
             stack.append(node.inner)
     for node in reversed(order):
         kind = node.__class__
-        if kind is StringLit or kind is NumberLit:
+        if kind is StringLit or kind is NumberLit or kind is Slot:
             continue
         if kind is Attribute:
             names.add(node.name)
@@ -955,7 +1027,7 @@ def _is_literal_pattern(expr: Expr) -> bool:
     return True
 
 
-def _equality_guards(test: Expr) -> "list[tuple[str, str]]":
+def _equality_guards(test: Expr) -> "list[tuple[str, str | int]]":
     """The ``attribute == "literal"`` conjuncts of ``test`` (literal on
     either side), in evaluation order: when the attribute reads anything
     but the literal, the whole test is not true.

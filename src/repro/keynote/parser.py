@@ -14,10 +14,11 @@ from repro.keynote.ast import (
     Deref,
     Expr,
     NumberLit,
+    Slot,
     StringLit,
     Unary,
 )
-from repro.keynote.tokens import Token, TokenType, tokenize
+from repro.keynote.tokens import RESERVED, Token, TokenType, tokenize
 
 # ---------------------------------------------------------------------------
 # Expression / Conditions parsing
@@ -32,6 +33,7 @@ class _ExprParser:
         self._tokens = tokens
         self._pos = 0
         self._constants = constants or {}
+        self._slots = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -163,8 +165,11 @@ class _ExprParser:
             return NumberLit(tok.value)
         if tok.type is TokenType.STRING:
             return StringLit(tok.value)
+        if tok.type is TokenType.SLOT:
+            self._slots += 1
+            return Slot(self._slots - 1)
         if tok.type is TokenType.IDENT:
-            if tok.value in ("true", "false"):
+            if tok.value in RESERVED:
                 # Reserved boolean literals (used for unconditional
                 # delegation, e.g. `Conditions: true;`).
                 return StringLit(tok.value)
@@ -192,6 +197,28 @@ def parse_conditions(text: str,
         recursion reaches.
     """
     parser = _ExprParser(tokenize(text), constants)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise KeyNoteSyntaxError("Conditions nest too deeply") from None
+
+
+def parse_shape(text: str,
+                key: "tuple[str | None, ...]") -> ConditionsProgram:
+    """Parse a Conditions text as the shape ``key`` describes
+    (:func:`~repro.keynote.tokens.template`): each literal the key leaves
+    as a slot becomes a :class:`~repro.keynote.ast.Slot`, numbered in text
+    order, so the tree serves every text with that key.
+
+    :raises KeyNoteSyntaxError: as :func:`parse_conditions` does.
+    """
+    tokens = tokenize(text)
+    for index, token in enumerate(key):
+        if token is None:
+            literal = tokens[index]
+            tokens[index] = Token(TokenType.SLOT, literal.value,
+                                  literal.line, literal.column)
+    parser = _ExprParser(tokens)
     try:
         return parser.parse_program()
     except RecursionError:
@@ -228,18 +255,41 @@ _FIELD_RE = re.compile(
 )
 
 
+def _lines(text: str) -> "list[tuple[str, str]]":
+    """``(terminator, line)`` per line of ``text``, the terminator being
+    the one that ends the line before (``""`` for the first).
+
+    Only ``\n`` and ``\r\n`` end a line.  ``str.splitlines`` also
+    splits at ``\r``, ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
+    ``\u2028`` and ``\u2029``, any of which a string literal may hold:
+    a credential's text must read back to the bytes that were signed."""
+    lines = []
+    end = ""
+    *ended, last = text.split("\n")
+    for line in ended:
+        if line[-1:] == "\r":
+            lines.append((end, line[:-1]))
+            end = "\r\n"
+        else:
+            lines.append((end, line))
+            end = "\n"
+    lines.append((end, last))
+    return lines
+
+
 def split_fields(text: str) -> dict[str, str]:
     """Split credential text into its fields.
 
     Field values may span multiple lines; a new field starts at a line whose
     first token is a known field name followed by ``:`` (RFC 2704's layout).
+    A value spanning lines keeps the terminators between them as written.
 
     :raises KeyNoteSyntaxError: on duplicate or unknown leading content.
     """
     fields: dict[str, str] = {}
     current: str | None = None
     chunks: dict[str, list[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, (end, line) in enumerate(_lines(text), start=1):
         match = _FIELD_RE.match(line)
         if match:
             name = match.group(1).lower()
@@ -248,12 +298,12 @@ def split_fields(text: str) -> dict[str, str]:
             current = name
             chunks[name] = [line[match.end():]]
         elif current is not None:
-            chunks[current].append(line)
+            chunks[current] += (end, line)
         elif line.strip():
             raise KeyNoteSyntaxError(
                 f"text before first field: {line.strip()[:30]!r}", lineno, 1)
-    for name, lines in chunks.items():
-        fields[name] = "\n".join(lines).strip()
+    for name, parts in chunks.items():
+        fields[name] = "".join(parts).strip()
     return fields
 
 
@@ -299,7 +349,7 @@ def parse_credentials(text: str) -> list["Credential"]:
     blocks: list[list[str]] = []
     current: list[str] = []
     seen_authorizer = False
-    for line in text.splitlines():
+    for end, line in _lines(text):
         match = _FIELD_RE.match(line)
         name = match.group(1).lower() if match else None
         if name in ("keynote-version", "authorizer") and seen_authorizer:
@@ -308,8 +358,8 @@ def parse_credentials(text: str) -> list["Credential"]:
             seen_authorizer = False
         if name == "authorizer":
             seen_authorizer = True
-        current.append(line)
+        current += (end, line) if current else (line,)
     if any(line.strip() for line in current):
         blocks.append(current)
-    return [Credential.from_text("\n".join(block)) for block in blocks
+    return [Credential.from_text("".join(block)) for block in blocks
             if any(line.strip() for line in block)]

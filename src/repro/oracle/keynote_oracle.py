@@ -15,7 +15,10 @@ lattice, so the iteration reaches the least fixpoint — the semantics under
 which delegation cycles grant nothing, exactly what the DFS's cycle-break
 rule implements.  Conditions are evaluated with the tree-walking
 :class:`~repro.keynote.eval.ConditionEvaluator` on every visit: no
-compilation, no memoisation, no caches of any kind.
+compilation, no memoisation, no caches of any kind.  Each assertion's
+concrete Conditions tree (:attr:`Credential.conditions
+<repro.keynote.credential.Credential.conditions>`, its shape with its
+literals filled in) is built once per call.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ComplianceError
+from repro.keynote.ast import ConditionsProgram
 from repro.keynote.credential import Credential
 from repro.keynote.eval import ConditionEvaluator
 from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
@@ -55,11 +59,12 @@ def oracle_compliance_value(assertions: Sequence[Credential],
     if not requesters:
         raise ComplianceError("a query needs at least one action authorizer")
 
-    by_authorizer: dict[str, list[Credential]] = {}
+    by_authorizer: dict[str, list[tuple[Credential, ConditionsProgram]]] = {}
     principals: set[str] = {"POLICY"}
     for assertion in assertions:
         author = _canonical(assertion.authorizer, keystore)
-        by_authorizer.setdefault(author, []).append(assertion)
+        by_authorizer.setdefault(author, []).append(
+            (assertion, assertion.conditions))
         principals.add(author)
         for licensee in assertion.principals():
             principals.add(_canonical(licensee, keystore))
@@ -72,8 +77,9 @@ def oracle_compliance_value(assertions: Sequence[Credential],
             return values.maximum
         return value.get(principal, values.minimum)
 
-    def assertion_value(assertion: Credential) -> str:
-        conditions_value = evaluator.program_value(assertion.conditions)
+    def assertion_value(assertion: Credential,
+                        conditions: ConditionsProgram) -> str:
+        conditions_value = evaluator.program_value(conditions)
         if conditions_value == values.minimum:
             return values.minimum
         licensee_value = assertion.licensees.value(
@@ -90,8 +96,9 @@ def oracle_compliance_value(assertions: Sequence[Credential],
             if principal in requesters:
                 continue
             best = values.minimum
-            for assertion in by_authorizer.get(principal, ()):
-                best = values.join([best, assertion_value(assertion)])
+            for assertion, conditions in by_authorizer.get(principal, ()):
+                best = values.join([best,
+                                    assertion_value(assertion, conditions)])
             if best != value[principal]:
                 value[principal] = best
                 changed = True

@@ -161,8 +161,9 @@ class ReproServer:
         self.registry: dict[str, PeerInfo] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         #: per-connection request-id reply caches (node.py dedup semantics),
-        #: LRU-bounded at ``reply_cache_limit`` entries each
-        self._replies: dict[str, OrderedDict[str, dict[str, Any]]] = {}
+        #: LRU-bounded at ``reply_cache_limit`` entries each; a reply is
+        #: kept as the frame the server wrote, and a replay writes it again
+        self._replies: dict[str, OrderedDict[str, bytes]] = {}
         self._next_peer = 0
         #: requests currently being handled — the in-flight wavefront a
         #: graceful shutdown must drain before the WAL goes down
@@ -317,13 +318,12 @@ class ReproServer:
                 # completed dispatch and its reply reaching the wire.
                 self._begin_request()
                 try:
-                    response = await self._handle_line(peer, line)
-                    if response is not None:
-                        try:
-                            writer.write(encode_frame(response))
-                            await writer.drain()
-                        except (ConnectionResetError, RuntimeError):
-                            break
+                    frame = await self._handle_line(peer, line)
+                    try:
+                        writer.write(frame)
+                        await writer.drain()
+                    except (ConnectionResetError, RuntimeError):
+                        break
                 finally:
                     self._end_request()
         finally:
@@ -340,26 +340,28 @@ class ReproServer:
             except RuntimeError:  # pragma: no cover - loop already closed
                 pass
 
-    async def _handle_line(self, peer: PeerInfo,
-                           line: bytes) -> dict[str, Any] | None:
-        """Decode, dedup, admit and dispatch one frame.
+    async def _handle_line(self, peer: PeerInfo, line: bytes) -> bytes:
+        """Decode, dedup, admit and dispatch one frame; returns the reply
+        frame to write.
 
         The order is deliberate: dedup replay first (idempotency is free
         and must survive overload), then drain refusal, then the deadline
         check (expired work is dropped before any budget is spent on it,
         accounted apart from sheds), then admission.  Every refused path
         returns a structured response — a request that made it through the
-        decoder is *always* answered, never silently dropped.
+        decoder is *always* answered, never silently dropped.  Each reply
+        is encoded once: a dispatched request's frame is what the reply
+        cache keeps and what a dedup replay writes, byte for byte.
         """
         try:
             message = decode_frame(line)
             shape = classify(message)
         except ProtocolError as exc:
-            return error_response("", "ProtocolError", str(exc))
+            return encode_frame(error_response("", "ProtocolError", str(exc)))
         if shape != "request":
-            return error_response("", "ProtocolError",
-                                  f"server only accepts requests, got "
-                                  f"{shape}")
+            return encode_frame(error_response(
+                "", "ProtocolError",
+                f"server only accepts requests, got {shape}"))
         request_id = message["id"]
         peer.last_seen = self.clock.now()
         peer.alive = True
@@ -373,29 +375,30 @@ class ReproServer:
             self.duplicates_served += 1
             return cached
         if self.draining and message["method"] != "status":
-            return error_response(request_id, "ServeError",
-                                  "server is draining")
+            return encode_frame(error_response(request_id, "ServeError",
+                                               "server is draining"))
         deadline = message.get("deadline")
         if deadline is not None and self.clock.now() > deadline:
             self.deadline_expired_pre += 1
-            return refusal_response(
+            return encode_frame(refusal_response(
                 request_id, "DeadlineExceededError",
                 f"deadline {deadline:g} expired before dispatch "
-                f"(now {self.clock.now():g})", phase="pre_dispatch")
+                f"(now {self.clock.now():g})", phase="pre_dispatch"))
         admitted = self.admission.admit(peer.peer_id, message["method"])
         if isinstance(admitted, Refusal):
             # Shed = refuse, explicitly: never an allow, never silence.
             # Refusals are not cached — a retried id must be re-admitted.
-            return refusal_response(
+            return encode_frame(refusal_response(
                 request_id, admitted.error_type, admitted.message,
-                retry_after=admitted.retry_after, kind=admitted.kind)
+                retry_after=admitted.retry_after, kind=admitted.kind))
         try:
             response = await self._dispatch(peer, request_id,
                                             message["method"],
                                             message.get("params", {}))
         finally:
             self.admission.release(admitted)
-        replies[request_id] = response
+        frame = encode_frame(response)
+        replies[request_id] = frame
         while len(replies) > self.reply_cache_limit:
             replies.popitem(last=False)
             self.reply_cache_evictions += 1
@@ -405,11 +408,11 @@ class ReproServer:
             # for.  The real response stays recorded above, so an
             # idempotent retry under the same id replays it.
             self.deadline_expired_post += 1
-            return refusal_response(
+            return encode_frame(refusal_response(
                 request_id, "DeadlineExceededError",
                 f"deadline {deadline:g} expired before response write",
-                phase="response_write")
-        return response
+                phase="response_write"))
+        return frame
 
     def _on_brownout_transition(self, old: int, new: int,
                                 pressure: float) -> None:

@@ -147,8 +147,9 @@ def restore_session(recovered: RecoveredState,
     starts empty.
 
     A trust store is mostly credentials cut from a few templates (every
-    proxy credential carries the same Conditions), and each distinct
-    Conditions text is parsed and compiled once: ``Credential.from_text``
+    proxy credential carries the same Conditions, every user credential
+    the same but for its ``subject`` literal), and each distinct
+    Conditions shape is parsed and compiled once: ``Credential.from_text``
     reads the process's Conditions table
     (:data:`~repro.keynote.credential.PROGRAMS`).
     """

@@ -170,6 +170,11 @@ class WriteAheadLog:
         crash model kills the process, not the kernel page cache).
     :ivar base_lsn: LSN of the first record in the file.
     :ivar truncated_bytes: torn-tail bytes discarded by the last open.
+
+    The log keeps no payload in memory, only how many records the file
+    holds and where the last one ends: a daemon appends for its whole
+    life and compacts only when it snapshots.  :meth:`records`
+    (recovery) and :meth:`compact` read the file again.
     """
 
     def __init__(self, path: "Path | str", crash: CrashHook | None = None,
@@ -179,7 +184,9 @@ class WriteAheadLog:
         self.sync = sync
         self.base_lsn = 0
         self.truncated_bytes = 0
-        self._records: list[dict] = []
+        self._count = 0
+        #: file offset just past the last acknowledged record
+        self._end = HEADER_SIZE
         self._file = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -195,9 +202,9 @@ class WriteAheadLog:
         if stale_tmp.exists():  # leftover of a crash mid-compaction
             stale_tmp.unlink()
         data = self.path.read_bytes() if self.path.exists() else b""
+        self._count, self._end = 0, HEADER_SIZE
         if not data:
             self.base_lsn = 0
-            self._records = []
             self.truncated_bytes = 0
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_bytes(encode_header(0))
@@ -213,7 +220,6 @@ class WriteAheadLog:
                     reason="header")
             # Torn header (crash during creation): restart empty.
             self.base_lsn = 0
-            self._records = []
             self.truncated_bytes = len(data)
             self.path.write_bytes(encode_header(0))
             self._file = open(self.path, "r+b")
@@ -221,13 +227,13 @@ class WriteAheadLog:
             return self
         scan = scan_records(data[HEADER_SIZE:], path=str(self.path),
                             area_offset=HEADER_SIZE)
-        self._records = scan.records
+        self._count = len(scan.records)
         self.truncated_bytes = scan.truncated_bytes
-        clean_end = HEADER_SIZE + scan.clean_length
+        self._end = HEADER_SIZE + scan.clean_length
         self._file = open(self.path, "r+b")
         if scan.truncated_bytes:
-            self._file.truncate(clean_end)
-        self._file.seek(clean_end)
+            self._file.truncate(self._end)
+        self._file.seek(self._end)
         return self
 
     @staticmethod
@@ -256,17 +262,28 @@ class WriteAheadLog:
     # -- reads ---------------------------------------------------------------
 
     def records(self) -> list[tuple[int, dict]]:
-        """Every (lsn, payload) currently in the log, in append order."""
-        return [(self.base_lsn + i, dict(r))
-                for i, r in enumerate(self._records)]
+        """Every (lsn, payload) currently in the log, in append order,
+        decoded from the file."""
+        scan = scan_records(self._record_area(), path=str(self.path),
+                            area_offset=HEADER_SIZE)
+        return [(self.base_lsn + i, payload)
+                for i, payload in enumerate(scan.records)]
+
+    def _record_area(self) -> bytes:
+        """The acknowledged records' bytes, read from the file."""
+        if self._end == HEADER_SIZE:
+            return b""
+        with open(self.path, "rb") as handle:
+            handle.seek(HEADER_SIZE)
+            return handle.read(self._end - HEADER_SIZE)
 
     @property
     def next_lsn(self) -> int:
         """The LSN the next append will get."""
-        return self.base_lsn + len(self._records)
+        return self.base_lsn + self._count
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     # -- writes --------------------------------------------------------------
 
@@ -295,7 +312,8 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
         self.crash("wal.append.synced")
         lsn = self.next_lsn
-        self._records.append(dict(payload))
+        self._count += 1
+        self._end += len(record)
         return lsn
 
     def compact(self, up_to_lsn: int) -> int:
@@ -311,14 +329,19 @@ class WriteAheadLog:
         keep_from = max(0, up_to_lsn - self.base_lsn)
         if keep_from == 0:
             return 0
-        kept = self._records[keep_from:]
+        area = self._record_area()
+        dropped = min(keep_from, self._count)
+        offset = 0
+        for _ in range(dropped):  # each record is its header and body
+            length, _crc = RECORD_HEADER.unpack_from(area, offset)
+            offset += RECORD_HEADER.size + length
+        kept = area[offset:]
         new_base = self.base_lsn + keep_from
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         self.crash("wal.compact.begin")
         with open(tmp, "wb") as handle:
             handle.write(encode_header(new_base))
-            for payload in kept:
-                handle.write(encode_record(payload))
+            handle.write(kept)
             handle.flush()
             if self.sync:
                 os.fsync(handle.fileno())
@@ -327,7 +350,8 @@ class WriteAheadLog:
         os.replace(tmp, self.path)
         self.crash("wal.compact.renamed")
         self.base_lsn = new_base
-        self._records = kept
+        self._count -= dropped
+        self._end = HEADER_SIZE + len(kept)
         self._file = open(self.path, "r+b")
         self._file.seek(0, os.SEEK_END)
         return keep_from

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KeyNoteEvalError, KeyNoteSyntaxError
 from repro.keynote.ast import (Attribute, Binary, Clause, ConditionsProgram,
-                               Deref, NumberLit, StringLit, Unary)
+                               Deref, NumberLit, Slot, StringLit, Unary, bind)
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
 from repro.keynote.eval import ConditionEvaluator, compile_conditions
@@ -128,6 +128,129 @@ def _value(text, attributes, values=DEFAULT_VALUE_SET):
     tree, byte = _program_outcomes(program, attributes, values)
     assert tree == byte
     return byte
+
+
+#: the comparisons a shape may leave a literal of as a slot
+_SLOT_OPS = ("==", "!=", "<", ">", "<=", ">=")
+#: non-numeric literals only: a template never slots a numeric one
+_SLOT_LITERALS = st.sampled_from(["x", "", "true", "b", "x  y", "\tx ",
+                                  'say "hi"', "[", "zz"])
+BINDINGS = st.tuples(_SLOT_LITERALS, _SLOT_LITERALS, _SLOT_LITERALS)
+_SLOT_TESTS = st.tuples(
+    st.sampled_from(_SLOT_OPS), st.sampled_from(_ATTR_NAMES).map(Attribute),
+    st.integers(0, 2).map(Slot), st.booleans(),
+).map(lambda t: Binary(t[0], t[1], t[2]) if t[3] else Binary(t[0], t[2], t[1]))
+#: shapes: the generated expressions plus slot comparisons, a slot read
+#: anywhere, a literal pattern and a literal bad regex
+SHAPES = st.recursive(
+    st.one_of(_LEAVES, _SLOT_TESTS, st.integers(0, 2).map(Slot),
+              st.sampled_from(_ATTR_NAMES).map(
+                  lambda name: Binary("~=", Attribute(name), StringLit("x+"))),
+              st.sampled_from(_ATTR_NAMES).map(
+                  lambda name: Binary("~=", Attribute(name), StringLit("[")))),
+    _exprs, max_leaves=12)
+
+
+def _bound_outcomes(shape, attributes, values, binding):
+    """(tree outcome on the bound tree, compiled outcome of the shape
+    under ``binding``), each a value or ``("error", message)``."""
+    try:
+        tree = ConditionEvaluator(attributes, values).program_value(
+            bind(shape, binding))
+    except KeyNoteEvalError as exc:
+        tree = ("error", str(exc))
+    compiled = compile_conditions(shape)
+    try:
+        rank = compiled.rank(attributes, values, binding)
+        bound = values.values[rank]
+        assert compiled.value(attributes, values, binding) == bound
+    except KeyNoteEvalError as exc:
+        bound = ("error", str(exc))
+    return tree, bound
+
+
+class TestBoundShapes:
+    """A shape compiled once and evaluated against a binding is the tree
+    walker on the tree :func:`~repro.keynote.ast.bind` fills from it."""
+
+    @given(expr=SHAPES, attributes=ATTRIBUTES, binding=BINDINGS)
+    @settings(max_examples=300, deadline=None)
+    def test_a_bound_shape_is_its_concrete_tree(self, expr, attributes,
+                                                binding):
+        shape = ConditionsProgram((Clause(expr, None),))
+        tree, bound = _bound_outcomes(shape, attributes, DEFAULT_VALUE_SET,
+                                      binding)
+        assert tree == bound
+
+    @given(exprs=st.lists(SHAPES, min_size=1, max_size=3),
+           attributes=ATTRIBUTES, binding=BINDINGS)
+    @settings(max_examples=150, deadline=None)
+    def test_named_values_and_nested_programs(self, exprs, attributes,
+                                              binding):
+        names = ("low", "medium", "high")
+        shape = ConditionsProgram(tuple(
+            Clause(expr, names[i % 3] if i % 2 else ConditionsProgram(
+                (Clause(expr, names[(i + 1) % 3]),)))
+            for i, expr in enumerate(exprs)))
+        tree, bound = _bound_outcomes(shape, attributes, VALUES, binding)
+        assert tree == bound
+
+    @given(expr=EXPRESSIONS, attributes=ATTRIBUTES)
+    @settings(max_examples=200, deadline=None)
+    def test_a_credentials_shape_and_binding_are_its_text(self, expr,
+                                                          attributes):
+        """Through the credential's text: the template's slots, the shared
+        shape and the binding evaluate as the program the text writes."""
+        credential = Credential.build("POLICY", '"Ka"', _text(expr))
+        program = ConditionsProgram((Clause(expr, None),))
+        assert credential.conditions == program
+        tree, bound = _bound_outcomes(credential.shape, attributes,
+                                      DEFAULT_VALUE_SET, credential.binding)
+        assert (tree, bound) == _program_outcomes(program, attributes,
+                                                  DEFAULT_VALUE_SET)
+
+    @pytest.mark.parametrize("conditions", [
+        'a == "{}"',
+        'a == "{}" && b != "{}" && c < "{}"',
+        'a == "{}" || b == "{}" || c == "{}"',
+    ])
+    def test_plain_tests_and_chains_read_their_binding(self, conditions):
+        first = Credential.build("POLICY", '"Ka"',
+                                 conditions.format("x", "y", "m"))
+        second = Credential.build("POLICY", '"Kb"',
+                                  conditions.format("x2", "y2", "z2"))
+        slots = conditions.count("{}")
+        assert first.binding == ("x", "y", "m")[:slots]
+        assert second.binding == ("x2", "y2", "z2")[:slots]
+        assert first.shape is second.shape
+        compiled = compile_conditions(first.shape)
+        for credential in (first, second):
+            reported = [value for _, constants
+                        in compiled.closures(credential.binding)
+                        for value in constants]
+            assert all(literal in reported for literal in credential.binding)
+            concrete = compile_conditions(credential.conditions)
+            for values in ({"a": "x", "b": "q", "c": "a"},
+                           {"a": "x2", "b": "y2", "c": "z2"}, {}):
+                assert compiled.value(values, DEFAULT_VALUE_SET,
+                                      credential.binding) == \
+                    concrete.value(values, DEFAULT_VALUE_SET)
+        # Unbound, a slot reports itself.
+        assert Slot(0) in [value for _, constants in compiled.closures()
+                           for value in constants]
+
+    def test_a_literal_bad_regex_still_raises_per_query(self):
+        credential = Credential.build("POLICY", '"Ka"',
+                                      'a == "x" && b ~= "["')
+        assert credential.binding == ("x",)
+        compiled = compile_conditions(credential.shape)
+        assert compiled.value({"a": "y"}, DEFAULT_VALUE_SET,
+                              credential.binding) == "false"
+        with pytest.raises(KeyNoteEvalError):
+            compiled.value({"a": "x"}, DEFAULT_VALUE_SET, credential.binding)
+        with pytest.raises(KeyNoteEvalError):
+            ConditionEvaluator({"a": "x"}, DEFAULT_VALUE_SET).program_value(
+                credential.conditions)
 
 
 class TestTargetedSemantics:

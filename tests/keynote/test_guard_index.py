@@ -354,12 +354,12 @@ class TestRevokeMidFixpoint:
         real_rank = CompiledConditions.rank
         fired = []
 
-        def rank(self, attributes, values):
-            if self is c1.conditions.compiled and not fired:
+        def rank(self, attributes, values, binding=()):
+            if self is c1.shape.compiled and not fired:
                 fired.append(True)
                 # The mutation lock is re-entrant: this runs inline.
                 assert checker.revoke_assertion(c1)
-            return real_rank(self, attributes, values)
+            return real_rank(self, attributes, values, binding)
 
         monkeypatch.setattr(CompiledConditions, "rank", rank)
         assert checker.query({"x": "1"}, ["Kb"]) == "true"

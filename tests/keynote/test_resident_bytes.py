@@ -6,11 +6,13 @@ survives its verification, a key that authorizes one credential and is
 licensed by another is one string object, every frozen value type of the
 parsed tree is slotted, credentials without Local-Constants share one
 immutable empty table, and the signature cache keeps one 32-byte digest
-per outcome.  The counting test weighs the difference between an N- and
-a 2N-credential store cut from the benchmark universe's templates; a
-store added over the wire keeps no more per credential than the same
-store recovered from a snapshot (each Conditions text is parsed once per
-process, whichever path presents it).
+per outcome.  Credentials cut from one template share one Conditions
+shape and keep only their literals.  The counting test weighs the
+difference between an N- and a 2N-credential store cut from the
+benchmark universe's templates; a store added over the wire keeps no
+more per credential than the same store recovered from a snapshot (each
+Conditions shape is parsed once per process, whichever path presents
+it).
 """
 
 import copy
@@ -36,6 +38,7 @@ from repro.keynote.ast import (
     ConditionsProgram,
     Deref,
     NumberLit,
+    Slot,
     StringLit,
     Unary,
 )
@@ -53,6 +56,14 @@ from repro.store.durable import DurablePolicyNode
 HELD_BEFORE = {(3, 10): 4910, (3, 11): 4192, (3, 12): 4008, (3, 13): 4100}
 #: the share of :data:`HELD_BEFORE` an admitted credential may keep now
 HELD_SHARE = 0.60
+#: bytes per admitted credential of :func:`bytes_per_credential` while the
+#: Conditions table shared a program only between equal texts, by CPython
+#: minor version (3.11.7): each ``subject=="uN"`` credential held its own
+#: tree, closures and table entry
+SHARED_TEXT_BEFORE = {(3, 11): 1771}
+#: the share of :data:`SHARED_TEXT_BEFORE` an admitted credential may keep
+#: now that credentials cut from one template share one shape
+SHAPE_SHARE = 0.85
 #: what a credential added over the wire may keep, as a share of what the
 #: same credential keeps in a store recovered from a snapshot (the
 #: difference was ~18% while each wire add parsed its own tree)
@@ -160,6 +171,15 @@ class TestResidentBytes:
             f"{held:.0f} B per admitted credential, "
             f"over {HELD_SHARE:.0%} of {before} B")
 
+    def test_a_template_credential_keeps_only_its_literals(self):
+        before = SHARED_TEXT_BEFORE.get(sys.version_info[:2])
+        if before is None:
+            pytest.skip("no figure recorded for this Python's object sizes")
+        held = bytes_per_credential()
+        assert held <= SHAPE_SHARE * before, (
+            f"{held:.0f} B per admitted credential, "
+            f"over {SHAPE_SHARE:.0%} of {before} B")
+
     def test_a_wire_added_credential_keeps_what_a_recovered_one_does(
             self, tmp_path):
         wire = bytes_per_credential()
@@ -193,6 +213,7 @@ def _values() -> list:
     program = ConditionsProgram((
         Clause(Binary("==", Attribute("op"), StringLit("run"))),
         Clause(Unary("-", Deref(NumberLit("1"))), "true"),
+        Clause(Binary("==", Attribute("subject"), Slot(0))),
     ))
     licensees = AnyOf((Principal("Ka"), AllOf((Principal("Kb"),
                                                Principal("Kc"))),

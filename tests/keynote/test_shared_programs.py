@@ -1,17 +1,22 @@
-"""Each distinct Conditions text is parsed and compiled once per process.
+"""Each distinct Conditions shape is parsed and compiled once per process.
 
-:data:`repro.keynote.credential.PROGRAMS` maps a normalised Conditions
-text to the program parsed from it, weakly: ``Credential.build`` reads
-and fills it whichever path presents the text (recovery, a wire add or
-revoke, a KeyCom install, a request-scoped credential), and
-``compile_conditions`` keeps a program's closures on the program.  An
-entry leaves when the last credential holding its program is freed.
+:data:`repro.keynote.credential.PROGRAMS` maps a shape key
+(:func:`~repro.keynote.tokens.template`: the token stream with each
+string literal compared with a lone attribute left as a slot) to the
+shape parsed for it, weakly: ``Credential.build`` reads and fills it
+whichever path presents the text (recovery, a wire add or revoke, a
+KeyCom install, a request-scoped credential), and ``compile_conditions``
+keeps a shape's closures on the shape.  A credential keeps the shape and
+its binding (the slotted literals); ``Credential.conditions`` builds the
+concrete tree on demand.  An entry leaves when the last credential
+holding its shape is freed.
 
 The tests count parses and compiles instead of timing them.  Every text
-a test counts carries a ``nonce`` unique to that test (a conjunct no
-request sets, so it never changes a verdict), and the test checks the
-table holds none of its texts before it counts: no other live holder can
-make a parse look shared.
+a test counts carries a ``nonce`` unique to that test: an attribute
+named after the test (a conjunct no request sets, so it never changes a
+verdict), which makes the shape the test's own.  The test checks the
+table holds none of its shapes before it counts: no other live holder
+can make a parse look shared.
 """
 
 import gc
@@ -26,6 +31,7 @@ from repro.crypto.keys import KeyPair
 from repro.keynote.api import KeyNoteSession
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import PROGRAMS, Credential
+from repro.keynote.tokens import template
 from repro.oracle.keynote_oracle import oracle_compliance_value
 from repro.serve.plane import ServePolicyPlane
 from repro.store.durable import DurablePolicyNode
@@ -41,17 +47,21 @@ GRID = {"app": "grid", "op": "run"}
 
 @pytest.fixture
 def nonce(request) -> str:
-    """A token unique to the running test."""
+    """An attribute name unique to the running test."""
     return request.node.name
 
 
 def texts(nonce: str) -> tuple[str, ...]:
-    return tuple(f'{template} && nonce!="{nonce}"' for template in TEMPLATES)
+    return tuple(f'{conditions} && {nonce}!="-"' for conditions in TEMPLATES)
+
+
+def shape_key(text: str) -> tuple:
+    return template(text)[0]
 
 
 def policy(nonce: str) -> Credential:
     return Credential.build("POLICY", f'"{SIGNER.public.encode()}"',
-                            f'app=="grid" && nonce!="{nonce}"')
+                            f'app=="grid" && {nonce}!="-"')
 
 
 def signed(licensee: str, conditions: str, comment: str = "") -> Credential:
@@ -66,21 +76,30 @@ def universe(n: int, nonce: str) -> list[Credential]:
             for i in range(n)]
 
 
-def held(nonce: str) -> list[str]:
-    """The table's texts that carry ``nonce``."""
+def held(nonce: str) -> list[tuple]:
+    """The table's shape keys that carry ``nonce``."""
     gc.collect()
-    return [text for text in list(PROGRAMS) if f'"{nonce}"' in text]
+    return [key for key in list(PROGRAMS) if nonce in key]
 
 
 def count_parses(monkeypatch) -> Counter:
+    """Conditions parses by text: a shape's, or a program with
+    Local-Constants."""
     calls: Counter = Counter()
-    parse = credential_module.parse_conditions
+    parse_shape = credential_module.parse_shape
+    parse_conditions = credential_module.parse_conditions
 
-    def counting(text, constants=None):
+    def counting_shape(text, key):
         calls[text] += 1
-        return parse(text, constants)
+        return parse_shape(text, key)
 
-    monkeypatch.setattr(credential_module, "parse_conditions", counting)
+    def counting_conditions(text, constants=None):
+        calls[text] += 1
+        return parse_conditions(text, constants)
+
+    monkeypatch.setattr(credential_module, "parse_shape", counting_shape)
+    monkeypatch.setattr(credential_module, "parse_conditions",
+                        counting_conditions)
     return calls
 
 
@@ -128,9 +147,9 @@ class TestRecovery:
         assert sum(parses.values()) == len(expected)
         assert sum(compiles.values()) == len(expected)
         assert len(node.session.credentials) == 54
-        trees = {id(assertion.conditions)
-                 for assertion in node.session.checker.assertions}
-        assert len(trees) == len(expected) == len(held(nonce))
+        shapes = {id(assertion.shape)
+                  for assertion in node.session.checker.assertions}
+        assert len(shapes) == len(expected) == len(held(nonce))
 
         live_credentials = [Credential.from_text(text) for text in live]
         assert sum(parses.values()) == len(expected)  # all table hits
@@ -159,7 +178,7 @@ class TestRecovery:
 class TestLocalConstants:
     def test_a_credential_with_local_constants_gets_its_own_program(
             self, monkeypatch, nonce):
-        conditions = f'op == R && nonce != "{nonce}"'
+        conditions = f'op == R && {nonce} != "-"'
         text = ('KeyNote-Version: 2\nLocal-Constants: R = "run"\n'
                 'Authorizer: POLICY\nLicensees: "Ka"\n'
                 f'Conditions: {conditions};\n')
@@ -167,16 +186,17 @@ class TestLocalConstants:
                           Credential.from_text(text.replace('"Ka"', '"Kb"'))]
         plain = Credential.build("POLICY", '"Kc"', conditions)
         assert plain.conditions_text == with_constants[0].conditions_text
-        assert PROGRAMS[plain.conditions_text] is plain.conditions
-        assert len({id(plain.conditions),
-                    *(id(c.conditions) for c in with_constants)}) == 3
+        assert PROGRAMS[shape_key(plain.conditions_text)] is plain.shape
+        assert len({id(plain.shape),
+                    *(id(c.shape) for c in with_constants)}) == 3
+        assert [c.binding for c in with_constants] == [(), ()]
         # A constant the program never reads leaves it equal to the plain
         # one; it still parses its own.
         unused = Credential.from_text(
             'Local-Constants: X = "x"\nAuthorizer: POLICY\n'
             f'Licensees: "Kd"\nConditions: {conditions};\n')
         assert unused.conditions == plain.conditions
-        assert unused.conditions is not plain.conditions
+        assert unused.shape is not plain.shape
         compiles = count_compiles(monkeypatch)
         ComplianceChecker(with_constants)
         checker = ComplianceChecker([plain, *with_constants, unused])
@@ -189,25 +209,28 @@ class TestLocalConstants:
         assert checker.query({"op": "x", "R": "x"}, ["Kd"]) == "true"
 
     def test_the_recovery_table_skips_local_constants(self, nonce):
-        conditions = f'op == R && nonce != "{nonce}"'
+        conditions = f'op == R && {nonce} != "-"'
         with_constants = Credential.from_text(
             'Local-Constants: R = "run"\nAuthorizer: POLICY\n'
             f'Licensees: "Ka"\nConditions: {conditions};\n')
         assert held(nonce) == []
         plain = Credential.from_text(
             f'Authorizer: POLICY\nLicensees: "Ka"\nConditions: {conditions};\n')
-        assert held(nonce) == [plain.conditions_text]
-        assert PROGRAMS[plain.conditions_text] is plain.conditions
+        assert held(nonce) == [shape_key(plain.conditions_text)]
+        assert PROGRAMS[shape_key(plain.conditions_text)] is plain.shape
         assert with_constants.conditions != plain.conditions
 
     def test_whitespace_inside_a_literal_is_not_shared(self):
+        """The two texts share a shape, but each binding keeps its
+        literal as written."""
         wide = Credential.build("POLICY", '"Ka"', 'x == "a  b"')
         narrow = Credential.build("POLICY", '"Kb"', 'x  ==\t"a b"')
         assert wide.conditions_text == 'x == "a  b"'
         assert narrow.conditions_text == 'x == "a b"'
         assert wide.conditions != narrow.conditions
-        assert PROGRAMS[wide.conditions_text] is wide.conditions
-        assert PROGRAMS[narrow.conditions_text] is narrow.conditions
+        assert PROGRAMS[shape_key(wide.conditions_text)] is wide.shape
+        assert wide.shape is narrow.shape
+        assert (wide.binding, narrow.binding) == (("a  b",), ("a b",))
         checker = ComplianceChecker([wide, narrow])
         assert checker.query({"x": "a  b"}, ["Ka"]) == "true"
         assert checker.query({"x": "a  b"}, ["Kb"]) == "false"
@@ -241,7 +264,7 @@ class TestLosslessText:
         team = KeyPair.generate("shared-programs-team")
         proxy = KeyPair.generate("shared-programs-proxy").public.encode()
         text = Credential.build(team.public.encode(), f'"{proxy}"',
-                                'a == "x  y"').sign(team.private).to_text()
+                                'spaced == "x  y"').sign(team.private).to_text()
         plane = ServePolicyPlane(root=tmp_path)
         plane.add_policy({"text": f'Authorizer: POLICY\n'
                                   f'Licensees: "{team.public.encode()}"\n'
@@ -252,14 +275,16 @@ class TestLosslessText:
             return plane.mediate({
                 "user": "u", "user_key": proxy, "object_type": "job",
                 "operation": "run",
-                "attributes": {"app_domain": "grid", "a": value}})["allowed"]
+                "attributes": {"app_domain": "grid", "spaced": value}}
+            )["allowed"]
 
         assert [allowed(plane, "x  y"), allowed(plane, "x y")] == [True, False]
         # crash: the WAL is not closed and no snapshot is written; with
-        # the plane gone, recovery parses the journalled text
+        # the plane gone, recovery parses the journalled text's shape and
+        # reads its literal
         del plane
         gc.collect()
-        assert 'a == "x  y"' not in PROGRAMS
+        assert shape_key('spaced == "x  y"') not in PROGRAMS
         again = ServePolicyPlane(root=tmp_path)
         assert [allowed(again, "x  y"), allowed(again, "x y")] == [True, False]
         again.close()
@@ -316,14 +341,14 @@ class TestWirePath:
     def test_k_wire_adds_parse_once_and_hold_one_tree(self, monkeypatch,
                                                       nonce):
         plane, proxies = self._plane(nonce, 50)
-        assert held(nonce) == [policy(nonce).conditions_text]
+        assert held(nonce) == [shape_key(policy(nonce).conditions_text)]
         parses = count_parses(monkeypatch)
         for text in proxies:
             assert plane.add_credential({"text": text})["added"]
         assert parses == Counter({texts(nonce)[1]: 1})
-        trees = {id(credential.conditions)
-                 for credential in plane.session.credentials}
-        assert len(trees) == 1
+        shapes = {id(credential.shape)
+                  for credential in plane.session.credentials}
+        assert len(shapes) == 1
         assert plane.session.query(GRID, ["Kproxy7"]).compliance_value == \
             "true"
 
@@ -340,7 +365,7 @@ class TestWirePath:
 
     def test_the_entry_leaves_with_its_last_holder(self, nonce):
         plane, proxies = self._plane(nonce, 10)
-        text = texts(nonce)[1]
+        text = shape_key(texts(nonce)[1])
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
@@ -362,7 +387,7 @@ class TestLifetime:
     def test_revoking_the_last_holder_removes_the_entry(self, nonce):
         credentials = universe(6, nonce)
         checker = ComplianceChecker([policy(nonce), *credentials])
-        text = credentials[0].conditions_text  # also credentials[3]'s
+        text = shape_key(credentials[0].conditions_text)  # also [3]'s
         # A copy adds a count, not a second program.
         assert checker.add_assertion(credentials[0])
         for credential in credentials[0::3]:
@@ -386,15 +411,15 @@ class TestLifetime:
 
     def test_a_discarded_assertion_releases_its_program(self, nonce):
         forged = Credential.build(SIGNER.public.encode(), '"Kforged"',
-                                  f'op=="forged" && nonce!="{nonce}"'
+                                  f'op=="forged" && {nonce}!="-"'
                                   ).sign(FORGER.private)
         checker = ComplianceChecker([policy(nonce), forged])
         assert checker.verify_pending() == 0
         assert checker.discarded == [forged]
         assert checker.query({"app": "grid", "op": "forged"},
                              ["Kforged"]) == "false"
-        text = forged.conditions_text
-        # Held as discarded until revoked: then nothing holds the program.
+        text = shape_key(forged.conditions_text)
+        # Held as discarded until revoked: then nothing holds the shape.
         assert checker.revoke_assertion(forged) is False
         del forged
         assert text not in held(nonce)
@@ -404,17 +429,18 @@ class TestLifetime:
         session.add_policy(policy(nonce))
         session.add_credential(signed("Kuser0", texts(nonce)[0]))
         checker = session.checker
-        fresh = f'op=="fresh" && nonce!="{nonce}"'
+        fresh = f'fresh=="yes" && {nonce}!="-"'
         extras = [signed("Kproxy", texts(nonce)[0]), signed("Kproxy", fresh)]
         for extra in extras:
             session.query({"app": "grid", "op": "run"}, ["Kproxy"],
                           extra_credentials=[extra])
         assert not any(extra in checker for extra in extras)
-        # The shared text's program is the admitted credential's.
-        assert extras[0].conditions is checker.assertions[1].conditions
+        # The shared template's shape is the admitted credential's.
+        assert extras[0].shape is checker.assertions[1].shape
         del extras, extra
         assert sorted(held(nonce)) == sorted(
-            [policy(nonce).conditions_text, texts(nonce)[0]])
+            [shape_key(policy(nonce).conditions_text),
+             shape_key(texts(nonce)[0])])
 
     def test_keycom_updates_with_distinct_roles_leave_the_table(self, nonce):
         plane = ServePolicyPlane()
@@ -428,7 +454,7 @@ class TestLifetime:
             credential = Credential.build(
                 admin.public.encode(), '"Kmember"',
                 f'app_domain=="WebCom" && Domain=="{domain}"'
-                f' && Role=="{role}" && nonce!="{nonce}"').sign(admin.private)
+                f' && Role=="{role}" && {nonce}!="-"').sign(admin.private)
             reply = plane.keycom_update({
                 "user": f"user{index}", "user_key": "Kmember",
                 "domain": domain, "role": role,
@@ -436,6 +462,132 @@ class TestLifetime:
                 "request_id": f"install-{index}"})
             assert reply["applied"]
         del credential
-        # Only the requests KeyCom keeps still hold their programs.
-        assert len(held(nonce)) == PROCESSED_WINDOW
+        # Every role shares one shape; the requests KeyCom keeps hold it
+        # and each keeps only its own literals.
+        assert len(held(nonce)) == 1
+        kept = [request.credentials[0]
+                for request, _ in plane.keycom.processed]
+        assert len(kept) == PROCESSED_WINDOW
+        assert {id(credential.shape) for credential in kept} == \
+            {id(PROGRAMS[held(nonce)[0]])}
+        assert len({credential.binding for credential in kept}) == \
+            PROCESSED_WINDOW
         assert plane.session.credentials == []
+        # The entry leaves with the last request that holds it.
+        del kept
+        plane.keycom.processed.clear()
+        assert held(nonce) == []
+
+
+class TestShapes:
+    """Credentials cut from one template differ only in literals their
+    shape leaves as slots: they share one tree and one compile, and each
+    keeps its binding."""
+
+    @pytest.mark.parametrize("text, key, literals", [
+        ('subject=="u17"', ("subject", "==", None), ("u17",)),
+        ('"u17" != subject', (None, "!=", "subject"), ("u17",)),
+        ('a < "m" && (b >= "x" || !c == "y")',
+         ("a", "<", None, "&&", "(", "b", ">=", None, "||", "!", "c", "==",
+          None, ")"), ("m", "x", "y")),
+        # a numeric literal, a pattern, a clause value, a folded
+        # comparison, an operand of another operator and a reserved word
+        # stay in the key
+        ('a == "01"', ("a", "==", '"01"'), ()),
+        ('a ~= "^x"', ("a", "~=", '"^x"'), ()),
+        ('a == "x" -> "high"', ("a", "==", None, "->", '"high"'), ("x",)),
+        ('"x" == "y"', ('"x"', "==", '"y"'), ()),
+        ('a . "x" == "y"', ("a", ".", '"x"', "==", '"y"'), ()),
+        ('a == "x" . b', ("a", "==", '"x"', ".", "b"), ()),
+        ('true == "x"', ("true", "==", '"x"'), ()),
+        ('$a == "x"', ("$", "a", "==", '"x"'), ()),
+        # escapes are read, layout and comments are not tokens
+        ('a  ==  "say \\"hi\\""  # note\n', ("a", "==", None),
+         ('say "hi"',)),
+        ('a == "x" # b == "y"\n && c == "z"  # d\n ',
+         ("a", "==", None, "&&", "c", "==", None), ("x", "z")),
+    ])
+    def test_the_template_slots_literals_compared_with_an_attribute(
+            self, text, key, literals):
+        assert template(text) == (key, literals)
+
+    def test_one_parse_and_one_compile_for_a_template(self, monkeypatch,
+                                                      nonce):
+        policy = Credential.build("POLICY", '"Kteam"', "true")
+        ComplianceChecker([policy])
+        parses = count_parses(monkeypatch)
+        compiles = count_compiles(monkeypatch)
+        members = [Credential.build("Kteam", f'"Kuser{i}"',
+                                    f'subject=="u{i}" && {nonce}!="-"')
+                   for i in range(40)]
+        assert sum(parses.values()) == 1
+        assert len({id(member.shape) for member in members}) == 1
+        assert [member.binding for member in members] == \
+            [(f"u{i}", "-") for i in range(40)]
+        checker = ComplianceChecker([policy, *members],
+                                    verify_signatures=False)
+        assert sum(compiles.values()) == 1
+        for member in members[:3]:
+            assert member.conditions == credential_module.parse_conditions(
+                member.conditions_text)
+        # Each member is granted its own literal only.
+        assert checker.query({"subject": "u7"}, ["Kuser7"]) == "true"
+        assert checker.query({"subject": "u8"}, ["Kuser7"]) == "false"
+        # The guard index reads its literal from each binding: the POLICY
+        # and one member are read, not the other 39.
+        assert checker.last_query_stats.assertions_visited == 2
+
+    def test_the_benchmark_templates_hold_one_program_each(self):
+        """The benchmark universe's 1000 team -> user credentials hold one
+        compiled program, and its 10 org -> team credentials one."""
+        orgs = [Credential.build(
+            f"Korg{t % 4}", f'"Kteam{t}"',
+            f'vo=="o{t % 4}" && group=="t{t}" '
+            f'&& (op != "run" || job ~= "^job-[0-9]+$")')
+            for t in range(10)]
+        users = [Credential.build(f"Kteam{u % 10}", f'"Kuser{u}"',
+                                  f'subject=="u{u}"') for u in range(1000)]
+        policy = Credential.build(
+            "POLICY", " || ".join(f'"Korg{o}"' for o in range(4)),
+            'app_domain=="grid"')
+        checker = ComplianceChecker([policy, *orgs, *users],
+                                    verify_signatures=False)
+        for group in (orgs, users):
+            assert len({id(c.shape) for c in group}) == 1
+            assert len({id(c.shape.compiled) for c in group}) == 1
+        grid = {"app_domain": "grid", "vo": "o3", "group": "t7",
+                "subject": "u17", "op": "run", "job": "job-1"}
+        assert checker.query(grid, ["Kuser17"]) == "true"
+        assert checker.query({**grid, "subject": "u27"},
+                             ["Kuser17"]) == "false"
+        assert checker.query({**grid, "job": "x"}, ["Kuser17"]) == "false"
+
+    def test_a_keycom_install_of_a_fresh_role_compiles_nothing(
+            self, monkeypatch, nonce):
+        plane = ServePolicyPlane()
+        admin = KeyPair.generate("shared-programs-admin")
+        plane.session.add_policy(
+            f'Authorizer: POLICY\nLicensees: "{admin.public.encode()}"\n'
+            'Conditions: app_domain=="WebCom";')
+        domain = plane.middleware.domain
+
+        def install(index: int) -> None:
+            text = Credential.build(
+                admin.public.encode(), '"Kmember"',
+                f'app_domain=="WebCom" && Domain=="{domain}"'
+                f' && Role=="R{index}" && {nonce}!="-"'
+            ).sign(admin.private).to_text()
+            assert plane.keycom_update({
+                "user": f"user{index}", "user_key": "Kmember",
+                "domain": domain, "role": f"R{index}",
+                "credentials": [text],
+                "request_id": f"install-{index}"})["applied"]
+
+        install(0)
+        parses = count_parses(monkeypatch)
+        compiles = count_compiles(monkeypatch)
+        for index in range(1, 6):
+            install(index)
+        assert parses == Counter()
+        assert compiles == Counter()
+        assert len(held(nonce)) == 1

@@ -14,6 +14,7 @@ from repro.keynote.credential import Credential
 from repro.serve.admission import AdmissionController, BrownoutController
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.plane import ServePolicyPlane
+from repro.serve.protocol import decode_frame, encode_frame, make_request
 from repro.serve.server import ReproServer
 from repro.util.clock import SimulatedClock
 
@@ -361,6 +362,48 @@ class TestReplyCacheBound:
     def test_reply_cache_limit_validated(self):
         with pytest.raises(Exception):
             ReproServer(_plane(clock=SimulatedClock()), reply_cache_limit=0)
+
+
+class TestReplyFrames:
+    """The reply cache keeps the frame the server wrote: a replayed id
+    gets the same bytes, and no reply is encoded twice."""
+
+    def test_a_replayed_request_id_returns_the_identical_line(
+            self, monkeypatch):
+        import repro.serve.server as server_module
+
+        encoded = []
+        encode = server_module.encode_frame
+
+        def counting(message):
+            encoded.append(message.get("id"))
+            return encode(message)
+
+        monkeypatch.setattr(server_module, "encode_frame", counting)
+
+        async def scenario():
+            plane = _plane(clock=SimulatedClock())
+            server = await ReproServer(plane).start()
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            lines = []
+            for request_id in ("same", "same", "other", "same"):
+                writer.write(encode_frame(make_request(
+                    request_id, "mediate", MEDIATE)))
+                await writer.drain()
+                lines.append(await reader.readline())
+            writer.close()
+            encodes = list(encoded)
+            await server.shutdown()
+            return lines, server.duplicates_served, encodes
+
+        lines, duplicates, encodes = asyncio.run(scenario())
+        first, replay, other, again = lines
+        assert replay == first and again == first
+        assert decode_frame(first)["result"]["allowed"]
+        assert decode_frame(other)["id"] == "other"
+        assert duplicates == 2
+        assert encodes == ["same", "other"]
 
 
 class TestReaperVersusInflight:

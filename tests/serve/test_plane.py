@@ -246,7 +246,7 @@ class TestConditionsTheCompilerLowers:
         before = wal.read_bytes()
         credential = replace(
             Credential.build("Kteam", '"Kuser"', 'a=="x"'),
-            conditions=ConditionsProgram((Clause(test),)))
+            shape=ConditionsProgram((Clause(test),)), binding=())
         with pytest.raises(KeyNoteSyntaxError):
             plane.session.add_credential(credential)
         assert wal.read_bytes() == before

@@ -184,3 +184,44 @@ class TestAppendCrashSites:
         again = _open(tmp_path)
         assert [p["kind"] for _l, p in again.records()] == \
             ["acked", "durable_unacked"]
+
+
+class TestNoPayloadsHeld:
+    """The log keeps positions and counts, not decoded records: a daemon
+    appends for its whole life and compacts only when it snapshots."""
+
+    PAYLOADS = [{"kind": "keynote.credential", "text": f"credential {i}\n",
+                 "expires_at": None if i % 2 else 1.5 * i,
+                 "nested": {"n": i, "items": ["a", i]}} for i in range(40)]
+
+    @staticmethod
+    def _held(wal) -> list:
+        """What the log object refers to that could carry a payload."""
+        return [value for value in vars(wal).values()
+                if isinstance(value, (dict, list, tuple, bytes))]
+
+    def test_appends_keep_no_payload(self, tmp_path):
+        wal = _open(tmp_path)
+        for payload in self.PAYLOADS:
+            wal.append(payload)
+        assert self._held(wal) == []
+        assert len(wal) == wal.next_lsn == len(self.PAYLOADS)
+        assert wal.records() == list(enumerate(self.PAYLOADS))
+        wal.close()
+        again = _open(tmp_path)
+        assert self._held(again) == []
+        assert again.records() == list(enumerate(self.PAYLOADS))
+
+    def test_compaction_reads_the_file(self, tmp_path):
+        wal = _open(tmp_path)
+        for payload in self.PAYLOADS:
+            wal.append(payload)
+        assert wal.compact(25) == 25
+        assert self._held(wal) == []
+        assert wal.records() == list(enumerate(self.PAYLOADS))[25:]
+        assert wal.append({"kind": "after"}) == len(self.PAYLOADS)
+        wal.close()
+        again = _open(tmp_path)
+        assert again.records() == [
+            *list(enumerate(self.PAYLOADS))[25:],
+            (len(self.PAYLOADS), {"kind": "after"})]

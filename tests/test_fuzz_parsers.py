@@ -11,16 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyNoteSyntaxError, SExpressionError
+from repro.keynote.ast import bind
 from repro.keynote.credential import Credential
 from repro.keynote.licensees import parse_licensees
-from repro.keynote.parser import parse_conditions, parse_expression
-from repro.keynote.tokens import normalise, tokenize
+from repro.keynote.parser import parse_conditions, parse_expression, parse_shape
+from repro.keynote.tokens import TokenType, normalise, template, tokenize
 from repro.spki.sexp import parse_sexp
 
 # Characters that exercise every token class plus pure noise.
 EXPR_ALPHABET = 'abcxyz_0129. "\\=<>!&|()+-*/%^;,#\n\t$~{}'
 SEXP_ALPHABET = 'abc012 ()"\\\n\t'
 CRED_ALPHABET = ('abcxyzABC_0129. ":=<>!&|()\n\t-')
+#: every character ``str.splitlines`` ends a line at
+SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestTokenizerFuzz:
@@ -52,6 +55,68 @@ class TestTokenizerFuzz:
         except KeyNoteSyntaxError:
             return
         assert normalise(stored) == stored
+
+
+class TestTemplateFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=EXPR_ALPHABET, max_size=60))
+    def test_the_shape_and_its_literals_are_the_text(self, text):
+        """A text's shape with its literals put back is the program the
+        text parses to, and a text fails to template exactly when it
+        fails to tokenize."""
+        try:
+            tokenize(text)
+        except KeyNoteSyntaxError:
+            with pytest.raises(KeyNoteSyntaxError):
+                template(text)
+            return
+        key, literals = template(text)
+        assert key == template(normalise(text))[0]
+        assert key.count(None) == len(literals)
+        tokens = tokenize(text)[:-1]  # the key has no EOF
+        assert len(key) == len(tokens)
+        for spelled, token in zip(key, tokens):
+            if token.type is TokenType.STRING:
+                assert spelled is None or spelled[0] == '"'
+            else:
+                assert spelled == token.value
+        try:
+            program = parse_conditions(text)
+        except KeyNoteSyntaxError:
+            with pytest.raises(KeyNoteSyntaxError):
+                parse_shape(text, key)
+            return
+        assert bind(parse_shape(text, key), literals) == program
+
+
+class TestLineSeparators:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="ab " + SEPARATORS, max_size=6),
+                    min_size=1, max_size=3))
+    def test_literals_survive_the_text_form(self, literals):
+        """A Conditions literal holding any line separator reads back
+        from the credential's text with the text and the signed bytes it
+        was written with."""
+        conditions = " && ".join(
+            f'a{index} == "{literal}"'
+            for index, literal in enumerate(literals))
+        written = Credential.build("POLICY", '"Ka"', conditions,
+                                   comment="c")
+        read = Credential.from_text(written.to_text())
+        assert read.conditions_text == written.conditions_text
+        assert read.canonical_bytes() == written.canonical_bytes()
+        assert read.conditions == written.conditions
+        assert read.binding == tuple(literals)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_crlf_terminator_is_one_line_end(self, end):
+        text = end.join(['KeyNote-Version: 2', 'Authorizer: POLICY',
+                         'Licensees: "Ka"', 'Conditions: a == "x" &&',
+                         '  b == "y";', ''])
+        read = Credential.from_text(text)
+        assert read.conditions_text == 'a == "x" && b == "y"'
+        assert read.to_text() == Credential.from_text(
+            text.replace("\r\n", "\n")).to_text()
 
 
 class TestExpressionParserFuzz:
