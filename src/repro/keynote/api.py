@@ -262,7 +262,8 @@ class KeyNoteSession:
         references it).  A recovered session starts with an empty decision
         cache, so nothing decided before a restart is served after it.
         The authorisation stack reads its L2 verdict through this first
-        and runs :meth:`query` only when no value is cached.
+        and runs :meth:`query` only when no value is cached; a value
+        served here counts as a checker cache hit.
         """
         if "_cur_time" not in attributes:
             attributes = {**attributes, "_cur_time": repr(self.clock.now())}
@@ -333,21 +334,3 @@ class KeyNoteSession:
                 compliance_value=value,
                 attributes=dict(attributes))
         return result
-
-    def query_many(self, requests: Iterable[tuple[Mapping[str, str],
-                                                  Iterable[str]]],
-                   ) -> list[str]:
-        """Batch evaluation through
-        :meth:`ComplianceChecker.query_many
-        <repro.keynote.compliance.ComplianceChecker.query_many>`: one
-        compliance value per ``(attributes, authorizers)`` pair, with
-        condition programs shared across the batch.  ``_cur_time`` is
-        injected exactly as :meth:`query` does; audit records are not
-        emitted for batch queries.
-        """
-        now = repr(self.clock.now())
-        prepared = [
-            (attrs if "_cur_time" in attrs else {**attrs, "_cur_time": now},
-             tuple(auths))
-            for attrs, auths in requests]
-        return self._checker.query_many(prepared, self.values)

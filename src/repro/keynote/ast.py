@@ -81,7 +81,8 @@ class Slot:
     """A string literal left out of a shared tree: the ``index``-th
     literal of the binding each credential holding the tree keeps
     (:func:`repro.keynote.tokens.template`).  :func:`bind` puts the
-    literal back; the tree walker never sees a slot."""
+    literal back; the tree walker and the compiled closures read it from
+    the binding they are given."""
 
     index: int
 

@@ -88,9 +88,6 @@ Hot-path machinery (the authorisation fast path):
   needs no dependency record (a decision that never read it cannot depend
   on it).  A team key signing one ``subject=="uN"`` credential per member
   costs one read per decision, not one per member;
-- :meth:`ComplianceChecker.query_many` batches queries, sharing per-assertion
-  condition evaluation across every query with the same attribute
-  projection;
 - *request-scoped credentials*: ``query(..., extra=...)`` verifies and
   compiles only the presented assertions and overlays them on the admitted
   ones for a single fixpoint.  Such a query bypasses the decision cache in
@@ -336,7 +333,8 @@ class ComplianceChecker:
     Profiling: :attr:`stats` accumulates over the checker's lifetime and
     :attr:`last_query_stats` holds the profile of the most recent
     :meth:`query` alone; :attr:`cache_hits` / :attr:`cache_misses` count
-    decision-cache traffic.
+    decision-cache traffic: a hit is a value served by :meth:`query` or
+    :meth:`cached_decision`, a miss a fixpoint run.
     """
 
     def __init__(self, assertions: Iterable[Credential],
@@ -763,14 +761,19 @@ class ComplianceChecker:
                         ) -> "tuple[tuple, str | None]":
         """The decision key for a request and its currently cached value
         (None when absent, or when the entry failed validation and was
-        dropped).  Does not run the fixpoint and does not count as cache
-        traffic — the authorisation stack serves its L2 verdict from this
-        value when present and counts the hit itself."""
+        dropped).  Never runs the fixpoint.  A value served counts as a
+        cache hit, as in :meth:`query`: the authorisation stack takes its
+        L2 verdict from here and calls :meth:`query` only on a miss, which
+        counts the miss."""
         with self._mutation_lock:
             key = self._decision_key(
                 attributes, self._requesters(authorizers, self._canonical),
                 values)
-            return key, self._lookup(key)
+            value = self._lookup(key)
+        if value is not None:
+            self.cache_hits += 1
+            self._count("keynote.cache.hit")
+        return key, value
 
     def _lookup(self, key: tuple) -> "str | None":
         """The valid cached value under ``key``, or None; a stale entry is
@@ -848,29 +851,7 @@ class ComplianceChecker:
         """
         if extra:
             return self._query_overlay(attributes, authorizers, values, extra)
-        return self._query(attributes, authorizers, values, None)
-
-    def query_many(self, requests: Sequence[tuple[Mapping[str, str],
-                                                  Iterable[str]]],
-                   values: ComplianceValueSet = DEFAULT_VALUE_SET,
-                   ) -> list[str]:
-        """Evaluate a batch of ``(attributes, authorizers)`` requests.
-
-        Returns one compliance value per request, in order — each identical
-        to what :meth:`query` would return — but condition programs are
-        evaluated once per (assertion, attribute projection) across the
-        whole batch instead of once per request, and decision-cache hits
-        skip the fixpoint entirely.
-        """
-        results: list[str] = []
-        cond_memos: dict[tuple, dict[int, int]] = {}
-        for attributes, authorizers in requests:
-            memo_key = (self._referenced_key,
-                        self._decision_key(attributes, (), values))
-            cond_memo = cond_memos.setdefault(memo_key, {})
-            results.append(self._query(attributes, authorizers, values,
-                                       cond_memo))
-        return results
+        return self._query(attributes, authorizers, values)
 
     def _decision_key(self, attributes: Mapping[str, str],
                       requesters: tuple[str, ...],
@@ -909,8 +890,7 @@ class ComplianceChecker:
 
     def _query(self, attributes: Mapping[str, str],
                authorizers: Iterable[str],
-               values: ComplianceValueSet,
-               cond_memo: "dict[int, int] | None") -> str:
+               values: ComplianceValueSet) -> str:
         requesters = self._requesters(authorizers, self._canonical)
         if not requesters:
             raise ComplianceError("a query needs at least one action authorizer")
@@ -932,8 +912,7 @@ class ComplianceChecker:
         deps: set = set()
         try:
             rank = self._evaluate(attributes, requesters, values, profile,
-                                  cond_memo, deps, self._canonical, None,
-                                  self._settle)
+                                  deps, self._canonical, None, self._settle)
         finally:
             self._record_profile(profile)
         result = values.values[rank]
@@ -989,8 +968,8 @@ class ComplianceChecker:
         profile = ComplianceStats(queries=1)
         try:
             return values.values[self._evaluate(
-                attributes, requesters, values, profile, None, set(),
-                canonical, overlay, self._peek)]
+                attributes, requesters, values, profile, set(), canonical,
+                overlay, self._peek)]
         finally:
             self._record_profile(profile)
 
@@ -1003,15 +982,12 @@ class ComplianceChecker:
     def _evaluate(self, attributes: Mapping[str, str],
                   requesters: tuple[str, ...], values: ComplianceValueSet,
                   profile: ComplianceStats,
-                  cond_memo: "dict[int, int] | None",
                   deps: set,
                   canonical: "Callable[[str], str]",
                   overlay: "dict[str, list[_Prepared]] | None",
                   verdict: "Callable[[_Prepared], bool]") -> int:
         """One fixpoint run on ranks in ``values``; returns the request's
-        rank.  ``cond_memo`` (shared across a batch) memoises
-        per-assertion condition ranks for this attribute projection,
-        ``overlay`` holds request-scoped assertions read after each
+        rank.  ``overlay`` holds request-scoped assertions read after each
         principal's admitted ones, and ``verdict`` settles a pending
         signature check.
 
@@ -1035,8 +1011,6 @@ class ComplianceChecker:
         Everything a visit reads per step is bound to a local once per run,
         and the profile counters are summed locally and added to
         ``profile`` when the run ends."""
-        if cond_memo is None:
-            cond_memo = {}
         top = values.top
         buckets = self._buckets
         record = deps.add
@@ -1101,11 +1075,8 @@ class ComplianceChecker:
 
         def assertion_rank(prepared: _Prepared) -> int:
             record(ref(prepared))
-            conditions = cond_memo.get(id(prepared))
-            if conditions is None:
-                conditions = prepared.compiled.rank(
-                    attributes, values, prepared.credential.binding)
-                cond_memo[id(prepared)] = conditions
+            conditions = prepared.compiled.rank(
+                attributes, values, prepared.credential.binding)
             if not conditions:
                 return 0
             if prepared.verified is not True and not verdict(prepared):

@@ -128,17 +128,25 @@ _ARITH_OPS = {"+", "-", "*", "/", "%", "^"}
 
 class ConditionEvaluator:
     """Evaluates expressions and Conditions programs against an action
-    attribute set."""
+    attribute set.  A :class:`~repro.keynote.ast.Slot` reads the binding
+    the program being evaluated was given."""
 
     def __init__(self, attributes: Mapping[str, str],
                  values: ComplianceValueSet) -> None:
         self._attributes = attributes
         self._values = values
+        self._binding: tuple = ()
 
     # -- public entry points -------------------------------------------------
 
-    def program_value(self, program: ConditionsProgram) -> str:
-        """Compliance value of a full Conditions field."""
+    def program_value(self, program: ConditionsProgram,
+                      binding: tuple = ()) -> str:
+        """Compliance value of a full Conditions field; ``binding`` fills
+        its slots (a credential's shape takes the credential's binding)."""
+        self._binding = binding
+        return self._program_value(program)
+
+    def _program_value(self, program: ConditionsProgram) -> str:
         result = self._values.minimum
         for clause in program.clauses:
             clause_value = self._clause_value(clause)
@@ -160,7 +168,7 @@ class ConditionEvaluator:
         if clause.value is None:
             return self._values.maximum
         if isinstance(clause.value, ConditionsProgram):
-            return self.program_value(clause.value)
+            return self._program_value(clause.value)
         return self._values.resolve(clause.value)
 
     # -- expression evaluation ---------------------------------------------------
@@ -221,6 +229,12 @@ class ConditionEvaluator:
     def _value(self, expr: Expr) -> Value:
         if isinstance(expr, StringLit):
             return expr.value
+        if isinstance(expr, Slot):
+            if expr.index < len(self._binding):
+                return self._binding[expr.index]
+            # Without its literal a slot is no constant: this is what
+            # keeps the compiler's folding (`_fold`) off every slot.
+            raise KeyNoteEvalError(f"no literal bound for {expr!r}")
         if isinstance(expr, NumberLit):
             return _number_literal(expr.literal)
         if isinstance(expr, Attribute):

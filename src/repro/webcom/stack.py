@@ -217,10 +217,9 @@ class AuthorisationStack:
     fixpoint (with its ``keynote.query`` audit record and span) is skipped.
     A revocation evicts exactly the decisions that depended on it, so a
     hit can never replay a revoked ALLOW, and a change in any other layer
-    is seen on the next request.  Traffic shows up as ``stack.cache.hit``
-    (L2 answered from the checker cache) / ``stack.cache.miss`` (a
-    fixpoint ran) metrics, :meth:`cache_info` and a ``cached`` span and
-    audit attribute.
+    is seen on the next request.  The checker counts the traffic (its
+    ``cache_hits`` / ``cache_misses`` and ``keynote.cache.*`` metrics);
+    the stack marks a hit with a ``cached`` span and audit attribute.
 
     Health (degraded-mode mediation): a layer whose check raises or times
     out never aborts mediation with a raw traceback — it is recorded as an
@@ -254,10 +253,6 @@ class AuthorisationStack:
         self._middleware: Middleware | None = None
         self._tm: KeyNoteSession | None = None
         self._app: AppPredicate | None = None
-        #: L2 verdicts served from the checker's decision cache
-        self.cache_hits = 0
-        #: L2 verdicts that ran the fixpoint
-        self.cache_misses = 0
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.layer_faults = layer_faults
@@ -351,14 +346,6 @@ class AuthorisationStack:
             "last_good_entries": len(self._last_good),
         }
 
-    def cache_info(self) -> dict[str, int]:
-        """L2 decision-cache traffic in the shape ``status()`` reports:
-        ``hits`` counts trust-management verdicts served from the checker's
-        cache and ``misses`` fixpoint runs.  The stack stores no decisions
-        of its own, so ``entries`` and ``invalidated`` are always 0."""
-        return {"entries": 0, "hits": self.cache_hits,
-                "misses": self.cache_misses, "invalidated": 0}
-
     def configured_layers(self) -> tuple[Layer, ...]:
         """Which layers are present, lowest first."""
         layers = []
@@ -400,12 +387,8 @@ class AuthorisationStack:
         authorizers = (request.user_key,)
         _key, value = tm.decision_fingerprint(attributes, authorizers)
         if value is None:
-            self.cache_misses += 1
-            self._count(("stack", "cache", "miss"))
             value = tm.query(attributes, authorizers).compliance_value
         else:
-            self.cache_hits += 1
-            self._count(("stack", "cache", "hit"))
             hit.append(True)
         return (tm.values.at_least(value, tm.values.maximum),
                 f"compliance={value}")

@@ -1,9 +1,9 @@
 """The KeyNote decision cache: hits, projection, invalidation, taint.
 
 Covers the generation-stamped decision cache on
-:class:`~repro.keynote.compliance.ComplianceChecker`, the batch
-``query_many`` API, the process-wide signature-verification cache, and the
-cached-vs-oracle equivalence sweep the fast path is accepted against.
+:class:`~repro.keynote.compliance.ComplianceChecker`, the process-wide
+signature-verification cache, and the cached-vs-oracle equivalence sweep
+the fast path is accepted against.
 """
 
 import random
@@ -152,29 +152,18 @@ class TestDecisionCache:
         assert metrics.counter("keynote.queries").value == 2
 
 
-class TestQueryMany:
-    def test_matches_individual_queries(self, keystore):
-        assertions = chain(keystore)
-        batch = ComplianceChecker(list(assertions), keystore=keystore)
-        requests = [({"x": "1"}, ["Kb"]), ({"x": "2"}, ["Kb"]),
-                    ({"x": "1"}, ["Ka"]), ({"x": "1"}, ["Kc"]),
-                    ({"x": "1"}, ["Kb"])]
-        expected = [ComplianceChecker(list(assertions),
-                                      keystore=keystore).query(attrs, auths)
-                    for attrs, auths in requests]
-        assert batch.query_many(requests) == expected
-
+class TestRepeatedQueries:
     def test_duplicate_requests_hit_the_decision_cache(self, keystore):
         checker = ComplianceChecker(chain(keystore), keystore=keystore)
-        results = checker.query_many([({"x": "1"}, ["Kb"])] * 5)
+        results = [checker.query({"x": "1"}, ["Kb"]) for _ in range(5)]
         assert results == ["true"] * 5
         assert checker.cache_misses == 1 and checker.cache_hits == 4
 
     def test_authorizer_order_and_repeats_share_one_entry(self, keystore):
         checker = ComplianceChecker(chain(keystore), keystore=keystore)
-        results = checker.query_many([({"x": "1"}, ["Kb", "Kc"]),
-                                      ({"x": "1"}, ["Kc", "Kb"]),
-                                      ({"x": "1"}, ["Kc", "Kb", "Kc"])])
+        results = [checker.query({"x": "1"}, authorizers)
+                   for authorizers in (["Kb", "Kc"], ["Kc", "Kb"],
+                                       ["Kc", "Kb", "Kc"])]
         assert results == ["true"] * 3
         assert checker.cache_misses == 1 and checker.cache_hits == 2
         assert checker.cache_info()["entries"] == 1

@@ -96,12 +96,12 @@ class TestRevocationRacesDecisionCaches:
                                    attributes={"app_domain": "DB"})
         assert stack.mediate(request).allowed
         assert stack.mediate(request).allowed      # L2 from the TM cache
-        assert stack.cache_hits == 1
+        assert session.checker.cache_hits == 1
         session.revoke_credential(cred)
         # The cached ALLOW relied on the revoked credential: the revocation
         # evicted it, so L2 runs the fixpoint again and denies.
         assert not stack.mediate(request).allowed
-        assert stack.cache_hits == 1
+        assert session.checker.cache_hits == 1
 
     def test_expiry_sweep_invalidates_stack_mediation_cache(self, keystore):
         clock = SimulatedClock()

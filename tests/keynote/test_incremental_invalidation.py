@@ -147,7 +147,8 @@ class TestSelectiveEviction:
             _attrs(universe, 0, "submit"), [universe["proxy_keys"][0]])
         assert still == allow, "non-dependent entry was evicted"
         assert probe(checker, universe, 0) == allow
-        assert checker.cache_hits == hits + 1
+        # Two hits: the cached_decision read and the probe.
+        assert checker.cache_hits == hits + 2
 
     def test_dependent_decision_is_evicted_and_recomputed(self):
         universe = small_universe()

@@ -106,3 +106,46 @@ def test_agrees_with_production_checker(seed):
         assert (checker.query(attributes, authorizers)
                 == oracle_compliance_value(assertions, attributes,
                                            authorizers))
+
+
+class TestOracleBuildsNoTrees:
+    def test_template_credentials_are_read_through_their_binding(
+            self, monkeypatch):
+        """The oracle walks each assertion's shared shape with its own
+        literals: over credentials cut from templates it fills no tree
+        (counted on :func:`repro.keynote.ast.bind`) and still agrees with
+        the checker."""
+        import repro.keynote.ast as ast_module
+        import repro.keynote.credential as credential_module
+
+        tri = ComplianceValueSet(("reject", "log", "approve"))
+        assertions = [policy('"Kteam"', 'app=="grid"')]
+        for n in range(4):
+            assertions.append(cred("Kteam", f'"Ku{n}"', f'subject=="u{n}"'))
+            assertions.append(cred(
+                f"Ku{n}", f'"Kp{n}"',
+                f'subject=="u{n}" -> {{ op=="read" -> "approve"; '
+                f'op=="{n}" -> "log"; }}'))
+        assert all(a.binding for a in assertions)
+        queries = [({"app": "grid", "subject": f"u{n}", "op": op}, [f"Kp{n}"])
+                   for n in range(4) for op in ("read", "2", "write")]
+        checker = ComplianceChecker(list(assertions), verify_signatures=False)
+        expected = [checker.query(attributes, authorizers, tri)
+                    for attributes, authorizers in queries]
+        assert set(expected) == {"approve", "log", "reject"}
+
+        calls = []
+        real_bind = ast_module.bind
+
+        def counting_bind(*args):
+            calls.append(args)
+            return real_bind(*args)
+
+        monkeypatch.setattr(ast_module, "bind", counting_bind)
+        monkeypatch.setattr(credential_module, "bind", counting_bind)
+        assert [oracle_compliance_value(assertions, attributes, authorizers,
+                                        tri)
+                for attributes, authorizers in queries] == expected
+        assert calls == []
+        assert assertions[1].conditions is not None  # the spy is live
+        assert calls

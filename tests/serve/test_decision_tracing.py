@@ -82,7 +82,7 @@ class TestUnwatchedDecisions:
         # The checker's instruments are bound once too.
         assert registry_lookups == []
         assert plane.obs.metrics.counter("keynote.cache.miss").value == 7
-        assert plane.stack.cache_info()["hits"] == 6
+        assert plane.session.checker.cache_hits == 6
         assert plane.obs.metrics.counter("stack.mediate.allow").value == 7
         assert plane.obs.metrics.counter(
             "stack.layer.TRUST_MANAGEMENT.deny").value == 6

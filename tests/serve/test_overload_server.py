@@ -263,7 +263,7 @@ class TestBrownoutOnTheServer:
         assert "spans" not in hit
         assert plane.obs.tracer.spans == []
         assert plane.obs.metrics.counter("stack.mediate.allow").value == 2
-        assert plane.stack.cache_info()["hits"] == 1
+        assert plane.session.checker.cache_hits == 1
 
     def test_tier2_never_serves_a_revoked_allow(self):
         """Brownout never forgives a revocation: once the credential an

@@ -70,10 +70,23 @@ class TestStatusCacheShape:
                                                 "invalidated"}
         plane.mediate(JOB_SUBMIT)
         plane.mediate(JOB_SUBMIT)
-        # hits: L2 answers served from the trust-management cache;
-        # misses: fixpoint runs.  The stack itself stores no entries.
-        assert plane.status()["cache"] == {"entries": 0, "hits": 1,
+        # The trust-management decision cache, the plane's one: hits are
+        # L2 answers it served, misses fixpoint runs.
+        assert plane.status()["cache"] == {"entries": 1, "hits": 1,
                                            "misses": 1, "invalidated": 0}
+
+    @pytest.mark.parametrize("warm", [1, 5])
+    def test_one_hit_counter_for_the_one_cache(self, warm):
+        """The L2 answers the stack reads from the cache are the checker's
+        hits: ``cache`` and ``tm_cache`` count the same K warm reads."""
+        plane = _licensed_plane()
+        for _ in range(1 + warm):
+            assert plane.mediate(JOB_SUBMIT)["allowed"]
+        status = plane.status()
+        assert status["cache"]["hits"] == status["tm_cache"]["hits"] == warm
+        assert status["cache"]["misses"] == status["tm_cache"]["misses"] == 1
+        assert not [name for name in plane.obs.metrics.names()
+                    if name.startswith("stack.cache")]
 
 
 class TestAuditWindow:

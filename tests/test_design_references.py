@@ -1,7 +1,7 @@
 """Every lettered DESIGN.md section reference names a heading that exists.
 
 The project's documents and code point at DESIGN.md sections as ``§5j``,
-``DESIGN.md 5j`` or ``DESIGN §5n`` (and ranges such as ``§5m–5o``).  A
+``DESIGN.md 5j`` or ``DESIGN §5i`` (and ranges such as ``§5a–5f``).  A
 section that is folded or renamed away would leave such a pointer leading
 nowhere, so this test resolves every one against DESIGN.md's ``## 5j.``
 headings.  CHANGES.md is a history and stays as written; PAPER.md,
@@ -59,7 +59,7 @@ def unresolved(paths: list[Path], known: set[str]) -> list[tuple[str, str]]:
 
 def test_every_section_reference_names_a_heading():
     known = headings()
-    assert {"5a", "5j", "5n", "5o"} <= known
+    assert {"5a", "5e", "5i", "5j"} <= known
     paths = sources()
     assert sum(len(references(path.read_text(encoding="utf-8")))
                for path in paths) >= 30
@@ -70,9 +70,9 @@ def test_a_reference_to_a_missing_section_is_reported(tmp_path):
     sign = "\N{SECTION SIGN}"
     note = tmp_path / "note.md"
     design = "DESIGN.md"
-    note.write_text(f"See {sign}5j, DESIGN {sign}5n, {sign}5a\N{EN DASH}5zz "
+    note.write_text(f"See {sign}5j, DESIGN {sign}5i, {sign}5a\N{EN DASH}5zz "
                     f"and {design} 5qq.\n", encoding="utf-8")
     assert references(note.read_text(encoding="utf-8")) == [
-        "5j", "5n", "5a", "5zz", "5qq"]
+        "5j", "5i", "5a", "5zz", "5qq"]
     assert unresolved([note], headings()) == [("note.md", "5zz"),
                                               ("note.md", "5qq")]

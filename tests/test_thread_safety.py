@@ -149,7 +149,7 @@ class TestStackStaleFreshConfusion:
         # cache: the revocation evicted the decision it rested on.
         second = stack.mediate(request)
         assert not second.allowed
-        assert stack.cache_hits == 0
+        assert session.checker.cache_hits == 0
 
     def test_mid_mediation_revocation_on_the_selective_eviction_path(self):
         """PR 10 regression: dependency-indexed invalidation narrows what a
@@ -199,9 +199,9 @@ class TestStackStaleFreshConfusion:
         assert not stack.mediate(alice).allowed
         # Bob's decision was NOT collateral damage of Alice's revocation —
         # it serves a hit.
-        hits = stack.cache_hits
+        hits = session.checker.cache_hits
         assert stack.mediate(bob).allowed
-        assert stack.cache_hits == hits + 1
+        assert session.checker.cache_hits == hits + 1
 
     def test_threads_mediating_against_revocations_end_consistent(self):
         session, grant, stack = self._stack()

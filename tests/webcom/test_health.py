@@ -262,7 +262,6 @@ class TestDegradedMediation:
         stack.mediate(_request())                 # fresh -> last-known-good
         stale = stack.mediate(_request())         # degraded, stale
         assert stale.stale
-        assert stack.cache_info()["entries"] == 0
         follow_up = stack.mediate(_request())     # layer healthy again
         assert not follow_up.stale                # re-probed, not replayed
 
