@@ -178,12 +178,17 @@ class ConditionsProgram(_WeaklyReferenced):
     The program's compliance value is the join (max) of the values of all
     clauses whose tests hold.  ``compiled`` keeps the closures
     :func:`~repro.keynote.eval.compile_conditions` built for it (which do
-    not refer back to it); equality, hashing and copies ignore it.
+    not refer back to it).  On a shape, ``last_binding`` is the binding
+    :meth:`~repro.keynote.credential.Credential.build` last cut from it,
+    so credentials cut one after another with equal literals hold one
+    tuple.  Equality, hashing and copies ignore both.
     """
 
     clauses: tuple[Clause, ...]
     compiled: "CompiledConditions | None" = field(
         default=None, init=False, repr=False, compare=False)
+    last_binding: "tuple[str, ...]" = field(
+        default=(), init=False, repr=False, compare=False)
 
     def __reduce__(self) -> tuple:
         return ConditionsProgram, (self.clauses,)

@@ -108,6 +108,10 @@ class Credential(_WeaklyReferenced):
 
         The Conditions are parsed only when :data:`PROGRAMS` holds no
         shape for their template; otherwise only their literals are read.
+        When they equal the shape's ``last_binding`` the credential holds
+        that tuple, so a run of credentials cut from one template with the
+        same literals (a user's proxy renewals, say) holds one binding;
+        the shape keeps one binding at most and frees it with itself.
         Local-Constants are substituted at parse time, so a credential
         with them always parses its own program.
 
@@ -119,10 +123,14 @@ class Credential(_WeaklyReferenced):
         if constants:
             shape, binding = parse_conditions(conditions, constants), ()
         else:
-            key, binding = template(conditions)
+            key, literals = template(conditions)
             shape = PROGRAMS.get(key)
             if shape is None:
                 shape = PROGRAMS[key] = parse_shape(conditions, key)
+            binding = shape.last_binding
+            if binding != literals:
+                binding = literals
+                object.__setattr__(shape, "last_binding", binding)
         return cls(
             authorizer=sys.intern(authorizer),
             licensees=parsed_licensees,

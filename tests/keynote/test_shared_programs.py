@@ -383,6 +383,49 @@ class TestWirePath:
                 gc.enable()
 
 
+class TestSharedBindings:
+    """Credentials cut one after another from one template with equal
+    literals hold one binding tuple: the shape keeps the last binding cut
+    from it, and a credential whose literals equal it holds it."""
+
+    def test_equal_literals_hold_one_binding(self, nonce):
+        conditions = f'({TEMPLATES[1]} || op=="status") && {nonce}!="-"'
+        proxies = [Credential.build(f"Kuser{i}", f'"Kproxy{i}"', conditions,
+                                    comment=f"proxy {i}")
+                   for i in range(1000)]
+        assert len({id(proxy.binding) for proxy in proxies}) == 1
+        assert proxies[0].binding == ("submit", "run", "status", "-")
+        assert proxies[0].shape.last_binding is proxies[0].binding
+
+    def test_distinct_literals_hold_their_own(self, nonce):
+        members = [Credential.build("Kteam", f'"Kuser{i}"',
+                                    f'subject=="u{i}" && {nonce}!="-"')
+                   for i in range(1000)]
+        assert len({id(member.shape) for member in members}) == 1
+        assert len({id(member.binding) for member in members}) == 1000
+        assert [member.binding for member in members] == \
+            [(f"u{i}", "-") for i in range(1000)]
+
+    def test_recovered_credentials_share_their_binding(self, tmp_path,
+                                                       nonce):
+        node = DurablePolicyNode.recover(tmp_path)
+        node.session.add_policy(policy(nonce))
+        conditions = texts(nonce)[1]
+        for i in range(40):
+            node.session.add_credential(
+                signed(f"Kproxy{i}", conditions, f"proxy {i}"))
+        node.snapshot()
+        for i in range(40, 50):
+            node.session.add_credential(
+                signed(f"Kproxy{i}", conditions, f"proxy {i}"))
+        node.close()
+        node = DurablePolicyNode.recover(tmp_path)
+        proxies = node.session.credentials
+        assert len(proxies) == 50
+        assert len({id(proxy.binding) for proxy in proxies}) == 1
+        node.close()
+
+
 class TestLifetime:
     def test_revoking_the_last_holder_removes_the_entry(self, nonce):
         credentials = universe(6, nonce)
