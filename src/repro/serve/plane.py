@@ -20,7 +20,7 @@ require zero disagreements.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from repro.crypto.keystore import Keystore
 from repro.errors import ServeError
@@ -39,9 +39,6 @@ from repro.webcom.stack import (
     MediationRequest,
     StackDecision,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.rbac.policy import RBACPolicy
 
 #: audit records kept in memory — every mediation writes one, no wire call
 #: reads them back, and listeners (the metrics mirror) see each record as
@@ -123,26 +120,6 @@ class ServePolicyPlane:
         self.probes = 0
         self.oracle_disagreements = 0
         self._closed = False
-        # Compiled view of the ORB's RBAC content (the bitset engine,
-        # PR 8): extracted once and reused across probes, invalidated
-        # whenever a KeyCom update actually lands.
-        self._rbac_view: "RBACPolicy | None" = None
-
-    # -- compiled RBAC view ------------------------------------------------
-
-    def middleware_rbac(self) -> "RBACPolicy":
-        """The ORB's RBAC policy, extracted once and engine-compiled.
-
-        Probes used to re-extract (and the oracle to re-close) the whole
-        policy per request; the cached view keeps the compiled engine's
-        interning tables and hierarchy closure warm across probes.
-        """
-        if self._rbac_view is None:
-            self._rbac_view = self.middleware.extract_rbac()
-        return self._rbac_view
-
-    def _invalidate_rbac_view(self) -> None:
-        self._rbac_view = None
 
     # -- request plumbing --------------------------------------------------
 
@@ -225,7 +202,7 @@ class ServePolicyPlane:
         expected = self.session.values.at_least(value,
                                                 self.session.values.maximum)
         if Layer.MIDDLEWARE in self.stack.configured_layers():
-            oracle = RBACOracle.from_policy(self.middleware_rbac())
+            oracle = RBACOracle.from_policy(self.middleware.extract_rbac())
             expected = expected and oracle.check_access(
                 request.user, request.object_type, request.operation)
         agree = decision.is_degraded() or (decision.allowed == expected)
@@ -284,8 +261,6 @@ class ServePolicyPlane:
             request_id=str(params.get("request_id", "")))
         before = self.keycom.duplicates
         applied = self.keycom.submit(request)
-        if applied:
-            self._invalidate_rbac_view()
         return {"applied": applied,
                 "duplicate": self.keycom.duplicates > before,
                 "domain": request.domain, "role": request.role,
@@ -354,8 +329,6 @@ class ServePolicyPlane:
             "health": self.stack.health_snapshot(),
             "keycom": {"applied_ids": len(self.keycom.applied_ids),
                        "duplicates": self.keycom.duplicates},
-            "rbac_engine": (self._rbac_view.engine_stats()
-                            if self._rbac_view is not None else None),
         }
 
     def close(self) -> dict[str, Any]:

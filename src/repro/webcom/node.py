@@ -8,8 +8,10 @@ the result.  Authorisation hooks — the Figure 3 handshake — are injected by
 
 Scheduling is robust against a lossy fabric:
 
-- every request carries a **deadline** on the simulated clock and is
-  **retried with exponential backoff** under the *same* request id;
+- every placement — one node (``execute``) or a wavefront group for one
+  client (``execute_batch``) — runs the same ladder: send, wait out a
+  **deadline** on the simulated clock, **resend the unresolved request
+  ids with exponential backoff** under the *same* ids, abandon the rest;
 - both sides **deduplicate** by request id — a client replays its cached
   reply instead of double-running a (possibly non-idempotent) operation,
   and the master rejects duplicate or late replies for requests it no
@@ -293,7 +295,6 @@ class WebComMaster:
         self.clients: dict[str, ClientInfo] = {}
         self._results: dict[str, dict[str, Any]] = {}
         self._pending: set[str] = set()
-        self._abandoned: set[str] = set()
         self._request_seq = 0
         self._rr_counter = 0
         self._next_probe_at = 0.0
@@ -419,8 +420,9 @@ class WebComMaster:
             if attempts >= self.max_attempts:
                 break
             attempts += 1
-            result = self._attempt(info, op, args, context)
-            if result is None:
+            [reply] = self._place(info, [self._request(node, args, context)],
+                                  batched=False)
+            if reply is None:
                 # Deadline blown on every retry: mark dead (heartbeats may
                 # revive it later), try the next candidate.
                 info.alive = False
@@ -428,28 +430,11 @@ class WebComMaster:
                             client=info.client_id, op=op)
                 self._count("master.schedule.lost")
                 continue
-            if result["status"] == "denied":
+            outcome = self._settle(node, info, reply, batched=False)
+            if outcome == "ok":
+                return reply["value"]
+            if outcome == "denied":
                 last_denied = True
-                self._audit("webcom.schedule", node.node_id, "denied",
-                            client=info.client_id, op=op)
-                self._count("master.schedule.denied")
-                continue
-            if result["status"] != "ok":
-                self._audit("webcom.schedule", node.node_id, "error",
-                            client=info.client_id, op=op,
-                            error=result.get("error", result["status"]))
-                self._count("master.schedule.error")
-                continue
-            info.executed += 1
-            self.schedule_log.append((node.node_id, info.client_id))
-            stale = bool(result.get("stale"))
-            if stale:
-                self.stale_accepted += 1
-                self._count("master.schedule.stale")
-            self._audit("webcom.schedule", node.node_id, "ok",
-                        client=info.client_id, op=op, stale=stale)
-            self._count("master.schedule.ok")
-            return result["value"]
         if last_denied:
             raise AuthorisationError(
                 f"every candidate client refused operation {op!r}")
@@ -463,45 +448,111 @@ class WebComMaster:
             candidates = self.scheduler_filter(node, context, candidates)
         return self._order_candidates(candidates)
 
-    def _attempt(self, info: ClientInfo, op: str, args: tuple,
-                 context: Mapping[str, Any]) -> "dict[str, Any] | None":
-        """One placement: send, wait out the deadline, retry with backoff.
+    @staticmethod
+    def _node_context(node: GraphNode, **context: Any) -> dict[str, Any]:
+        """The scheduling context of ``node``: ``context`` plus the node's
+        placement constraint, when it has one."""
+        if node.placement is not None:
+            context["placement"] = node.placement
+        return context
 
-        Returns the reply payload, or None when the request was abandoned.
-        """
-        request_id = self._next_request_id()
-        self._pending.add(request_id)
-        payload = {
-            "request_id": request_id,
-            "op": op,
+    def _request(self, node: GraphNode, args: tuple,
+                 context: Mapping[str, Any]) -> dict[str, Any]:
+        """One request payload for ``node``, under a fresh request id."""
+        return {
+            "request_id": self._next_request_id(),
+            "op": node.operator_name,
             "args": list(args),
             "context": dict(context),
             "master_key": self.key_name,
         }
+
+    def _place(self, info: ClientInfo, requests: "list[dict[str, Any]]",
+               batched: bool) -> "list[dict[str, Any] | None]":
+        """The placement ladder: send ``requests`` to ``info``, wait out the
+        deadline, resend the unresolved ids (same ids) with backoff, and
+        abandon whatever is still unresolved after the last resend.
+
+        A batched group travels as one ``execute_batch`` envelope carrying
+        the trace context; otherwise ``requests`` holds one request, sent
+        as a plain ``execute`` with the trace context in its payload.
+        Returns one reply payload (None when abandoned) per request, in
+        order.
+        """
+        ids = [request["request_id"] for request in requests]
+        self._pending.update(ids)
+        trace_context: dict[str, Any] = {}
         if self.obs is not None:
             span = self.obs.tracer.current()
             if span is not None:
-                # Trace context rides in the payload; retried sends reuse
-                # the same payload, so every copy (and the client-side work
-                # it triggers) stays in this correlation.
-                payload["correlation_id"] = span.correlation_id
-                payload["span_id"] = span.span_id
+                # Resends carry the same trace context, so every copy (and
+                # the client-side work it triggers) stays in this
+                # correlation.
+                trace_context = {"correlation_id": span.correlation_id,
+                                 "span_id": span.span_id}
+            if batched:
+                self.obs.metrics.histogram("master.batch.size").observe(
+                    len(requests))
+        collected: dict[str, dict[str, Any]] = {}
+        outstanding = list(ids)
         timeout = self.request_timeout
         for attempt in range(self.max_retries + 1):
             if attempt and self.obs is not None:
                 self.obs.metrics.counter("master.retries").inc()
-            self.network.send(self.master_id, info.client_id, "execute",
-                              payload)
+            if batched:
+                self._count("master.batch.flights")
+                send_ids = set(outstanding)
+                kind, payload = "execute_batch", {
+                    "requests": [r for r in requests
+                                 if r["request_id"] in send_ids],
+                    **trace_context}
+            else:
+                kind, payload = "execute", {**requests[0], **trace_context}
+            self.network.send(self.master_id, info.client_id, kind, payload)
             self.network.run_until(
                 self.network.clock.now() + timeout,
-                stop=lambda: request_id in self._results)
-            result = self._results.pop(request_id, None)
-            if result is not None:
-                return result
+                stop=lambda: all(rid in self._results for rid in outstanding))
+            for rid in list(outstanding):
+                reply = self._results.pop(rid, None)
+                if reply is not None:
+                    collected[rid] = reply
+                    outstanding.remove(rid)
+            if not outstanding:
+                break
             timeout *= self.backoff
-        self._pending.discard(request_id)
-        self._abandoned.add(request_id)
-        return None
+        # An abandoned id leaves _pending, so a reply that limps in later
+        # is rejected as stale.
+        self._pending.difference_update(outstanding)
+        return [collected.get(rid) for rid in ids]
+
+    def _settle(self, node: GraphNode, info: ClientInfo,
+                reply: Mapping[str, Any], batched: bool) -> str:
+        """Book one reply for ``node`` placed on ``info``: the audit record,
+        the ``master.schedule.*`` counter and, when it ran, the client's
+        load, ``schedule_log`` and the stale flag.  Returns the outcome:
+        ``ok``, ``denied`` or ``error``."""
+        op = node.operator_name
+        batch_detail = {"batched": True} if batched else {}
+        if reply["status"] == "ok":
+            info.executed += 1
+            self.schedule_log.append((node.node_id, info.client_id))
+            stale = bool(reply.get("stale"))
+            if stale:
+                self.stale_accepted += 1
+                self._count("master.schedule.stale")
+            self._audit("webcom.schedule", node.node_id, "ok",
+                        client=info.client_id, op=op, **batch_detail,
+                        stale=stale)
+            self._count("master.schedule.ok")
+            return "ok"
+        outcome = "denied" if reply["status"] == "denied" else "error"
+        detail = batch_detail
+        if outcome == "error" and not batched:
+            detail = {"error": reply.get("error", reply["status"])}
+        self._audit("webcom.schedule", node.node_id, outcome,
+                    client=info.client_id, op=op, **detail)
+        self._count(f"master.schedule.{outcome}")
+        return outcome
 
     # -- batched scheduling ---------------------------------------------------
 
@@ -511,10 +562,11 @@ class WebComMaster:
 
         Nodes are grouped by their selected client; each group travels as
         one ``execute_batch`` message (answered by one ``result_batch``),
-        so a wavefront costs O(clients) flights instead of O(nodes).  Every
-        sub-request keeps its own request id: dedup, retry (the unresolved
-        subset is resent under the same ids) and stale-reply rejection work
-        exactly as on the single-node path.  Sub-requests that fail, are
+        so a wavefront costs O(clients) flights instead of O(nodes).  Each
+        group runs the same placement ladder as a single node, and every
+        sub-request keeps its own request id, so dedup, retry (the
+        unresolved subset is resent under the same ids) and stale-reply
+        rejection are the single-node path's.  Sub-requests that fail, are
         denied, or whose client dies fall back to
         :meth:`execute_remote`'s full placement/retry ladder.
 
@@ -534,18 +586,15 @@ class WebComMaster:
                        ) -> list[Any]:
         self._maybe_probe()
         results: list[Any] = [None] * len(items)
-        resolved = [False] * len(items)
         fallback: list[int] = []
         #: client id -> list of item indices routed to it
         assignments: dict[str, list[int]] = {}
-        contexts: dict[int, dict[str, Any]] = {}
+        contexts = [self._node_context(node, args=args)
+                    for node, args in items]
         infos: dict[str, ClientInfo] = {}
-        for index, (node, args) in enumerate(items):
-            context: dict[str, Any] = {"args": args}
-            if node.placement is not None:
-                context["placement"] = node.placement
-            contexts[index] = context
-            candidates = self._candidates(node, node.operator_name, context)
+        for index, (node, _args) in enumerate(items):
+            candidates = self._candidates(node, node.operator_name,
+                                          contexts[index])
             if not candidates:
                 # No live authorised provider right now; the fallback path
                 # re-probes and raises if that does not help.
@@ -557,9 +606,9 @@ class WebComMaster:
         for client_id in sorted(assignments):
             indices = assignments[client_id]
             info = infos[client_id]
-            replies = self._attempt_batch(
-                info, [items[i] for i in indices],
-                [contexts[i] for i in indices])
+            replies = self._place(
+                info, [self._request(*items[i], contexts[i]) for i in indices],
+                batched=True)
             if all(reply is None for reply in replies):
                 # The whole batch blew its deadline on every retry: same
                 # verdict as a lost single placement — mark the client dead
@@ -568,32 +617,13 @@ class WebComMaster:
                 self._audit("webcom.schedule.batch", client_id, "lost",
                             nodes=[items[i][0].node_id for i in indices])
                 self._count("master.schedule.lost")
-            for position, index in enumerate(indices):
-                reply = replies[position]
-                node = items[index][0]
-                if reply is None or reply["status"] != "ok":
-                    if reply is not None:
-                        outcome = ("denied" if reply["status"] == "denied"
-                                   else "error")
-                        self._audit("webcom.schedule", node.node_id, outcome,
-                                    client=client_id, op=node.operator_name,
-                                    batched=True)
-                        self._count(f"master.schedule.{outcome}")
-                    self._count("master.batch.fallback")
-                    fallback.append(index)
+            for index, reply in zip(indices, replies):
+                if (reply is not None and self._settle(
+                        items[index][0], info, reply, batched=True) == "ok"):
+                    results[index] = reply["value"]
                     continue
-                info.executed += 1
-                self.schedule_log.append((node.node_id, client_id))
-                stale = bool(reply.get("stale"))
-                if stale:
-                    self.stale_accepted += 1
-                    self._count("master.schedule.stale")
-                self._audit("webcom.schedule", node.node_id, "ok",
-                            client=client_id, op=node.operator_name,
-                            batched=True, stale=stale)
-                self._count("master.schedule.ok")
-                results[index] = reply["value"]
-                resolved[index] = True
+                self._count("master.batch.fallback")
+                fallback.append(index)
         # Unresolved nodes go through the robust single-node ladder (fresh
         # request ids, full placement retries); it raises when a node truly
         # cannot run, preserving the unbatched error semantics.
@@ -601,68 +631,7 @@ class WebComMaster:
             node, args = items[index]
             results[index] = self._execute_remote(node, args,
                                                   contexts[index])
-            resolved[index] = True
-        assert all(resolved)
         return results
-
-    def _attempt_batch(self, info: ClientInfo,
-                       node_args: "list[tuple[GraphNode, tuple]]",
-                       contexts: "list[dict[str, Any]]",
-                       ) -> "list[dict[str, Any] | None]":
-        """One batched placement: send the group, wait, resend the
-        unresolved subset (same request ids) with backoff.
-
-        Returns one reply payload (or None for abandoned) per item, in
-        order.
-        """
-        requests = []
-        ids: list[str] = []
-        for (node, args), context in zip(node_args, contexts):
-            request_id = self._next_request_id()
-            ids.append(request_id)
-            self._pending.add(request_id)
-            requests.append({
-                "request_id": request_id,
-                "op": node.operator_name,
-                "args": list(args),
-                "context": dict(context),
-                "master_key": self.key_name,
-            })
-        trace_context: dict[str, Any] = {}
-        if self.obs is not None:
-            span = self.obs.tracer.current()
-            if span is not None:
-                trace_context = {"correlation_id": span.correlation_id,
-                                 "span_id": span.span_id}
-            self.obs.metrics.histogram("master.batch.size").observe(
-                len(requests))
-        collected: dict[str, dict[str, Any]] = {}
-        outstanding = list(ids)
-        timeout = self.request_timeout
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.obs is not None:
-                self.obs.metrics.counter("master.retries").inc()
-            send_ids = set(outstanding)
-            self._count("master.batch.flights")
-            self.network.send(self.master_id, info.client_id, "execute_batch",
-                              {"requests": [r for r in requests
-                                            if r["request_id"] in send_ids],
-                               **trace_context})
-            self.network.run_until(
-                self.network.clock.now() + timeout,
-                stop=lambda: all(rid in self._results for rid in outstanding))
-            for rid in list(outstanding):
-                reply = self._results.pop(rid, None)
-                if reply is not None:
-                    collected[rid] = reply
-                    outstanding.remove(rid)
-            if not outstanding:
-                break
-            timeout *= self.backoff
-        for rid in outstanding:
-            self._pending.discard(rid)
-            self._abandoned.add(rid)
-        return [collected.get(rid) for rid in ids]
 
     def run_graph(self, graph: CondensedGraph, inputs: Mapping[str, Any],
                   mode: EvaluationMode = EvaluationMode.AVAILABILITY,
@@ -681,10 +650,8 @@ class WebComMaster:
         """
 
         def executor(node: GraphNode, args: tuple) -> Any:
-            context = {"args": args}
-            if node.placement is not None:
-                context["placement"] = node.placement
-            return self.execute_remote(node, args, context)
+            return self.execute_remote(node, args,
+                                       self._node_context(node, args=args))
 
         resume = None
         if checkpoint is not None and checkpoint.completed:
@@ -730,11 +697,9 @@ class WebComMaster:
                 # it originally fired.
                 resumable[node_id] = completed[node_id]
                 continue
-            context: dict[str, Any] = {"resume": True}
-            if node.placement is not None:
-                context["placement"] = node.placement
             authorised = self.scheduler_filter(
-                node, context, self.eligible_clients(node.operator_name))
+                node, self._node_context(node, resume=True),
+                self.eligible_clients(node.operator_name))
             if authorised:
                 self._audit("webcom.resume", node_id, "allow",
                             op=node.operator_name)

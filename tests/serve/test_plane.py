@@ -52,6 +52,25 @@ class TestEveryLayerIsAskedEveryTime:
         assert plane.status()["cache"]["hits"] == 1
 
 
+class TestProbeReadsTheLiveOrb:
+    def test_probe_after_a_direct_orb_change_agrees(self):
+        """The probe's RBAC oracle reads the ORB as it is now: an
+        assignment removed between two probes denies in production and in
+        the oracle alike."""
+        plane = _licensed_plane(plug_middleware=True)
+        orb = plane.middleware
+        orb.apply_grant(Grant(orb.domain, "r", "Job", "submit"))
+        orb.apply_assignment(Assignment("alice", orb.domain, "r"))
+        first = plane.probe(JOB_SUBMIT)
+        assert first["allowed"] and first["agree"]
+        assert orb.remove_assignment(Assignment("alice", orb.domain, "r"))
+        second = plane.probe(JOB_SUBMIT)
+        assert not second["allowed"]
+        assert not second["oracle_allowed"]
+        assert second["agree"]
+        assert plane.status()["oracle_disagreements"] == 0
+
+
 class TestNoPerRequestState:
     def test_distinct_mediations_leave_no_last_good_entries(self):
         plane = _licensed_plane()

@@ -8,7 +8,10 @@ fault-injected retries all share the run's correlation id.
 
 import pytest
 
-from repro.webcom.scenario import run_observed_scenario
+from repro.crypto.keys import KeyPair
+from repro.crypto.keystore import SIGNATURE_CACHE
+from repro.webcom.scenario import (run_observed_scenario,
+                                   run_policy_chaos_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +150,21 @@ class TestFaultedRun:
                 for s in faulted_run.obs.tracer.spans]
         assert again.obs.metrics.snapshot() == \
                faulted_run.obs.metrics.snapshot()
+
+
+class TestFinishedRunsLetGoOfTheSignatureCache:
+    @pytest.mark.parametrize("scenario", [
+        lambda: run_observed_scenario(depth=2, n_clients=1),
+        lambda: run_policy_chaos_scenario(0, rounds=5, updates=2),
+    ], ids=["observed", "policy-chaos"])
+    def test_later_signature_checks_leave_the_run_metrics_alone(
+            self, scenario):
+        """The signature cache is process-wide; a run counts its checks
+        into its own metrics only while it runs."""
+        run = scenario()
+        before = run.obs.metrics.snapshot()
+        pair = KeyPair.generate("checked after the run")
+        message = b"an unrelated signature check"
+        assert SIGNATURE_CACHE.verify(pair.public, message,
+                                      pair.sign(message))
+        assert run.obs.metrics.snapshot() == before
