@@ -8,8 +8,8 @@ needs sign/verify semantics (including rejection of forgeries), not
 resistance to a funded adversary.
 
 Powers of the generator go through a fixed-base comb
-(:meth:`SchnorrGroup.exp`): one lazily built table of ``g^(d * 256^i)``
-turns ``g^e`` into at most one multiplication per exponent byte.  Neither
+(:meth:`SchnorrGroup.exp`): one lazily built table of ``g^(d * 16^i)``
+turns ``g^e`` into at most one multiplication per exponent nibble.  Neither
 the comb nor the ``pow`` it replaces runs in constant time, so no
 side-channel claim is made or lost.
 """
@@ -21,6 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.crypto.prime import is_probable_prime
+
+#: bits of the exponent one comb row covers: a row holds ``2**COMB_BITS``
+#: powers, so the default group's table is 40 rows of 16 (640 ints, about
+#: 60 KB) and ``g^e`` costs at most 40 multiplications
+COMB_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -55,19 +60,21 @@ class SchnorrGroup:
 
     @cached_property
     def _comb(self) -> tuple[tuple[int, ...], ...]:
-        """Row ``i`` holds ``g^(d * 256^i)`` for every byte value ``d``.
+        """Row ``i`` holds ``g^(d * 16^i)`` for every digit ``d`` < 16.
 
-        Built once per group on first use: one row per byte of ``q``
-        (20 x 256 entries, about 5k multiplications for the default group).
+        Built once per group on first use: one row per :data:`COMB_BITS`
+        bits of ``q`` (40 x 16 entries, about 600 multiplications for the
+        default group).
         """
+        radix = 1 << COMB_BITS
         rows = []
         base = self.g
-        for _ in range((self.q.bit_length() + 7) // 8):
-            row = [1] * 256
-            for digit in range(1, 256):
+        for _ in range(-(-self.q.bit_length() // COMB_BITS)):
+            row = [1] * radix
+            for digit in range(1, radix):
                 row[digit] = row[digit - 1] * base % self.p
             rows.append(tuple(row))
-            base = row[255] * base % self.p
+            base = row[-1] * base % self.p
         return tuple(rows)
 
     def exp(self, exponent: int) -> int:
@@ -76,12 +83,14 @@ class SchnorrGroup:
         The exponent is reduced mod q first, which is exact because g has
         order q; a negative exponent therefore needs no special case.
         """
-        comb = self._comb
-        digits = (exponent % self.q).to_bytes(len(comb), "little")
+        rest = exponent % self.q
+        mask = (1 << COMB_BITS) - 1
         result, p = 1, self.p
-        for row, digit in zip(comb, digits):
+        for row in self._comb:
+            digit = rest & mask
             if digit:
                 result = result * row[digit] % p
+            rest >>= COMB_BITS
         return result
 
     def hash_to_exponent(self, *parts: bytes) -> int:

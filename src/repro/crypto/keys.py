@@ -22,6 +22,11 @@ from repro.errors import InvalidSignatureError, KeyFormatError
 KEY_PREFIX = "kn-schnorr-hex"
 SIG_PREFIX = "sig-schnorr-sha256-hex"
 
+#: decoded keys :func:`_decode_public` keeps, least recently used out
+#: first: room for the signers that sign again and again (org and team
+#: keys, a KeyCom admin), not one entry per proxy-issuing user key
+KEY_MEMO_SIZE = 256
+
 
 @dataclass(frozen=True, slots=True)
 class Signature:
@@ -66,7 +71,7 @@ class PublicKey:
         """Parse the textual form.
 
         Goes through :func:`_decode_public`, so the subgroup-membership
-        check runs once per distinct key, not once per credential.
+        check runs once per recently seen key, not once per credential.
 
         :raises KeyFormatError: if the text is malformed or the point is not
             in the group.
@@ -148,13 +153,15 @@ class KeyPair:
         return self.private.sign(message)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=KEY_MEMO_SIZE)
 def _decode_public(text: str, group: SchnorrGroup) -> PublicKey:
     """Parse and validate an encoded public key, memoised per (text, group).
 
     A raised :class:`KeyFormatError` is not cached, so malformed or
     non-member keys are rejected afresh on every call; only keys that pass
-    the membership test are remembered, and at most ``maxsize`` of them.
+    the membership test are remembered, and at most
+    :data:`KEY_MEMO_SIZE` of them: an evicted key is checked again on its
+    next decode.
     """
     prefix, _, body = text.partition(":")
     if prefix != KEY_PREFIX or not body:
@@ -166,6 +173,13 @@ def _decode_public(text: str, group: SchnorrGroup) -> PublicKey:
     if not group.contains(y):
         raise KeyFormatError("public key is not a group element")
     return PublicKey(y=y, group=group)
+
+
+def key_memo_info() -> dict[str, int]:
+    """The decode memo's held ``entries`` (at most :data:`KEY_MEMO_SIZE`)
+    and its ``misses``: keys parsed and subgroup-checked so far."""
+    info = _decode_public.cache_info()
+    return {"entries": info.currsize, "misses": info.misses}
 
 
 def _int_bytes(value: int, modulus: int) -> bytes:

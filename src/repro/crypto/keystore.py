@@ -8,31 +8,27 @@ It plays the role of the "System PKI" box in Figure 3.
 
 :class:`SignatureVerificationCache` memoises the (deterministic) outcome of
 Schnorr signature verification by one digest of ``(group, key, message,
-signature)``: a credential's bytes are verified once per process, not once
-per compliance-checker build, and at most :data:`SIGNATURE_CACHE_SIZE`
-outcomes are kept, least recently used out first.  The shared
-:data:`SIGNATURE_CACHE` instance is what :meth:`Credential.verify
-<repro.keynote.credential.Credential.verify>` consults; bind a metrics registry to surface ``crypto.sigverify.hit`` /
-``crypto.sigverify.miss`` counters.
+signature)``, keeping at most :data:`SIGNATURE_CACHE_SIZE` outcomes, least
+recently used out first.  It is for callers that keep no verdict of their
+own: the shared :data:`SIGNATURE_CACHE` instance serves one-shot
+:func:`~repro.keynote.compliance.evaluate_query` calls and the
+translator's presented credentials.  A compliance checker keeps each
+credential's verdict on its own entry and never consults it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.crypto.keys import KeyPair, PublicKey, Signature
 from repro.errors import UnknownKeyError
 from repro.util.lru import LRUCache
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
-
-#: outcomes a cache keeps before evicting the least recently used — every
-#: proxy renewal and KeyCom install presents a new signature, so a
-#: long-lived daemon would otherwise keep one entry per credential it ever
-#: saw (the same bound as the public-key decode memo)
+#: outcomes a cache keeps before evicting the least recently used: a
+#: caller that presents ever new credentials would otherwise keep one
+#: entry per credential it ever saw
 SIGNATURE_CACHE_SIZE = 4096
 
 
@@ -48,10 +44,10 @@ class SignatureVerificationCache:
     used is evicted (counted in :attr:`evictions`); an evicted signature
     simply verifies again, as a miss.
 
-    The shared process-wide instance is consulted by every concurrent serve
-    handler (and by test harnesses running checkers from worker threads), so
-    lookups, inserts, counter bumps and :meth:`clear` are serialised under
-    one lock.  The Schnorr verification itself runs *outside* the lock —
+    The shared process-wide instance may be consulted from several
+    threads at once (one-shot queries from worker threads), so lookups,
+    inserts, counter bumps and :meth:`clear` are serialised under one
+    lock.  The Schnorr verification itself runs *outside* the lock —
     it is pure, so two racing misses at worst both verify and store the
     same value.
 
@@ -64,12 +60,7 @@ class SignatureVerificationCache:
         self._cache: LRUCache[bytes, bool] = LRUCache(SIGNATURE_CACHE_SIZE)
         self.hits = 0
         self.misses = 0
-        self._metrics: "MetricsRegistry | None" = None
         self._lock = threading.Lock()
-
-    def bind_metrics(self, metrics: "MetricsRegistry | None") -> None:
-        """Mirror future hits/misses into ``crypto.sigverify.*`` counters."""
-        self._metrics = metrics
 
     def verify(self, public: PublicKey, message: bytes,
                signature: Signature) -> bool:
@@ -79,16 +70,8 @@ class SignatureVerificationCache:
             cached = self._cache.get(key)
             if cached is not None:
                 self.hits += 1
-                metrics = self._metrics
-            else:
-                self.misses += 1
-                metrics = self._metrics
-        if cached is not None:
-            if metrics is not None:
-                metrics.counter("crypto.sigverify.hit").inc()
-            return cached
-        if metrics is not None:
-            metrics.counter("crypto.sigverify.miss").inc()
+                return cached
+            self.misses += 1
         result = public.verify(message, signature)
         with self._lock:
             self._cache.put(key, result)
@@ -134,7 +117,7 @@ def _verification_key(public: PublicKey, message: bytes,
     return digest.digest()
 
 
-#: the process-wide cache credentials verify through by default
+#: the process-wide cache for callers that keep no verdict of their own
 SIGNATURE_CACHE = SignatureVerificationCache()
 
 

@@ -31,11 +31,11 @@ Hot-path machinery (the authorisation fast path):
   the credential's own binding;
 - *deferred signature checks*: in non-strict mode construction resolves
   each signed credential's key but does not verify it.  The fixpoint checks
-  an assertion (through the process-wide signature cache) the first time
-  its conditions rise above the minimum, before reading its licensees; an
-  assertion whose conditions give the minimum contributes the minimum
-  whatever its signature, so skipping the check there changes no value.  A
-  bad assertion leaves the index and stays held as
+  an assertion (its verdict is kept on the entry, nowhere else) the first
+  time its conditions rise above the minimum, before reading its
+  licensees; an assertion whose conditions give the minimum contributes
+  the minimum whatever its signature, so skipping the check there changes
+  no value.  A bad assertion leaves the index and stays held as
   :attr:`ComplianceChecker.discarded`, exactly as if construction had
   dropped it, and :meth:`ComplianceChecker.verify_pending` settles the rest
   in the background.  :meth:`ComplianceChecker.add_assertion` defers too
@@ -115,7 +115,7 @@ from typing import (
 )
 from weakref import ref
 
-from repro.crypto.keystore import Keystore
+from repro.crypto.keystore import SIGNATURE_CACHE, Keystore
 from repro.errors import ComplianceError, CredentialError, KeyNoteSyntaxError
 from repro.keynote.credential import Credential
 from repro.keynote.eval import CompiledConditions, compile_conditions
@@ -590,7 +590,7 @@ class ComplianceChecker:
     def _prepare(self, assertion: Credential, lazy: bool = False,
                  discard_uncompiled: bool = False,
                  ) -> "_Prepared | None":
-        """Verify (through the signature cache) and compile one assertion;
+        """Verify (the entry keeps the verdict) and compile one assertion;
         None when its signature is rejected in non-strict mode, or with
         ``discard_uncompiled`` when its Conditions do not compile.
 
@@ -1167,15 +1167,28 @@ def evaluate_query(assertions: Sequence[Credential],
                    strict: bool = False) -> str:
     """One-shot query without building a checker explicitly.
 
-    ``strict`` behaves exactly as on :class:`ComplianceChecker`, so a
-    one-shot query is indistinguishable from an explicitly built checker
-    with the same options.  Signature
-    verification rides the process-wide cache
-    (:data:`~repro.crypto.keystore.SIGNATURE_CACHE`): repeated one-shot
-    calls over the same credentials verify each signature once, not once
-    per call.
+    ``strict`` behaves as on :class:`ComplianceChecker`: a bad signature
+    raises :class:`~repro.errors.CredentialError`, and is otherwise left
+    out, so a one-shot query returns what an explicitly built checker
+    with the same options would.  (A strict call checks every signature
+    before it compiles any Conditions, so when one credential is badly
+    signed and another does not compile, the signature is reported.)
+    A one-shot checker keeps no verdict past the call, so the signatures
+    are screened through the process-wide
+    :data:`~repro.crypto.keystore.SIGNATURE_CACHE` before it is built:
+    repeated one-shot calls over the same credentials verify each
+    signature once, not once per call.
     """
-    checker = ComplianceChecker(assertions=list(assertions), keystore=keystore,
-                                verify_signatures=verify_signatures,
-                                strict=strict)
+    if verify_signatures:
+        screened = []
+        for assertion in assertions:
+            if assertion.verify(keystore, SIGNATURE_CACHE):
+                screened.append(assertion)
+            elif strict:
+                raise CredentialError(
+                    f"invalid signature on credential by "
+                    f"{assertion.authorizer!r}")
+        assertions = screened
+    checker = ComplianceChecker(assertions, keystore=keystore,
+                                verify_signatures=False, strict=strict)
     return checker.query(attributes, authorizers, values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from weakref import WeakValueDictionary
 
 from repro.crypto.keys import PrivateKey, PublicKey, Signature
-from repro.crypto.keystore import SIGNATURE_CACHE, Keystore
+from repro.crypto.keystore import Keystore
 from repro.errors import CredentialError, KeyNoteSyntaxError
 from repro.keynote.ast import ConditionsProgram, _WeaklyReferenced, bind
 from repro.keynote.licensees import LicenseeExpr, licensees_to_text, parse_licensees
@@ -261,10 +261,10 @@ class Credential(_WeaklyReferenced):
 
         Policy assertions are vacuously valid.  For signed credentials the
         authorizer must be an encoded key, or resolvable through the
-        keystore.  The Schnorr verification itself goes through the
-        process-wide :data:`~repro.crypto.keystore.SIGNATURE_CACHE` (or the
-        ``cache`` argument), so a credential's bytes are verified once, not
-        once per compliance-checker build.
+        keystore.  The Schnorr check runs on every call unless ``cache``
+        (a :class:`~repro.crypto.keystore.SignatureVerificationCache`)
+        remembers its outcome: a caller that keeps no verdict of its own
+        passes :data:`~repro.crypto.keystore.SIGNATURE_CACHE`.
         """
         if self.is_policy:
             return True
@@ -294,15 +294,16 @@ class Credential(_WeaklyReferenced):
 
     def verify_as(self, signer: "PublicKey | str", cache=None) -> bool:
         """Verify the signature under ``signer`` (as returned by
-        :meth:`signer`), through the signature cache."""
+        :meth:`signer`), through ``cache`` when one is given."""
         try:
             public = (signer if isinstance(signer, PublicKey)
                       else PublicKey.decode(signer))
             signature = Signature.decode(self.signature)
         except Exception:
             return False
-        verifier = cache if cache is not None else SIGNATURE_CACHE
-        return verifier.verify(public, self.canonical_bytes(), signature)
+        if cache is None:
+            return public.verify(self.canonical_bytes(), signature)
+        return cache.verify(public, self.canonical_bytes(), signature)
 
     def verify_or_raise(self, keystore: Keystore | None = None) -> None:
         """Like :meth:`verify` but raising.

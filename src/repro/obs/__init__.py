@@ -3,7 +3,7 @@
 The stacked-authorisation story of the paper (Section 5, Figure 10) is only
 operationally credible when every decision is attributable: which layer
 denied, under which credentials, at what simulated time, at what cost.  This
-package provides the three pieces the rest of the framework threads through
+package provides the pieces the rest of the framework threads through
 its decision paths:
 
 - :mod:`repro.obs.trace` — spans with parent/child structure and correlation
@@ -11,65 +11,41 @@ its decision paths:
   client-side stack mediation it triggered share one trace;
 - :mod:`repro.obs.metrics` — counters, gauges and histograms keyed on the
   simulated clock (memo hits, per-layer verdicts, node firing latency);
-- :mod:`repro.obs.export` — JSON and flamegraph-style text export.
+- :mod:`repro.obs.export` — JSON and flamegraph-style text export;
+- :mod:`repro.obs.observability` — one tracer and one metrics registry
+  over one clock, the object the rest of the framework is handed.
 
 Everything is driven by the :class:`~repro.util.clock.SimulatedClock`, so
 traces are deterministic and replayable, exactly like the network they
-observe.
+observe.  Components share one :class:`Observability`:
+
+>>> from repro.obs import Observability
+>>> obs = Observability()
+>>> with obs.tracer.span("demo"):
+...     _ = obs.metrics.counter("demo.events").inc()
+>>> obs.metrics.counter("demo.events").value
+1
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_facade
 
-from repro.obs.export import (
-    export_bundle,
-    export_json,
-    metrics_to_dict,
-    render_metrics,
-    render_trace,
-    spans_to_dicts,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import Span, Tracer
-from repro.util.clock import SimulatedClock
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "Observability": "observability",
+    "Span": "trace",
+    "Tracer": "trace",
+    "export_bundle": "export",
+    "export_json": "export",
+    "metrics_to_dict": "export",
+    "render_metrics": "export",
+    "render_trace": "export",
+    "spans_to_dicts": "trace",
+}
 
+__all__ = list(_EXPORTS)
 
-class Observability:
-    """One tracer + one metrics registry over one simulated clock.
-
-    This is the object the WebCom environment, network, master, clients and
-    sessions all share: because they observe through the same instance, their
-    spans interleave into one correlated trace.
-
-    >>> obs = Observability()
-    >>> with obs.tracer.span("demo"):
-    ...     _ = obs.metrics.counter("demo.events").inc()
-    >>> obs.metrics.counter("demo.events").value
-    1
-    """
-
-    def __init__(self, clock: SimulatedClock | None = None) -> None:
-        self.clock = clock or SimulatedClock()
-        self.tracer = Tracer(self.clock)
-        self.metrics = MetricsRegistry(self.clock)
-
-    def reset(self) -> None:
-        """Drop all recorded spans and metric values (the clock runs on)."""
-        self.tracer.reset()
-        self.metrics.reset()
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Observability",
-    "Span",
-    "Tracer",
-    "export_bundle",
-    "export_json",
-    "metrics_to_dict",
-    "render_metrics",
-    "render_trace",
-    "spans_to_dicts",
-]
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

@@ -19,27 +19,12 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.trace import Span
+from repro.obs.trace import Span, spans_to_dicts
 from repro.util.text import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
     from repro.obs.metrics import MetricsRegistry
-
-
-def spans_to_dicts(spans: Iterable[Span]) -> list[dict[str, Any]]:
-    """Serialise spans (start order preserved)."""
-    return [{
-        "span_id": s.span_id,
-        "name": s.name,
-        "correlation_id": s.correlation_id,
-        "parent_id": s.parent_id,
-        "start": s.start,
-        "end": s.end,
-        "duration": s.duration,
-        "status": s.status,
-        "attributes": dict(s.attributes),
-    } for s in spans]
 
 
 def metrics_to_dict(registry: "MetricsRegistry") -> dict[str, Any]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.util.clock import SimulatedClock
 from repro.util.ids import IdGenerator
@@ -202,3 +202,18 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+
+def spans_to_dicts(spans: Iterable[Span]) -> list[dict[str, Any]]:
+    """Serialise spans (start order preserved)."""
+    return [{
+        "span_id": s.span_id,
+        "name": s.name,
+        "correlation_id": s.correlation_id,
+        "parent_id": s.parent_id,
+        "start": s.start,
+        "end": s.end,
+        "duration": s.duration,
+        "status": s.status,
+        "attributes": dict(s.attributes),
+    } for s in spans]

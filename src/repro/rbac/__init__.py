@@ -14,31 +14,25 @@ substrates rely on: role hierarchies, sessions, separation-of-duty
 constraints, and policy diff/merge for maintenance.
 """
 
-from repro.rbac.constraints import SoDConstraint
-from repro.rbac.diff import PolicyDelta, diff_policies, merge_policies
-from repro.rbac.hierarchy import RoleHierarchy
-from repro.rbac.model import (
-    Assignment,
-    DomainRole,
-    Grant,
-    ObjectType,
-    Permission,
-)
-from repro.rbac.policy import RBACPolicy
-from repro.rbac.sessions import Session, SessionManager
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "Assignment",
-    "DomainRole",
-    "Grant",
-    "ObjectType",
-    "Permission",
-    "PolicyDelta",
-    "RBACPolicy",
-    "RoleHierarchy",
-    "Session",
-    "SessionManager",
-    "SoDConstraint",
-    "diff_policies",
-    "merge_policies",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "Assignment": "model",
+    "DomainRole": "model",
+    "Grant": "model",
+    "ObjectType": "model",
+    "Permission": "model",
+    "PolicyDelta": "diff",
+    "RBACPolicy": "policy",
+    "RoleHierarchy": "hierarchy",
+    "Session": "sessions",
+    "SessionManager": "sessions",
+    "SoDConstraint": "constraints",
+    "diff_policies": "diff",
+    "merge_policies": "diff",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

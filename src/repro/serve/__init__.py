@@ -12,37 +12,28 @@ the :class:`~repro.util.clock.Clock` abstraction, so the same stack,
 session, KeyCom service and durable store run under either timescale.
 """
 
-from repro.serve.client import ServeCallError, ServeClient
-from repro.serve.pidfile import PidFile
-from repro.serve.plane import ServePolicyPlane, decision_to_dict
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    classify,
-    decode_frame,
-    encode_frame,
-    error_response,
-    make_event,
-    make_request,
-    ok_response,
-)
-from repro.serve.server import PeerInfo, ReproServer
+from repro._lazy import lazy_facade
 
-__all__ = [
-    "MAX_LINE_BYTES",
-    "PROTOCOL_VERSION",
-    "PeerInfo",
-    "PidFile",
-    "ReproServer",
-    "ServeCallError",
-    "ServeClient",
-    "ServePolicyPlane",
-    "classify",
-    "decision_to_dict",
-    "decode_frame",
-    "encode_frame",
-    "error_response",
-    "make_event",
-    "make_request",
-    "ok_response",
-]
+#: public name -> the submodule defining it, imported on first read
+_EXPORTS = {
+    "MAX_LINE_BYTES": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "PeerInfo": "server",
+    "PidFile": "pidfile",
+    "ReproServer": "server",
+    "ServeCallError": "client",
+    "ServeClient": "client",
+    "ServePolicyPlane": "plane",
+    "classify": "protocol",
+    "decision_to_dict": "plane",
+    "decode_frame": "protocol",
+    "encode_frame": "protocol",
+    "error_response": "protocol",
+    "make_event": "protocol",
+    "make_request": "protocol",
+    "ok_response": "protocol",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_facade(__name__, _EXPORTS)

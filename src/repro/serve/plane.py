@@ -22,6 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.crypto.keys import key_memo_info
 from repro.crypto.keystore import Keystore
 from repro.errors import ServeError
 from repro.keynote.api import KeyNoteSession
@@ -307,7 +308,8 @@ class ServePolicyPlane:
         """Serialisable plane state.  ``cache`` is the trust-management
         decision cache (the plane's one) in the stack cache's old four
         keys, which the benchmark still reads; ``tm_cache`` has all of
-        the checker's counters."""
+        the checker's counters; ``key_memo`` is the process-wide public-key
+        decode memo (:func:`~repro.crypto.keys.key_memo_info`)."""
         tm_cache = self.session.checker_cache_info()
         return {
             "timescale": self.clock.timescale,
@@ -324,6 +326,7 @@ class ServePolicyPlane:
                       "misses": tm_cache["misses"],
                       "invalidated": tm_cache["selective_evictions"]},
             "tm_cache": tm_cache,
+            "key_memo": key_memo_info(),
             "audit": {"retained": len(self.audit),
                       "recorded": self.audit.recorded},
             "health": self.stack.health_snapshot(),

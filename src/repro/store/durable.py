@@ -56,7 +56,7 @@ from repro.store.snapshot import SnapshotStore
 from repro.store.wal import CrashHook, WriteAheadLog
 from repro.translate.propagate import PropagationEngine, VersionedUpdate
 from repro.util.clock import SimulatedClock
-from repro.webcom.keycom import KeyComService
+from repro.webcom.keycom import AppliedIds, KeyComService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -214,7 +214,7 @@ def restore_policy(recovered: RecoveredState, name: str = "policy",
 def keycom_state(service: KeyComService) -> dict[str, Any]:
     """The snapshot form of a KeyCom service's install history."""
     return {
-        "applied_ids": sorted(service.applied_ids),
+        "applied_ids": list(service.applied_ids),
         "assignments": [[a.user, a.domain, a.role] for a in
                         sorted(service.middleware.extract_rbac()
                                .assignments)],
@@ -227,15 +227,16 @@ def restore_keycom(recovered: RecoveredState, middleware: Middleware,
                    **service_kwargs: Any) -> KeyComService:
     """Rebuild a :class:`KeyComService` and its administered middleware.
 
-    The snapshot holds the installed assignments and the applied request
-    ids; ``keycom.apply`` tail records replay on top, deduplicated by
-    request id — a record whose id the service already applied (from the
-    snapshot or an earlier record, e.g. a torn retry double-appended by a
-    crashing client) is skipped, so replay is idempotent.
+    The snapshot holds the installed assignments and the window of
+    applied request ids, oldest first; ``keycom.apply`` tail records
+    replay on top, deduplicated by request id — a record whose id the
+    window holds (from the snapshot or an earlier record, e.g. a torn
+    retry double-appended by a crashing client) is skipped, so replay is
+    idempotent and rebuilds the window the service had.
     """
     service = KeyComService(middleware, session, **service_kwargs)
     state = recovered.state.get("keycom", {})
-    service.applied_ids = set(state.get("applied_ids", []))
+    service.applied_ids = AppliedIds(state.get("applied_ids", []))
     for user, domain, role in state.get("assignments", []):
         middleware.apply_assignment(Assignment(user, domain, role))
     for record in _tail(recovered, ("keycom.apply",)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.crypto.keystore import Keystore
+from repro.crypto.keystore import SIGNATURE_CACHE, Keystore
 from repro.errors import ComprehensionError, UnknownKeyError
 from repro.keynote.credential import Credential
 from repro.keynote.licensees import Principal
@@ -128,12 +128,15 @@ def comprehend_credentials(credentials: Iterable[Credential],
 
     POLICY assertions contribute grants; signed membership credentials
     contribute assignments.  Credentials with invalid signatures are skipped
-    (matching the compliance checker's behaviour).  Pass ``audit`` to
+    (matching the compliance checker's behaviour); their outcomes are
+    remembered in :data:`~repro.crypto.keystore.SIGNATURE_CACHE`, since
+    nothing here keeps a verdict.  Pass ``audit`` to
     surface ``translate.resolve_failed`` events for unresolvable licensees.
     """
     policy = RBACPolicy(name)
     for credential in credentials:
-        if verify_signatures and not credential.verify(keystore):
+        if verify_signatures and not credential.verify(keystore,
+                                                         SIGNATURE_CACHE):
             continue
         if credential.is_policy:
             comprehend_policy(credential, policy, app_domain)

@@ -185,9 +185,17 @@ class GraphEngine:
         if self.obs is None:
             results = self.batch_executor(items)
         else:
+            clock = self.obs.clock
             with self.obs.tracer.span("engine.fire_batch", size=len(items),
                                       nodes=",".join(plain)):
+                started = clock.now()
                 results = self.batch_executor(items)
+                elapsed = clock.now() - started
+            # Every node of the batch waited for the whole flight: one
+            # sample each, the batch's duration.
+            latency = self.obs.metrics.histogram("engine.node_latency")
+            for _ in items:
+                latency.observe(elapsed)
             self.obs.metrics.counter("engine.fired").inc(len(items))
         if len(results) != len(items):
             raise SchedulingError(

@@ -20,6 +20,7 @@ human administrator.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,6 +39,44 @@ if TYPE_CHECKING:  # pragma: no cover
 #: each holds its parsed credentials, and a long-lived daemon evaluates
 #: one per install
 PROCESSED_WINDOW = 64
+#: applied request ids :attr:`KeyComService.applied_ids` keeps, newest
+#: last: a re-delivery of one of them is acknowledged without touching the
+#: middleware; an older one is evaluated afresh
+APPLIED_WINDOW = 1024
+
+
+class AppliedIds(Set):
+    """The newest :data:`APPLIED_WINDOW` applied request ids, in the order
+    they were applied; adding one more drops the oldest.
+
+    >>> ids = AppliedIds(["r1", "r2"])
+    >>> "r1" in ids, list(ids)
+    (True, ['r1', 'r2'])
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: Iterable[str] = ()) -> None:
+        self._ids: dict[str, None] = {}
+        for request_id in ids:
+            self.add(request_id)
+
+    def add(self, request_id: str) -> None:
+        """Record ``request_id`` as the newest, dropping the oldest past
+        the window.  An id already held keeps its place."""
+        ids = self._ids
+        ids[request_id] = None
+        while len(ids) > APPLIED_WINDOW:
+            del ids[next(iter(ids))]
+
+    def __contains__(self, request_id: object) -> bool:
+        return request_id in self._ids
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 @dataclass(frozen=True)
@@ -127,9 +166,13 @@ class KeyComService:
         #: window; the audit log records every one)
         self.processed: deque[tuple[PolicyUpdateRequest, bool]] = deque(
             maxlen=PROCESSED_WINDOW)
-        #: request ids already applied successfully — re-delivery of the
-        #: same id is acknowledged without touching the middleware again
-        self.applied_ids: set[str] = set()
+        #: the newest request ids applied successfully — re-delivery of
+        #: one of them is acknowledged without touching the middleware
+        #: again; a retry older than :data:`APPLIED_WINDOW` installs is
+        #: evaluated afresh (re-applying an assignment the middleware
+        #: already holds changes nothing, and credentials revoked since
+        #: make it a rejection)
+        self.applied_ids = AppliedIds()
         self.duplicates = 0
 
     def submit(self, request: PolicyUpdateRequest) -> bool:

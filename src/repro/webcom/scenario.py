@@ -13,10 +13,8 @@ artifact are all thin wrappers over :func:`run_observed_scenario`.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.crypto.keystore import SIGNATURE_CACHE
 from repro.middleware.ejb import EJBServer
 from repro.obs import Observability
 from repro.rbac.diff import PolicyDelta
@@ -47,18 +45,6 @@ class ObservedRun:
     master: WebComMaster
     result: object
     correlation_id: str | None
-
-
-@contextmanager
-def _sigverify_counted_into(obs: Observability):
-    """Count the process-wide signature cache's hits and misses into this
-    run's ``crypto.sigverify.*`` metrics for the block only, so a finished
-    run neither counts later checks nor keeps its registry alive."""
-    SIGNATURE_CACHE.bind_metrics(obs.metrics)
-    try:
-        yield
-    finally:
-        SIGNATURE_CACHE.bind_metrics(None)
 
 
 def pipeline_graph(depth: int) -> CondensedGraph:
@@ -115,38 +101,37 @@ def run_observed_scenario(depth: int = 4, n_clients: int = 2,
     :param batch: schedule wavefronts through the master's batched path.
     """
     obs = Observability()
-    with _sigverify_counted_into(obs):
-        env = SecureWebComEnvironment(obs=obs)
-        env.audit.bind_metrics(obs.metrics)
-        network = SimulatedNetwork(clock=env.clock, obs=obs)
-        env.create_key("Kmaster")
-        master = WebComMaster("master", network, key_name="Kmaster",
-                              scheduler_filter=env.master_filter(),
-                              audit=env.audit, obs=obs)
-        client_keys = []
-        for i in range(n_clients):
-            client_id = f"c{i}"
-            key = env.create_key(f"Kc{i}")
-            client_keys.append(key)
-            client = WebComClient(
-                client_id, network, SCENARIO_OPS, key_name=key,
-                user=f"user{i}",
-                authoriser=env.stack_authoriser(client_id, user=f"user{i}"),
-                audit=env.audit, obs=obs)
-            env.client_trusts_master(client_id, "Kmaster")
-            client.register_with("master")
-        network.run_until_quiet()
-        env.trust_clients_for_operations(client_keys, list(SCENARIO_OPS))
-        if faults:
-            plan = FaultPlan(seed=seed, rules=(
-                FaultRule(kind="execute", drop=drop),
-                FaultRule(kind="result", drop=drop),
-                FaultRule(kind="execute_batch", drop=drop),
-                FaultRule(kind="result_batch", drop=drop),
-            ))
-            FaultInjector(plan).install(network)
-        graph = fan_graph(fan) if fan is not None else pipeline_graph(depth)
-        result = master.run_graph(graph, {"x": 0}, batch=batch)
+    env = SecureWebComEnvironment(obs=obs)
+    env.audit.bind_metrics(obs.metrics)
+    network = SimulatedNetwork(clock=env.clock, obs=obs)
+    env.create_key("Kmaster")
+    master = WebComMaster("master", network, key_name="Kmaster",
+                          scheduler_filter=env.master_filter(),
+                          audit=env.audit, obs=obs)
+    client_keys = []
+    for i in range(n_clients):
+        client_id = f"c{i}"
+        key = env.create_key(f"Kc{i}")
+        client_keys.append(key)
+        client = WebComClient(
+            client_id, network, SCENARIO_OPS, key_name=key,
+            user=f"user{i}",
+            authoriser=env.stack_authoriser(client_id, user=f"user{i}"),
+            audit=env.audit, obs=obs)
+        env.client_trusts_master(client_id, "Kmaster")
+        client.register_with("master")
+    network.run_until_quiet()
+    env.trust_clients_for_operations(client_keys, list(SCENARIO_OPS))
+    if faults:
+        plan = FaultPlan(seed=seed, rules=(
+            FaultRule(kind="execute", drop=drop),
+            FaultRule(kind="result", drop=drop),
+            FaultRule(kind="execute_batch", drop=drop),
+            FaultRule(kind="result_batch", drop=drop),
+        ))
+        FaultInjector(plan).install(network)
+    graph = fan_graph(fan) if fan is not None else pipeline_graph(depth)
+    result = master.run_graph(graph, {"x": 0}, batch=batch)
     return ObservedRun(obs=obs, env=env, master=master, result=result,
                        correlation_id=master.last_correlation_id)
 
@@ -240,51 +225,50 @@ def run_policy_chaos_scenario(seed: int = 0, rounds: int = 30,
     leave both replicas byte-identical with the authoritative slice.
     """
     obs = Observability()
-    with _sigverify_counted_into(obs):
-        env = SecureWebComEnvironment(obs=obs)
-        env.audit.bind_metrics(obs.metrics)
-        env.create_key("Kmaster")
-        env.client_trusts_master("c0", "Kmaster")
+    env = SecureWebComEnvironment(obs=obs)
+    env.audit.bind_metrics(obs.metrics)
+    env.create_key("Kmaster")
+    env.client_trusts_master("c0", "Kmaster")
 
-        layer_faults = LayerFaultInjector(LayerFaultPlan.chaos(
-            seed, layers=("TRUST_MANAGEMENT", "APPLICATION"),
-            window=float(rounds) / 2))
-        stack = env.client_stack("c0", breaker_threshold=2,
-                                 breaker_cooldown=4.0,
-                                 layer_faults=layer_faults)
-        stack.plug_application(lambda request: True)
-        stack.set_degraded_mode(Layer.TRUST_MANAGEMENT,
-                                DegradedMode.FAIL_CLOSED)
-        stack.set_degraded_mode(Layer.APPLICATION, DegradedMode.FAIL_STATIC)
-        authorise = env.stack_authoriser("c0", stack=stack, user="user0")
+    layer_faults = LayerFaultInjector(LayerFaultPlan.chaos(
+        seed, layers=("TRUST_MANAGEMENT", "APPLICATION"),
+        window=float(rounds) / 2))
+    stack = env.client_stack("c0", breaker_threshold=2,
+                             breaker_cooldown=4.0,
+                             layer_faults=layer_faults)
+    stack.plug_application(lambda request: True)
+    stack.set_degraded_mode(Layer.TRUST_MANAGEMENT,
+                            DegradedMode.FAIL_CLOSED)
+    stack.set_degraded_mode(Layer.APPLICATION, DegradedMode.FAIL_STATIC)
+    authorise = env.stack_authoriser("c0", stack=stack, user="user0")
 
-        run = PolicyChaosRun(seed=seed, obs=obs, env=env,
-                             engine=_chaos_engine(seed, env, obs))
-        # Warm-up mediation before any fault window opens (plans start at
-        # t >= 1): seeds the last-known-good store fail-static serves from.
-        assert bool(authorise("Kmaster", "stage", {}))
-        for _ in range(rounds):
-            env.clock.advance(1.0)
-            decision = authorise("Kmaster", "stage", {})
-            run.decisions.append({
-                "t": env.clock.now(),
-                "allowed": bool(decision),
-                "stale": bool(getattr(decision, "stale", False)),
-                "degraded": [layer.name for layer
-                             in getattr(decision, "degraded", ())],
-                "fail_open": any(
-                    stack.degraded_mode(layer) is DegradedMode.FAIL_OPEN
-                    for layer in getattr(decision, "degraded", ())),
-            })
-        run.injected_timeouts = sum(layer_faults.counts.values())
-        run.stack_health = stack.health_snapshot()
+    run = PolicyChaosRun(seed=seed, obs=obs, env=env,
+                         engine=_chaos_engine(seed, env, obs))
+    # Warm-up mediation before any fault window opens (plans start at
+    # t >= 1): seeds the last-known-good store fail-static serves from.
+    assert bool(authorise("Kmaster", "stage", {}))
+    for _ in range(rounds):
+        env.clock.advance(1.0)
+        decision = authorise("Kmaster", "stage", {})
+        run.decisions.append({
+            "t": env.clock.now(),
+            "allowed": bool(decision),
+            "stale": bool(getattr(decision, "stale", False)),
+            "degraded": [layer.name for layer
+                         in getattr(decision, "degraded", ())],
+            "fail_open": any(
+                stack.degraded_mode(layer) is DegradedMode.FAIL_OPEN
+                for layer in getattr(decision, "degraded", ())),
+        })
+    run.injected_timeouts = sum(layer_faults.counts.values())
+    run.stack_health = stack.health_snapshot()
 
-        run.reconcile_report, run.redelivered = _chaos_propagation(
-            seed, run.engine, updates)
-        run.propagation_health = run.engine.health_snapshot()
-        run.digests_match = all(
-            run.engine.replica_digest(name) == run.engine.expected_digest(name)
-            for name in ("hostA:ejb", "hostB:ejb"))
+    run.reconcile_report, run.redelivered = _chaos_propagation(
+        seed, run.engine, updates)
+    run.propagation_health = run.engine.health_snapshot()
+    run.digests_match = all(
+        run.engine.replica_digest(name) == run.engine.expected_digest(name)
+        for name in ("hostA:ejb", "hostB:ejb"))
     return run
 
 

@@ -1,11 +1,19 @@
 """Tests for Schnorr keys and signatures."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.group import DEFAULT_GROUP
-from repro.crypto.keys import KeyPair, PublicKey, Signature, _decode_public
+from repro.crypto.keys import (
+    KEY_MEMO_SIZE,
+    KeyPair,
+    PublicKey,
+    Signature,
+    _decode_public,
+)
 from repro.errors import InvalidSignatureError, KeyFormatError
 
 
@@ -139,11 +147,17 @@ class TestFixedBaseComb:
         G = self.G
         assert G.exp(exponent) == pow(G.g, exponent % G.q, G.p)
 
-    def test_table_is_one_row_per_exponent_byte(self):
+    def test_table_is_one_row_per_exponent_nibble(self):
         comb = self.G._comb
-        assert len(comb) == 20 and {len(row) for row in comb} == {256}
-        assert comb[0][1] == self.G.g and comb[1][1] == pow(self.G.g, 256,
+        assert len(comb) == 40 and {len(row) for row in comb} == {16}
+        assert comb[0][1] == self.G.g and comb[1][1] == pow(self.G.g, 16,
                                                             self.G.p)
+        # Every object the table holds, counted once: at most 64 KiB.
+        held = {id(comb): sys.getsizeof(comb)}
+        for row in comb:
+            held[id(row)] = sys.getsizeof(row)
+            held.update((id(value), sys.getsizeof(value)) for value in row)
+        assert sum(held.values()) <= 64 * 1024
 
 
 class TestPinnedEncodings:
@@ -177,10 +191,27 @@ class TestPinnedEncodings:
 
 class TestDecodeMemo:
     """``PublicKey.decode`` remembers keys that passed the subgroup check,
-    never a rejection, and at most ``maxsize`` of them."""
+    never a rejection, and at most ``KEY_MEMO_SIZE`` of them."""
 
     def test_is_bounded(self):
-        assert _decode_public.cache_info().maxsize == 4096
+        assert _decode_public.cache_info().maxsize == KEY_MEMO_SIZE <= 256
+
+    def test_an_evicted_key_is_checked_again(self, monkeypatch):
+        texts = [KeyPair.generate(f"memo-evict-{n}").public.encode()
+                 for n in range(KEY_MEMO_SIZE + 1)]
+        _decode_public.cache_clear()
+        checks = []
+        contains = type(DEFAULT_GROUP).contains
+        monkeypatch.setattr(type(DEFAULT_GROUP), "contains", lambda *args: (
+            checks.append(args[1]) or contains(*args)))
+        for text in texts:
+            PublicKey.decode(text)
+        assert _decode_public.cache_info().currsize == KEY_MEMO_SIZE
+        PublicKey.decode(texts[-1])  # the newest key is still held
+        assert len(checks) == KEY_MEMO_SIZE + 1
+        first = PublicKey.decode(texts[0])  # the oldest was evicted
+        assert len(checks) == KEY_MEMO_SIZE + 2
+        assert checks[-1] == first.y
 
     def test_repeat_decode_hits_the_memo(self):
         text = KeyPair.generate("memo-hit").public.encode()

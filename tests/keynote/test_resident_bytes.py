@@ -5,8 +5,8 @@ An admitted credential is held once: no rendering of its canonical bytes
 survives its verification, a key that authorizes one credential and is
 licensed by another is one string object, every frozen value type of the
 parsed tree is slotted, credentials without Local-Constants share one
-immutable empty table, and the signature cache keeps one 32-byte digest
-per outcome.  Credentials cut from one template share one Conditions
+immutable empty table, and its signature verdict lives only on the
+checker's entry.  Credentials cut from one template share one Conditions
 shape and keep only their literals.  The counting test weighs the
 difference between an N- and a 2N-credential store cut from the
 benchmark universe's templates; a store added over the wire keeps no
@@ -29,7 +29,6 @@ from typing import Callable
 import pytest
 
 from repro.crypto.keys import KeyPair, _decode_public
-from repro.crypto.keystore import SIGNATURE_CACHE
 from repro.keynote.api import KeyNoteSession
 from repro.keynote.ast import (
     Attribute,
@@ -123,8 +122,7 @@ def recovered_store(root: Path) -> DurablePolicyNode:
 
 def resident_bytes(source, store: Callable = admitted_store) -> int:
     """Traced bytes ``store(source)`` keeps, with the process-wide
-    signature cache and key-decode memo starting empty."""
-    SIGNATURE_CACHE.clear()
+    key-decode memo starting empty."""
     _decode_public.cache_clear()
     gc.collect()
     before = tracemalloc.get_traced_memory()[0]
@@ -157,7 +155,6 @@ def bytes_per_credential(users: int = 50, rounds: int = 3,
                        for small, large in stores]
     finally:
         tracemalloc.stop()
-        SIGNATURE_CACHE.clear()
     return statistics.median(differences) / (2 * users)
 
 

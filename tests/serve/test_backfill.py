@@ -13,8 +13,9 @@ import asyncio
 import gc
 import logging
 import weakref
+from collections import Counter
 
-from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.keys import KEY_MEMO_SIZE, KeyPair, PublicKey, key_memo_info
 from repro.crypto.keystore import SIGNATURE_CACHE
 from repro.keynote.credential import Credential
 from repro.serve.client import ServeClient
@@ -181,7 +182,6 @@ class TestBackfillWakesForNewCredentials:
                                           {"text": text}))["added"]
             info = await backfilled(server)
             running = not server._backfill.done()
-            SIGNATURE_CACHE.clear()
             verified = []
             check = PublicKey.verify
             monkeypatch.setattr(PublicKey, "verify", lambda *args: (
@@ -221,13 +221,11 @@ class TestProbeOverForgedCredentials:
 
     def test_a_backfilled_probe_verifies_no_signature(self, monkeypatch):
         """Probe screening reads the checker's settled verdicts: once the
-        backfill is done, a probe checks no signature again, even after
-        the signature cache has forgotten every outcome."""
+        backfill is done, a probe checks no signature again."""
         universe = Universe("screen", users=6)
         plane = ServePolicyPlane()
         universe.install(plane)
         assert plane.session.checker.verify_pending() == 0
-        SIGNATURE_CACHE.clear()
         verified = []
         check = PublicKey.verify
         monkeypatch.setattr(PublicKey, "verify", lambda *args: (
@@ -235,7 +233,6 @@ class TestProbeOverForgedCredentials:
         forged = plane.probe(universe.forged_request())
         honest = plane.probe(universe.request(3))
         assert verified == []
-        assert SIGNATURE_CACHE.hits == SIGNATURE_CACHE.misses == 0
         assert (forged["allowed"], forged["agree"]) == (False, True)
         assert (honest["allowed"], honest["agree"]) == (True, True)
         screened = plane.admitted_assertions()
@@ -277,3 +274,49 @@ class TestFrozenHeap:
                 await server.shutdown()
 
         asyncio.run(scenario())
+
+
+class TestOneVerdictPerCredential:
+    def test_each_signature_is_checked_once_and_kept_nowhere_else(
+            self, monkeypatch):
+        """The checker's entry is the only record of a signature check:
+        across the backfill, 50 mediations sent while it runs and two
+        probes, every signed credential is verified exactly once, the
+        process-wide signature cache stays empty, and the key-decode memo
+        stays within its bound although more keys sign than it holds."""
+        universe = Universe("once", users=KEY_MEMO_SIZE + 44)
+        signed = [*universe.credentials, universe.forged]
+        verified = Counter()
+        check = PublicKey.verify
+        monkeypatch.setattr(PublicKey, "verify", lambda key, message, sig: (
+            verified.update([message]) or check(key, message, sig)))
+        SIGNATURE_CACHE.clear()
+        decoded = key_memo_info()["misses"]
+
+        async def scenario():
+            plane = ServePolicyPlane()
+            universe.install(plane)
+            server = await ReproServer(plane).start()
+            client = await ServeClient("t").connect(server.host, server.port)
+            users = range(0, 5 * 50, 5)
+            replies = await asyncio.gather(*(
+                client.call("mediate", universe.request(u)) for u in users))
+            await backfilled(server)
+            probes = [await client.call("probe", request) for request in
+                      (universe.request(1), universe.forged_request())]
+            status = await client.call("status")
+            await client.close()
+            await server.shutdown()
+            return replies, probes, status
+
+        replies, probes, status = asyncio.run(scenario())
+        assert len(replies) == 50 and all(r["allowed"] for r in replies)
+        assert [(p["allowed"], p["agree"]) for p in probes] == [
+            (True, True), (False, True)]
+        assert verified == Counter(c.canonical_bytes() for c in signed)
+        assert len(SIGNATURE_CACHE) == 0
+        assert status["plane"]["tm_cache"]["unverified"] == 0
+        memo = status["plane"]["key_memo"]
+        assert memo["entries"] <= KEY_MEMO_SIZE
+        signers = {credential.authorizer for credential in signed}
+        assert memo["misses"] - decoded >= len(signers) > KEY_MEMO_SIZE

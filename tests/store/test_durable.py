@@ -8,9 +8,11 @@ from repro.middleware.ejb import EJBServer
 from repro.rbac.diff import PolicyDelta, delta_from_dict, delta_to_dict
 from repro.rbac.model import Assignment, Grant
 from repro.store.durable import (DurablePolicyNode, DurableStore,
-                                 restore_checkpoint, restore_keycom)
+                                 keycom_state, restore_checkpoint,
+                                 restore_keycom)
 from repro.store.harness import (DOMAIN_A, KEYCOM_DOMAIN, _recover_node,
                                  apply_op)
+from repro.webcom import keycom
 from repro.webcom.failover import GraphCheckpoint
 from repro.webcom.keycom import PolicyUpdateRequest
 
@@ -127,6 +129,76 @@ class TestKeyComReplayDedup:
                    .sorted_assignments() if a.user == "Bob"]
         assert len(members) == 1
         again.close()
+
+
+class TestAppliedWindow:
+    """The KeyCom service keeps only the newest ``APPLIED_WINDOW`` applied
+    request ids; snapshot and WAL replay rebuild the same window."""
+
+    WINDOW = 8
+
+    @pytest.fixture
+    def node(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(keycom, "APPLIED_WINDOW", self.WINDOW)
+        node = _recover_node(tmp_path / "node")
+        apply_op(node, ("policy", 'Authorizer: POLICY\n'
+                                  'Licensees: "Kadmin"\n'
+                                  'Conditions: app_domain=="WebCom";'))
+        yield node
+        node.close()
+
+    @staticmethod
+    def _request(n: int) -> PolicyUpdateRequest:
+        return PolicyUpdateRequest(
+            user=f"user{n}", user_key="Kadmin", domain=KEYCOM_DOMAIN,
+            role="Manager", credentials=(), request_id=f"r{n}")
+
+    def _install(self, node, count: int) -> None:
+        for n in range(count):
+            assert node.keycom.submit(self._request(n))
+            if n == self.WINDOW:
+                node.snapshot()
+
+    def test_three_windows_of_installs_keep_one_window(self, node, tmp_path):
+        self._install(node, 3 * self.WINDOW)
+        newest = [f"r{n}" for n in range(2 * self.WINDOW, 3 * self.WINDOW)]
+        assert list(node.keycom.applied_ids) == newest
+        node.snapshot()
+        snapshot = DurableStore(tmp_path / "node").open().state["keycom"]
+        assert snapshot["applied_ids"] == newest
+        members = {a.user for a in
+                   node.keycom.middleware.extract_rbac().assignments}
+        assert {f"user{n}" for n in range(3 * self.WINDOW)} <= members
+
+    def test_a_redelivery_inside_the_window_is_only_acknowledged(
+            self, node, monkeypatch):
+        self._install(node, 3 * self.WINDOW)
+        touched = []
+        monkeypatch.setattr(node.keycom.middleware, "apply_assignment",
+                            touched.append)
+        assert node.keycom.submit(self._request(3 * self.WINDOW - 1))
+        assert node.keycom.duplicates == 1 and touched == []
+
+    @pytest.mark.parametrize("snapshot_last", [False, True])
+    def test_a_redelivery_past_the_window_is_evaluated_afresh(
+            self, node, tmp_path, snapshot_last):
+        self._install(node, 3 * self.WINDOW)
+        before = node.keycom.middleware.extract_rbac().sorted_assignments()
+        assert node.keycom.submit(self._request(0))
+        assert node.keycom.duplicates == 0
+        assert list(node.keycom.applied_ids)[-1] == "r0"
+        assert len(node.keycom.applied_ids) == self.WINDOW
+        live = node.keycom.middleware.extract_rbac().sorted_assignments()
+        assert live == before  # the assignment was already installed
+        if snapshot_last:
+            node.snapshot()
+        again = _recover_node(tmp_path / "node")
+        try:
+            assert keycom_state(again.keycom) == keycom_state(node.keycom)
+            assert (again.keycom.middleware.extract_rbac()
+                    .sorted_assignments()) == live
+        finally:
+            again.close()
 
 
 class TestRecoveryFlushesCaches:

@@ -232,7 +232,8 @@ class TestDurability:
 #: scenarios, the oracles, the reports and the translators it never runs
 NOT_ON_THE_SERVE_PATH = (
     "repro.core", "repro.spki", "repro.identity", "repro.oracle",
-    "repro.report",
+    "repro.report", "repro.serve.client", "repro.rbac.constraints",
+    "repro.rbac.sessions", "repro.obs.export",
     *(f"repro.webcom.{name}" for name in (
         "engine", "graph", "network", "node", "scenario", "ide", "secure",
         "failover")),
@@ -286,5 +287,9 @@ def test_every_top_level_name_still_imports():
              "assert set(repro.__all__) <= set(dir(repro))\n"
              "assert not hasattr(repro, 'no_such_name')\n"
              "assert not hasattr(webcom, 'no_such_module')\n"
+             "import importlib\n"
+             "for name in ('repro.obs', 'repro.rbac', 'repro.serve'):\n"
+             "    package = importlib.import_module(name)\n"
+             "    exec(f'from {name} import ' + ', '.join(package.__all__))\n"
              "print('ok')")
     assert _fresh_interpreter(probe) == "ok"

@@ -104,6 +104,14 @@ class TestMetrics:
         assert metrics.histogram("engine.node_latency").count == 4
         assert metrics.histogram("master.schedule_latency").count == 4
 
+    def test_batched_nodes_are_timed_one_sample_each(self):
+        run = run_observed_scenario(fan=6, batch=True)
+        metrics = run.obs.metrics
+        latency = metrics.histogram("engine.node_latency")
+        assert latency.count == metrics.counter("engine.fired").value == 7
+        assert metrics.counter("master.batch.flights").value > 0
+        assert latency.as_dict()["max"] > 0  # the flight's round trip
+
     def test_audit_timestamps_use_the_clock(self, clean_run):
         audit = clean_run.env.audit
         assert len(audit) > 0
@@ -159,8 +167,8 @@ class TestFinishedRunsLetGoOfTheSignatureCache:
     ], ids=["observed", "policy-chaos"])
     def test_later_signature_checks_leave_the_run_metrics_alone(
             self, scenario):
-        """The signature cache is process-wide; a run counts its checks
-        into its own metrics only while it runs."""
+        """The signature cache is process-wide; a finished run's metrics
+        count none of the checks made after it."""
         run = scenario()
         before = run.obs.metrics.snapshot()
         pair = KeyPair.generate("checked after the run")
