@@ -40,7 +40,8 @@ Record vocabulary (the ``kind`` field of every WAL payload):
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.crypto.keystore import Keystore
 from repro.errors import RecoveryError
@@ -88,8 +89,8 @@ class DurableStore:
         :raises RecoveryError: when the log was compacted past every
             usable snapshot.
         """
-        self.wal.open()
-        return recover(self.wal, self.snapshots)
+        records = self.wal.open_records()
+        return recover(self.wal, self.snapshots, records)
 
     def close(self) -> None:
         self.wal.close()
@@ -112,9 +113,10 @@ class DurableStore:
         return path
 
 
-def _tail(recovered: RecoveredState, kinds: Iterable[str]) -> list[dict]:
+def _tail(recovered: RecoveredState, kinds: Iterable[str]
+          ) -> Iterator[dict]:
     wanted = set(kinds)
-    return [r for r in recovered.tail if r.get("kind") in wanted]
+    return (r for r in recovered.tail if r.get("kind") in wanted)
 
 
 # -- component restores ------------------------------------------------------
@@ -140,11 +142,11 @@ def restore_session(recovered: RecoveredState,
 
     ``session_kwargs`` pass through to the session constructor (keystore,
     clock, obs, values...).  The snapshot's assertions and the tail's adds
-    and revokes fold into one ordered multiset — policies first, then
-    credentials in first-added order — and an expiry registry, which seed
-    the session's compliance checker in one build: its signature checks
-    wait for the first read or the idle backfill, and its decision cache
-    starts empty.
+    and revokes fold, in one pass over both, into one ordered multiset —
+    policies first, then credentials in first-added order — and an expiry
+    registry, which seed the session's compliance checker in one build:
+    its signature checks wait for the first read or the idle backfill,
+    and its decision cache starts empty.
 
     A trust store is mostly credentials cut from a few templates (every
     proxy credential carries the same Conditions, every user credential
@@ -158,21 +160,23 @@ def restore_session(recovered: RecoveredState,
     credentials: dict[Credential, int] = {}
     expiring: dict[Credential, float] = {}
     state = recovered.state.get("session", {})
-    records = [{"kind": "keynote.policy", "text": text}
-               for text in state.get("policies", [])]
-    records += [{"kind": "keynote.credential", "text": text,
-                 "expires_at": expires_at}
-                for text, expires_at in state.get("credentials", [])]
-    for record in records + _tail(recovered, (
-            "keynote.policy", "keynote.credential", "keynote.revoke")):
-        credential = Credential.from_text(record["text"])
+    for kind, text, expires_at in chain(
+            (("keynote.policy", text, None)
+             for text in state.get("policies", [])),
+            (("keynote.credential", text, expires_at)
+             for text, expires_at in state.get("credentials", [])),
+            ((record["kind"], record["text"], record.get("expires_at"))
+             for record in _tail(recovered, (
+                 "keynote.policy", "keynote.credential",
+                 "keynote.revoke")))):
+        credential = Credential.from_text(text)
         copies = credentials.get(credential, 0)
-        if record["kind"] == "keynote.policy":
+        if kind == "keynote.policy":
             policies.append(credential)
-        elif record["kind"] == "keynote.credential":
+        elif kind == "keynote.credential":
             credentials[credential] = copies + 1
-            if record.get("expires_at") is not None:
-                expiring[credential] = float(record["expires_at"])
+            if expires_at is not None:
+                expiring[credential] = float(expires_at)
         elif copies:
             expiring.pop(credential, None)
             credentials[credential] = copies - 1

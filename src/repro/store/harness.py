@@ -387,6 +387,43 @@ def run_durability_sweep(seeds: int = 10, ops: int = 24,
     }
 
 
+# -- a bench-shaped trust store ----------------------------------------------
+
+def synthetic_state(credentials: int = 2000) -> dict[str, Any]:
+    """A :meth:`DurablePolicyNode.state` shaped like the daemon benchmark's
+    root: one POLICY assertion over ten team keys, and ``credentials``
+    team -> user and user -> proxy credentials with key-length principals
+    and signature-length ``Signature`` fields (every third one expires).
+
+    The signatures are placeholders, so recover such a root with
+    ``verify_signatures=False``; the snapshot and its encoding are what
+    this state exercises.
+    """
+    def key(role: str, index: int) -> str:
+        return f"K{role}{index}-{'%0120x' % (index + 1)}"
+
+    teams = 10
+    sign = "sig-placeholder-hex:" + "5a" * 40
+    policy = Credential.build(
+        "POLICY", " || ".join(f'"{key("team", t)}"' for t in range(teams)),
+        'app_domain=="grid"')
+    entries: list[list] = []
+    for n in range(credentials):
+        user = n // 2
+        if n % 2 == 0:
+            text = Credential.build(
+                key("team", user % teams), f'"{key("user", user)}"',
+                f'subject=="u{user}"', signature=sign).to_text()
+        else:
+            text = Credential.build(
+                key("user", user), f'"{key("proxy", user)}"',
+                'op=="submit" || op=="status" || op=="run"',
+                comment=f"proxy {user}", signature=sign).to_text()
+        entries.append([text, 1000.0 + n if n % 3 == 0 else None])
+    return {"session": {"policies": [policy.to_text()],
+                        "credentials": entries}}
+
+
 # -- shrunk recovery-fixture replay ------------------------------------------
 
 def replay_recovery_case(case: dict, base_dir: "Path | str | None" = None,

@@ -68,9 +68,13 @@ class RecoveredState(RecoveryInfo):
                                for f in fields(RecoveryInfo)})
 
 
-def recover(wal: WriteAheadLog, snapshots: SnapshotStore) -> RecoveredState:
+def recover(wal: WriteAheadLog, snapshots: SnapshotStore,
+            records: list[dict]) -> RecoveredState:
     """Assemble the recovered state from an *opened* WAL and its snapshots.
 
+    :param records: the log's payloads as
+        :meth:`~repro.store.wal.WriteAheadLog.open_records` decoded them
+        when it opened ``wal``.
     :raises RecoveryError: when the log was compacted past every usable
         snapshot (acknowledged history is unreachable) — a configuration
         the compact-to-oldest-retained rule prevents, checked anyway.
@@ -84,7 +88,7 @@ def recover(wal: WriteAheadLog, snapshots: SnapshotStore) -> RecoveredState:
                 f"log {wal.path} was compacted to lsn {wal.base_lsn} but "
                 f"no snapshot is loadable")
         return RecoveredState(
-            state={}, tail=[payload for _lsn, payload in wal.records()],
+            state={}, tail=records,
             truncated_bytes=wal.truncated_bytes,
             skipped_snapshots=snapshots.skipped,
             next_lsn=wal.next_lsn)
@@ -92,9 +96,8 @@ def recover(wal: WriteAheadLog, snapshots: SnapshotStore) -> RecoveredState:
         raise RecoveryError(
             f"snapshot {loaded.path.name} covers lsn {loaded.wal_lsn} but "
             f"log {wal.path} starts at {wal.base_lsn}")
-    tail = [payload for lsn, payload in wal.records()
-            if lsn >= loaded.wal_lsn]
     return RecoveredState(
-        state=dict(loaded.state), tail=tail, snapshot_lsn=loaded.wal_lsn,
+        state=loaded.state, tail=records[loaded.wal_lsn - wal.base_lsn:],
+        snapshot_lsn=loaded.wal_lsn,
         snapshot_seq=loaded.seq, truncated_bytes=wal.truncated_bytes,
         skipped_snapshots=snapshots.skipped, next_lsn=wal.next_lsn)

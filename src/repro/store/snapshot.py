@@ -14,6 +14,8 @@ Durability discipline:
   existing snapshot;
 - the state body carries its own CRC, so a snapshot bit-flipped at rest is
   *skipped* (recovery falls back to the previous one) rather than loaded;
+- the CRC is fed the encoder's chunks, so neither a save nor a load
+  builds the canonical text of the state whole;
 - the previous ``keep - 1`` snapshots are retained, and the WAL is only
   compacted up to the *oldest retained* snapshot, so falling back never
   strands recovery past the log's base.
@@ -33,10 +35,24 @@ from repro.store.wal import CrashHook, _no_crash
 
 FORMAT_VERSION = 1
 _NAME = re.compile(r"^snapshot-(\d{10})\.json$")
+#: the checksummed text of a state: compact, keys sorted
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _canonical(state: dict[str, Any]) -> str:
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+    """The whole canonical text, whose CRC-32 is the checksum (the store
+    itself only ever encodes it in chunks)."""
+    return _CANONICAL.encode(state)
+
+
+def _checksum(state: dict[str, Any]) -> int:
+    """CRC-32 of ``_canonical(state)``, fed chunk by chunk: the canonical
+    text is never built whole (it is ASCII, so each chunk's UTF-8 is its
+    share of the whole text's)."""
+    crc = 0
+    for chunk in _CANONICAL.iterencode(state):
+        crc = zlib.crc32(chunk.encode("utf-8"), crc)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -93,12 +109,11 @@ class SnapshotStore:
         seq = self.next_seq()
         final = self.directory / f"snapshot-{seq:010d}.json"
         tmp = final.with_suffix(".json.tmp")
-        body = _canonical(state)
         document = json.dumps({
             "format": FORMAT_VERSION,
             "seq": seq,
             "wal_lsn": wal_lsn,
-            "checksum": zlib.crc32(body.encode("utf-8")),
+            "checksum": _checksum(state),
             "state": state,
         }, sort_keys=True)
         self.crash("snapshot.begin")
@@ -142,13 +157,17 @@ class SnapshotStore:
 
     def retained_floor(self) -> int | None:
         """The smallest ``wal_lsn`` among *valid* retained snapshots — the
-        compaction bound that keeps every fallback snapshot usable."""
-        floors = []
-        for seq, path in self._entries():
-            loaded = self._load_one(seq, path)
-            if loaded is not None:
-                floors.append(loaded.wal_lsn)
-        return min(floors) if floors else None
+        compaction bound that keeps every fallback snapshot usable.  The
+        files are validated one at a time, and only each ``wal_lsn`` is
+        kept, so one parsed state at most is alive at once."""
+        floors = [self._valid_lsn(seq, path)
+                  for seq, path in self._entries()]
+        return min((lsn for lsn in floors if lsn is not None), default=None)
+
+    @classmethod
+    def _valid_lsn(cls, seq: int, path: Path) -> int | None:
+        loaded = cls._load_one(seq, path)
+        return None if loaded is None else loaded.wal_lsn
 
     @staticmethod
     def _load_one(seq: int, path: Path) -> LoadedSnapshot | None:
@@ -164,8 +183,7 @@ class SnapshotStore:
         wal_lsn = document.get("wal_lsn")
         if not isinstance(state, dict) or not isinstance(wal_lsn, int):
             return None
-        if zlib.crc32(_canonical(state).encode("utf-8")) != \
-                document.get("checksum"):
+        if _checksum(state) != document.get("checksum"):
             return None
         return LoadedSnapshot(seq=seq, wal_lsn=wal_lsn, state=state,
                               path=path)

@@ -173,8 +173,9 @@ class WriteAheadLog:
 
     The log keeps no payload in memory, only how many records the file
     holds and where the last one ends: a daemon appends for its whole
-    life and compacts only when it snapshots.  :meth:`records`
-    (recovery) and :meth:`compact` read the file again.
+    life and compacts only when it snapshots.  :meth:`open_records`
+    hands its scan to recovery; :meth:`records` and :meth:`compact` read
+    the file again.
     """
 
     def __init__(self, path: "Path | str", crash: CrashHook | None = None,
@@ -198,6 +199,13 @@ class WriteAheadLog:
         :raises CorruptLogError: on a damaged header followed by valid
             records, or a corrupt mid-log record.
         """
+        self.open_records()
+        return self
+
+    def open_records(self) -> list[dict]:
+        """:meth:`open`, returning the payloads its scan decoded (from
+        :attr:`base_lsn` on, in append order) — recovery's one decode of
+        the file.  The log itself keeps none of them."""
         stale_tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         if stale_tmp.exists():  # leftover of a crash mid-compaction
             stale_tmp.unlink()
@@ -210,7 +218,7 @@ class WriteAheadLog:
             self.path.write_bytes(encode_header(0))
             self._file = open(self.path, "r+b")
             self._file.seek(0, os.SEEK_END)
-            return self
+            return []
         self.base_lsn, header_ok = self._parse_header(data)
         if not header_ok:
             if _valid_record_follows(data, HEADER_SIZE):
@@ -224,7 +232,7 @@ class WriteAheadLog:
             self.path.write_bytes(encode_header(0))
             self._file = open(self.path, "r+b")
             self._file.seek(0, os.SEEK_END)
-            return self
+            return []
         scan = scan_records(data[HEADER_SIZE:], path=str(self.path),
                             area_offset=HEADER_SIZE)
         self._count = len(scan.records)
@@ -234,7 +242,7 @@ class WriteAheadLog:
         if scan.truncated_bytes:
             self._file.truncate(self._end)
         self._file.seek(self._end)
-        return self
+        return scan.records
 
     @staticmethod
     def _parse_header(data: bytes) -> tuple[int, bool]:
