@@ -15,20 +15,19 @@ underneath is columnar:
   ``_role_members[rid]`` bitmasks over role/user ids;
 - the RBAC1 hierarchy closure is two bitmask columns (``_down`` /``_up``,
   inclusive) computed in topological order (O(edges) big-int ORs, no
-  per-bit iteration) and then maintained **per edge delta**: the
-  hierarchy's bounded delta log is replayed so an edge change touches only
-  the cones it connects, not the world;
+  per-bit iteration), and computed again whenever the hierarchy changes:
+  hierarchies arrive with the policy and are not edited under traffic,
+  so one closure path serves every edge change;
 - the derived column ``_role_closed_perms[rid]`` — the permissions a role
   holds *including its juniors* — is maintained **incrementally**: a grant
   delta ORs/rebuilds only the rows of the affected role's senior cone, an
-  assignment delta touches two bitmasks, an edge delta only the affected
-  cones, and every mutation evicts only the cached user masks of users
-  holding an affected role.
+  assignment delta touches two bitmasks, and every mutation evicts only
+  the cached user masks of users holding an affected role.
 
-Every decision is then bitwise: ``check_access`` is one AND+shift, batch
-``check_access_many`` reuses a per-user effective mask cache across the
-batch, and ``authorised_users`` ORs the member masks of the qualifying
-roles instead of re-deriving ``roles_of`` per user.
+Every decision is then bitwise: ``check_access`` is one AND+shift over a
+memoised per-user effective mask, and ``authorised_users`` ORs the member
+masks of the qualifying roles instead of re-deriving ``roles_of`` per
+user.
 
 The engine is *decision-identical* to the relational spec by construction
 and by test: the PR 5 oracle differ and the hypothesis churn suite compare
@@ -37,7 +36,7 @@ it with the naive oracle answer by answer.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.rbac.hierarchy import RoleHierarchy
 from repro.rbac.model import Assignment, DomainRole, Grant
@@ -58,7 +57,7 @@ class RBACEngine:
     compiled query, then kept in sync by O(delta) mutation calls.  The
     hierarchy is owned by the policy and may be mutated (or replaced)
     behind the engine's back, so every query entry point goes through
-    :meth:`sync_hierarchy`, which recompiles the closure columns only when
+    :meth:`sync_hierarchy`, which recomputes the closure columns only when
     the hierarchy object or its :attr:`~RoleHierarchy.version` changed.
     """
 
@@ -77,24 +76,19 @@ class RBACEngine:
         # -- hierarchy closure columns (inclusive of the role itself) -----
         self._down: list[int] = []                # rid -> dominated cone
         self._up: list[int] = []                  # rid -> dominating cone
-        # -- direct hierarchy adjacency (kept so edge deltas can replay
-        #    without re-reading the whole edge set) ------------------------
-        self._children: list[list[int]] = []
-        self._parents: list[list[int]] = []
         # -- derived column: direct perms ORed over the downward cone -----
         self._role_closed_perms: list[int] = []
         self._hierarchy: RoleHierarchy | None = None
         self._hierarchy_version = -1
         #: per-user effective permission mask; mutations evict only the
         #: masks of users holding an affected role — the warm path of a
-        #: Zipfian batch is one dict hit + one AND, and it survives
+        #: Zipfian request mix is one dict hit + one AND, and it survives
         #: unrelated churn
         self._user_perm_cache: dict[int, int] = {}
         # -- observability -------------------------------------------------
         self.builds = 0
         self.hierarchy_rebuilds = 0
         self.deltas = 0
-        self.edge_deltas = 0
         self.mask_evictions = 0
 
     # -- construction ------------------------------------------------------
@@ -128,8 +122,6 @@ class RBACEngine:
             # A fresh role has no edges yet: its cones are itself.
             self._down.append(1 << rid)
             self._up.append(1 << rid)
-            self._children.append([])
-            self._parents.append([])
             self._role_closed_perms.append(0)
         return rid
 
@@ -168,136 +160,42 @@ class RBACEngine:
         """Bring the closure columns up to date with the hierarchy.
 
         Cheap in the common case: one identity check plus one integer
-        compare.  When the same hierarchy object advanced by a few
-        versions, its bounded delta log is replayed edge-by-edge —
-        O(delta) cone updates, and only the user masks of affected roles
-        are evicted.  Only when the hierarchy object was swapped out (or
-        the log no longer reaches back) is the closure rebuilt in
-        topological order — O(edges) big-int ORs; relation columns are
-        untouched either way.
+        compare.  When the hierarchy object was swapped out or its version
+        moved, the closure is rebuilt in topological order — O(edges)
+        big-int ORs, every cached user mask dropped; the relation columns
+        are untouched.
         """
         if (self._hierarchy is hierarchy
                 and self._hierarchy_version == hierarchy.version):
             return
-        if self._hierarchy is hierarchy:
-            deltas = hierarchy.deltas_since(self._hierarchy_version)
-            if deltas is not None:
-                for _version, op, senior, junior in deltas:
-                    if op == "add":
-                        self._apply_edge_add(senior, junior)
-                    else:
-                        self._apply_edge_remove(senior, junior)
-                self._hierarchy_version = hierarchy.version
-                return
         self._hierarchy = hierarchy
         self._hierarchy_version = hierarchy.version
         self.hierarchy_rebuilds += 1
         # Roles mentioned only in hierarchy edges still shape closures
-        # (roles_of must surface junior roles that hold no grants).
-        for senior, junior in hierarchy.edges():
-            self._role_id(senior)
-            self._role_id(junior)
+        # (roles_of must surface junior roles that hold no grants), so
+        # they are interned before the columns are sized.
+        edges = [(self._role_id(senior), self._role_id(junior))
+                 for senior, junior in hierarchy.edges()]
         n = len(self._roles)
         down = [1 << rid for rid in range(n)]
         up = [1 << rid for rid in range(n)]
+        closed = list(self._role_direct_perms)
         children: list[list[int]] = [[] for _ in range(n)]
         parents: list[list[int]] = [[] for _ in range(n)]
-        for senior, junior in hierarchy.edges():
-            s, j = self._role_ids[senior], self._role_ids[junior]
+        for s, j in edges:
             children[s].append(j)
             parents[j].append(s)
         for rid in self._topological(children):
-            mask = down[rid]
             for child in children[rid]:
-                mask |= down[child]
-            down[rid] = mask
+                down[rid] |= down[child]
+                closed[rid] |= closed[child]
         for rid in self._topological(parents):
-            mask = up[rid]
             for parent in parents[rid]:
-                mask |= up[parent]
-            up[rid] = mask
+                up[rid] |= up[parent]
         self._down = down
         self._up = up
-        self._children = children
-        self._parents = parents
-        direct = self._role_direct_perms
-        closed = [0] * n
-        for rid in self._topological(children):
-            mask = direct[rid]
-            for child in children[rid]:
-                mask |= closed[child]
-            closed[rid] = mask
         self._role_closed_perms = closed
         self._user_perm_cache.clear()
-
-    def _apply_edge_add(self, senior: DomainRole, junior: DomainRole) -> None:
-        """Incremental closure under one new edge ``senior -> junior``: the
-        new domination pairs are exactly up(senior) x down(junior), so the
-        down cones and closed-permission rows of senior's up-cone absorb
-        junior's, and the up cones of junior's down-cone absorb senior's.
-        The two cones are disjoint (the hierarchy rejected cycles), so the
-        absorbed masks are stable while the loops run."""
-        s = self._role_id(senior)
-        j = self._role_id(junior)
-        if j in self._children[s]:
-            # Re-declared edge: the hierarchy bumped its version but the
-            # closure is already correct.
-            return
-        self._children[s].append(j)
-        self._parents[j].append(s)
-        up_s = self._up[s]
-        down_j = self._down[j]
-        closed_j = self._role_closed_perms[j]
-        down = self._down
-        up = self._up
-        closed = self._role_closed_perms
-        for ancestor in _iter_bits(up_s):
-            down[ancestor] |= down_j
-            closed[ancestor] |= closed_j
-        for descendant in _iter_bits(down_j):
-            up[descendant] |= up_s
-        self._evict_user_masks(up_s)
-        self.edge_deltas += 1
-        self.deltas += 1
-
-    def _apply_edge_remove(self, senior: DomainRole,
-                           junior: DomainRole) -> None:
-        """Incremental closure under one removed edge: re-derive the down
-        cones and closed rows of senior's (old) up-cone and the up cones of
-        junior's (old) down-cone, in topological order over the affected
-        set only.  Both affected sets are path-closed (any node on a
-        hierarchy path between two affected nodes is itself affected), so
-        cone values of non-affected neighbours are already final."""
-        s = self._role_ids.get(senior)
-        j = self._role_ids.get(junior)
-        if s is None or j is None or j not in self._children[s]:
-            return
-        self._children[s].remove(j)
-        self._parents[j].remove(s)
-        ancestors = self._up[s]      # old up-cone of senior, inclusive
-        descendants = self._down[j]  # old down-cone of junior, inclusive
-        down = self._down
-        closed = self._role_closed_perms
-        direct = self._role_direct_perms
-        children = self._children
-        for rid in self._topological_subset(children, ancestors):
-            down_mask = 1 << rid
-            closed_mask = direct[rid]
-            for child in children[rid]:
-                down_mask |= down[child]
-                closed_mask |= closed[child]
-            down[rid] = down_mask
-            closed[rid] = closed_mask
-        up = self._up
-        parents = self._parents
-        for rid in self._topological_subset(parents, descendants):
-            mask = 1 << rid
-            for parent in parents[rid]:
-                mask |= up[parent]
-            up[rid] = mask
-        self._evict_user_masks(ancestors)
-        self.edge_deltas += 1
-        self.deltas += 1
 
     @staticmethod
     def _topological(successors: list[list[int]]) -> list[int]:
@@ -324,37 +222,6 @@ class RBACEngine:
                     state[node] = 2
                     order.append(node)
         return order  # successors of a node always precede it
-
-    def _topological_subset(self, successors: list[list[int]],
-                            member_mask: int) -> list[int]:
-        """Reverse-post-order over the subgraph induced by ``member_mask``
-        (successors outside the set are skipped — their values are final).
-        Same iterative shape as :meth:`_topological`, but O(affected cone)
-        instead of O(roles)."""
-        order: list[int] = []
-        state: dict[int, int] = {}
-        for root in _iter_bits(member_mask):
-            if root in state:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            state[root] = 1
-            while stack:
-                node, index = stack[-1]
-                succs = successors[node]
-                while (index < len(succs)
-                       and not (member_mask >> succs[index]) & 1):
-                    index += 1
-                if index < len(succs):
-                    stack[-1] = (node, index + 1)
-                    succ = succs[index]
-                    if succ not in state:
-                        state[succ] = 1
-                        stack.append((succ, 0))
-                else:
-                    stack.pop()
-                    state[node] = 2
-                    order.append(node)
-        return order
 
     def _evict_user_masks(self, role_mask: int) -> None:
         """Selective `_user_perm_cache` eviction: only users directly
@@ -459,61 +326,29 @@ class RBACEngine:
         self._user_perm_cache[uid] = mask
         return mask
 
-    def check_access(self, user: str, object_type: str, permission: str,
-                     use_hierarchy: bool = True) -> bool:
+    def check_access(self, user: str, object_type: str,
+                     permission: str) -> bool:
         """The fundamental decision as one AND+shift."""
         uid = self._user_ids.get(user)
         pid = self._perm_ids.get((object_type, permission))
         if uid is None or pid is None:
             return False
-        if use_hierarchy:
-            return (self._user_perm_mask(uid) >> pid) & 1 == 1
-        mask = 0
-        direct = self._role_direct_perms
-        for rid in _iter_bits(self._user_direct_roles[uid]):
-            mask |= direct[rid]
-        return (mask >> pid) & 1 == 1
+        return (self._user_perm_mask(uid) >> pid) & 1 == 1
 
-    def check_access_many(self, requests: Sequence[tuple[str, str, str]],
-                          use_hierarchy: bool = True) -> list[bool]:
-        """Batch decisions; the per-user mask cache is shared across the
-        batch, so repeated (Zipfian) users pay the OR once."""
-        if not use_hierarchy:
-            return [self.check_access(u, ot, p, use_hierarchy=False)
-                    for u, ot, p in requests]
-        user_ids = self._user_ids
-        perm_ids = self._perm_ids
-        perm_mask = self._user_perm_mask
-        results: list[bool] = []
-        append = results.append
-        for user, object_type, permission in requests:
-            uid = user_ids.get(user)
-            pid = perm_ids.get((object_type, permission))
-            if uid is None or pid is None:
-                append(False)
-            else:
-                append((perm_mask(uid) >> pid) & 1 == 1)
-        return results
-
-    def roles_of(self, user: str, use_hierarchy: bool = True
-                 ) -> set[DomainRole]:
-        """Direct assignments, optionally closed downward."""
+    def roles_of(self, user: str) -> set[DomainRole]:
+        """Direct assignments closed downward."""
         uid = self._user_ids.get(user)
         if uid is None:
             return set()
-        mask = self._user_direct_roles[uid]
-        if use_hierarchy:
-            closed = 0
-            down = self._down
-            for rid in _iter_bits(mask):
-                closed |= down[rid]
-            mask = closed
+        mask = 0
+        down = self._down
+        for rid in _iter_bits(self._user_direct_roles[uid]):
+            mask |= down[rid]
         roles = self._roles
         return {roles[rid] for rid in _iter_bits(mask)}
 
-    def permissions_of(self, domain: str, role: str,
-                       use_hierarchy: bool = True) -> set[Grant]:
-        """Grant rows held by (domain, role), optionally via juniors.
+    def permissions_of(self, domain: str, role: str) -> set[Grant]:
+        """Grant rows held by (domain, role), directly or via juniors.
 
         Rows keep their *own* domain/role (a senior sees the junior's
         grant as the junior's row), matching the relational semantics.
@@ -521,12 +356,11 @@ class RBACEngine:
         rid = self._role_ids.get(DomainRole(domain, role))
         if rid is None:
             return set()
-        cone = self._down[rid] if use_hierarchy else (1 << rid)
         grants: set[Grant] = set()
         roles = self._roles
         perms = self._perms
         direct = self._role_direct_perms
-        for member in _iter_bits(cone):
+        for member in _iter_bits(self._down[rid]):
             holder = roles[member]
             for pid in _iter_bits(direct[member]):
                 object_type, permission = perms[pid]
@@ -535,27 +369,22 @@ class RBACEngine:
         return grants
 
     def role_has_permission(self, domain: str, role: str, object_type: str,
-                            permission: str,
-                            use_hierarchy: bool = True) -> bool:
-        """Single-bit probe of the (closed) role-permission column."""
+                            permission: str) -> bool:
+        """Single-bit probe of the closed role-permission column."""
         rid = self._role_ids.get(DomainRole(domain, role))
         pid = self._perm_ids.get((object_type, permission))
         if rid is None or pid is None:
             return False
-        column = (self._role_closed_perms if use_hierarchy
-                  else self._role_direct_perms)
-        return (column[rid] >> pid) & 1 == 1
+        return (self._role_closed_perms[rid] >> pid) & 1 == 1
 
-    def members_of(self, domain: str, role: str,
-                   use_hierarchy: bool = True) -> set[str]:
-        """Users assigned to (domain, role) or (optionally) a senior."""
+    def members_of(self, domain: str, role: str) -> set[str]:
+        """Users assigned to (domain, role) or to a senior of it."""
         rid = self._role_ids.get(DomainRole(domain, role))
         if rid is None:
             return set()
-        cone = self._up[rid] if use_hierarchy else (1 << rid)
         mask = 0
         members = self._role_members
-        for senior in _iter_bits(cone):
+        for senior in _iter_bits(self._up[rid]):
             mask |= members[senior]
         users = self._users
         return {users[uid] for uid in _iter_bits(mask)}
@@ -587,7 +416,6 @@ class RBACEngine:
             "builds": self.builds,
             "hierarchy_rebuilds": self.hierarchy_rebuilds,
             "deltas": self.deltas,
-            "edge_deltas": self.edge_deltas,
             "mask_evictions": self.mask_evictions,
             "cached_user_masks": len(self._user_perm_cache),
         }

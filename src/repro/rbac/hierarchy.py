@@ -12,26 +12,15 @@ declared) and ``_seniors`` (the transpose, maintained alongside), so both
 BFS over an adjacency map rather than a repeated-scan fixpoint, and
 :meth:`RoleHierarchy.dominates` stops the walk as soon as the target is
 reached instead of materialising the full closure.  A :attr:`version`
-counter is bumped on every edge change; the compiled RBAC engine
-(:mod:`repro.rbac.engine`) keys its cached hierarchy closure on it.
-
-Each edge change is also appended to a bounded *delta log*, so a closure
-consumer that last synced at version ``v`` can ask
-:meth:`RoleHierarchy.deltas_since` for the exact edge operations between
-``v`` and now and replay them incrementally — O(delta) instead of an
-O(edges) rebuild.  The log keeps the most recent
-:data:`DELTA_LOG_LIMIT` entries; a consumer that fell further behind gets
-``None`` and must rebuild.
+counter is bumped on every edge change (a re-declared edge changes
+nothing and bumps nothing); the compiled RBAC engine
+(:mod:`repro.rbac.engine`) keys its cached hierarchy closure on it and
+rebuilds that closure when it moves.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
-
-#: how many edge deltas the replay log retains; syncs further behind than
-#: this fall back to a full closure rebuild
-DELTA_LOG_LIMIT = 256
 
 from repro.errors import HierarchyError
 from repro.rbac.model import DomainRole
@@ -58,30 +47,31 @@ class RoleHierarchy:
         self._juniors: dict[DomainRole, set[DomainRole]] = {}
         self._seniors: dict[DomainRole, set[DomainRole]] = {}
         self._version = 0
-        #: (version after the op, "add" | "remove", senior, junior)
-        self._delta_log: deque[tuple[int, str, DomainRole, DomainRole]] = (
-            deque(maxlen=DELTA_LOG_LIMIT))
 
     @property
     def version(self) -> int:
-        """Bumped on every edge addition/removal (closure-cache key)."""
+        """Bumped on every edge that is added or removed (closure-cache
+        key)."""
         return self._version
 
     def add_inheritance(self, senior: DomainRole, junior: DomainRole) -> None:
         """Declare that ``senior`` inherits from (dominates) ``junior``.
+
+        Declaring an edge that is already present is a no-op.
 
         :raises HierarchyError: if the edge would create a cycle or a
             self-loop.
         """
         if senior == junior:
             raise HierarchyError(f"role {senior} cannot inherit from itself")
+        if junior in self._juniors.get(senior, ()):
+            return
         if self.dominates(junior, senior):
             raise HierarchyError(
                 f"edge {senior} -> {junior} would create a cycle")
         self._juniors.setdefault(senior, set()).add(junior)
         self._seniors.setdefault(junior, set()).add(senior)
         self._version += 1
-        self._delta_log.append((self._version, "add", senior, junior))
 
     def remove_inheritance(self, senior: DomainRole, junior: DomainRole) -> bool:
         """Remove a direct edge; return True if it existed."""
@@ -95,26 +85,8 @@ class RoleHierarchy:
             if not seniors:
                 del self._seniors[junior]
             self._version += 1
-            self._delta_log.append((self._version, "remove", senior, junior))
             return True
         return False
-
-    def deltas_since(self, version: int
-                     ) -> "list[tuple[int, str, DomainRole, DomainRole]] | None":
-        """Edge operations between ``version`` (exclusive) and now.
-
-        Returns an empty list when already current and ``None`` when the
-        bounded log no longer reaches back to ``version`` (the caller must
-        fall back to a full rebuild).  Versions advance by exactly one per
-        edge operation, so the log is contiguous."""
-        if version == self._version:
-            return []
-        if version > self._version or version < 0:
-            return None
-        log = self._delta_log
-        if not log or log[0][0] > version + 1:
-            return None
-        return [entry for entry in log if entry[0] > version]
 
     def direct_juniors(self, role: DomainRole) -> frozenset[DomainRole]:
         """Roles directly dominated by ``role``."""
@@ -168,7 +140,6 @@ class RoleHierarchy:
         other._juniors = {k: set(v) for k, v in self._juniors.items()}
         other._seniors = {k: set(v) for k, v in self._seniors.items()}
         other._version = self._version
-        other._delta_log = deque(self._delta_log, maxlen=DELTA_LOG_LIMIT)
         return other
 
     def __eq__(self, other: object) -> bool:

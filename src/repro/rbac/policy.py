@@ -14,7 +14,7 @@ the engine test suites require identical answers from both.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import UnknownRoleError
 from repro.rbac.hierarchy import RoleHierarchy
@@ -193,48 +193,32 @@ class RBACPolicy:
         """All object types mentioned in grants."""
         return {g.object_type for g in self._grants}
 
-    def permissions_of(self, domain: str, role: str,
-                       *, use_hierarchy: bool = True) -> set[Grant]:
-        """Grants held by (domain, role), optionally via the role hierarchy."""
-        return self.engine().permissions_of(domain, role,
-                                            use_hierarchy=use_hierarchy)
+    def permissions_of(self, domain: str, role: str) -> set[Grant]:
+        """Grants held by (domain, role), directly or via the role
+        hierarchy."""
+        return self.engine().permissions_of(domain, role)
 
-    def roles_of(self, user: str, *, use_hierarchy: bool = True) -> set[DomainRole]:
+    def roles_of(self, user: str) -> set[DomainRole]:
         """Domain-roles ``user`` is a member of (direct plus inherited)."""
-        return self.engine().roles_of(user, use_hierarchy=use_hierarchy)
+        return self.engine().roles_of(user)
 
-    def members_of(self, domain: str, role: str,
-                   *, use_hierarchy: bool = True) -> set[str]:
+    def members_of(self, domain: str, role: str) -> set[str]:
         """Users assigned to (domain, role), including via senior roles."""
-        return self.engine().members_of(domain, role,
-                                        use_hierarchy=use_hierarchy)
+        return self.engine().members_of(domain, role)
 
     # -- decisions ---------------------------------------------------------
 
     def role_has_permission(self, domain: str, role: str, object_type: str,
-                            permission: str, *, use_hierarchy: bool = True) -> bool:
+                            permission: str) -> bool:
         """True if (domain, role) holds ``permission`` on ``object_type``."""
         return self.engine().role_has_permission(
-            domain, role, object_type, permission,
-            use_hierarchy=use_hierarchy)
+            domain, role, object_type, permission)
 
-    def check_access(self, user: str, object_type: str, permission: str,
-                     *, use_hierarchy: bool = True) -> bool:
+    def check_access(self, user: str, object_type: str,
+                     permission: str) -> bool:
         """The fundamental RBAC decision: may ``user`` exercise
         ``permission`` on objects of ``object_type``?"""
-        return self.engine().check_access(user, object_type, permission,
-                                          use_hierarchy=use_hierarchy)
-
-    def check_access_many(self, requests: Sequence[tuple[str, str, str]],
-                          *, use_hierarchy: bool = True) -> list[bool]:
-        """Batch form of :meth:`check_access`: one decision per
-        ``(user, object_type, permission)`` triple, in order.
-
-        The engine shares its per-user effective-permission masks across
-        the whole batch.
-        """
-        return self.engine().check_access_many(requests,
-                                               use_hierarchy=use_hierarchy)
+        return self.engine().check_access(user, object_type, permission)
 
     def authorised_users(self, object_type: str, permission: str) -> set[str]:
         """All users who may exercise ``permission`` on ``object_type``."""

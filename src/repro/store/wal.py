@@ -71,7 +71,8 @@ def encode_header(base_lsn: int) -> bytes:
     return prefix + struct.pack(">I", zlib.crc32(prefix))
 
 
-def _record_at(data: bytes, offset: int) -> "tuple[dict, int] | None":
+def _record_at(data: "bytes | memoryview",
+               offset: int) -> "tuple[dict, int] | None":
     """Decode the record starting at ``offset``; None if it is not a
     structurally valid record (short, oversized, bad checksum, bad JSON)."""
     if len(data) - offset < RECORD_HEADER.size:
@@ -84,7 +85,7 @@ def _record_at(data: bytes, offset: int) -> "tuple[dict, int] | None":
     if zlib.crc32(body) != crc:
         return None
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(payload, dict):
@@ -92,7 +93,7 @@ def _record_at(data: bytes, offset: int) -> "tuple[dict, int] | None":
     return payload, body_start + length
 
 
-def _valid_record_follows(data: bytes, offset: int) -> bool:
+def _valid_record_follows(data: "bytes | memoryview", offset: int) -> bool:
     """True if a structurally valid record starts exactly at ``offset`` —
     the discriminator between a torn tail and mid-log corruption."""
     return _record_at(data, offset) is not None
@@ -109,11 +110,13 @@ class ScanResult:
     truncated_bytes: int = 0
 
 
-def scan_records(data: bytes, path: str = "",
+def scan_records(data: "bytes | memoryview", path: str = "",
                  area_offset: int = 0) -> ScanResult:
     """Decode a record area, truncating a torn tail.
 
-    :param data: the record area bytes (after the file header).
+    :param data: the record area bytes (after the file header); a
+        memoryview is scanned in place, each body decoded from a slice of
+        it without a copy.
     :param path: file name for error messages.
     :param area_offset: absolute offset of ``data[0]`` in the file, so
         :class:`~repro.errors.CorruptLogError` carries a file offset.
@@ -142,7 +145,7 @@ def scan_records(data: bytes, path: str = "",
                     reason="checksum")
             break  # bit-flipped trailing record: truncate
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(str(body, "utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("record payload is not an object")
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError):
@@ -233,8 +236,8 @@ class WriteAheadLog:
             self._file = open(self.path, "r+b")
             self._file.seek(0, os.SEEK_END)
             return []
-        scan = scan_records(data[HEADER_SIZE:], path=str(self.path),
-                            area_offset=HEADER_SIZE)
+        scan = scan_records(memoryview(data)[HEADER_SIZE:],
+                            path=str(self.path), area_offset=HEADER_SIZE)
         self._count = len(scan.records)
         self.truncated_bytes = scan.truncated_bytes
         self._end = HEADER_SIZE + scan.clean_length
@@ -343,7 +346,7 @@ class WriteAheadLog:
         for _ in range(dropped):  # each record is its header and body
             length, _crc = RECORD_HEADER.unpack_from(area, offset)
             offset += RECORD_HEADER.size + length
-        kept = area[offset:]
+        kept = memoryview(area)[offset:]
         new_base = self.base_lsn + keep_from
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         self.crash("wal.compact.begin")

@@ -30,11 +30,17 @@ from repro.middleware.base import Invocation, Middleware
 from repro.os_sec.base import OperatingSystemSecurity
 from repro.util.clock import SimulatedClock
 from repro.util.events import AuditLog
+from repro.util.lru import LRUCache
 from repro.webcom.health import BreakerState, CircuitBreaker, DegradedMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Counter, Observability
     from repro.webcom.faults import LayerFaultInjector
+
+
+#: most requests the fail-static last-known-good store remembers; a request
+#: evicted from it resolves fail-closed, which never widens authorisation
+LAST_GOOD_SIZE = 1024
 
 
 class Layer(enum.IntEnum):
@@ -232,7 +238,8 @@ class AuthorisationStack:
     half-open probe decides recovery.  Fail-static layers serve the
     last-known-good decision for the identical request, marked
     ``stale=True``; that store is written only while some layer is
-    fail-static, so a stack without one keeps no per-request state.
+    fail-static, so a stack without one keeps no per-request state, and
+    it remembers at most :data:`LAST_GOOD_SIZE` requests.
     ``layer_faults`` accepts a
     :class:`~repro.webcom.faults.LayerFaultInjector` so chaos schedules can
     time out layers deterministically.
@@ -260,8 +267,10 @@ class AuthorisationStack:
         self._degraded_modes: dict[Layer, DegradedMode] = {}
         #: request -> the last fully mediated (non-degraded) decision; the
         #: store fail-static layers serve from during an outage, written
-        #: only while some layer's degraded mode is fail-static
-        self._last_good: dict[MediationRequest, StackDecision] = {}
+        #: only while some layer's degraded mode is fail-static, and
+        #: bounded by :data:`LAST_GOOD_SIZE`
+        self._last_good: LRUCache[MediationRequest, StackDecision] = (
+            LRUCache(LAST_GOOD_SIZE))
         self.stale_served = 0
         #: name parts -> counter, bound on first increment (a counter that
         #: never counts stays out of the registry)
@@ -433,7 +442,7 @@ class AuthorisationStack:
                 in self._degraded_modes.values()):
             # Only a fully, freshly mediated decision may seed the
             # last-known-good store, and only a fail-static layer reads it.
-            self._last_good[request] = decision
+            self._last_good.put(request, decision)
         self._count(("stack", "mediate", decision.facts.outcome))
         if self.audit is not None:
             facts = decision.facts
@@ -498,7 +507,8 @@ class AuthorisationStack:
         and returns None, or returns the whole stale last-known-good
         :class:`StackDecision` (fail-static).  A fail-static layer with no
         last-known-good decision for this request falls back to
-        fail-closed — degradation must never *widen* authorisation.
+        fail-closed (so does one evicted from the bounded store) —
+        degradation must never *widen* authorisation.
         """
         mode = self.degraded_mode(layer)
         degraded.append(layer)

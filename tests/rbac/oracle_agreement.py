@@ -1,42 +1,59 @@
 """Shared assertion: an :class:`RBACPolicy` answers exactly as the oracle.
 
-With the hierarchy, every surface is compared against
-:meth:`RBACOracle.from_policy`; without it (``use_hierarchy=False``),
-against an oracle built from the same grants and assignments but no
-edges.
+Every query surface is compared against :meth:`RBACOracle.from_policy`
+over the same grants, assignments and hierarchy, and against a policy
+whose engine is built from scratch over them.
 """
 
 from repro.oracle.rbac_oracle import RBACOracle
 from repro.rbac.policy import RBACPolicy
 
 
+def rebuilt_policy(policy: RBACPolicy) -> RBACPolicy:
+    """A fresh policy over ``policy``'s relations and a copy of its
+    hierarchy (its engine is built on first query)."""
+    rebuilt = RBACPolicy("rebuilt", hierarchy=policy.hierarchy.copy())
+    for grant in policy.grants:
+        rebuilt.add_grant(grant)
+    for assignment in policy.assignments:
+        rebuilt.add_assignment(assignment)
+    return rebuilt
+
+
+def _answers(policy: RBACPolicy, users, roles, objects, perms) -> tuple:
+    """Every query surface of ``policy`` over the given vocabulary."""
+    return ([policy.check_access(u, o, p)
+             for u in users for o in objects for p in perms],
+            [policy.roles_of(user) for user in users],
+            [policy.members_of(r.domain, r.role) for r in roles],
+            [policy.permissions_of(r.domain, r.role) for r in roles],
+            [policy.role_has_permission(r.domain, r.role, o, p)
+             for r in roles for o in objects for p in perms],
+            [policy.authorised_users(o, p) for o in objects for p in perms])
+
+
 def assert_agrees_with_oracle(policy: RBACPolicy, users, roles, objects,
                               perms) -> None:
+    answers = _answers(policy, users, roles, objects, perms)
+    assert answers == _answers(rebuilt_policy(policy), users, roles,
+                               objects, perms)
+    (access, roles_of, members_of, permissions_of, role_has_permission,
+     authorised_users) = answers
     oracle = RBACOracle.from_policy(policy)
-    flat = RBACOracle(oracle.grants, oracle.assignments)
+    assert access == [oracle.check_access(u, o, p)
+                      for u in users for o in objects for p in perms]
+    assert [{(dr.domain, dr.role) for dr in held} for held in roles_of] \
+        == [oracle.roles_of(user) for user in users]
+    assert members_of == [oracle.members_of(r.domain, r.role)
+                          for r in roles]
     vocabulary = {(g.object_type, g.permission) for g in policy.grants}
-    requests = [(u, o, p) for u in users for o in objects for p in perms]
-    for reference, use_hierarchy in ((oracle, True), (flat, False)):
-        expected = [reference.check_access(u, o, p) for u, o, p in requests]
-        assert policy.check_access_many(
-            requests, use_hierarchy=use_hierarchy) == expected
-        assert [policy.check_access(u, o, p, use_hierarchy=use_hierarchy)
-                for u, o, p in requests] == expected
-        for user in users:
-            roles_of = policy.roles_of(user, use_hierarchy=use_hierarchy)
-            assert ({(dr.domain, dr.role) for dr in roles_of}
-                    == reference.roles_of(user))
-        for role in roles:
-            assert (policy.members_of(role.domain, role.role,
-                                      use_hierarchy=use_hierarchy)
-                    == reference.members_of(role.domain, role.role))
-            held = {(g.object_type, g.permission)
-                    for g in policy.permissions_of(
-                        role.domain, role.role, use_hierarchy=use_hierarchy)}
-            assert held == {(obj, perm) for obj, perm in vocabulary
-                            if reference.role_has_permission(
-                                role.domain, role.role, obj, perm)}
-    for obj in objects:
-        for perm in perms:
-            assert (policy.authorised_users(obj, perm)
-                    == oracle.authorised_users(obj, perm))
+    assert [{(g.object_type, g.permission) for g in held}
+            for held in permissions_of] == [
+        {(obj, perm) for obj, perm in vocabulary
+         if oracle.role_has_permission(r.domain, r.role, obj, perm)}
+        for r in roles]
+    assert role_has_permission == [
+        oracle.role_has_permission(r.domain, r.role, o, p)
+        for r in roles for o in objects for p in perms]
+    assert authorised_users == [oracle.authorised_users(o, p)
+                                for o in objects for p in perms]

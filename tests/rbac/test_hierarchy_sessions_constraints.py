@@ -80,13 +80,9 @@ class TestHierarchyInPolicy:
         assert policy.check_access("Bob", "SalariesDB", "write")
         assert policy.check_access("Bob", "SalariesDB", "read")
 
-    def test_hierarchy_can_be_bypassed(self, policy):
-        assert not policy.check_access("Bob", "SalariesDB", "write",
-                                       use_hierarchy=False)
-
     def test_members_of_includes_seniors(self, policy):
         assert policy.members_of("Finance", "Clerk") == {"Alice", "Bob"}
-        assert policy.members_of("Finance", "Clerk", use_hierarchy=False) == {"Alice"}
+        assert policy.members_of("Finance", "Manager") == {"Bob"}
 
 
 class TestSessions:

@@ -12,7 +12,8 @@ from repro.webcom.faults import (LayerFaultInjector, LayerFaultPlan,
                                  LayerFaultRule)
 from repro.webcom.health import (TRANSITION_WINDOW, BreakerState,
                                  CircuitBreaker, DegradedMode)
-from repro.webcom.stack import AuthorisationStack, Layer, MediationRequest
+from repro.webcom.stack import (LAST_GOOD_SIZE, AuthorisationStack, Layer,
+                                MediationRequest)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,36 @@ class TestDegradedMediation:
         assert not decision.allowed
         assert not decision.stale
         assert decision.layer(Layer.APPLICATION).error
+
+    def test_last_good_store_is_bounded(self):
+        stack, _clock = _stack(lambda _request: True)
+        stack.set_degraded_mode(Layer.APPLICATION, DegradedMode.FAIL_STATIC)
+        for n in range(3 * LAST_GOOD_SIZE):
+            stack.mediate(MediationRequest(user=f"u{n}", user_key="Ku",
+                                           object_type="T", operation="read"))
+        assert stack.health_snapshot()["last_good_entries"] == LAST_GOOD_SIZE
+
+    def test_evicted_last_good_fails_closed(self):
+        state = {"down": False}
+
+        def app(_request):
+            if state["down"]:
+                raise LayerTimeoutError("down")
+            return True
+
+        def request(n):
+            return MediationRequest(user=f"u{n}", user_key="Ku",
+                                    object_type="T", operation="read")
+
+        stack, _clock = _stack(app, breaker_threshold=10 ** 6)
+        stack.set_degraded_mode(Layer.APPLICATION, DegradedMode.FAIL_STATIC)
+        for n in range(LAST_GOOD_SIZE + 1):
+            assert stack.mediate(request(n)).allowed
+        state["down"] = True
+        evicted = stack.mediate(request(0))
+        assert not evicted.allowed and not evicted.stale
+        kept = stack.mediate(request(LAST_GOOD_SIZE))
+        assert kept.allowed and kept.stale
 
     def test_breaker_trips_and_skips_layer(self):
         calls = {"n": 0}
